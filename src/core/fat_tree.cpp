@@ -197,7 +197,7 @@ Ordering::Canonical FatTreeOrdering::canonical(int n, int /*sweep_index*/) const
 
 Ordering::Canonical LlbFatTreeOrdering::canonical(int n, int sweep_index) const {
   Canonical fwd = forward_fat_tree(n, /*restoring=*/false);
-  if (sweep_index % 2 == 0) return fwd;
+  if (sweep_index % procedures() == 0) return fwd;
   // Backward sweep: the forward step layouts in reverse order, ending where
   // the forward sweep began. Its first rotation repeats the forward sweep's
   // last pair — the "free" rotation the paper notes may be omitted (the pair

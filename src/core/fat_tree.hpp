@@ -78,6 +78,7 @@ class LlbFatTreeOrdering final : public Ordering {
   std::string name() const override { return "llb-fat-tree"; }
   bool supports(int n) const override { return n >= 4 && (n & (n - 1)) == 0; }
   int steps(int n) const override { return n - 1; }
+  int procedures() const override { return 2; }
 
  protected:
   Canonical canonical(int n, int sweep_index) const override;

@@ -84,14 +84,14 @@ std::size_t Sweep::rotation_count() const {
 
 Sweep Ordering::sweep(int n, int sweep_index) const {
   TREESVD_REQUIRE(supports(n), name() + " does not support n=" + std::to_string(n));
-  Canonical c = canonical(n, sweep_index);
+  Canonical c = canonical(n, sweep_index % procedures());
   return Sweep(std::move(c.layouts), std::move(c.active));
 }
 
 Sweep Ordering::sweep_from(std::span<const int> layout0, int sweep_index) const {
   const int n = static_cast<int>(layout0.size());
   TREESVD_REQUIRE(supports(n), name() + " does not support n=" + std::to_string(n));
-  Canonical c = canonical(n, sweep_index);
+  Canonical c = canonical(n, sweep_index % procedures());
   // Transport the position procedure: canonical layout entry p means "the
   // index that started at position p", which under layout0 is layout0[p].
   for (auto& lay : c.layouts)

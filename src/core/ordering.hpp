@@ -123,7 +123,10 @@ class Sweep {
 /// generated from the identity layout, and sweep(layout0, k) transports the
 /// procedure to an arbitrary starting layout (the procedure pairs whatever
 /// occupies the positions). `sweep_index` k matters only to orderings whose
-/// procedure alternates between sweeps (Lee-Luk-Boley forward/backward).
+/// procedure alternates between sweeps (Lee-Luk-Boley forward/backward), and
+/// only through k % procedures(): sweep() and sweep_from() reduce it before
+/// calling canonical(), so the drivers that build procedures() plans once
+/// and the engines that chain sweep_from(layout, k) run the same sweeps.
 class Ordering {
  public:
   virtual ~Ordering() = default;
@@ -135,6 +138,12 @@ class Ordering {
 
   /// Steps per sweep for a given n.
   virtual int steps(int n) const = 0;
+
+  /// Number of distinct canonical sweeps the ordering cycles through: sweep
+  /// k runs procedure k % procedures(), and canonical() only ever sees that
+  /// residue. 1 unless the procedure alternates between sweeps
+  /// (Lee-Luk-Boley: forward, then backward).
+  virtual int procedures() const { return 1; }
 
   /// Canonical sweep (from the identity layout).
   Sweep sweep(int n, int sweep_index = 0) const;
@@ -151,6 +160,7 @@ class Ordering {
   };
 
  protected:
+  /// `sweep_index` arrives reduced modulo procedures().
   virtual Canonical canonical(int n, int sweep_index) const = 0;
 };
 

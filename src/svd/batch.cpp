@@ -84,6 +84,10 @@ struct BatchedSvd::Shard {
   /// exact sequential-driver routines before scattering into the arena.
   Matrix pack;
 
+  /// The current sweep's opening layout, and the next one's.
+  std::vector<int> layout;
+  std::vector<int> next_layout;
+
   /// Live lanes this solve (the rest are zero-filled and never active).
   std::size_t count = 0;
 };
@@ -97,31 +101,9 @@ BatchedSvd::BatchedSvd(std::size_t rows, std::size_t cols, const Ordering& order
   TREESVD_REQUIRE(!options_.jacobi.track_off,
                   "BatchedSvd does not support track_off (per-sweep O(n^2 m) diagnostics)");
   padded_n_ = detail::padded_width(ordering, static_cast<int>(cols_));
-
-  // The sweep schedule is data-independent — orderings are position
-  // procedures, and the layout evolution depends only on the previous
-  // layout and the sweep index — so the whole run's schedule is computed
-  // once here and shared read-only by every lane, shard and solve.
-  std::vector<int> layout(static_cast<std::size_t>(padded_n_));
-  std::iota(layout.begin(), layout.end(), 0);
-  schedule_.reserve(static_cast<std::size_t>(std::max(0, options_.jacobi.max_sweeps)));
-  flat_pairs_.reserve(static_cast<std::size_t>(std::max(0, options_.jacobi.max_sweeps)));
-  for (int k = 0; k < options_.jacobi.max_sweeps; ++k) {
-    schedule_.push_back(ordering.sweep_from(layout, k));
-    const auto fin = schedule_.back().final_layout();
-    layout.assign(fin.begin(), fin.end());
-    const Sweep& s = schedule_.back();
-    std::vector<std::pair<int, int>> flat;
-    for (int t = 0; t < s.steps(); ++t) {
-      const StepPairs pairs = s.step_pairs(t);
-      for (int kk = 0; kk < pairs.leaves(); ++kk) {
-        if (!pairs.active_at(kk)) continue;
-        const IndexPair p = pairs.at(kk);
-        flat.emplace_back(std::min(p.even, p.odd), std::max(p.even, p.odd));
-      }
-    }
-    flat_pairs_.push_back(std::move(flat));
-  }
+  // Orderings are position procedures, so the plans are data-independent:
+  // built once here and shared read-only by every lane, shard and solve.
+  plans_ = plan_sweeps(ordering, padded_n_);
 }
 
 BatchedSvd::~BatchedSvd() = default;
@@ -160,6 +142,8 @@ std::unique_ptr<BatchedSvd::Shard> BatchedSvd::make_shard() const {
   sh->norm_y.resize(w);
   sh->lane_buf.resize(2 * m);
   sh->pack = Matrix(m, np);
+  sh->layout.resize(np);
+  sh->next_layout.resize(np);
   return sh;
 }
 
@@ -291,6 +275,7 @@ void BatchedSvd::pack_shard(Shard& sh, std::span<const Matrix* const> inputs) {
 
 void BatchedSvd::iterate_shard(Shard& sh) {
   const JacobiOptions& jo = options_.jacobi;
+  std::iota(sh.layout.begin(), sh.layout.end(), 0);
   for (int sweep = 0; sweep < jo.max_sweeps; ++sweep) {
     bool any_active = false;
     for (std::size_t b = 0; b < sh.count; ++b) any_active |= sh.active[b] != 0;
@@ -301,16 +286,20 @@ void BatchedSvd::iterate_shard(Shard& sh) {
 
     if (jo.cache_norms && detail::scheduled_refresh_due(sweep, jo)) scheduled_cache_refresh(sh);
 
-    const auto& flat = flat_pairs_[static_cast<std::size_t>(sweep)];
+    const SweepPlan& plan = plans_[static_cast<std::size_t>(sweep) % plans_.size()];
+    const std::size_t pairs = plan.pairs().size();
     std::fill(sh.sweep_rot.begin(), sh.sweep_rot.end(), 0);
     std::fill(sh.sweep_swap.begin(), sh.sweep_swap.end(), 0);
-    for (std::size_t k = 0; k < flat.size(); ++k) {
+    for (const IndexPair& p : plan.pairs()) {
+      const auto [i, j] = detail::plan_columns(sh.layout, p);
       if (jo.cache_norms) {
-        process_pair_cached(sh, flat[k].first, flat[k].second);
+        process_pair_cached(sh, i, j);
       } else {
-        process_pair_plain(sh, flat[k].first, flat[k].second);
+        process_pair_plain(sh, i, j);
       }
     }
+    plan.advance(sh.layout, sh.next_layout);
+    sh.layout.swap(sh.next_layout);
 
     for (std::size_t b = 0; b < sh.count; ++b) {
       if (sh.active[b] == 0) continue;
@@ -319,11 +308,11 @@ void BatchedSvd::iterate_shard(Shard& sh) {
       // advance by the sweep's pair count in one step here instead of
       // per-lane increments inside the hot pair loop.
       KernelStats& ks = sh.stats[b];
-      ks.pairs += flat.size();
+      ks.pairs += pairs;
       if (jo.cache_norms) {
-        ks.dot_passes += flat.size();
+        ks.dot_passes += pairs;
       } else {
-        ks.gram_passes += flat.size();
+        ks.gram_passes += pairs;
       }
       sh.rotations[b] += sh.sweep_rot[b];
       sh.swaps[b] += sh.sweep_swap[b];

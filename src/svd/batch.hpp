@@ -1,6 +1,6 @@
 #pragma once
 // Batched many-SVD engine: B same-shape problems, one SoA arena, shared
-// sweep schedule, per-lane retirement.
+// sweep plan, per-lane retirement.
 //
 // The tree orderings of the paper schedule one decomposition at a time; the
 // production shape this layer targets is the opposite — huge numbers of
@@ -27,10 +27,11 @@
 //    re-reductions) gather the lane and run the exact scalar routine, and
 //    padding/equilibration/finalisation share one definition with the
 //    sequential driver (svd/driver_detail.hpp).
-//  * Shared schedule: the sweep schedule is data-independent (orderings are
-//    position procedures), so it is precomputed once at construction and
-//    shared read-only by every lane, shard and solve — zero schedule work
-//    and zero allocation in the iteration.
+//  * Shared plan: orderings are position procedures, so one subtree-ordered
+//    plan per ordering procedure (core/sweep_plan.hpp) is built at
+//    construction and shared read-only by every lane, shard and solve. A
+//    shard maps it through its own current layout each sweep — zero schedule
+//    work and zero allocation in the iteration.
 //  * Independent retirement: each lane carries its own active flag, guards
 //    and counters; a converged lane stops rotating, stops counting and stops
 //    observing its guards while the rest of the shard keeps iterating. One
@@ -54,6 +55,7 @@
 #include <vector>
 
 #include "core/ordering.hpp"
+#include "core/sweep_plan.hpp"
 #include "linalg/matrix.hpp"
 #include "svd/jacobi.hpp"
 
@@ -78,7 +80,7 @@ struct BatchedSvdOptions {
 class BatchedSvd {
  public:
   /// Configures the engine for rows x cols problems under `ordering`. The
-  /// shared sweep schedule is precomputed here; the ordering is not retained.
+  /// shared sweep plans are built here; the ordering is not retained.
   BatchedSvd(std::size_t rows, std::size_t cols, const Ordering& ordering,
              BatchedSvdOptions options = {});
   ~BatchedSvd();
@@ -134,13 +136,9 @@ class BatchedSvd {
   int padded_n_ = 0;
   BatchedSvdOptions options_;
   std::string ordering_name_;
-  /// Precomputed shared schedule: schedule_[k] is sweep k's pair sequence
-  /// (with the layout evolution already folded in).
-  std::vector<Sweep> schedule_;
-  /// The same schedule flattened to (min, max) column pairs, one vector per
-  /// sweep. Iterating this instead of the Sweep/StepPairs accessors lets the
-  /// hot loop look one pair ahead and prefetch its columns.
-  std::vector<std::vector<std::pair<int, int>>> flat_pairs_;
+  /// One subtree-ordered plan per ordering procedure; sweep k runs
+  /// plans_[k % plans_.size()] through the shard's current layout.
+  std::vector<SweepPlan> plans_;
   std::vector<std::unique_ptr<Shard>> shards_;
 };
 

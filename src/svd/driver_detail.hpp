@@ -10,7 +10,9 @@
 // property instead of a maintenance promise.
 
 #include <algorithm>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/ordering.hpp"
@@ -23,6 +25,14 @@
 #include "util/require.hpp"
 
 namespace treesvd::detail {
+
+/// The columns, smaller index first, that plan entry `p` rotates in a sweep
+/// that opened in `layout` (core/sweep_plan.hpp).
+inline std::pair<int, int> plan_columns(std::span<const int> layout, IndexPair p) noexcept {
+  const int x = layout[static_cast<std::size_t>(p.even)];
+  const int y = layout[static_cast<std::size_t>(p.odd)];
+  return {std::min(x, y), std::max(x, y)};
+}
 
 /// Smallest width w >= n the ordering supports (searched up to 2n+4, the
 /// same window pad_columns always used). Throws when nothing in the window

@@ -3,11 +3,12 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <numeric>
+#include <span>
 #include <string>
 
 #include "analysis/hooks.hpp"
-#include "util/thread_pool.hpp"
-
+#include "core/sweep_plan.hpp"
 #include "linalg/blas1.hpp"
 #include "linalg/rotation.hpp"
 #include "svd/driver_detail.hpp"
@@ -15,6 +16,7 @@
 #include "svd/pair_kernel.hpp"
 #include "svd/recovery.hpp"
 #include "util/require.hpp"
+#include "util/thread_pool.hpp"
 
 namespace treesvd {
 namespace {
@@ -78,11 +80,29 @@ double off_diagonal_measure(const Matrix& a, ThreadPool* pool, const NormCache* 
   return norm_g == 0.0 ? 0.0 : std::sqrt(off) / norm_g;
 }
 
-SvdResult one_sided_jacobi(const Matrix& a, const Ordering& ordering,
-                           const JacobiOptions& options) {
-  TREESVD_REQUIRE(a.rows() >= a.cols() && a.cols() >= 2,
-                  "one_sided_jacobi expects m >= n >= 2");
-  require_finite_columns(a, "one_sided_jacobi");
+namespace {
+
+/// Tree depth of the threaded driver's plans: each phase runs its 2^d
+/// subtrees as pool tasks, at least two per thread so the dynamic schedule
+/// can balance unequal subtrees and pools whose size is not a power of two
+/// (3 threads finish 4 equal tasks in 2 rounds, 8 in 3 rounds of half the
+/// size). Subtrees keep at least one leaf; a one-thread pool runs the serial
+/// plan.
+int plan_depth(unsigned threads, int leaves) {
+  if (threads <= 1) return 0;
+  int d = 0;
+  while ((1U << d) < 2 * threads && (2 << d) <= leaves) ++d;
+  return d;
+}
+
+/// The serial (pool == nullptr) and thread-parallel drivers. Both run the
+/// same subtree-ordered plans (core/sweep_plan.hpp); the pool runs each
+/// phase's subtrees concurrently, which is bitwise neutral because they
+/// touch disjoint columns.
+SvdResult solve_one_sided(const Matrix& a, const Ordering& ordering,
+                          const JacobiOptions& options, ThreadPool* pool, const std::string& who) {
+  TREESVD_REQUIRE(a.rows() >= a.cols() && a.cols() >= 2, who + " expects m >= n >= 2");
+  require_finite_columns(a, who);
   // Level 0 of the engine hierarchy: one PairKernel, bound once to the
   // resolved dispatch table (after the per-solve tier override), drives every
   // pair of the run.
@@ -95,47 +115,67 @@ SvdResult one_sided_jacobi(const Matrix& a, const Ordering& ordering,
   Matrix v = options.compute_v ? Matrix::identity(static_cast<std::size_t>(padded_n)) : Matrix();
   Matrix* vp = options.compute_v ? &v : nullptr;
 
-  std::vector<int> layout(static_cast<std::size_t>(padded_n));
-  for (int i = 0; i < padded_n; ++i) layout[static_cast<std::size_t>(i)] = i;
-
   NormCache cache;
   if (options.cache_norms) cache.refresh(h);
   KernelCounters plain_counters;
 
   SvdResult r;
-  for (int sweep = 0; sweep < options.max_sweeps; ++sweep) {
-    maybe_refresh(&cache, h, sweep, options);
-    const Sweep s = ordering.sweep_from(layout, sweep);
-    std::size_t sweep_rot = 0;
-    std::size_t sweep_swap = 0;
-    for (int t = 0; t < s.steps(); ++t) {
-      const StepPairs pairs = s.step_pairs(t);
-      for (int k = 0; k < pairs.leaves(); ++k) {
-        if (!pairs.active_at(k)) continue;
-        const IndexPair p = pairs.at(k);
-        const int i = std::min(p.even, p.odd);
-        const int j = std::max(p.even, p.odd);
-        const PairOutcome o = options.cache_norms
-                                  ? kernel.process_cached(h, vp, i, j, cache)
-                                  : kernel.process(h, vp, i, j, &plain_counters);
-        sweep_rot += o.rotated ? 1 : 0;
-        sweep_swap += o.swapped ? 1 : 0;
+  {
+    // The plans and layouts die before finalize: left alive, their small
+    // blocks fragment the heap under finalize's m x n allocations, which
+    // costs about one more such matrix of peak memory.
+    const std::vector<SweepPlan> plans = plan_sweeps(
+        ordering, padded_n, pool != nullptr ? plan_depth(pool->size(), padded_n / 2) : 0);
+    std::vector<int> layout(static_cast<std::size_t>(padded_n));
+    std::iota(layout.begin(), layout.end(), 0);
+    std::vector<int> next_layout(layout.size());
+
+    for (int sweep = 0; sweep < options.max_sweeps; ++sweep) {
+      maybe_refresh(&cache, h, sweep, options);
+      const SweepPlan& plan = plans[static_cast<std::size_t>(sweep) % plans.size()];
+      std::atomic<std::size_t> sweep_rot{0};
+      std::atomic<std::size_t> sweep_swap{0};
+      // Rotates a run of plan entries, mapped through the sweep's opening
+      // layout, and tallies its outcomes.
+      const auto run = [&](std::span<const IndexPair> pairs) {
+        std::size_t rot = 0;
+        std::size_t swap = 0;
+        for (const IndexPair& p : pairs) {
+          const auto [i, j] = detail::plan_columns(layout, p);
+          const PairOutcome o = options.cache_norms
+                                    ? kernel.process_cached(h, vp, i, j, cache)
+                                    : kernel.process(h, vp, i, j, &plain_counters);
+          rot += o.rotated ? 1 : 0;
+          swap += o.swapped ? 1 : 0;
+        }
+        sweep_rot.fetch_add(rot, std::memory_order_relaxed);
+        sweep_swap.fetch_add(swap, std::memory_order_relaxed);
+      };
+      if (pool == nullptr) {
+        run(plan.pairs());
+      } else {
+        TREESVD_HB_SCOPED_FRAME(sweep_frame, [&] { return "sweep " + std::to_string(sweep); });
+        for (std::size_t ph = 0; ph < plan.phases(); ++ph) {
+          TREESVD_HB_SCOPED_FRAME(phase_frame, [&] { return "phase " + std::to_string(ph); });
+          pool->parallel_for(plan.tasks(), [&](std::size_t k) { run(plan.task(ph, k)); }, 1);
+        }
       }
+      plan.advance(layout, next_layout);
+      layout.swap(next_layout);
+      r.rotations += sweep_rot.load();
+      r.swaps += sweep_swap.load();
+      r.sweeps = sweep + 1;
+      if (options.track_off)
+        r.off_history.push_back(
+            off_diagonal_measure(h, pool, options.cache_norms ? &cache : nullptr));
+      if (sweep_rot.load() == 0 && sweep_swap.load() == 0) {
+        r.converged = true;
+        break;
+      }
+      if (guards.observe(static_cast<double>(sweep_rot.load() + sweep_swap.load())) &&
+          options.cache_norms)
+        cache.refresh(h);
     }
-    const auto fin = s.final_layout();
-    layout.assign(fin.begin(), fin.end());
-    r.rotations += sweep_rot;
-    r.swaps += sweep_swap;
-    r.sweeps = sweep + 1;
-    if (options.track_off)
-      r.off_history.push_back(
-          off_diagonal_measure(h, nullptr, options.cache_norms ? &cache : nullptr));
-    if (sweep_rot == 0 && sweep_swap == 0) {
-      r.converged = true;
-      break;
-    }
-    if (guards.observe(static_cast<double>(sweep_rot + sweep_swap)) && options.cache_norms)
-      cache.refresh(h);
   }
   r.kernel_stats =
       options.cache_norms ? cache.counters().snapshot() : plain_counters.snapshot();
@@ -143,75 +183,17 @@ SvdResult one_sided_jacobi(const Matrix& a, const Ordering& ordering,
   return finalize(std::move(h), std::move(v), a, options, guards, std::move(r));
 }
 
+}  // namespace
+
+SvdResult one_sided_jacobi(const Matrix& a, const Ordering& ordering,
+                           const JacobiOptions& options) {
+  return solve_one_sided(a, ordering, options, nullptr, "one_sided_jacobi");
+}
+
 SvdResult one_sided_jacobi_threaded(const Matrix& a, const Ordering& ordering,
                                     const JacobiOptions& options, unsigned threads) {
-  TREESVD_REQUIRE(a.rows() >= a.cols() && a.cols() >= 2,
-                  "one_sided_jacobi_threaded expects m >= n >= 2");
-  require_finite_columns(a, "one_sided_jacobi_threaded");
-  const ScopedIsaOverride isa_guard(options.force_isa);
-  const PairKernel kernel(options);
-  int padded_n = 0;
-  Matrix h = pad_columns(a, ordering, &padded_n);
-  SweepGuards guards(options);
-  guards.eq = equilibrate(h, options.equilibrate);
-  Matrix v = options.compute_v ? Matrix::identity(static_cast<std::size_t>(padded_n)) : Matrix();
-  Matrix* vp = options.compute_v ? &v : nullptr;
-
-  std::vector<int> layout(static_cast<std::size_t>(padded_n));
-  for (int i = 0; i < padded_n; ++i) layout[static_cast<std::size_t>(i)] = i;
-
   ThreadPool pool(threads);
-  NormCache cache;
-  if (options.cache_norms) cache.refresh(h);
-  KernelCounters plain_counters;
-
-  SvdResult r;
-  for (int sweep = 0; sweep < options.max_sweeps; ++sweep) {
-    maybe_refresh(&cache, h, sweep, options);
-    const Sweep s = ordering.sweep_from(layout, sweep);
-    std::atomic<std::size_t> sweep_rot{0};
-    std::atomic<std::size_t> sweep_swap{0};
-    TREESVD_HB_SCOPED_FRAME(sweep_frame, [&] { return "sweep " + std::to_string(sweep); });
-    for (int t = 0; t < s.steps(); ++t) {
-      // The non-allocating view is shared read-only across the pool; tasks
-      // are indexed by leaf, so the step's pair list is never copied.
-      const StepPairs pairs = s.step_pairs(t);
-      TREESVD_HB_SCOPED_FRAME(step_frame, [&] { return "step " + std::to_string(t); });
-      pool.parallel_for(
-          static_cast<std::size_t>(pairs.leaves()),
-          [&](std::size_t k) {
-            if (!pairs.active_at(static_cast<int>(k))) return;
-            const IndexPair p = pairs.at(static_cast<int>(k));
-            const int i = std::min(p.even, p.odd);
-            const int j = std::max(p.even, p.odd);
-            const PairOutcome o = options.cache_norms
-                                      ? kernel.process_cached(h, vp, i, j, cache)
-                                      : kernel.process(h, vp, i, j, &plain_counters);
-            if (o.rotated) sweep_rot.fetch_add(1, std::memory_order_relaxed);
-            if (o.swapped) sweep_swap.fetch_add(1, std::memory_order_relaxed);
-          },
-          options.grain);
-    }
-    const auto fin = s.final_layout();
-    layout.assign(fin.begin(), fin.end());
-    r.rotations += sweep_rot.load();
-    r.swaps += sweep_swap.load();
-    r.sweeps = sweep + 1;
-    if (options.track_off)
-      r.off_history.push_back(
-          off_diagonal_measure(h, &pool, options.cache_norms ? &cache : nullptr));
-    if (sweep_rot.load() == 0 && sweep_swap.load() == 0) {
-      r.converged = true;
-      break;
-    }
-    if (guards.observe(static_cast<double>(sweep_rot.load() + sweep_swap.load())) &&
-        options.cache_norms)
-      cache.refresh(h);
-  }
-  r.kernel_stats =
-      options.cache_norms ? cache.counters().snapshot() : plain_counters.snapshot();
-  r.kernel_stats.isa_tier = static_cast<int>(kernel.tier());
-  return finalize(std::move(h), std::move(v), a, options, guards, std::move(r));
+  return solve_one_sided(a, ordering, options, &pool, "one_sided_jacobi_threaded");
 }
 
 SvdResult cyclic_jacobi(const Matrix& a, const JacobiOptions& options) {

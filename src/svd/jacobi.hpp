@@ -50,9 +50,6 @@ struct JacobiOptions {
   /// (<= 0 disables the scheduled refresh; the near-threshold guard in the
   /// pair kernel still applies).
   int norm_recompute_sweeps = 8;
-  /// Threaded driver: pairs per ThreadPool scheduling chunk; 0 = automatic
-  /// (tiny steps run inline on the calling thread).
-  std::size_t grain = 0;
   /// Exact power-of-two input equilibration (svd/equilibrate.hpp). kAuto
   /// rescales only when the entry magnitudes endanger the squared-norm
   /// pipeline (a no-op on well-scaled inputs); the scaling is bitwise
@@ -108,17 +105,20 @@ struct SvdResult {
 /// One-sided Jacobi SVD of an m x n matrix (m >= n) using the given parallel
 /// ordering. If the ordering does not support n directly (e.g. fat-tree needs
 /// a power of two), the matrix is padded with zero columns up to the nearest
-/// supported width; padding is removed from the result.
+/// supported width; padding is removed from the result. Each sweep runs in
+/// subtree order (core/sweep_plan.hpp), bitwise equal to running it step by
+/// step.
 SvdResult one_sided_jacobi(const Matrix& a, const Ordering& ordering,
                            const JacobiOptions& options = {});
 
 /// Serial cyclic baseline (row-cyclic pair order), same semantics.
 SvdResult cyclic_jacobi(const Matrix& a, const JacobiOptions& options = {});
 
-/// Thread-parallel variant: the disjoint pairs of each step run concurrently
-/// on a thread pool (threads == 0 selects hardware concurrency). Identical
-/// results to one_sided_jacobi — rotations within a step commute because the
-/// pairs are disjoint.
+/// Thread-parallel variant (threads == 0 selects hardware concurrency). Each
+/// phase of the sweep plan runs its 2^d subtrees as pool tasks, d the
+/// smallest depth with two subtrees per thread. Identical results to
+/// one_sided_jacobi — concurrent tasks touch disjoint columns, and one-sided
+/// rotations of disjoint columns commute exactly.
 SvdResult one_sided_jacobi_threaded(const Matrix& a, const Ordering& ordering,
                                     const JacobiOptions& options = {}, unsigned threads = 0);
 

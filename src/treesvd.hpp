@@ -18,6 +18,7 @@
 #include "core/ordering.hpp"     // IWYU pragma: export
 #include "core/registry.hpp"     // IWYU pragma: export
 #include "core/round_robin.hpp"  // IWYU pragma: export
+#include "core/sweep_plan.hpp"  // IWYU pragma: export
 #include "core/validate.hpp"     // IWYU pragma: export
 #include "eigen/jacobi_eigen.hpp"  // IWYU pragma: export
 #include "linalg/blas1.hpp"      // IWYU pragma: export

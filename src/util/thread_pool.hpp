@@ -1,12 +1,12 @@
 #pragma once
-// Minimal fork-join thread pool for step-parallel rotation execution.
+// Minimal fork-join thread pool for phase-parallel rotation execution.
 //
-// Jacobi steps are embarrassingly parallel (disjoint column pairs); the pool
-// runs an indexed task over [0, count) and joins. Workers persist across
-// calls. Dispatch is chunked: threads claim `grain` consecutive indices per
-// mutex acquisition, so a step of hundreds of cheap rotations costs a
-// handful of lock round-trips instead of one per rotation, and tiny counts
-// run inline on the calling thread without waking the workers at all.
+// The tasks of one Jacobi phase are embarrassingly parallel (disjoint
+// columns); the pool runs an indexed task over [0, count) and joins. Workers
+// persist across calls. Dispatch is chunked: threads claim `grain`
+// consecutive indices per mutex acquisition, so hundreds of cheap tasks cost
+// a handful of lock round-trips instead of one per task, and tiny counts run
+// inline on the calling thread without waking the workers at all.
 
 #include <condition_variable>
 #include <cstddef>

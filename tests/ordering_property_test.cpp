@@ -1,14 +1,19 @@
 // Property tests that every ordering must satisfy: each sweep is a valid
 // parallel Jacobi sweep (all n(n-1)/2 pairs exactly once, disjoint pairs per
 // step), across several consecutive sweeps, for a range of problem sizes.
+// The subtree-ordered plans of every ordering (core/sweep_plan.hpp) are
+// checked against the sweeps they reorder.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <numeric>
 #include <set>
 #include <tuple>
+#include <utility>
 
 #include "core/registry.hpp"
+#include "core/sweep_plan.hpp"
 #include "core/validate.hpp"
 
 namespace treesvd {
@@ -143,6 +148,134 @@ INSTANTIATE_TEST_SUITE_P(
         if (c == '-') c = '_';
       return name;
     });
+
+std::pair<int, int> unordered(IndexPair p) {
+  return {std::min(p.even, p.odd), std::max(p.even, p.odd)};
+}
+
+bool same_sweep(const Sweep& a, const Sweep& b) {
+  if (a.n() != b.n() || a.steps() != b.steps()) return false;
+  for (int t = 0; t <= a.steps(); ++t) {
+    const auto la = a.layout(t);
+    const auto lb = b.layout(t);
+    if (!std::equal(la.begin(), la.end(), lb.begin(), lb.end())) return false;
+  }
+  for (int t = 0; t < a.steps(); ++t)
+    for (int leaf = 0; leaf < a.leaves(); ++leaf)
+      if (a.leaf_active(t, leaf) != b.leaf_active(t, leaf)) return false;
+  return true;
+}
+
+/// Checks that `pairs` holds each active pair of `sweep` exactly once and
+/// visits every column's pairs in step order.
+void expect_reorders_sweep(const Sweep& sweep, std::span<const IndexPair> pairs) {
+  std::map<std::pair<int, int>, int> step_of;
+  for (int t = 0; t < sweep.steps(); ++t)
+    for (const IndexPair& p : sweep.pairs(t)) step_of[unordered(p)] = t;
+  ASSERT_EQ(pairs.size(), sweep.rotation_count());
+  std::set<std::pair<int, int>> seen;
+  std::vector<int> last_step(static_cast<std::size_t>(sweep.n()), -1);
+  for (const IndexPair& p : pairs) {
+    const auto key = unordered(p);
+    const auto it = step_of.find(key);
+    ASSERT_NE(it, step_of.end()) << "plan pair (" << key.first << "," << key.second
+                                 << ") is not an active pair of the sweep";
+    ASSERT_TRUE(seen.insert(key).second) << "plan repeats (" << key.first << "," << key.second
+                                         << ")";
+    for (const int col : {p.even, p.odd}) {
+      auto& last = last_step[static_cast<std::size_t>(col)];
+      ASSERT_LT(last, it->second) << "column " << col << " leaves step order";
+      last = it->second;
+    }
+  }
+}
+
+class SweepPlanProperty : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(SweepPlanProperty, PlanInvariants) {
+  const OrderingPtr ord = make_ordering(GetParam());
+  const int procs = ord->procedures();
+  EXPECT_EQ(procs, GetParam() == "llb-fat-tree" ? 2 : 1);
+  int covered = 0;
+  for (int n = 4; n <= 64; ++n) {
+    if (!ord->supports(n)) continue;
+    ++covered;
+    SCOPED_TRACE("n=" + std::to_string(n));
+    for (int k = 0; k < 4; ++k) {
+      EXPECT_TRUE(same_sweep(ord->sweep(n, k), ord->sweep(n, k + procs)))
+          << "sweep " << k << " differs from sweep " << k + procs;
+    }
+    if (procs == 2) {
+      EXPECT_FALSE(same_sweep(ord->sweep(n, 0), ord->sweep(n, 1)));
+    }
+
+    for (int d = 0; d <= 3; ++d) {
+      SCOPED_TRACE("depth=" + std::to_string(d));
+      const std::vector<SweepPlan> plans = plan_sweeps(*ord, n, d);
+      ASSERT_EQ(plans.size(), static_cast<std::size_t>(procs));
+      for (int k = 0; k < procs; ++k) {
+        const Sweep canonical = ord->sweep(n, k);
+        const SweepPlan& plan = plans[static_cast<std::size_t>(k)];
+        ASSERT_EQ(plan.tasks(), std::size_t{1} << d);
+        expect_reorders_sweep(canonical, plan.pairs());
+        EXPECT_GE(plan.phases(), std::size_t{1});
+        if (d == 0) {
+          EXPECT_EQ(plan.phases(), std::size_t{1});
+        }
+        // The tasks, phase by phase, tile pairs() in order: a driver that
+        // runs them all runs the plan.
+        std::vector<IndexPair> tiled;
+        for (std::size_t ph = 0; ph < plan.phases(); ++ph) {
+          // The tasks of one phase touch pairwise-disjoint columns.
+          std::vector<int> owner(static_cast<std::size_t>(n), -1);
+          for (std::size_t task = 0; task < plan.tasks(); ++task) {
+            for (const IndexPair& p : plan.task(ph, task)) {
+              for (const int col : {p.even, p.odd}) {
+                auto& o = owner[static_cast<std::size_t>(col)];
+                EXPECT_TRUE(o == -1 || o == static_cast<int>(task))
+                    << "phase " << ph << ": column " << col << " in tasks " << o << " and "
+                    << task;
+                o = static_cast<int>(task);
+              }
+              tiled.push_back(p);
+            }
+          }
+        }
+        EXPECT_EQ(tiled, std::vector<IndexPair>(plan.pairs().begin(), plan.pairs().end()));
+      }
+    }
+
+    // Mapped through each sweep's opening layout, the plans reproduce the
+    // chained sweeps the drivers used to build with sweep_from.
+    const std::vector<SweepPlan> plans = plan_sweeps(*ord, n);
+    std::vector<int> layout(static_cast<std::size_t>(n));
+    std::iota(layout.begin(), layout.end(), 0);
+    std::vector<int> next(layout.size());
+    for (int k = 0; k < 4; ++k) {
+      const Sweep s = ord->sweep_from(layout, k);
+      const SweepPlan& plan = plans[static_cast<std::size_t>(k % procs)];
+      std::vector<IndexPair> mapped;
+      for (const IndexPair& p : plan.pairs())
+        mapped.push_back({layout[static_cast<std::size_t>(p.even)],
+                          layout[static_cast<std::size_t>(p.odd)]});
+      expect_reorders_sweep(s, mapped);
+      plan.advance(layout, next);
+      const auto fin = s.final_layout();
+      EXPECT_EQ(next, std::vector<int>(fin.begin(), fin.end())) << "after sweep " << k;
+      layout.swap(next);
+    }
+  }
+  EXPECT_GT(covered, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Registry, SweepPlanProperty,
+                         ::testing::ValuesIn(ordering_names({2, 4, 8})),
+                         [](const ::testing::TestParamInfo<std::string>& param_info) {
+                           std::string name = param_info.param;
+                           for (auto& c : name)
+                             if (c == '-') c = '_';
+                           return name;
+                         });
 
 TEST(OrderingRegistry, UnknownNameThrows) {
   EXPECT_THROW(make_ordering("nope"), std::invalid_argument);

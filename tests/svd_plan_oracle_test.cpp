@@ -1,0 +1,156 @@
+// Absolute-bits oracle for the plan-driven drivers.
+//
+// The other bitwise contracts are relative (threaded == serial, lane ==
+// sequential), so they would all stay green if every driver changed its bits
+// together. This suite pins the drivers to a fixed reference instead: the
+// step-major serial loop that the subtree-ordered plans replaced — one
+// sweep_from per sweep, steps in order, leaves in order, one PairKernel.
+// Because one-sided rotations of disjoint columns commute exactly, every
+// plan-driven driver must reproduce it bit for bit: the serial driver, the
+// phase-parallel threaded driver at every thread count, and every lane of the
+// batched engine, on every ordering, ISA tier and norm mode.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <numeric>
+#include <string>
+#include <tuple>
+#include <vector>
+
+#include "core/registry.hpp"
+#include "linalg/dispatch.hpp"
+#include "linalg/generators.hpp"
+#include "svd/batch.hpp"
+#include "svd/determinism.hpp"
+#include "svd/driver_detail.hpp"
+#include "svd/equilibrate.hpp"
+#include "svd/jacobi.hpp"
+#include "svd/pair_kernel.hpp"
+#include "util/rng.hpp"
+
+namespace treesvd {
+namespace {
+
+/// The step-major serial driver: the sweep schedule rebuilt with sweep_from
+/// every sweep and walked step by step, leaf by leaf.
+SvdResult step_major_reference(const Matrix& a, const Ordering& ordering,
+                               const JacobiOptions& options) {
+  const ScopedIsaOverride isa_guard(options.force_isa);
+  const detail::PairKernel kernel(options);
+  int padded_n = 0;
+  Matrix h = detail::pad_columns(a, ordering, &padded_n);
+  detail::SweepGuards guards(options);
+  guards.eq = equilibrate(h, options.equilibrate);
+  Matrix v = options.compute_v ? Matrix::identity(static_cast<std::size_t>(padded_n)) : Matrix();
+  Matrix* vp = options.compute_v ? &v : nullptr;
+
+  std::vector<int> layout(static_cast<std::size_t>(padded_n));
+  std::iota(layout.begin(), layout.end(), 0);
+
+  NormCache cache;
+  if (options.cache_norms) cache.refresh(h);
+  KernelCounters plain_counters;
+
+  SvdResult r;
+  for (int sweep = 0; sweep < options.max_sweeps; ++sweep) {
+    detail::maybe_refresh(&cache, h, sweep, options);
+    const Sweep s = ordering.sweep_from(layout, sweep);
+    std::size_t sweep_rot = 0;
+    std::size_t sweep_swap = 0;
+    for (int t = 0; t < s.steps(); ++t) {
+      const StepPairs pairs = s.step_pairs(t);
+      for (int k = 0; k < pairs.leaves(); ++k) {
+        if (!pairs.active_at(k)) continue;
+        const IndexPair p = pairs.at(k);
+        const int i = std::min(p.even, p.odd);
+        const int j = std::max(p.even, p.odd);
+        const detail::PairOutcome o = options.cache_norms
+                                          ? kernel.process_cached(h, vp, i, j, cache)
+                                          : kernel.process(h, vp, i, j, &plain_counters);
+        sweep_rot += o.rotated ? 1 : 0;
+        sweep_swap += o.swapped ? 1 : 0;
+      }
+    }
+    const auto fin = s.final_layout();
+    layout.assign(fin.begin(), fin.end());
+    r.rotations += sweep_rot;
+    r.swaps += sweep_swap;
+    r.sweeps = sweep + 1;
+    if (sweep_rot == 0 && sweep_swap == 0) {
+      r.converged = true;
+      break;
+    }
+    if (guards.observe(static_cast<double>(sweep_rot + sweep_swap)) && options.cache_norms)
+      cache.refresh(h);
+  }
+  r.kernel_stats =
+      options.cache_norms ? cache.counters().snapshot() : plain_counters.snapshot();
+  r.kernel_stats.isa_tier = static_cast<int>(kernel.tier());
+  return detail::finalize(std::move(h), std::move(v), a, options, guards, std::move(r));
+}
+
+struct Shape {
+  std::size_t rows;
+  std::size_t cols;
+};
+
+// Square, padded (30 columns run at the ordering's next supported width),
+// and tall.
+constexpr Shape kShapes[] = {{32, 32}, {300, 30}, {512, 64}};
+
+using Param = std::tuple<std::string, int>;
+
+class PlanOracle : public ::testing::TestWithParam<Param> {};
+
+TEST_P(PlanOracle, DriversMatchStepMajorReference) {
+  const OrderingPtr ord = make_ordering(std::get<0>(GetParam()));
+  const Shape shape = kShapes[std::get<1>(GetParam())];
+  Rng rng(20261017 + shape.cols);
+  std::vector<Matrix> inputs;
+  for (int b = 0; b < 3; ++b) inputs.push_back(random_gaussian(shape.rows, shape.cols, rng));
+
+  for (const bool cache_norms : {true, false}) {
+    for (const IsaTier tier : {IsaTier::kBaseline, IsaTier::kAvx2, IsaTier::kAvx512}) {
+      if (!isa_supported(tier)) continue;
+      SCOPED_TRACE(std::string("cache_norms=") + (cache_norms ? "on" : "off") +
+                   " tier=" + isa_name(tier));
+      JacobiOptions opt;
+      opt.cache_norms = cache_norms;
+      opt.force_isa = static_cast<int>(tier);
+
+      std::vector<std::uint64_t> want;
+      for (const Matrix& a : inputs) want.push_back(result_core_digest(step_major_reference(a, *ord, opt)));
+
+      EXPECT_EQ(result_core_digest(one_sided_jacobi(inputs[0], *ord, opt)), want[0])
+          << "one_sided_jacobi";
+      // 1 thread runs the depth-0 plan, 2 threads depth 2, 3 and 4 threads
+      // depth 3 (two subtrees per thread).
+      for (const unsigned threads : {1U, 2U, 3U, 4U})
+        EXPECT_EQ(result_core_digest(one_sided_jacobi_threaded(inputs[0], *ord, opt, threads)),
+                  want[0])
+            << "one_sided_jacobi_threaded, " << threads << " threads";
+
+      BatchedSvdOptions bopt;
+      bopt.jacobi = opt;
+      BatchedSvd engine(shape.rows, shape.cols, *ord, bopt);
+      const std::vector<SvdResult> lanes = engine.solve(inputs);
+      for (std::size_t b = 0; b < lanes.size(); ++b)
+        EXPECT_EQ(result_core_digest(lanes[b]), want[b]) << "BatchedSvd lane " << b;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Registry, PlanOracle,
+    ::testing::Combine(::testing::ValuesIn(ordering_names({2, 4, 8})), ::testing::Values(0, 1, 2)),
+    [](const ::testing::TestParamInfo<Param>& param_info) {
+      const Shape shape = kShapes[std::get<1>(param_info.param)];
+      std::string name = std::get<0>(param_info.param) + "_" + std::to_string(shape.rows) + "x" +
+                         std::to_string(shape.cols);
+      for (auto& c : name)
+        if (c == '-') c = '_';
+      return name;
+    });
+
+}  // namespace
+}  // namespace treesvd

@@ -305,8 +305,7 @@ bool self_test_clean_run(std::string* why) {
   Rng rng(7);
   const Matrix a = random_gaussian(12, 8, rng);
   const OrderingPtr ordering = make_ordering("fat-tree");
-  JacobiOptions opt;
-  opt.grain = 1;
+  const JacobiOptions opt;
   const Engine eng = engines(4).front();
   const RunReport rep = explore(eng, "fat-tree", a, opt, 2, 99);
   if (!rep.ok) {
@@ -361,9 +360,6 @@ int main(int argc, const char* const* argv) {
       random_gaussian(static_cast<std::size_t>(rows), static_cast<std::size_t>(n), rng);
   JacobiOptions opt;
   opt.max_sweeps = static_cast<int>(cli.get_int("max-sweeps", 60));
-  // Grain 1 forces the chunked pool path (one logical task per leaf) even at
-  // small n, so the tracker sees real concurrency on any host.
-  opt.grain = 1;
 
   std::vector<RunReport> reports;
   bool pass = true;
