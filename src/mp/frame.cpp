@@ -1,5 +1,7 @@
 #include "mp/frame.hpp"
 
+#include <bit>
+
 #include "util/require.hpp"
 
 namespace treesvd::mp {
@@ -9,8 +11,27 @@ constexpr std::uint8_t kMagic[4] = {'T', 'S', 'V', 'F'};
 constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
 constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
 
-/// FNV-1a over a raw byte range (the header checksum; the payload checksum
-/// stays frame_checksum so both transports share one payload format).
+// xxHash64's primes: the lane round and the final avalanche below are its.
+constexpr std::uint64_t kPrime1 = 0x9E3779B185EBCA87ULL;
+constexpr std::uint64_t kPrime2 = 0xC2B2AE3D27D4EB4FULL;
+constexpr std::uint64_t kPrime3 = 0x165667B19E3779F9ULL;
+constexpr std::uint64_t kPrime5 = 0x27D4EB2F165667C5ULL;
+
+/// One checksum step. For a fixed word it is a bijection of the lane (add,
+/// rotate, multiply by an odd prime), and for a fixed lane a bijection of
+/// the word (multiply by an odd prime, then the same three steps).
+constexpr std::uint64_t lane_round(std::uint64_t lane, std::uint64_t word) noexcept {
+  return std::rotl(lane + word * kPrime2, 31) * kPrime1;
+}
+
+std::uint64_t load_word(const double* p) noexcept {
+  std::uint64_t word = 0;
+  std::memcpy(&word, p, sizeof(word));
+  return word;
+}
+
+/// FNV-1a over a raw byte range: the 40-byte header checksum. The payload
+/// checksum is frame_checksum, so both transports share one payload format.
 std::uint64_t fnv1a_bytes(const std::uint8_t* p, std::size_t len) noexcept {
   std::uint64_t h = kFnvOffset;
   for (std::size_t i = 0; i < len; ++i) {
@@ -30,7 +51,7 @@ std::uint64_t get_u64(const std::uint8_t* p) noexcept {
   return v;
 }
 
-void encode_header(const WireFrame& frame, std::uint64_t payload_fnv, std::uint8_t* h) noexcept {
+void encode_header(const WireFrame& frame, std::uint64_t payload_sum, std::uint8_t* h) noexcept {
   h[0] = kMagic[0];
   h[1] = kMagic[1];
   h[2] = kMagic[2];
@@ -44,7 +65,7 @@ void encode_header(const WireFrame& frame, std::uint64_t payload_fnv, std::uint8
   put_u64(h + 24, frame.aux);
   put_u64(h + 32, static_cast<std::uint64_t>(frame.payload.size()));
   put_u64(h + 40, fnv1a_bytes(h, 40));
-  put_u64(h + 48, payload_fnv);
+  put_u64(h + 48, payload_sum);
 }
 
 void append_payload(const std::vector<double>& payload, std::vector<std::uint8_t>& out) {
@@ -58,20 +79,31 @@ void append_payload(const std::vector<double>& payload, std::vector<std::uint8_t
 
 std::uint64_t frame_checksum(std::uint64_t tag, std::uint64_t seq, const double* data,
                              std::size_t count) noexcept {
-  std::uint64_t h = kFnvOffset;
-  const auto eat = [&h](std::uint64_t word) {
-    for (int b = 0; b < 8; ++b) {
-      h ^= (word >> (8 * b)) & 0xffu;
-      h *= kFnvPrime;
-    }
-  };
-  eat(tag);
-  eat(seq);
-  for (std::size_t i = 0; i < count; ++i) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &data[i], sizeof(bits));
-    eat(bits);
+  // Four independent lanes over consecutive words, so the multiplies of one
+  // block overlap instead of chaining byte by byte. Tag and seq initialise
+  // lanes 0 and 1.
+  std::uint64_t v0 = lane_round(kPrime1 + kPrime2, tag);
+  std::uint64_t v1 = lane_round(kPrime2, seq);
+  std::uint64_t v2 = 0;
+  std::uint64_t v3 = 0 - kPrime1;
+  std::size_t i = 0;
+  for (; i + 4 <= count; i += 4) {
+    v0 = lane_round(v0, load_word(data + i));
+    v1 = lane_round(v1, load_word(data + i + 1));
+    v2 = lane_round(v2, load_word(data + i + 2));
+    v3 = lane_round(v3, load_word(data + i + 3));
   }
+  // Every step from here on is again a bijection of h, and of the lane or
+  // tail word it takes in: a change confined to one word, or to tag or seq
+  // alone, reaches the result through bijections only and always changes it.
+  std::uint64_t h = lane_round(lane_round(lane_round(v0, v1), v2), v3);
+  for (; i < count; ++i) h = lane_round(h, load_word(data + i));
+  h += static_cast<std::uint64_t>(count) * kPrime5;
+  h ^= h >> 33;
+  h *= kPrime2;
+  h ^= h >> 29;
+  h *= kPrime3;
+  h ^= h >> 32;
   return h;
 }
 

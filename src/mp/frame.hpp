@@ -2,9 +2,11 @@
 // Shared frame format for the reliable transports (DESIGN.md section 15).
 //
 // Both transport backends protect payloads the same way: a frame carries a
-// per-(src, dst, tag) sequence number and an FNV-1a checksum seeded with the
-// tag and the sequence number, so a flip of any bit anywhere in the frame is
-// detected at the receiver and recovered through the NACK/resend path.
+// per-(src, dst, tag) sequence number and a checksum seeded with the tag and
+// the sequence number. The checksum runs four 64-bit word lanes (xxHash64's
+// round and primes) whose every step is a bijection of its lane, so a change
+// confined to one payload word, or to tag or seq alone, is always detected
+// at the receiver and recovered through the NACK/resend path.
 //
 // Two encodings share that format:
 //
@@ -12,10 +14,11 @@
 //    [seq, checksum] header prepended to the payload, carried through the
 //    shared-memory mailboxes. This is the original reliable-transport frame.
 //  * The byte-stream "wire frame" (encode_wire_frame / decode_wire_frame):
-//    the socket backend's length-prefixed encoding. The header carries its
-//    own FNV-1a (so a corrupted length can never make the receiver read out
-//    of bounds or desynchronise silently), and the payload checksum is the
-//    *same* frame_checksum the in-process frames use. Decoding distinguishes
+//    the socket backend's length-prefixed encoding (wire version 2: the
+//    word-lane payload checksum). The header carries its own FNV-1a (so a
+//    corrupted length can never make the receiver read out of bounds or
+//    desynchronise silently), and the payload checksum is the *same*
+//    frame_checksum the in-process frames use. Decoding distinguishes
 //    three failure classes so the receiver can pick the right recovery:
 //      - kNeedMore:   the buffer holds a frame prefix; read more bytes.
 //      - kBadPayload: header intact, payload corrupted — skip exactly this
@@ -36,8 +39,10 @@ namespace treesvd::mp {
 /// Doubles of header prepended to an in-process reliable frame.
 inline constexpr std::size_t kFrameHeader = 2;  ///< [seq, checksum]
 
-/// FNV-1a over the payload bytes, seeded with tag and seq, so a flip of any
-/// bit anywhere in the frame (header included) is detected.
+/// Payload checksum over four 64-bit word lanes, with tag and seq as lane
+/// initialisers and a final avalanche. Any change confined to one payload
+/// word, or to tag or seq alone, changes the result (every step is a
+/// bijection); wider damage is missed with probability about 2^-64.
 std::uint64_t frame_checksum(std::uint64_t tag, std::uint64_t seq, const double* data,
                              std::size_t count) noexcept;
 
@@ -82,9 +87,11 @@ enum class WireKind : std::uint8_t {
 inline constexpr std::uint8_t kWireKindMax = 12;
 
 /// Fixed wire header: magic(4) version(1) kind(1) pad(2) tag(8) seq(8)
-/// aux(8) payload_count(8) header_fnv(8) payload_fnv(8).
+/// aux(8) payload_count(8) header_fnv(8) payload_checksum(8).
 inline constexpr std::size_t kWireHeaderBytes = 56;
-inline constexpr std::uint8_t kWireVersion = 1;
+/// Version 2: the word-lane payload checksum (version 1 used byte-wise
+/// FNV-1a); a frame of any other version is kBadFrame.
+inline constexpr std::uint8_t kWireVersion = 2;
 
 /// One decoded (or to-be-encoded) socket frame.
 struct WireFrame {

@@ -38,7 +38,8 @@ double ms_between(Clock::time_point a, Clock::time_point b) {
 
 /// Full write with EINTR retry and SIGPIPE suppressed; false on any error
 /// (a peer may die at any moment — callers treat failure as a lost frame
-/// and lean on the NACK/abort machinery, never on write success).
+/// and lean on the NACK/abort machinery, never on write success). Sockets
+/// only: it calls send(), which fails with ENOTSOCK on a pipe.
 bool write_all(int fd, const std::uint8_t* p, std::size_t len) noexcept {
   while (len != 0) {
     const ssize_t n = ::send(fd, p, len, MSG_NOSIGNAL);
@@ -194,7 +195,8 @@ struct SocketTransport::RankRuntime {
 
   // Send-side state (out_mu): lazy connections plus the clean retransmit
   // store that backs NACK recovery (trimmed only between runs — a receiver
-  // may NACK any frame of the run until the world tears down).
+  // may NACK any frame of the run until the world tears down, which is why
+  // a finished rank waits in the exit handshake before its process ends).
   std::mutex out_mu;
   std::vector<int> out;
   std::map<Key, std::uint64_t> send_seq;
@@ -213,9 +215,12 @@ struct SocketTransport::RankRuntime {
     }
   }
 
+  /// Wakes the IO thread out of poll(). The self-pipe takes write(2), not
+  /// write_all; a full pipe already holds a pending wake.
   void wake_io() noexcept {
     const std::uint8_t b = 1;
-    (void)!write_all(wake_w, &b, 1);
+    while (::write(wake_w, &b, 1) < 0 && errno == EINTR) {
+    }
   }
 
   void ctl_frame(const WireFrame& f) noexcept {
@@ -839,6 +844,17 @@ void SocketTransport::run_child(int rank, int ctl_fd,
       err_kind = kErrOther;
       err_msg = "non-standard exception";
     }
+    if (code == 0) {
+      // Exit handshake: keep the IO thread and the retransmit store serving
+      // a peer's late NACKs until every rank has returned (the launcher
+      // releases this collective generation) or the world aborts. Called on
+      // the backend, not through Context, so fault-op numbering is untouched.
+      try {
+        barrier(ctx);
+      } catch (const WorldAbortedError&) {
+        // The program did return: the abort belongs to another rank.
+      }
+    }
   }
   {
     std::lock_guard<std::mutex> lock(rt.mu);
@@ -1048,6 +1064,9 @@ void SocketTransport::run(const std::function<void(Context&)>& program) {
               // latch the launcher's copy so a respawned world replays past
               // the kill instead of re-firing it.
               if (injector() != nullptr) injector()->latch_kill();
+              // Abort on the report itself, not on the later reap: ranks
+              // waiting in the exit handshake leave one round trip after it.
+              trigger_abort();
               break;
             case WireKind::kError:
               if (!m.has_error) {
@@ -1055,6 +1074,7 @@ void SocketTransport::run(const std::function<void(Context&)>& program) {
                 m.err_kind = static_cast<int>(f.aux);
                 m.err_msg = unpack_string(f.payload);
               }
+              if (static_cast<int>(f.aux) != kErrWorldAborted) trigger_abort();
               break;
             case WireKind::kExit:
               ingest_stats(f.payload);

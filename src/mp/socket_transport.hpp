@@ -30,6 +30,12 @@
 //   * A planned kill ships its statistics home (kKilled) in the same write
 //     that precedes raise(SIGKILL); the launcher latches the injector's
 //     one-shot kill so the respawned world replays past it.
+//   * A rank's retransmit store dies with its process, so a rank whose
+//     program returned does not exit at once: it enters an exit handshake
+//     (one more kSync generation) and keeps serving NACKs until every rank
+//     has returned or the world aborts — the socket counterpart of the
+//     in-process store outliving a finished sender. It then wakes its IO
+//     thread through the self-pipe and leaves; no timer sits on that path.
 //   * Children leave with _exit(): a forked address space must not run the
 //     parent's destructors.
 

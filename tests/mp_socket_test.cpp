@@ -2,19 +2,24 @@
 // UNIX-domain sockets, same World API, same bitwise guarantees. These tests
 // cover the transport itself (ring traffic, collectives, the durable blob
 // board), the cross-backend bit-identity contract for the SPMD engine, the
-// error-context contract of TransportError, and the physical fault paths:
+// error-context contract of TransportError, the exit handshake (a finished
+// sender still answers a late NACK; exit never waits for a heartbeat), and
+// the physical fault paths:
 // injected drops/duplicates/corruption/delays on real connections, a planned
 // SIGKILL with respawn + checkpoint rollback, and an *external* SIGKILL of a
 // live rank process surfacing as RankKilledError.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <csignal>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/registry.hpp"
 #include "linalg/generators.hpp"
+#include "mp/frame.hpp"
 #include "mp/message_passing.hpp"
 #include "svd/determinism.hpp"
 #include "svd/spmd.hpp"
@@ -109,6 +114,7 @@ TEST(SocketBackend, TransportErrorCarriesContext) {
   plan.enabled = true;
   plan.seed = 7;
   plan.drop_prob = 1.0;
+  plan.resend_drop_prob = 1.0;
   world.set_fault_plan(plan);
   try {
     world.run([](mp::Context& ctx) {
@@ -125,6 +131,83 @@ TEST(SocketBackend, TransportErrorCarriesContext) {
     EXPECT_NE(what.find("seq="), std::string::npos) << what;
     EXPECT_NE(what.find("3 attempts"), std::string::npos) << what;
   }
+  EXPECT_TRUE(world.aborted());
+}
+
+TEST(SocketBackend, LateRetransmissionRecoveredOnBothBackends) {
+  SKIP_UNDER_TSAN();
+  // Every first transmission is lost and every resend survives. Rank 0
+  // sends one frame and returns; rank 1 asks for it only after rank 0's
+  // program has finished. The in-process store outlives a finished sender,
+  // and over sockets the exit handshake keeps rank 0's process serving
+  // NACKs, so both backends must deliver the payload bit for bit.
+  const std::vector<double> payload = {1.0, -0.0, 3.5e-310, 0x1.fffffffffffffp+1023};
+  for (const mp::Backend backend : {mp::Backend::kInproc, mp::Backend::kSocket}) {
+    mp::World world(2);
+    mp::SocketConfig sc;
+    sc.recv_deadline_ms = 5.0;
+    world.set_backend(backend, sc);
+    mp::ReliableConfig rc;
+    rc.enabled = true;
+    rc.max_retries = 4;
+    world.set_reliable(rc);
+    mp::FaultPlan plan;
+    plan.enabled = true;
+    plan.seed = 7;
+    plan.drop_prob = 1.0;
+    world.set_fault_plan(plan);
+    world.run([&payload](mp::Context& ctx) {
+      if (ctx.rank() == 0) {
+        ctx.send(1, 42, payload);
+        return;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(100));
+      // Published, not asserted in place: a rank process's gtest failures
+      // would not reach the launcher.
+      ctx.publish(1, ctx.recv(0, 42));
+    });
+    const std::vector<double> got = world.published(1);
+    ASSERT_EQ(got.size(), payload.size()) << world.backend_name();
+    for (std::size_t k = 0; k < payload.size(); ++k)
+      EXPECT_EQ(mp::double_to_bits(got[k]), mp::double_to_bits(payload[k]))
+          << world.backend_name() << " word " << k;
+    const mp::RecoveryStats stats = world.recovery_stats();
+    EXPECT_GE(stats.drops_seen, 1u) << world.backend_name();
+    EXPECT_GE(stats.resends, 1u) << world.backend_name();
+  }
+}
+
+TEST(SocketBackend, ExitDoesNotWaitForHeartbeat) {
+  SKIP_UNDER_TSAN();
+  // A rank process leaves once every rank has returned, or once the world
+  // aborts, not when its IO thread's heartbeat poll times out: with a 2 s
+  // heartbeat the world still returns in well under one interval.
+  mp::World world(4);
+  mp::SocketConfig sc;
+  sc.heartbeat_interval_ms = 2000.0;
+  world.set_backend(mp::Backend::kSocket, sc);
+  const auto elapsed_ms = [](std::chrono::steady_clock::time_point start) {
+    return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
+        .count();
+  };
+  auto start = std::chrono::steady_clock::now();
+  world.run([](mp::Context& ctx) {
+    const int next = (ctx.rank() + 1) % ctx.size();
+    const int prev = (ctx.rank() + ctx.size() - 1) % ctx.size();
+    ctx.send(next, 7, {static_cast<double>(ctx.rank())});
+    static_cast<void>(ctx.recv(prev, 7));
+    static_cast<void>(ctx.allreduce_sum(1.0));
+  });
+  EXPECT_LT(elapsed_ms(start), 1000.0);
+  EXPECT_EQ(world.delivered(), 4u);
+
+  // Abort path: rank 3 throws while ranks 0-2 return and wait for it.
+  const auto failing = [](mp::Context& ctx) {
+    if (ctx.rank() == 3) throw std::runtime_error("rank 3 fails");
+  };
+  start = std::chrono::steady_clock::now();
+  EXPECT_THROW(world.run(failing), std::runtime_error);
+  EXPECT_LT(elapsed_ms(start), 1000.0);
   EXPECT_TRUE(world.aborted());
 }
 

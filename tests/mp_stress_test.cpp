@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <set>
 #include <thread>
 #include <vector>
@@ -482,6 +483,109 @@ TEST(MpWireFuzz, GarbageAfterValidFrameDoesNotBleedBack) {
             mp::WireDecode::kOk);
   EXPECT_EQ(consumed, frame_len);
   EXPECT_EQ(out.payload, sample_frame().payload);
+}
+
+// The payload checksum must catch every change confined to one word — each
+// of its 64 bit flips, and replacement by NaN — whatever lane or tail slot
+// the word lands in, on the wire frame and the in-process frame alike.
+void expect_word_changes_detected(const std::vector<double>& payload,
+                                  const std::vector<std::size_t>& words) {
+  const std::uint64_t tag = 77;
+  const std::uint64_t seq = 3;
+  const std::uint64_t clean_sum = mp::frame_checksum(tag, seq, payload.data(), payload.size());
+  mp::WireFrame f = sample_frame();
+  f.payload = payload;
+  std::vector<std::uint8_t> wire = encode_one(f);
+  std::vector<double> frame = mp::make_frame(tag, seq, payload);
+  std::vector<double> changed = payload;
+  const std::uint64_t nan_bits = 0x7ff8000000000000ULL;
+  for (const std::size_t k : words) {
+    const std::uint64_t clean = mp::double_to_bits(payload[k]);
+    ASSERT_NE(clean, nan_bits);
+    for (int variant = 0; variant <= 64; ++variant) {
+      const std::uint64_t bits = variant < 64 ? clean ^ (std::uint64_t{1} << variant) : nan_bits;
+      changed[k] = mp::bits_to_double(bits);
+      EXPECT_NE(mp::frame_checksum(tag, seq, changed.data(), changed.size()), clean_sum)
+          << "n=" << payload.size() << " word " << k << " variant " << variant;
+      std::uint8_t* on_wire = wire.data() + mp::kWireHeaderBytes + k * sizeof(double);
+      std::memcpy(on_wire, &bits, sizeof(bits));
+      mp::WireFrame out;
+      std::size_t consumed = 0;
+      EXPECT_EQ(mp::decode_wire_frame(wire.data(), wire.size(), 1 << 20, &out, &consumed),
+                mp::WireDecode::kBadPayload)
+          << "n=" << payload.size() << " word " << k << " variant " << variant;
+      EXPECT_EQ(consumed, wire.size());
+      frame[mp::kFrameHeader + k] = changed[k];
+      std::uint64_t got_seq = 0;
+      EXPECT_FALSE(mp::frame_valid(tag, frame, &got_seq))
+          << "n=" << payload.size() << " word " << k << " variant " << variant;
+      changed[k] = payload[k];
+      std::memcpy(on_wire, &clean, sizeof(clean));
+      frame[mp::kFrameHeader + k] = payload[k];
+    }
+  }
+  // Tag or seq alone: each seeds its own lane, so any change moves the sum.
+  for (int b = 0; b < 64; ++b) {
+    const std::uint64_t flip = std::uint64_t{1} << b;
+    EXPECT_NE(mp::frame_checksum(tag ^ flip, seq, payload.data(), payload.size()), clean_sum)
+        << "n=" << payload.size() << " tag bit " << b;
+    EXPECT_NE(mp::frame_checksum(tag, seq ^ flip, payload.data(), payload.size()), clean_sum)
+        << "n=" << payload.size() << " seq bit " << b;
+  }
+  EXPECT_NE(mp::frame_checksum(tag + 1, seq, payload.data(), payload.size()), clean_sum);
+  EXPECT_NE(mp::frame_checksum(tag, seq + 1, payload.data(), payload.size()), clean_sum);
+}
+
+TEST(MpWireFuzz, ChecksumCatchesEverySingleWordChange) {
+  // Lengths 0..9 cover empty payloads, every tail length and two full lane
+  // blocks; then an spmd column message (16384 rows plus two header words)
+  // at its edges, lane boundaries and middle.
+  for (std::size_t n = 0; n <= 9; ++n) {
+    std::vector<double> payload(n);
+    std::vector<std::size_t> words(n);
+    for (std::size_t k = 0; k < n; ++k) {
+      payload[k] = (static_cast<double>(k) - 3.5) * 1.25;
+      words[k] = k;
+    }
+    expect_word_changes_detected(payload, words);
+  }
+  const std::size_t n = 16386;
+  Rng rng(0xC0FFEE);
+  std::vector<double> column(n);
+  for (double& x : column) x = rng.normal();
+  expect_word_changes_detected(column, {0, 1, 2, 3, 4, n / 2, n - 2, n - 1});
+}
+
+/// Re-signs a wire header after a test edits it: FNV-1a over bytes 0..39
+/// into bytes 40..47, as the encoder does.
+void resign_header(std::vector<std::uint8_t>& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (std::size_t i = 0; i < 40; ++i) {
+    h ^= bytes[i];
+    h *= 0x100000001b3ULL;
+  }
+  for (std::size_t b = 0; b < 8; ++b) bytes[40 + b] = static_cast<std::uint8_t>(h >> (8 * b));
+}
+
+TEST(MpWireFuzz, VersionOneFrameIsBadFrame) {
+  // Version 1 summed payloads byte-wise, so its payload checksum field means
+  // something else: a version-1 frame must be refused as a desync even with
+  // a correctly signed header, never read as a payload fault.
+  auto bytes = encode_one(sample_frame());
+  ASSERT_EQ(bytes[4], mp::kWireVersion);
+  bytes[4] = 1;
+  resign_header(bytes);
+  mp::WireFrame out;
+  std::size_t consumed = 99;
+  EXPECT_EQ(mp::decode_wire_frame(bytes.data(), bytes.size(), 1 << 20, &out, &consumed),
+            mp::WireDecode::kBadFrame);
+  EXPECT_EQ(consumed, 0u);
+  // Control: the same edit back to the current version decodes cleanly, so
+  // the version byte alone is what the decoder refused.
+  bytes[4] = mp::kWireVersion;
+  resign_header(bytes);
+  EXPECT_EQ(mp::decode_wire_frame(bytes.data(), bytes.size(), 1 << 20, &out, &consumed),
+            mp::WireDecode::kOk);
 }
 
 TEST(MpWireFuzz, PackStringRoundTripsThroughPayload) {
