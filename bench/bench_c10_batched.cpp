@@ -68,18 +68,17 @@ int fail(const std::string& what) {
 struct EngineCase {
   std::size_t n = 0;
   std::size_t batch = 0;
-  bool cache_norms = false;  ///< JacobiOptions::cache_norms for BOTH sides
   double batched_s = 0.0;  ///< median wall time, one batched solve of B problems
   double loop_s = 0.0;     ///< median wall time, B sequential one_sided_jacobi calls
   double speedup = 0.0;    ///< loop_s / batched_s
 };
 
-/// Gate + measure one (n, B, cache_norms) point; both sides run the same
+/// Gate + measure one (n, B) point; both sides run the same
 /// JacobiOptions, so the comparison is FLOP-for-FLOP. Returns false (after
 /// printing) on any bitwise divergence between the batched engine and the
 /// sequential loop.
 bool run_engine_case(const Ordering& ordering, std::size_t n, std::size_t batch,
-                     bool cache_norms, EngineCase& out) {
+                     EngineCase& out) {
   Rng rng(0x9e3779b9 + n * 131 + batch);
   std::vector<Matrix> inputs;
   inputs.reserve(batch);
@@ -87,7 +86,6 @@ bool run_engine_case(const Ordering& ordering, std::size_t n, std::size_t batch,
 
   BatchedSvdOptions bopt;
   bopt.lane_width = kLaneWidth;
-  bopt.jacobi.cache_norms = cache_norms;
   BatchedSvd engine(n, n, ordering, bopt);
   engine.reserve(batch);
 
@@ -115,7 +113,6 @@ bool run_engine_case(const Ordering& ordering, std::size_t n, std::size_t batch,
   }
   out.n = n;
   out.batch = batch;
-  out.cache_norms = cache_norms;
   out.batched_s = median(t_batched);
   out.loop_s = median(t_loop);
   out.speedup = out.batched_s > 0.0 ? out.loop_s / out.batched_s : 0.0;
@@ -283,19 +280,16 @@ constexpr std::size_t kBatches[] = {8, 32};
 int run(const std::string& json_path) {
   const auto ordering = make_ordering("round-robin");
 
-  // Both norm configurations, each gated and timed against a sequential
-  // loop running the identical options. fresh norms (cache_norms=false) is
-  // the batched engine's strong suit: the cross-problem gram kernel makes
-  // recomputation nearly free, while the cached path's drift bookkeeping is
-  // decision-bound and gains less from lanes.
+  // Each point is gated and timed against a sequential loop running the
+  // identical options; the cross-problem gram kernel makes the fresh Gram
+  // pass per pair nearly free.
   std::vector<EngineCase> cases;
   for (const std::size_t n : kSizes)
-    for (const std::size_t batch : kBatches)
-      for (const bool cached : {false, true}) {
-        EngineCase c;
-        if (!run_engine_case(*ordering, n, batch, cached, c)) return 1;
-        cases.push_back(c);
-      }
+    for (const std::size_t batch : kBatches) {
+      EngineCase c;
+      if (!run_engine_case(*ordering, n, batch, c)) return 1;
+      cases.push_back(c);
+    }
 
   std::vector<ServePoint> serve;
   for (const std::size_t n : kSizes) {
@@ -309,7 +303,7 @@ int run(const std::string& json_path) {
   if (json_path.empty()) {
     std::printf("C10 — batched SoA engine vs loop of sequential solves "
                 "(lane width %zu, median of %d)\n\n", kLaneWidth, kReps);
-    Table t({"n", "B", "norms", "batched (ms)", "loop (ms)", "speedup"});
+    Table t({"n", "B", "batched (ms)", "loop (ms)", "speedup"});
     for (const EngineCase& c : cases) {
       char b[24], l[24], s[24];
       std::snprintf(b, sizeof b, "%.3f", c.batched_s * 1e3);
@@ -318,7 +312,6 @@ int run(const std::string& json_path) {
       t.row()
           .cell(static_cast<long long>(c.n))
           .cell(static_cast<long long>(c.batch))
-          .cell(c.cache_norms ? "cached" : "fresh")
           .cell(b)
           .cell(l)
           .cell(s);
@@ -362,7 +355,6 @@ int run(const std::string& json_path) {
     bench::JsonObject row;
     row.add("n", c.n)
         .add("batch", c.batch)
-        .add("cache_norms", c.cache_norms)
         .add("batched_s", c.batched_s)
         .add("loop_s", c.loop_s)
         .add("speedup", c.speedup);

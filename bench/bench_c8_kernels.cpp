@@ -6,8 +6,8 @@
 //
 // `--json=PATH` switches to the perf-smoke mode used by CI: a self-timed
 // old-vs-new kernel comparison plus correctness assertions (fused kernels
-// must match the two-pass reference; the cached-norm driver must make
-// exactly one dot-product pass per pair). Assertions exiting nonzero fail
+// must match the two-pass reference; the driver must make exactly one
+// gram_pair pass per pair). Assertions exiting nonzero fail
 // the CI job; timings are recorded in the JSON but never assert — CI
 // machines are too noisy to gate on a ratio.
 #include <benchmark/benchmark.h>
@@ -205,20 +205,6 @@ void BM_FullSvd(benchmark::State& state) {
 }
 BENCHMARK(BM_FullSvd)->Arg(32)->Arg(64)->Unit(benchmark::kMillisecond);
 
-void BM_FullSvdUncached(benchmark::State& state) {
-  // The seed gram_pair-per-pair path, for the driver-level old-vs-new ratio.
-  Rng rng(7);
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const Matrix a = random_gaussian(2 * n, n, rng);
-  const auto ord = make_ordering("fat-tree");
-  JacobiOptions opt;
-  opt.cache_norms = false;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(one_sided_jacobi(a, *ord, opt));
-  }
-}
-BENCHMARK(BM_FullSvdUncached)->Arg(32)->Arg(64)->Unit(benchmark::kMillisecond);
-
 // ---------------------------------------------------------------------------
 // --json perf-smoke mode
 
@@ -244,8 +230,8 @@ int fail(const char* what) {
 }
 
 /// Correctness gate: the fused kernels must agree with the seed two-pass
-/// sequence, and the cached-norm driver must make exactly one dot-product
-/// accumulation pass per pair (the point of the NormCache).
+/// sequence, and the driver must make exactly one gram_pair pass per pair
+/// (the one pair path of svd/pair_kernel.hpp).
 int check_kernels() {
   Rng rng(11);
   const std::size_t m = 512;
@@ -279,29 +265,18 @@ int check_kernels() {
       return fail("rotate_and_norms_swapped norms disagree with a fresh reduction");
   }
   {
-    // One dot pass per pair, zero gram passes: the debug counters of a
-    // cached-norm run must show it (acceptance criterion of the fast-kernel
-    // layer).
+    // One gram pass per pair, no dot passes: the debug counters of a driver
+    // run must show it.
     Rng mrng(17);
     const Matrix a = random_gaussian(96, 48, mrng);
     const auto ord = make_ordering("round-robin");
     const SvdResult r = one_sided_jacobi(a, *ord);
     const KernelStats& ks = r.kernel_stats;
-    if (ks.pairs == 0) return fail("cached driver processed no pairs");
-    if (ks.dot_passes != ks.pairs)
-      return fail("cached driver does not make exactly one dot pass per pair");
-    if (ks.gram_passes != 0) return fail("cached driver fell back to gram_pair passes");
-    JacobiOptions uopt;
-    uopt.cache_norms = false;
-    const SvdResult u = one_sided_jacobi(a, *ord, uopt);
-    if (u.kernel_stats.gram_passes != u.kernel_stats.pairs)
-      return fail("uncached driver should make one gram pass per pair");
-    // Both paths must agree on the spectrum.
-    double smax = 0.0;
-    for (double v : u.sigma) smax = std::max(smax, v);
-    for (std::size_t i = 0; i < r.sigma.size(); ++i)
-      if (std::fabs(r.sigma[i] - u.sigma[i]) > 1e-12 * smax)
-        return fail("cached and uncached drivers disagree on singular values");
+    if (ks.pairs == 0) return fail("driver processed no pairs");
+    if (ks.gram_passes != ks.pairs)
+      return fail("driver does not make exactly one gram pass per pair");
+    if (ks.dot_passes != 0 || ks.norm_refreshes != 0)
+      return fail("driver made dot passes or norm re-reductions");
   }
   return 0;
 }
@@ -366,31 +341,6 @@ int run_json_mode(const std::string& path) {
   }
   root.add_array("fused_rotate_norms", rows);
   root.add("speedup_at_512", speedup_512);
-
-  // Driver-level old-vs-new: cached NormCache path vs the seed
-  // gram-per-pair path, same ordering and matrix.
-  {
-    Rng mrng(29);
-    const std::size_t n = 96;
-    const Matrix a = random_gaussian(2 * n, n, mrng);
-    const auto ord = make_ordering("fat-tree");
-    JacobiOptions cached;
-    JacobiOptions uncached;
-    uncached.cache_norms = false;
-    const double t_cached =
-        time_per_call([&] { benchmark::DoNotOptimize(one_sided_jacobi(a, *ord, cached)); }, 1, 5);
-    const double t_uncached = time_per_call(
-        [&] { benchmark::DoNotOptimize(one_sided_jacobi(a, *ord, uncached)); }, 1, 5);
-    JsonObject drv;
-    drv.add("driver", "one_sided_jacobi/fat-tree");
-    drv.add("n", static_cast<long long>(n));
-    drv.add("cached_ms", t_cached * 1e3);
-    drv.add("uncached_ms", t_uncached * 1e3);
-    drv.add("speedup", t_uncached / t_cached);
-    root.add_array("driver", {drv});
-    std::printf("driver n=%zu  uncached %.2f ms  cached %.2f ms  speedup %.2fx\n", n,
-                t_uncached * 1e3, t_cached * 1e3, t_uncached / t_cached);
-  }
 
   // Per-ISA-tier sections: the hot single-problem kernels timed through every
   // tier's kernel table the host supports (kernels_for — explicit AVX2 /
@@ -486,7 +436,7 @@ int run_json_mode(const std::string& path) {
     root.add_array("isa_tiers", tier_rows);
   }
 
-  // Debug pass counters of a representative cached run, for the record.
+  // Debug pass counters of a representative run, for the record.
   {
     Rng mrng(31);
     const Matrix a = random_gaussian(128, 64, mrng);
@@ -498,7 +448,7 @@ int run_json_mode(const std::string& path) {
     ks.add("gram_passes", r.kernel_stats.gram_passes);
     ks.add("rotate_passes", r.kernel_stats.rotate_passes);
     ks.add("norm_refreshes", r.kernel_stats.norm_refreshes);
-    root.add_array("cached_driver_counters", {ks});
+    root.add_array("driver_counters", {ks});
   }
 
   if (!treesvd::bench::write_json_file(path, root)) return 1;

@@ -114,12 +114,10 @@ void BM_InnerElementwise(benchmark::State& state) {
   Matrix h = panel;
   const std::vector<int> cols = iota_cols(kw);
   BlockJacobiOptions opt;
-  opt.cache_norms = false;
   KernelCounters pc;
   for (auto _ : state) {
     restore_panel(h, panel);
-    benchmark::DoNotOptimize(
-        detail::inner_orthogonalise_elementwise(h, nullptr, cols, opt, nullptr, &pc));
+    benchmark::DoNotOptimize(detail::inner_orthogonalise_elementwise(h, nullptr, cols, opt, pc));
   }
 }
 BENCHMARK(BM_InnerElementwise)
@@ -136,12 +134,11 @@ void BM_InnerGram(benchmark::State& state) {
   Matrix h = panel;
   const std::vector<int> cols = iota_cols(kw);
   BlockJacobiOptions opt;
-  opt.cache_norms = false;
   KernelCounters counters;
   for (auto _ : state) {
     restore_panel(h, panel);
     benchmark::DoNotOptimize(
-        detail::inner_orthogonalise_gram(h, nullptr, cols, opt, nullptr, counters, nullptr));
+        detail::inner_orthogonalise_gram(h, nullptr, cols, opt, counters, nullptr));
   }
 }
 BENCHMARK(BM_InnerGram)
@@ -248,8 +245,8 @@ int run_json_mode(const std::string& path) {
 
   // Inner panel solve, kGram vs kElementwise. Both timings include the same
   // per-call panel restore (the copy is charged to both sides). No V panel
-  // and no NormCache here — this isolates the two inner solvers; the driver
-  // rows below include everything.
+  // here — this isolates the two inner solvers; the driver rows below
+  // include everything.
   std::vector<JsonObject> rows;
   double speedup_2048_b8 = 0.0;
   Rng rng(47);
@@ -260,7 +257,6 @@ int run_json_mode(const std::string& path) {
       Matrix h = panel;
       const std::vector<int> cols = iota_cols(kw);
       BlockJacobiOptions opt;
-      opt.cache_norms = false;
       KernelCounters counters;
       const int calls =
           static_cast<int>(std::max<std::size_t>(2, 100000000 / (m * kw * kw)));
@@ -268,14 +264,14 @@ int run_json_mode(const std::string& path) {
           [&] {
             restore_panel(h, panel);
             benchmark::DoNotOptimize(
-                detail::inner_orthogonalise_elementwise(h, nullptr, cols, opt, nullptr, &counters));
+                detail::inner_orthogonalise_elementwise(h, nullptr, cols, opt, counters));
           },
           calls);
       const double t_gram = time_per_call(
           [&] {
             restore_panel(h, panel);
             benchmark::DoNotOptimize(
-                detail::inner_orthogonalise_gram(h, nullptr, cols, opt, nullptr, counters, nullptr));
+                detail::inner_orthogonalise_gram(h, nullptr, cols, opt, counters, nullptr));
           },
           calls);
       const double speedup = t_elem / t_gram;
@@ -326,7 +322,7 @@ int run_json_mode(const std::string& path) {
   }
 
   // Driver-level comparison: the full block_one_sided_jacobi under both
-  // inner modes (V computed, NormCache on — everything included).
+  // inner modes (V computed — everything included).
   {
     Rng mrng(59);
     const std::size_t n = 128;

@@ -12,6 +12,7 @@
 
 #include "core/ordering.hpp"
 #include "core/validate.hpp"
+#include "util/json.hpp"
 
 namespace treesvd::bench {
 
@@ -29,7 +30,7 @@ class JsonObject {
   JsonObject& add(const std::string& key, std::size_t v) { return raw(key, std::to_string(v)); }
   JsonObject& add(const std::string& key, bool v) { return raw(key, v ? "true" : "false"); }
   JsonObject& add(const std::string& key, const std::string& v) {
-    return raw(key, "\"" + escape(v) + "\"");
+    return raw(key, "\"" + json_escape(v) + "\"");
   }
   JsonObject& add(const std::string& key, const char* v) { return add(key, std::string(v)); }
   JsonObject& add_array(const std::string& key, const std::vector<JsonObject>& items) {
@@ -53,16 +54,8 @@ class JsonObject {
   }
 
  private:
-  static std::string escape(const std::string& s) {
-    std::string out;
-    for (char c : s) {
-      if (c == '"' || c == '\\') out += '\\';
-      out += c;
-    }
-    return out;
-  }
   JsonObject& raw(const std::string& key, const std::string& rendered) {
-    fields_.push_back("\"" + escape(key) + "\": " + rendered);
+    fields_.push_back("\"" + json_escape(key) + "\": " + rendered);
     return *this;
   }
   std::vector<std::string> fields_;

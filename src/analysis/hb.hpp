@@ -55,7 +55,7 @@ struct AccessRecord {
 
 /// A pair of conflicting accesses with no happens-before order between them.
 struct RaceReport {
-  std::string object;   ///< annotation name, e.g. "NormCache"
+  std::string object;   ///< annotation name, e.g. "H column"
   std::size_t index;    ///< element index within the object (column, slot, …)
   AccessRecord first;   ///< the earlier-recorded access
   AccessRecord second;  ///< the access that exposed the race

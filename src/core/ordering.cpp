@@ -99,4 +99,10 @@ Sweep Ordering::sweep_from(std::span<const int> layout0, int sweep_index) const 
   return Sweep(std::move(c.layouts), std::move(c.active));
 }
 
+int padded_width(const Ordering& ordering, int n) noexcept {
+  for (int w = n; w <= 2 * n + 4; ++w)
+    if (ordering.supports(w)) return w;
+  return 0;
+}
+
 }  // namespace treesvd

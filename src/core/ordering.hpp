@@ -166,4 +166,11 @@ class Ordering {
 
 using OrderingPtr = std::shared_ptr<const Ordering>;
 
+/// Smallest width w in [n, 2n+4] that `ordering` supports, or 0 when none
+/// does. Every registered family supports some width within a factor of two
+/// of any request (next power of two, next even width, next group multiple);
+/// the +4 covers the tiny corner. The drivers pad to this width — columns,
+/// or blocks for the block driver — and each caller words its own error.
+int padded_width(const Ordering& ordering, int n) noexcept;
+
 }  // namespace treesvd

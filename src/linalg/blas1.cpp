@@ -254,26 +254,6 @@ bool batch_kernels_vectorized() noexcept {
 #endif
 }
 
-void batched_dot_ref(const double* x, const double* y, std::size_t m, std::size_t w,
-                     double* out) noexcept {
-  auto& buf = batch_lane_scratch();
-  buf.resize(2 * m);
-  for (std::size_t b = 0; b < w; ++b) {
-    gather_lane(x, m, w, b, buf.data());
-    gather_lane(y, m, w, b, buf.data() + m);
-    out[b] = dot({buf.data(), m}, {buf.data() + m, m});
-  }
-}
-
-void batched_sumsq_ref(const double* x, std::size_t m, std::size_t w, double* out) noexcept {
-  auto& buf = batch_lane_scratch();
-  buf.resize(m);
-  for (std::size_t b = 0; b < w; ++b) {
-    gather_lane(x, m, w, b, buf.data());
-    out[b] = sumsq({buf.data(), m});
-  }
-}
-
 void batched_gram_pair_ref(const double* x, const double* y, std::size_t m, std::size_t w,
                            double* app, double* aqq, double* apq) noexcept {
   auto& buf = batch_lane_scratch();
@@ -285,27 +265,6 @@ void batched_gram_pair_ref(const double* x, const double* y, std::size_t m, std:
     app[b] = g.app;
     aqq[b] = g.aqq;
     apq[b] = g.apq;
-  }
-}
-
-void batched_rotate_and_norms_ref(double* x, double* y, std::size_t m, std::size_t w,
-                                  const double* c, const double* s,
-                                  const std::uint8_t* rotate, const std::uint8_t* swap_lanes,
-                                  double* app, double* aqq) noexcept {
-  auto& buf = batch_lane_scratch();
-  buf.resize(2 * m);
-  for (std::size_t b = 0; b < w; ++b) {
-    if (rotate[b] == 0) continue;
-    gather_lane(x, m, w, b, buf.data());
-    gather_lane(y, m, w, b, buf.data() + m);
-    const std::span<double> xl{buf.data(), m};
-    const std::span<double> yl{buf.data() + m, m};
-    const RotatedNorms rn = swap_lanes[b] != 0 ? rotate_and_norms_swapped(xl, yl, c[b], s[b])
-                                               : rotate_and_norms(xl, yl, c[b], s[b]);
-    scatter_lane(buf.data(), m, w, b, x);
-    scatter_lane(buf.data() + m, m, w, b, y);
-    app[b] = rn.app;
-    aqq[b] = rn.aqq;
   }
 }
 
@@ -338,23 +297,6 @@ const char* batched_kernel_isa() noexcept {
 #endif
 }
 
-void batched_dot(const double* x, const double* y, std::size_t m, std::size_t w,
-                 double* out) noexcept {
-  if (batched_vector_width(w)) {
-    kernels().batched_dot(x, y, m, w, out);
-    return;
-  }
-  batched_dot_ref(x, y, m, w, out);
-}
-
-void batched_sumsq(const double* x, std::size_t m, std::size_t w, double* out) noexcept {
-  if (batched_vector_width(w)) {
-    kernels().batched_sumsq(x, m, w, out);
-    return;
-  }
-  batched_sumsq_ref(x, m, w, out);
-}
-
 void batched_gram_pair(const double* x, const double* y, std::size_t m, std::size_t w,
                        double* app, double* aqq, double* apq) noexcept {
   if (batched_vector_width(w)) {
@@ -362,17 +304,6 @@ void batched_gram_pair(const double* x, const double* y, std::size_t m, std::siz
     return;
   }
   batched_gram_pair_ref(x, y, m, w, app, aqq, apq);
-}
-
-void batched_rotate_and_norms(double* x, double* y, std::size_t m, std::size_t w,
-                              const double* c, const double* s, const std::uint8_t* rotate,
-                              const std::uint8_t* swap_lanes, double* app,
-                              double* aqq) noexcept {
-  if (batched_vector_width(w)) {
-    kernels().batched_rotate_and_norms(x, y, m, w, c, s, rotate, swap_lanes, app, aqq);
-    return;
-  }
-  batched_rotate_and_norms_ref(x, y, m, w, c, s, rotate, swap_lanes, app, aqq);
 }
 
 void batched_apply_rotation(double* x, double* y, std::size_t m, std::size_t w, const double* c,

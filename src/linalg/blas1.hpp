@@ -105,11 +105,10 @@ GramPair gram_pair_ref(std::span<const double> x, std::span<const double> y) noe
 // one SIMD vector spans w problems at the same row, never w rows of one
 // problem. The per-lane accumulation replicates the scalar kernels'
 // multi-accumulator chains exactly — lane b of every output is bitwise
-// identical to calling the corresponding scalar kernel (dot, sumsq,
-// gram_pair, rotate_and_norms[_swapped], apply_rotation[_swapped]) on lane
-// b's gathered data. That bitwise contract is what lets the batched Jacobi
-// engine retire lanes independently while still reproducing the sequential
-// driver per problem.
+// identical to calling the corresponding scalar kernel (gram_pair,
+// apply_rotation[_swapped]) on lane b's gathered data. That bitwise contract
+// is what lets the batched Jacobi engine retire lanes independently while
+// still reproducing the sequential driver per problem.
 //
 // `w` must be a positive multiple of kBatchLanes. The vectorized
 // implementations (GCC/Clang vector extensions) cover w in {4, 8, 16}; other
@@ -133,40 +132,17 @@ bool batch_kernels_vectorized() noexcept;
 /// results are bitwise identical on every tier.
 const char* batched_kernel_isa() noexcept;
 
-/// out[b] = dot(x lane b, y lane b) for b in [0, w).
-void batched_dot(const double* x, const double* y, std::size_t m, std::size_t w,
-                 double* out) noexcept;
-void batched_dot_ref(const double* x, const double* y, std::size_t m, std::size_t w,
-                     double* out) noexcept;
-
-/// out[b] = sumsq(x lane b).
-void batched_sumsq(const double* x, std::size_t m, std::size_t w, double* out) noexcept;
-void batched_sumsq_ref(const double* x, std::size_t m, std::size_t w, double* out) noexcept;
-
 /// Per-lane gram_pair: app[b] = x_b.x_b, aqq[b] = y_b.y_b, apq[b] = x_b.y_b.
 void batched_gram_pair(const double* x, const double* y, std::size_t m, std::size_t w,
                        double* app, double* aqq, double* apq) noexcept;
 void batched_gram_pair_ref(const double* x, const double* y, std::size_t m, std::size_t w,
                            double* app, double* aqq, double* apq) noexcept;
 
-/// Masked fused rotate + norms across lanes. Lanes with rotate[b] == 0 keep
-/// x and y bitwise untouched (their app/aqq outputs are unspecified) —
-/// crucially they are *not* passed through an identity rotation, which could
-/// flip the sign of -0.0 entries. Rotated lanes match
-/// rotate_and_norms (swap_lanes[b] == 0) or rotate_and_norms_swapped
-/// (swap_lanes[b] != 0) on the lane's data, including the norm summation
-/// order.
-void batched_rotate_and_norms(double* x, double* y, std::size_t m, std::size_t w,
-                              const double* c, const double* s,
-                              const std::uint8_t* rotate, const std::uint8_t* swap_lanes,
-                              double* app, double* aqq) noexcept;
-void batched_rotate_and_norms_ref(double* x, double* y, std::size_t m, std::size_t w,
-                                  const double* c, const double* s,
-                                  const std::uint8_t* rotate, const std::uint8_t* swap_lanes,
-                                  double* app, double* aqq) noexcept;
-
-/// Masked plain rotation across lanes (V columns, and the uncached Jacobi
-/// path): same masking rules as batched_rotate_and_norms, no norm outputs.
+/// Masked rotation across lanes (H and V columns). Lanes with
+/// rotate[b] == 0 keep x and y bitwise untouched — crucially they are *not*
+/// passed through an identity rotation, which could flip the sign of -0.0
+/// entries. Rotated lanes match apply_rotation (swap_lanes[b] == 0) or
+/// apply_rotation_swapped (swap_lanes[b] != 0) on the lane's data.
 void batched_apply_rotation(double* x, double* y, std::size_t m, std::size_t w,
                             const double* c, const double* s,
                             const std::uint8_t* rotate,

@@ -63,13 +63,9 @@ const KernelTable kTableBaseline = {
     isa_baseline::rotate_and_norms,
     isa_baseline::rotate_and_norms_swapped,
     isa_baseline::gemm_micro,
-    isa_baseline::batched_dot,
-    isa_baseline::batched_sumsq,
     isa_baseline::batched_gram_pair,
-    isa_baseline::batched_rotate_and_norms,
     isa_baseline::batched_apply_rotation,
     isa_baseline::batched_compute_rotation,
-    isa_baseline::batched_drift_gate,
 };
 
 #ifdef TREESVD_DISPATCH_X86
@@ -83,13 +79,9 @@ const KernelTable kTableAvx2 = {
     isa_avx2::rotate_and_norms,
     isa_avx2::rotate_and_norms_swapped,
     isa_avx2::gemm_micro,
-    isa_avx2::batched_dot,
-    isa_avx2::batched_sumsq,
     isa_avx2::batched_gram_pair,
-    isa_avx2::batched_rotate_and_norms,
     isa_avx2::batched_apply_rotation,
     isa_avx2::batched_compute_rotation,
-    isa_avx2::batched_drift_gate,
 };
 
 const KernelTable kTableAvx512 = {
@@ -102,13 +94,9 @@ const KernelTable kTableAvx512 = {
     isa_avx512::rotate_and_norms,
     isa_avx512::rotate_and_norms_swapped,
     isa_avx512::gemm_micro,
-    isa_avx512::batched_dot,
-    isa_avx512::batched_sumsq,
     isa_avx512::batched_gram_pair,
-    isa_avx512::batched_rotate_and_norms,
     isa_avx512::batched_apply_rotation,
     isa_avx512::batched_compute_rotation,
-    isa_avx512::batched_drift_gate,
 };
 #endif  // TREESVD_DISPATCH_X86
 

@@ -69,22 +69,14 @@ struct KernelTable {
 
   // Batched SoA lane-block kernels (blas1.hpp semantics). `w` must be a
   // positive multiple of 4; the per-tier wrappers pick the lane group width.
-  void (*batched_dot)(const double* x, const double* y, std::size_t m, std::size_t w,
-                      double* out);
-  void (*batched_sumsq)(const double* x, std::size_t m, std::size_t w, double* out);
   void (*batched_gram_pair)(const double* x, const double* y, std::size_t m, std::size_t w,
                             double* app, double* aqq, double* apq);
-  void (*batched_rotate_and_norms)(double* x, double* y, std::size_t m, std::size_t w,
-                                   const double* c, const double* s, const std::uint8_t* rotate,
-                                   const std::uint8_t* swap_lanes, double* app, double* aqq);
   void (*batched_apply_rotation)(double* x, double* y, std::size_t m, std::size_t w,
                                  const double* c, const double* s, const std::uint8_t* rotate,
                                  const std::uint8_t* swap_lanes);
   void (*batched_compute_rotation)(const double* app, const double* aqq, const double* apq,
                                    std::size_t w, double tol, double* c, double* s,
                                    std::uint8_t* identity);
-  void (*batched_drift_gate)(const double* app, const double* aqq, const double* apq,
-                             std::size_t w, double tol, double guard, std::uint8_t* near_mask);
 };
 
 /// Widest tier the host CPU supports, probed once per process.

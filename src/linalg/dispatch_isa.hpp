@@ -33,24 +33,14 @@ namespace treesvd {
   void rotate_and_norms_swapped(double* x, double* y, std::size_t n, double c, double s,       \
                                 double* xx, double* yy) noexcept;                              \
   void gemm_micro(const double* ap, const double* bp, std::size_t kc, double* acc) noexcept;   \
-  void batched_dot(const double* x, const double* y, std::size_t m, std::size_t w,             \
-                   double* out) noexcept;                                                      \
-  void batched_sumsq(const double* x, std::size_t m, std::size_t w, double* out) noexcept;     \
   void batched_gram_pair(const double* x, const double* y, std::size_t m, std::size_t w,       \
                          double* app, double* aqq, double* apq) noexcept;                      \
-  void batched_rotate_and_norms(double* x, double* y, std::size_t m, std::size_t w,            \
-                                const double* c, const double* s, const std::uint8_t* rotate,  \
-                                const std::uint8_t* swap_lanes, double* app,                   \
-                                double* aqq) noexcept;                                         \
   void batched_apply_rotation(double* x, double* y, std::size_t m, std::size_t w,              \
                               const double* c, const double* s, const std::uint8_t* rotate,    \
                               const std::uint8_t* swap_lanes) noexcept;                        \
   void batched_compute_rotation(const double* app, const double* aqq, const double* apq,       \
                                 std::size_t w, double tol, double* c, double* s,               \
-                                std::uint8_t* identity) noexcept;                              \
-  void batched_drift_gate(const double* app, const double* aqq, const double* apq,             \
-                          std::size_t w, double tol, double guard,                             \
-                          std::uint8_t* near_mask) noexcept;
+                                std::uint8_t* identity) noexcept;
 
 namespace isa_baseline {
 TREESVD_ISA_TIER_DECLS()

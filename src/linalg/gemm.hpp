@@ -132,8 +132,9 @@ Matrix gram_panel(const Matrix& a, std::span<const int> cols, ThreadPool* pool =
 /// In-place blocked panel update P <- P·W for the gathered panel
 /// P = A[:, cols] and a K x K update W (K == cols.size()). Returns the
 /// squared norm of each updated column, accumulated in the same read+write
-/// pass over the data — a fresh reduction of the stored values, which is
-/// exactly the NormCache coherence contract (norm_cache.hpp).
+/// pass over the data — a fresh reduction of the stored values. The block
+/// driver ignores them; they stay for callers that want the column norms
+/// without a second pass.
 std::vector<double> apply_panel_update(Matrix& a, std::span<const int> cols, const Matrix& w,
                                        ThreadPool* pool = nullptr);
 

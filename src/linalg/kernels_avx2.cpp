@@ -67,25 +67,9 @@ void gemm_micro(const double* ap, const double* bp, std::size_t kc, double* acc)
   single_gemm_micro_k(ap, bp, kc, acc);
 }
 
-void batched_dot(const double* x, const double* y, std::size_t m, std::size_t w,
-                 double* out) noexcept {
-  batched_dot_g<4>(x, y, m, w, out);
-}
-
-void batched_sumsq(const double* x, std::size_t m, std::size_t w, double* out) noexcept {
-  batched_sumsq_g<4>(x, m, w, out);
-}
-
 void batched_gram_pair(const double* x, const double* y, std::size_t m, std::size_t w,
                        double* app, double* aqq, double* apq) noexcept {
   batched_gram_pair_g<4>(x, y, m, w, app, aqq, apq);
-}
-
-void batched_rotate_and_norms(double* x, double* y, std::size_t m, std::size_t w,
-                              const double* c, const double* s, const std::uint8_t* rotate,
-                              const std::uint8_t* swap_lanes, double* app,
-                              double* aqq) noexcept {
-  batched_rotate_and_norms_g<4>(x, y, m, w, c, s, rotate, swap_lanes, app, aqq);
 }
 
 void batched_apply_rotation(double* x, double* y, std::size_t m, std::size_t w,
@@ -98,11 +82,6 @@ void batched_compute_rotation(const double* app, const double* aqq, const double
                               std::size_t w, double tol, double* c, double* s,
                               std::uint8_t* identity) noexcept {
   batched_rotation_decide_g<4>(app, aqq, apq, w, tol, c, s, identity);
-}
-
-void batched_drift_gate(const double* app, const double* aqq, const double* apq, std::size_t w,
-                        double tol, double guard, std::uint8_t* near_mask) noexcept {
-  batched_drift_gate_g<4>(app, aqq, apq, w, tol, guard, near_mask);
 }
 
 }  // namespace isa_avx2

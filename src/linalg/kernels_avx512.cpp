@@ -78,44 +78,12 @@ void gemm_micro(const double* ap, const double* bp, std::size_t kc, double* acc)
 // w == 4 has no 8-lane group; it takes the 4-lane template, which these
 // flags still lower to single YMM operations.
 
-void batched_dot(const double* x, const double* y, std::size_t m, std::size_t w,
-                 double* out) noexcept {
-  if (w % 8 == 0) {
-    batched_dot_g<8>(x, y, m, w, out);
-  } else {
-    batched_dot_g<4>(x, y, m, w, out);
-  }
-}
-
-void batched_sumsq(const double* x, std::size_t m, std::size_t w, double* out) noexcept {
-  if (w % 8 == 0) {
-    batched_sumsq_g<8>(x, m, w, out);
-  } else {
-    batched_sumsq_g<4>(x, m, w, out);
-  }
-}
-
 void batched_gram_pair(const double* x, const double* y, std::size_t m, std::size_t w,
                        double* app, double* aqq, double* apq) noexcept {
   if (w % 8 == 0) {
     batched_gram_pair_g<8>(x, y, m, w, app, aqq, apq);
   } else {
     batched_gram_pair_g<4>(x, y, m, w, app, aqq, apq);
-  }
-}
-
-void batched_rotate_and_norms(double* x, double* y, std::size_t m, std::size_t w,
-                              const double* c, const double* s, const std::uint8_t* rotate,
-                              const std::uint8_t* swap_lanes, double* app,
-                              double* aqq) noexcept {
-  // 32 ZMM registers fit the fused single-pass form's live set; one pass
-  // over the columns instead of three. The 4-lane groups stay on the split
-  // form: without AVX-512VL the 256-bit ops are VEX-encoded and see only 16
-  // registers, which the fused live set exceeds.
-  if (w % 8 == 0) {
-    batched_rotate_and_norms_fused_g<8>(x, y, m, w, c, s, rotate, swap_lanes, app, aqq);
-  } else {
-    batched_rotate_and_norms_g<4>(x, y, m, w, c, s, rotate, swap_lanes, app, aqq);
   }
 }
 
@@ -136,15 +104,6 @@ void batched_compute_rotation(const double* app, const double* aqq, const double
     batched_rotation_decide_g<8>(app, aqq, apq, w, tol, c, s, identity);
   } else {
     batched_rotation_decide_g<4>(app, aqq, apq, w, tol, c, s, identity);
-  }
-}
-
-void batched_drift_gate(const double* app, const double* aqq, const double* apq, std::size_t w,
-                        double tol, double guard, std::uint8_t* near_mask) noexcept {
-  if (w % 8 == 0) {
-    batched_drift_gate_g<8>(app, aqq, apq, w, tol, guard, near_mask);
-  } else {
-    batched_drift_gate_g<4>(app, aqq, apq, w, tol, guard, near_mask);
   }
 }
 

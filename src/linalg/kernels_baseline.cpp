@@ -5,10 +5,10 @@
 // kernel's c*x - s*y — the bitwise tier-invariance contract of
 // linalg/dispatch.hpp must hold on every tier, including this one.
 //
-// The batched rotation-decision kernels have no baseline vector copy (the
+// The batched rotation-decision kernel has no baseline vector copy (the
 // branch-free decide needs a vector sqrt, which below AVX is not worth the
-// mask bookkeeping); the baseline tier forwards them to the scalar
-// fallbacks, exactly as the pre-dispatch code did.
+// mask bookkeeping); the baseline tier forwards it to the scalar fallback,
+// exactly as the pre-dispatch code did.
 
 #include "linalg/dispatch_isa.hpp"
 
@@ -69,25 +69,9 @@ void gemm_micro(const double* ap, const double* bp, std::size_t kc, double* acc)
   single_gemm_micro_k(ap, bp, kc, acc);
 }
 
-void batched_dot(const double* x, const double* y, std::size_t m, std::size_t w,
-                 double* out) noexcept {
-  batched_dot_g<4>(x, y, m, w, out);
-}
-
-void batched_sumsq(const double* x, std::size_t m, std::size_t w, double* out) noexcept {
-  batched_sumsq_g<4>(x, m, w, out);
-}
-
 void batched_gram_pair(const double* x, const double* y, std::size_t m, std::size_t w,
                        double* app, double* aqq, double* apq) noexcept {
   batched_gram_pair_g<4>(x, y, m, w, app, aqq, apq);
-}
-
-void batched_rotate_and_norms(double* x, double* y, std::size_t m, std::size_t w,
-                              const double* c, const double* s, const std::uint8_t* rotate,
-                              const std::uint8_t* swap_lanes, double* app,
-                              double* aqq) noexcept {
-  batched_rotate_and_norms_g<4>(x, y, m, w, c, s, rotate, swap_lanes, app, aqq);
 }
 
 void batched_apply_rotation(double* x, double* y, std::size_t m, std::size_t w,
@@ -139,25 +123,9 @@ void gemm_micro(const double* ap, const double* bp, std::size_t kc, double* acc)
   gemm_micro_ref(ap, bp, kc, acc);
 }
 
-void batched_dot(const double* x, const double* y, std::size_t m, std::size_t w,
-                 double* out) noexcept {
-  batched_dot_ref(x, y, m, w, out);
-}
-
-void batched_sumsq(const double* x, std::size_t m, std::size_t w, double* out) noexcept {
-  batched_sumsq_ref(x, m, w, out);
-}
-
 void batched_gram_pair(const double* x, const double* y, std::size_t m, std::size_t w,
                        double* app, double* aqq, double* apq) noexcept {
   batched_gram_pair_ref(x, y, m, w, app, aqq, apq);
-}
-
-void batched_rotate_and_norms(double* x, double* y, std::size_t m, std::size_t w,
-                              const double* c, const double* s, const std::uint8_t* rotate,
-                              const std::uint8_t* swap_lanes, double* app,
-                              double* aqq) noexcept {
-  batched_rotate_and_norms_ref(x, y, m, w, c, s, rotate, swap_lanes, app, aqq);
 }
 
 void batched_apply_rotation(double* x, double* y, std::size_t m, std::size_t w,
@@ -172,18 +140,13 @@ void batched_apply_rotation(double* x, double* y, std::size_t m, std::size_t w,
 
 namespace isa_baseline {
 
-// Shared by both build flavours: the baseline decision kernels are the
-// scalar fallbacks of linalg/rotation.hpp.
+// Shared by both build flavours: the baseline decision kernel is the scalar
+// fallback of linalg/rotation.hpp.
 
 void batched_compute_rotation(const double* app, const double* aqq, const double* apq,
                               std::size_t w, double tol, double* c, double* s,
                               std::uint8_t* identity) noexcept {
   detail::batched_compute_rotation_scalar(app, aqq, apq, w, tol, c, s, identity);
-}
-
-void batched_drift_gate(const double* app, const double* aqq, const double* apq, std::size_t w,
-                        double tol, double guard, std::uint8_t* near_mask) noexcept {
-  detail::batched_drift_gate_scalar(app, aqq, apq, w, tol, guard, near_mask);
 }
 
 }  // namespace isa_baseline

@@ -174,25 +174,6 @@ void batched_compute_rotation_scalar(const double* app, const double* aqq, const
   }
 }
 
-void batched_drift_gate_scalar(const double* app, const double* aqq, const double* apq,
-                               std::size_t w, double tol, double guard,
-                               std::uint8_t* near_mask) noexcept {
-  for (std::size_t b = 0; b < w; ++b) {
-    const double thresh = tol * std::sqrt(app[b]) * std::sqrt(aqq[b]);
-    const double mag = std::fabs(apq[b]);
-    bool near = false;
-    if (mag > 0.0) {
-      if (thresh > 0.0 && std::isfinite(thresh)) {
-        const double ratio = mag / thresh;
-        near = ratio <= guard && ratio * guard >= 1.0;
-      } else {
-        near = true;  // degenerate threshold: decide from fresh data
-      }
-    }
-    near_mask[b] = near ? 1 : 0;
-  }
-}
-
 }  // namespace detail
 
 void batched_compute_rotation(const double* app, const double* aqq, const double* apq,
@@ -203,16 +184,6 @@ void batched_compute_rotation(const double* app, const double* aqq, const double
     return;
   }
   detail::batched_compute_rotation_scalar(app, aqq, apq, w, tol, c, s, identity);
-}
-
-void batched_drift_gate(const double* app, const double* aqq, const double* apq,
-                        std::size_t w, double tol, double guard,
-                        std::uint8_t* near_mask) noexcept {
-  if (w % 4 == 0) {
-    kernels().batched_drift_gate(app, aqq, apq, w, tol, guard, near_mask);
-    return;
-  }
-  detail::batched_drift_gate_scalar(app, aqq, apq, w, tol, guard, near_mask);
 }
 
 RotatedNorms rotated_norms(const GramPair& g, const JacobiRotation& r) noexcept {

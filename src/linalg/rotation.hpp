@@ -57,9 +57,10 @@ RotatedNorms rotated_norms(const GramPair& g, const JacobiRotation& r) noexcept;
 
 /// Fused rotate-and-norms: applies the plane rotation (as apply_rotation)
 /// and accumulates the squared norms of the *rotated* columns in the same
-/// pass over the data. One read+write pass instead of a rotation pass plus a
-/// norm pass — this is what keeps a NormCache exact: the returned sums are a
-/// fresh reduction of the stored values, not an algebraic extrapolation.
+/// pass over the data — a fresh reduction of the stored values, not an
+/// algebraic extrapolation. The pair kernel (svd/pair_kernel.hpp) rotates H
+/// through the dispatched copy of this kernel, at the bound ISA tier, and
+/// ignores the sums; the rotated values are bitwise those of apply_rotation.
 RotatedNorms rotate_and_norms(std::span<double> x, std::span<double> y, double c,
                               double s) noexcept;
 
@@ -91,25 +92,13 @@ void batched_compute_rotation(const double* app, const double* aqq, const double
                               std::size_t w, double tol, double* c, double* s,
                               std::uint8_t* identity) noexcept;
 
-/// Batched form of the cached path's drift-guard gate (svd/batch.cpp):
-/// near_mask[b] != 0 exactly when, with thresh = tol*sqrt(app[b])*sqrt(aqq[b])
-/// and mag = |apq[b]|, mag is positive and either the threshold is degenerate
-/// (non-positive or non-finite) or mag/thresh lies within a factor `guard` of
-/// 1. Dispatches like batched_compute_rotation; flags are exact either way.
-void batched_drift_gate(const double* app, const double* aqq, const double* apq,
-                        std::size_t w, double tol, double guard,
-                        std::uint8_t* near_mask) noexcept;
-
 namespace detail {
-/// Scalar per-lane fallbacks of the two decision kernels — the dispatch
-/// target for lane widths the vector copies don't cover, and the bitwise
-/// reference the vectorized forms are tested against.
+/// Scalar per-lane fallback of the decision kernel — the dispatch target for
+/// lane widths the vector copies don't cover, and the bitwise reference the
+/// vectorized forms are tested against.
 void batched_compute_rotation_scalar(const double* app, const double* aqq, const double* apq,
                                      std::size_t w, double tol, double* c, double* s,
                                      std::uint8_t* identity) noexcept;
-void batched_drift_gate_scalar(const double* app, const double* aqq, const double* apq,
-                               std::size_t w, double tol, double guard,
-                               std::uint8_t* near_mask) noexcept;
 }  // namespace detail
 
 }  // namespace treesvd

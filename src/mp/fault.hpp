@@ -87,11 +87,9 @@ struct RecoveryStats {
   std::size_t resends = 0;                ///< successful retransmissions
   double virtual_backoff = 0.0;           ///< summed virtual backoff time
 
-  // Engine side (checkpoint/rollback/watchdog machinery).
+  // Engine side (checkpoint/rollback machinery).
   std::size_t checkpoints = 0;        ///< sweep-boundary snapshots committed
   std::size_t rollbacks = 0;          ///< replays from the last checkpoint
-  std::size_t watchdog_trips = 0;     ///< stagnation watchdog activations
-  std::size_t norm_rereductions = 0;  ///< payload-guard/watchdog norm re-reductions
 
   RecoveryStats& operator+=(const RecoveryStats& o) noexcept {
     drops_seen += o.drops_seen;
@@ -107,8 +105,6 @@ struct RecoveryStats {
     virtual_backoff += o.virtual_backoff;
     checkpoints += o.checkpoints;
     rollbacks += o.rollbacks;
-    watchdog_trips += o.watchdog_trips;
-    norm_rereductions += o.norm_rereductions;
     return *this;
   }
   bool operator==(const RecoveryStats&) const = default;
@@ -133,11 +129,6 @@ class RecoveryCounters {
   void add_resend() noexcept { bump(resends_); }
   void add_checkpoint() noexcept { bump(checkpoints_); }
   void add_rollback() noexcept { bump(rollbacks_); }
-  void add_watchdog_trip() noexcept { bump(watchdog_trips_); }
-  void add_norm_rereduction(std::size_t k = 1) noexcept {
-    TREESVD_HB_ATOMIC(this, 0, "RecoveryCounters");
-    norm_rereductions_.fetch_add(k, std::memory_order_relaxed);
-  }
   void add_virtual_backoff(double t) noexcept {
     TREESVD_HB_ATOMIC(this, 0, "RecoveryCounters");
     // CAS loop: fetch_add on atomic<double> is C++20 but patchy pre-GCC-12.
@@ -164,8 +155,6 @@ class RecoveryCounters {
     resends_.fetch_add(s.resends, std::memory_order_relaxed);
     checkpoints_.fetch_add(s.checkpoints, std::memory_order_relaxed);
     rollbacks_.fetch_add(s.rollbacks, std::memory_order_relaxed);
-    watchdog_trips_.fetch_add(s.watchdog_trips, std::memory_order_relaxed);
-    norm_rereductions_.fetch_add(s.norm_rereductions, std::memory_order_relaxed);
     add_virtual_backoff(s.virtual_backoff);
   }
 
@@ -185,8 +174,6 @@ class RecoveryCounters {
     s.virtual_backoff = backoff_.load(std::memory_order_relaxed);
     s.checkpoints = checkpoints_.load(std::memory_order_relaxed);
     s.rollbacks = rollbacks_.load(std::memory_order_relaxed);
-    s.watchdog_trips = watchdog_trips_.load(std::memory_order_relaxed);
-    s.norm_rereductions = norm_rereductions_.load(std::memory_order_relaxed);
     return s;
   }
 
@@ -200,7 +187,7 @@ class RecoveryCounters {
   }
   std::atomic<std::size_t> drops_{0}, dups_injected_{0}, corrupts_injected_{0}, delays_{0},
       kills_{0}, stalls_{0}, corrupts_detected_{0}, dups_suppressed_{0}, retries_{0}, resends_{0},
-      checkpoints_{0}, rollbacks_{0}, watchdog_trips_{0}, norm_rereductions_{0};
+      checkpoints_{0}, rollbacks_{0};
   std::atomic<double> backoff_{0.0};
 };
 

@@ -189,7 +189,7 @@ class World {
   /// Snapshot of every transport/recovery counter.
   RecoveryStats recovery_stats() const noexcept { return counters_.snapshot(); }
 
-  /// Shared counters — engines add their checkpoint/rollback/watchdog events
+  /// Shared counters — engines add their checkpoint/rollback events
   /// here so one snapshot covers the whole recovery story.
   RecoveryCounters& recovery_counters() noexcept { return counters_; }
 

@@ -109,7 +109,7 @@ enum ErrKind : int {
   kErrLogic = 5,
 };
 
-constexpr std::size_t kStatsDoubles = 16;  ///< [sends, 15 RecoveryStats fields]
+constexpr std::size_t kStatsDoubles = 14;  ///< [sends, 13 RecoveryStats fields]
 
 std::vector<double> pack_stats(std::size_t sends, const RecoveryStats& now,
                                const RecoveryStats& base) {
@@ -128,8 +128,6 @@ std::vector<double> pack_stats(std::size_t sends, const RecoveryStats& now,
   p[11] = now.virtual_backoff - base.virtual_backoff;
   p[12] = static_cast<double>(now.checkpoints - base.checkpoints);
   p[13] = static_cast<double>(now.rollbacks - base.rollbacks);
-  p[14] = static_cast<double>(now.watchdog_trips - base.watchdog_trips);
-  p[15] = static_cast<double>(now.norm_rereductions - base.norm_rereductions);
   return p;
 }
 
@@ -151,8 +149,6 @@ RecoveryStats unpack_stats(const std::vector<double>& p, std::size_t* sends) {
   s.virtual_backoff = p[11];
   s.checkpoints = u(p[12]);
   s.rollbacks = u(p[13]);
-  s.watchdog_trips = u(p[14]);
-  s.norm_rereductions = u(p[15]);
   return s;
 }
 

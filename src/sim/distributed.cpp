@@ -1,8 +1,6 @@
 #include "sim/distributed.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 #include <optional>
 #include <string>
 #include <utility>
@@ -53,7 +51,6 @@ struct MachineCheckpoint {
   int sweep = 0;
   std::vector<std::vector<double>> h, v;
   std::vector<int> index_at_slot, layout;
-  std::vector<double> hsq;
   KernelStats kernels;
   SweepCost cost;
   std::size_t delivered_messages = 0;
@@ -61,22 +58,16 @@ struct MachineCheckpoint {
   std::size_t rotations = 0, swaps = 0;
   int sweeps = 0;
   std::uint64_t comm_op = 0;
-  ConvergenceWatchdog watchdog{0};
   StallDetector stall;
 };
 
-void validate_chaos(const DistributedChaos& chaos, int leaves, bool cache_norms) {
+void validate_chaos(const DistributedChaos& chaos, int leaves) {
   const mp::FaultPlan& p = chaos.faults;
   if (!p.enabled) return;
-  TREESVD_REQUIRE(p.drop_prob == 0.0 && p.duplicate_prob == 0.0 && p.delay_prob == 0.0 &&
-                      p.resend_drop_prob == 0.0,
-                  "distributed_jacobi honours only corrupt/kill faults; drop, duplicate, delay "
+  TREESVD_REQUIRE(p.drop_prob == 0.0 && p.duplicate_prob == 0.0 && p.corrupt_prob == 0.0 &&
+                      p.delay_prob == 0.0 && p.resend_drop_prob == 0.0,
+                  "distributed_jacobi honours only kill faults; drop, duplicate, corrupt, delay "
                   "and resend faults require the real message transport (spmd_jacobi)");
-  TREESVD_REQUIRE(p.corrupt_prob >= 0.0 && p.corrupt_prob <= 1.0,
-                  "corrupt_prob must lie in [0, 1]");
-  TREESVD_REQUIRE(p.corrupt_prob == 0.0 || cache_norms,
-                  "distributed_jacobi corruption targets the travelling cached norm; "
-                  "it needs options.cache_norms");
   TREESVD_REQUIRE(p.kill_rank < leaves,
                   "kill_rank " + std::to_string(p.kill_rank) + " out of range for " +
                       std::to_string(leaves) + " leaves");
@@ -98,42 +89,32 @@ DistributedResult distributed_jacobi(const Matrix& a, const Ordering& ordering,
   TREESVD_REQUIRE(topology.leaves() == n / 2, "topology must have n/2 leaves");
   require_finite_columns(a, "distributed_jacobi");
 
-  RecoveryOptions recovery = chaos != nullptr ? chaos->recovery : RecoveryOptions{};
-  // Without a chaos config the engine-level watchdog knob applies (chaos
-  // replay depends on its own RecoveryOptions staying authoritative).
-  if (chaos == nullptr) recovery.watchdog_sweeps = options.watchdog_sweeps;
+  const RecoveryOptions recovery = chaos != nullptr ? chaos->recovery : RecoveryOptions{};
   const bool checkpointing = chaos != nullptr && recovery.checkpoint_sweeps > 0;
   std::optional<mp::FaultInjector> injector;
   if (chaos != nullptr && chaos->faults.enabled) {
-    validate_chaos(*chaos, n / 2, options.cache_norms);
+    validate_chaos(*chaos, n / 2);
     injector.emplace(chaos->faults);
   }
   mp::RecoveryStats rec;
 
   const std::size_t rows = a.rows();
   // Equilibrate once, before the initial distribution, so every travelling
-  // column and cached norm works at the same exact power-of-two scale.
+  // column works at the same exact power-of-two scale.
   Matrix a_eq = a;
   const Equilibration eq = equilibrate(a_eq, options.equilibrate);
   SlotStore h(static_cast<std::size_t>(n), rows);
   SlotStore v(static_cast<std::size_t>(n), static_cast<std::size_t>(n));
 
-  // Initial distribution: slot s holds column s of A and e_s of V. When the
-  // cached-norm path is on, each slot also carries its column's squared norm
-  // (hsq), which travels with the column on every exchange — the distributed
-  // twin of the shared-memory driver's NormCache, kept bitwise in lockstep.
+  // Initial distribution: slot s holds column s of A and e_s of V.
   std::vector<int> index_at_slot(static_cast<std::size_t>(n));
-  std::vector<double> hsq(static_cast<std::size_t>(n), 0.0);
+  const detail::PairKernel kernel(options);
   KernelCounters counters;
   for (int s = 0; s < n; ++s) {
     index_at_slot[static_cast<std::size_t>(s)] = s;
     const auto src = a_eq.col(static_cast<std::size_t>(s));
     std::copy(src.begin(), src.end(), h.at(s).begin());
     v.at(s)[static_cast<std::size_t>(s)] = 1.0;
-  }
-  if (options.cache_norms) {
-    for (int s = 0; s < n; ++s) hsq[static_cast<std::size_t>(s)] = sumsq_robust(h.at(s));
-    counters.add_norm_refresh(static_cast<std::size_t>(n));
   }
 
   DistributedResult out;
@@ -143,7 +124,6 @@ DistributedResult distributed_jacobi(const Matrix& a, const Ordering& ordering,
       params.flops_per_rotation_per_row * params.words_per_column * params.flop_time;
 
   std::vector<int> layout(index_at_slot);
-  ConvergenceWatchdog watchdog(recovery.watchdog_sweeps);
   StallDetector stall(options.stall_window);
   std::uint64_t comm_op = 0;  // executed communication steps (kill ordinal)
   std::optional<MachineCheckpoint> checkpoint;
@@ -167,7 +147,6 @@ DistributedResult distributed_jacobi(const Matrix& a, const Ordering& ordering,
           }
           cp.index_at_slot = index_at_slot;
           cp.layout = layout;
-          cp.hsq = hsq;
           cp.kernels = counters.snapshot();
           cp.cost = out.cost;
           cp.delivered_messages = out.delivered_messages;
@@ -176,18 +155,9 @@ DistributedResult distributed_jacobi(const Matrix& a, const Ordering& ordering,
           cp.swaps = out.svd.swaps;
           cp.sweeps = out.svd.sweeps;
           cp.comm_op = comm_op;
-          cp.watchdog = watchdog;
           cp.stall = stall;
           checkpoint = std::move(cp);
           ++rec.checkpoints;
-        }
-        // Scheduled drift control, same cadence as the shared-memory driver's
-        // NormCache refresh (a local re-reduction on every leaf, no messages).
-        if (options.cache_norms && sweep > 0 && options.norm_recompute_sweeps > 0 &&
-            sweep % options.norm_recompute_sweeps == 0) {
-          for (int s2 = 0; s2 < n; ++s2)
-            hsq[static_cast<std::size_t>(s2)] = sumsq_robust(h.at(s2));
-          counters.add_norm_refresh(static_cast<std::size_t>(n));
         }
         const Sweep s = ordering.sweep_from(layout, sweep);
         // A sweep's opening layout may orient pairs within a leaf differently
@@ -209,7 +179,6 @@ DistributedResult distributed_jacobi(const Matrix& a, const Ordering& ordering,
                       index_at_slot[static_cast<std::size_t>(hi)]);
             h.swap_slots(lo, hi);
             v.swap_slots(lo, hi);
-            std::swap(hsq[static_cast<std::size_t>(lo)], hsq[static_cast<std::size_t>(hi)]);
           }
         }
         std::size_t sweep_rot = 0;
@@ -229,27 +198,8 @@ DistributedResult distributed_jacobi(const Matrix& a, const Ordering& ordering,
             if (index_at_slot[static_cast<std::size_t>(slot_lo)] >
                 index_at_slot[static_cast<std::size_t>(slot_hi)])
               std::swap(slot_lo, slot_hi);  // x = column of the smaller index
-            detail::PairOutcome o;
-            if (options.cache_norms) {
-              // Payload guard: a corrupted travelling norm is detected here,
-              // at its first use, and repaired by re-reducing the column.
-              for (const int sl : {slot_lo, slot_hi}) {
-                if (cached_norm_plausible(hsq[static_cast<std::size_t>(sl)])) continue;
-                hsq[static_cast<std::size_t>(sl)] = sumsq_robust(h.at(sl));
-                counters.add_norm_refresh();
-                ++rec.norm_rereductions;
-              }
-              const auto co = detail::process_pair_columns_cached(
-                  h.at(slot_lo), h.at(slot_hi), v.at(slot_lo), v.at(slot_hi),
-                  hsq[static_cast<std::size_t>(slot_lo)], hsq[static_cast<std::size_t>(slot_hi)],
-                  options, counters);
-              hsq[static_cast<std::size_t>(slot_lo)] = co.app;
-              hsq[static_cast<std::size_t>(slot_hi)] = co.aqq;
-              o = co.outcome;
-            } else {
-              o = detail::process_pair_columns(h.at(slot_lo), h.at(slot_hi), v.at(slot_lo),
-                                               v.at(slot_hi), options, &counters);
-            }
+            const detail::PairOutcome o = kernel.process(
+                h.at(slot_lo), h.at(slot_hi), v.at(slot_lo), v.at(slot_hi), &counters);
             sweep_rot += o.rotated ? 1 : 0;
             sweep_swap += o.swapped ? 1 : 0;
           }
@@ -283,37 +233,12 @@ DistributedResult distributed_jacobi(const Matrix& a, const Ordering& ordering,
           out.cost.max_contention = std::max(out.cost.max_contention, st.max_contention);
           ++out.cost.transitions_using_level[static_cast<std::size_t>(st.max_level)];
 
-          // Deliver: physically relocate the columns (H, V and the cached norm
-          // travel together, like the spmd engine's column payload).
+          // Deliver: physically relocate the columns (H and V travel
+          // together, like the spmd engine's column payload).
           h.move_all(moves);
           v.move_all(moves);
-          {
-            std::vector<std::pair<int, double>> hsq_in_flight;
-            hsq_in_flight.reserve(moves.size());
-            for (const ColumnMove& mv : moves)
-              hsq_in_flight.emplace_back(mv.to_slot, hsq[static_cast<std::size_t>(mv.from_slot)]);
-            for (const auto& [to, sq] : hsq_in_flight) hsq[static_cast<std::size_t>(to)] = sq;
-          }
           for (const ColumnMove& mv : moves)
             index_at_slot[static_cast<std::size_t>(mv.to_slot)] = mv.index;
-
-          // Fault hook: corrupt a delivered column's travelling norm. The
-          // decision hashes (src leaf, dst leaf, comm step, slot) with the
-          // plan seed, so it is identical on every run and replay.
-          if (injector && injector->plan().corrupt_prob > 0.0) {
-            for (const ColumnMove& mv : moves) {
-              const int from = mv.from_slot / 2;
-              const int to = mv.to_slot / 2;
-              if (from == to) continue;
-              if (injector->action(from, to, comm_op,
-                                   static_cast<std::uint64_t>(mv.to_slot)) !=
-                  mp::FaultAction::kCorrupt)
-                continue;
-              hsq[static_cast<std::size_t>(mv.to_slot)] =
-                  std::numeric_limits<double>::quiet_NaN();
-              ++rec.corruptions_injected;
-            }
-          }
           ++comm_op;
         }
         const auto fin = s.final_layout();
@@ -326,18 +251,6 @@ DistributedResult distributed_jacobi(const Matrix& a, const Ordering& ordering,
           break;
         }
         stall.observe(static_cast<double>(sweep_rot + sweep_swap));
-        // Stagnation watchdog: activity stopped decreasing — re-reduce every
-        // cached norm (the one repairable stagnation source) and keep going.
-        if (watchdog.observe(static_cast<double>(sweep_rot + sweep_swap))) {
-          if (options.cache_norms) {
-            for (int s2 = 0; s2 < n; ++s2)
-              hsq[static_cast<std::size_t>(s2)] = sumsq_robust(h.at(s2));
-            counters.add_norm_refresh(static_cast<std::size_t>(n));
-            rec.norm_rereductions += static_cast<std::size_t>(n);
-          }
-          ++rec.watchdog_trips;
-          watchdog.reset();
-        }
       }
       break;
     } catch (const mp::RankKilledError&) {
@@ -354,7 +267,6 @@ DistributedResult distributed_jacobi(const Matrix& a, const Ordering& ordering,
       }
       index_at_slot = cp.index_at_slot;
       layout = cp.layout;
-      hsq = cp.hsq;
       counters.store(cp.kernels);
       out.cost = cp.cost;
       out.delivered_messages = cp.delivered_messages;
@@ -363,7 +275,6 @@ DistributedResult distributed_jacobi(const Matrix& a, const Ordering& ordering,
       out.svd.swaps = cp.swaps;
       out.svd.sweeps = cp.sweeps;
       comm_op = cp.comm_op;
-      watchdog = cp.watchdog;
       stall = cp.stall;
       start_sweep = cp.sweep;
     }
@@ -409,7 +320,6 @@ DistributedResult distributed_jacobi(const Matrix& a, const Ordering& ordering,
   out.svd.diagnostics.equilibrated = eq.applied;
   out.svd.diagnostics.equilibration_exponent = eq.exponent;
   out.svd.diagnostics.stalled_sweeps = stall.streak();
-  out.svd.diagnostics.watchdog_trips = rec.watchdog_trips;
   if (!out.svd.converged || options.full_diagnostics)
     assess_quality(a, out.svd, eq.exponent, options.rank_tol);
   return out;

@@ -36,17 +36,14 @@ struct DistributedResult {
 };
 
 /// Chaos configuration for the step-synchronous machine. The simulator has
-/// no real transport underneath it, so only the faults that make sense for a
-/// barrier-synchronous exchange are honoured:
-///  * corrupt_prob — a routed column's cached squared norm arrives as NaN
-///    (requires cache_norms; the payload guard repairs it by re-reduction,
-///    which is numerically sound but not bitwise: a fresh sumsq differs in
-///    ulps from the fused-kernel value that travelled).
+/// no real transport underneath it, so the one fault that makes sense for a
+/// barrier-synchronous exchange is honoured:
 ///  * kill_rank / kill_at_op — the machine dies at that 0-based executed
 ///    communication step; with checkpointing the run rolls back to the last
 ///    sweep boundary and replays bit-identically.
-/// Any drop / duplicate / delay / resend probability is rejected — those
-/// need the real message transport (use spmd_jacobi with SpmdTransport).
+/// Any drop / duplicate / corrupt / delay / resend probability is rejected —
+/// those need the real message transport (use spmd_jacobi with
+/// SpmdTransport).
 struct DistributedChaos {
   mp::FaultPlan faults;
   RecoveryOptions recovery;

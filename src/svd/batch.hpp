@@ -8,7 +8,7 @@
 // literature (Novaković's AVX-512 batched order-2 SVD; the vectorized
 // thread-parallel Jacobi method), the win is to vectorize *across* problems:
 // lane b of every SIMD vector belongs to problem b, so the branch-heavy
-// per-pair control flow (thresholds, drift guards, rotation decisions) is
+// per-pair control flow (thresholds, rotation decisions, sort swaps) is
 // paid once per lane group instead of once per problem, and the data passes
 // run at full SIMD width regardless of how short the columns are.
 //
@@ -23,8 +23,8 @@
 //    one_sided_jacobi(inputs[b], ordering, options.jacobi) bit-for-bit —
 //    sigma, U, V, sweep/rotation/swap counts, KernelStats, status and
 //    diagnostics. The batched kernels replicate the scalar kernels'
-//    accumulation orders per lane, rare paths (overflow retries, drift-guard
-//    re-reductions) gather the lane and run the exact scalar routine, and
+//    accumulation orders per lane (one gram_pair pass, then the decision,
+//    then the rotation — the pair path of svd/pair_kernel.hpp), and
 //    padding/equilibration/finalisation share one definition with the
 //    sequential driver (svd/driver_detail.hpp).
 //  * Shared plan: orderings are position procedures, so one subtree-ordered
@@ -126,10 +126,7 @@ class BatchedSvd {
   void iterate_shard(Shard& shard);
   void finalize_shard(Shard& shard, std::span<const Matrix* const> inputs,
                       std::span<SvdResult* const> results);
-  void process_pair_cached(Shard& shard, int i, int j);
-  void process_pair_plain(Shard& shard, int i, int j);
-  void scheduled_cache_refresh(Shard& shard);
-  void lane_cache_refresh(Shard& shard, std::size_t lane);
+  void process_pair(Shard& shard, int i, int j);
 
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;

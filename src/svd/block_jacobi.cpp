@@ -68,12 +68,11 @@ class InnerSchedule {
 
 InnerPanelStats inner_orthogonalise_elementwise(Matrix& h, Matrix* v,
                                                 const std::vector<int>& cols,
-                                                const BlockJacobiOptions& opt, NormCache* cache,
-                                                KernelCounters* plain_counters) {
+                                                const BlockJacobiOptions& opt,
+                                                KernelCounters& counters) {
   JacobiOptions jopt;
   jopt.tol = opt.tol;
   jopt.sort = opt.sort;
-  jopt.cache_norms = opt.cache_norms;
   // Level 0 bound once per encounter: every inner rotation of this panel
   // resolves through the same dispatch table.
   const PairKernel kernel(jopt);
@@ -85,8 +84,7 @@ InnerPanelStats inner_orthogonalise_elementwise(Matrix& h, Matrix* v,
     schedule.pass(cols.size(), sweep, [&](std::size_t a, std::size_t b) {
       const int i = std::min(cols[a], cols[b]);
       const int j = std::max(cols[a], cols[b]);
-      const auto o = cache != nullptr ? kernel.process_cached(h, v, i, j, *cache)
-                                      : kernel.process(h, v, i, j, plain_counters);
+      const auto o = kernel.process(h, v, i, j, &counters);
       pass_rot += o.rotated ? 1 : 0;
       pass_swap += o.swapped ? 1 : 0;
     });
@@ -139,7 +137,7 @@ void swap_gram(Matrix& g, std::size_t a, std::size_t b) {
 }  // namespace
 
 InnerPanelStats inner_orthogonalise_gram(Matrix& h, Matrix* v, const std::vector<int>& cols,
-                                         const BlockJacobiOptions& opt, NormCache* cache,
+                                         const BlockJacobiOptions& opt,
                                          KernelCounters& counters, ThreadPool* pool) {
   const std::size_t kw = cols.size();
   // One Gram build per encounter: every rotate/skip/swap decision below
@@ -179,18 +177,14 @@ InnerPanelStats inner_orthogonalise_gram(Matrix& h, Matrix* v, const std::vector
   counters.add_accum_rotations(stats.rotations);
   if (stats.rotations == 0 && stats.swaps == 0) return stats;  // W == I: skip the apply
 
-  // The only O(m) work of the encounter: one blocked P·W per panel. The
-  // fused squared-norm reduction of the apply pass keeps the NormCache on
-  // the same "fresh reduction of stored values" contract as the elementwise
-  // kernels (norm_cache.hpp).
-  const std::vector<double> hsq = apply_panel_update(h, cols, w, pool);
+  // The only O(m) work of the encounter: one blocked P·W per panel (the
+  // column norms the apply also returns are not needed here).
+  apply_panel_update(h, cols, w, pool);
   counters.add_blocked_apply();
   if (v != nullptr) {
     apply_panel_update(*v, cols, w, pool);
     counters.add_blocked_apply();
   }
-  if (cache != nullptr)
-    for (std::size_t j = 0; j < kw; ++j) cache->set(static_cast<std::size_t>(cols[j]), hsq[j]);
   return stats;
 }
 
@@ -213,18 +207,14 @@ SvdResult block_one_sided_jacobi(const Matrix& a, const Ordering& ordering,
   const int b = options.block_width;
 
   // Number of blocks the ordering will drive: the smallest supported count
-  // in [ceil(n/b), 2*ceil(n/b) + 4]. Every registered family supports some
-  // count within a factor of two of any request (next power of two, next
-  // even count, next group multiple); +4 covers the tiny-count corner. The
+  // in [ceil(n/b), 2*ceil(n/b) + 4] (padded_width, core/ordering.hpp). The
   // matrix is padded with zero columns to nb * b.
   const int nb_min = (n + b - 1) / b;
-  const int nb_limit = 2 * nb_min + 4;
-  int nb = nb_min;
-  while (nb <= nb_limit && !ordering.supports(nb)) ++nb;
-  TREESVD_REQUIRE(nb <= nb_limit,
-                  ordering.name() + " supports no block count in [" + std::to_string(nb_min) +
-                      ", " + std::to_string(nb_limit) + "] (n=" + std::to_string(n) +
-                      ", block_width=" + std::to_string(b) + ")");
+  const int nb = padded_width(ordering, nb_min);
+  TREESVD_REQUIRE(nb > 0, ordering.name() + " supports no block count in [" +
+                              std::to_string(nb_min) + ", " + std::to_string(2 * nb_min + 4) +
+                              "] (n=" + std::to_string(n) +
+                              ", block_width=" + std::to_string(b) + ")");
   const int padded_n = nb * b;
 
   Matrix h(a.rows(), static_cast<std::size_t>(padded_n));
@@ -235,8 +225,6 @@ SvdResult block_one_sided_jacobi(const Matrix& a, const Ordering& ordering,
   }
   const Equilibration eq = equilibrate(h, options.equilibrate);
   StallDetector stall(options.stall_window);
-  ConvergenceWatchdog watchdog(options.watchdog_sweeps);
-  std::size_t watchdog_trips = 0;
   Matrix v = options.compute_v ? Matrix::identity(static_cast<std::size_t>(padded_n)) : Matrix();
   Matrix* vp = options.compute_v ? &v : nullptr;
 
@@ -250,19 +238,12 @@ SvdResult block_one_sided_jacobi(const Matrix& a, const Ordering& ordering,
   std::vector<int> layout(static_cast<std::size_t>(nb));
   for (int i = 0; i < nb; ++i) layout[static_cast<std::size_t>(i)] = i;
 
-  NormCache cache;
-  if (options.cache_norms) cache.refresh(h);
-  KernelCounters plain_counters;
-  NormCache* cp = options.cache_norms ? &cache : nullptr;
-  KernelCounters& counters = options.cache_norms ? cache.counters() : plain_counters;
+  KernelCounters counters;
   const bool gram_mode = options.inner_mode == InnerMode::kGram;
   ThreadPool* pool = gram_mode ? gemm_pool() : nullptr;
 
   SvdResult r;
   for (int sweep = 0; sweep < options.max_outer_sweeps; ++sweep) {
-    if (cp != nullptr && sweep > 0 && options.norm_recompute_sweeps > 0 &&
-        sweep % options.norm_recompute_sweeps == 0)
-      cache.refresh(h);
     const Sweep s = ordering.sweep_from(layout, sweep);
     std::size_t sweep_rot = 0;
     std::size_t sweep_swap = 0;
@@ -275,10 +256,8 @@ SvdResult block_one_sided_jacobi(const Matrix& a, const Ordering& ordering,
         const std::vector<int> other = block_cols(std::max(p.even, p.odd));
         cols.insert(cols.end(), other.begin(), other.end());
         const detail::InnerPanelStats stats =
-            gram_mode
-                ? detail::inner_orthogonalise_gram(h, vp, cols, options, cp, counters, pool)
-                : detail::inner_orthogonalise_elementwise(h, vp, cols, options, cp,
-                                                          &plain_counters);
+            gram_mode ? detail::inner_orthogonalise_gram(h, vp, cols, options, counters, pool)
+                      : detail::inner_orthogonalise_elementwise(h, vp, cols, options, counters);
         sweep_rot += stats.rotations;
         sweep_swap += stats.swaps;
       }
@@ -292,17 +271,10 @@ SvdResult block_one_sided_jacobi(const Matrix& a, const Ordering& ordering,
       r.converged = true;
       break;
     }
-    const double activity = static_cast<double>(sweep_rot + sweep_swap);
-    stall.observe(activity);
-    if (watchdog.observe(activity)) {
-      if (options.cache_norms) cache.refresh(h);
-      ++watchdog_trips;
-      watchdog.reset();
-    }
+    stall.observe(static_cast<double>(sweep_rot + sweep_swap));
   }
 
-  r.kernel_stats =
-      options.cache_norms ? cache.counters().snapshot() : plain_counters.snapshot();
+  r.kernel_stats = counters.snapshot();
   r.kernel_stats.isa_tier = static_cast<int>(isa_tier);
 
   // Finalisation mirrors the element-wise engine (at the equilibrated scale;
@@ -331,7 +303,6 @@ SvdResult block_one_sided_jacobi(const Matrix& a, const Ordering& ordering,
   r.diagnostics.input_scale = eq.stats;
   r.diagnostics.equilibrated = eq.applied;
   r.diagnostics.equilibration_exponent = eq.exponent;
-  r.diagnostics.watchdog_trips = watchdog_trips;
   r.diagnostics.stalled_sweeps = stall.streak();
   if (!r.converged || options.full_diagnostics)
     assess_quality(a, r, eq.exponent, options.rank_tol);

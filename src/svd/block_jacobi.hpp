@@ -18,8 +18,9 @@
 //    P <- P·W (and the V panel <- V·W) as one blocked matrix product each.
 //    O(m·b²) total per encounter — compute-dense BLAS-3.
 //  * kElementwise: the historical path — every inner rotation streams the
-//    full m-length columns (O(m) per rotation, memory-bound BLAS-1). Kept
-//    bitwise-identical to its pre-BLAS-3 behaviour for cross-checks.
+//    full m-length columns (O(m) per rotation, memory-bound BLAS-1) through
+//    the one pair kernel every engine shares (svd/pair_kernel.hpp). Kept for
+//    cross-checks.
 
 #include <cstddef>
 #include <vector>
@@ -52,20 +53,10 @@ struct BlockJacobiOptions {
   /// Inner panel solver; see the header comment. kGram is the fast path,
   /// kElementwise the bitwise-stable reference.
   InnerMode inner_mode = InnerMode::kGram;
-  /// Cached-norm fast path for the kElementwise inner sweeps (see
-  /// norm_cache.hpp). Under kGram the cache is not consulted for decisions
-  /// (the fresh Gram matrix is), but it is kept coherent: the blocked apply
-  /// returns each updated column's squared norm from its own write pass.
-  bool cache_norms = true;
-  /// Full NormCache re-reduction every this many *outer* sweeps (<= 0
-  /// disables the scheduled refresh).
-  int norm_recompute_sweeps = 8;
   /// Same robustness knobs as JacobiOptions (svd/status.hpp /
-  /// svd/equilibrate.hpp): exact power-of-two input equilibration, opt-in
-  /// stagnation watchdog, observational stall window, and forced heavy
-  /// diagnostics.
+  /// svd/equilibrate.hpp): exact power-of-two input equilibration,
+  /// observational stall window, and forced heavy diagnostics.
   EquilibrateMode equilibrate = EquilibrateMode::kAuto;
-  int watchdog_sweeps = 0;
   int stall_window = 4;
   bool full_diagnostics = false;
   /// Level-2 recursion (DESIGN.md §14): ordering for the *inner* pass over a
@@ -97,19 +88,18 @@ struct InnerPanelStats {
 
 /// Elementwise inner pass: mutually orthogonalise the columns listed in
 /// `cols` (global column ids of h/v) with plain cyclic one-sided Jacobi,
-/// sort rule included. This is the pre-BLAS-3 code path, unchanged.
+/// sort rule included — every pair through PairKernel::process.
 InnerPanelStats inner_orthogonalise_elementwise(Matrix& h, Matrix* v,
                                                 const std::vector<int>& cols,
-                                                const BlockJacobiOptions& opt, NormCache* cache,
-                                                KernelCounters* plain_counters);
+                                                const BlockJacobiOptions& opt,
+                                                KernelCounters& counters);
 
 /// Gram inner pass: one Gram build, cyclic Jacobi sweeps on the small
 /// problem accumulating rotations and sort-swaps into W, then at most one
-/// blocked P·W apply per panel (h, and v when non-null). Keeps `cache`
-/// coherent from the apply's fused norm reduction. `pool` (nullable) spreads
-/// the Gram build and the blocked applies over row chunks.
+/// blocked P·W apply per panel (h, and v when non-null). `pool` (nullable)
+/// spreads the Gram build and the blocked applies over row chunks.
 InnerPanelStats inner_orthogonalise_gram(Matrix& h, Matrix* v, const std::vector<int>& cols,
-                                         const BlockJacobiOptions& opt, NormCache* cache,
+                                         const BlockJacobiOptions& opt,
                                          KernelCounters& counters, ThreadPool* pool);
 
 }  // namespace detail

@@ -1,9 +1,9 @@
 #pragma once
 // Exact power-of-two input equilibration for the Jacobi engines.
 //
-// Every engine in this repo carries *squared* column norms — `sumsq`,
-// `gram_pair`, the NormCache, the `hsq` payload fields — so entries beyond
-// ~1e±154 silently overflow or underflow the Gram quantities. The pre-pass
+// Every engine in this repo decides its rotations from *squared* column
+// norms — the `gram_pair` pass of every column pair, `sumsq` — so entries
+// beyond ~1e±154 silently overflow or underflow the Gram quantities. The pre-pass
 // here rescales the working matrix by a single exact power of two chosen
 // from the entry magnitudes, which fixes that entire failure class without
 // perturbing a single rotation decision:

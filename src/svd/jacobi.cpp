@@ -24,11 +24,10 @@ namespace {
 using detail::PairKernel;
 using detail::PairOutcome;
 
-// Padding, the per-run robustness guards (SweepGuards), finalisation and the
-// scheduled cache-refresh cadence live in svd/driver_detail.hpp, shared
-// bit-for-bit with the batched engine (svd/batch.cpp).
+// Padding, the per-run robustness guards (SweepGuards) and finalisation live
+// in svd/driver_detail.hpp, shared bit-for-bit with the batched engine
+// (svd/batch.cpp).
 using detail::finalize;
-using detail::maybe_refresh;
 using detail::pad_columns;
 using detail::SweepGuards;
 
@@ -43,9 +42,9 @@ std::size_t SvdResult::rank(double rank_tol) const {
   return r;
 }
 
-double off_diagonal_measure(const Matrix& a) { return off_diagonal_measure(a, nullptr, nullptr); }
+double off_diagonal_measure(const Matrix& a) { return off_diagonal_measure(a, nullptr); }
 
-double off_diagonal_measure(const Matrix& a, ThreadPool* pool, const NormCache* cache) {
+double off_diagonal_measure(const Matrix& a, ThreadPool* pool) {
   const std::size_t n = a.cols();
   // Column j's task owns all pairs (i, j), i < j — disjoint writes into the
   // partial-sum slots, so the parallel path needs no synchronisation.
@@ -59,7 +58,7 @@ double off_diagonal_measure(const Matrix& a, ThreadPool* pool, const NormCache* 
       off += 2.0 * d * d;
     }
     off_partial[j] = off;
-    const double djj = cache != nullptr && !cache->empty() ? cache->sq(j) : dot(cj, cj);
+    const double djj = dot(cj, cj);
     diag_partial[j] = djj * djj;
   };
   if (pool != nullptr) {
@@ -115,9 +114,7 @@ SvdResult solve_one_sided(const Matrix& a, const Ordering& ordering,
   Matrix v = options.compute_v ? Matrix::identity(static_cast<std::size_t>(padded_n)) : Matrix();
   Matrix* vp = options.compute_v ? &v : nullptr;
 
-  NormCache cache;
-  if (options.cache_norms) cache.refresh(h);
-  KernelCounters plain_counters;
+  KernelCounters counters;
 
   SvdResult r;
   {
@@ -131,7 +128,6 @@ SvdResult solve_one_sided(const Matrix& a, const Ordering& ordering,
     std::vector<int> next_layout(layout.size());
 
     for (int sweep = 0; sweep < options.max_sweeps; ++sweep) {
-      maybe_refresh(&cache, h, sweep, options);
       const SweepPlan& plan = plans[static_cast<std::size_t>(sweep) % plans.size()];
       std::atomic<std::size_t> sweep_rot{0};
       std::atomic<std::size_t> sweep_swap{0};
@@ -142,9 +138,12 @@ SvdResult solve_one_sided(const Matrix& a, const Ordering& ordering,
         std::size_t swap = 0;
         for (const IndexPair& p : pairs) {
           const auto [i, j] = detail::plan_columns(layout, p);
-          const PairOutcome o = options.cache_norms
-                                    ? kernel.process_cached(h, vp, i, j, cache)
-                                    : kernel.process(h, vp, i, j, &plain_counters);
+          // The pair's two H columns, declared to the race detector: two
+          // concurrent tasks sharing a column (a plan that failed to cut a
+          // phase) race here.
+          TREESVD_HB_WRITE(&h, static_cast<std::size_t>(i), "H column");
+          TREESVD_HB_WRITE(&h, static_cast<std::size_t>(j), "H column");
+          const PairOutcome o = kernel.process(h, vp, i, j, &counters);
           rot += o.rotated ? 1 : 0;
           swap += o.swapped ? 1 : 0;
         }
@@ -165,20 +164,15 @@ SvdResult solve_one_sided(const Matrix& a, const Ordering& ordering,
       r.rotations += sweep_rot.load();
       r.swaps += sweep_swap.load();
       r.sweeps = sweep + 1;
-      if (options.track_off)
-        r.off_history.push_back(
-            off_diagonal_measure(h, pool, options.cache_norms ? &cache : nullptr));
+      if (options.track_off) r.off_history.push_back(off_diagonal_measure(h, pool));
       if (sweep_rot.load() == 0 && sweep_swap.load() == 0) {
         r.converged = true;
         break;
       }
-      if (guards.observe(static_cast<double>(sweep_rot.load() + sweep_swap.load())) &&
-          options.cache_norms)
-        cache.refresh(h);
+      guards.stall.observe(static_cast<double>(sweep_rot.load() + sweep_swap.load()));
     }
   }
-  r.kernel_stats =
-      options.cache_norms ? cache.counters().snapshot() : plain_counters.snapshot();
+  r.kernel_stats = counters.snapshot();
   r.kernel_stats.isa_tier = static_cast<int>(kernel.tier());
   return finalize(std::move(h), std::move(v), a, options, guards, std::move(r));
 }
@@ -209,20 +203,15 @@ SvdResult cyclic_jacobi(const Matrix& a, const JacobiOptions& options) {
   Matrix v = options.compute_v ? Matrix::identity(static_cast<std::size_t>(n)) : Matrix();
   Matrix* vp = options.compute_v ? &v : nullptr;
 
-  NormCache cache;
-  if (options.cache_norms) cache.refresh(h);
-  KernelCounters plain_counters;
+  KernelCounters counters;
 
   SvdResult r;
   for (int sweep = 0; sweep < options.max_sweeps; ++sweep) {
-    maybe_refresh(&cache, h, sweep, options);
     std::size_t sweep_rot = 0;
     std::size_t sweep_swap = 0;
     for (int i = 0; i < n - 1; ++i) {
       for (int j = i + 1; j < n; ++j) {
-        const PairOutcome o = options.cache_norms
-                                  ? kernel.process_cached(h, vp, i, j, cache)
-                                  : kernel.process(h, vp, i, j, &plain_counters);
+        const PairOutcome o = kernel.process(h, vp, i, j, &counters);
         sweep_rot += o.rotated ? 1 : 0;
         sweep_swap += o.swapped ? 1 : 0;
       }
@@ -230,18 +219,14 @@ SvdResult cyclic_jacobi(const Matrix& a, const JacobiOptions& options) {
     r.rotations += sweep_rot;
     r.swaps += sweep_swap;
     r.sweeps = sweep + 1;
-    if (options.track_off)
-      r.off_history.push_back(
-          off_diagonal_measure(h, nullptr, options.cache_norms ? &cache : nullptr));
+    if (options.track_off) r.off_history.push_back(off_diagonal_measure(h));
     if (sweep_rot == 0 && sweep_swap == 0) {
       r.converged = true;
       break;
     }
-    if (guards.observe(static_cast<double>(sweep_rot + sweep_swap)) && options.cache_norms)
-      cache.refresh(h);
+    guards.stall.observe(static_cast<double>(sweep_rot + sweep_swap));
   }
-  r.kernel_stats =
-      options.cache_norms ? cache.counters().snapshot() : plain_counters.snapshot();
+  r.kernel_stats = counters.snapshot();
   r.kernel_stats.isa_tier = static_cast<int>(kernel.tier());
   return finalize(std::move(h), std::move(v), a, options, guards, std::move(r));
 }

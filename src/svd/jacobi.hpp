@@ -13,7 +13,7 @@
 #include "core/ordering.hpp"
 #include "linalg/dispatch.hpp"
 #include "linalg/matrix.hpp"
-#include "svd/norm_cache.hpp"
+#include "svd/kernel_stats.hpp"
 #include "svd/status.hpp"
 
 namespace treesvd {
@@ -42,25 +42,12 @@ struct JacobiOptions {
   /// Singular values below rank_tol * sigma_max are treated as zero when
   /// forming U (their U columns are left zero).
   double rank_tol = 1e-12;
-  /// Cached-norm fast path: keep per-column squared norms in a NormCache so
-  /// each pair costs one dot-product accumulation instead of a full
-  /// three-element gram_pair (see norm_cache.hpp for the invariants).
-  bool cache_norms = true;
-  /// Drift control: fully re-reduce the NormCache every this many sweeps
-  /// (<= 0 disables the scheduled refresh; the near-threshold guard in the
-  /// pair kernel still applies).
-  int norm_recompute_sweeps = 8;
   /// Exact power-of-two input equilibration (svd/equilibrate.hpp). kAuto
   /// rescales only when the entry magnitudes endanger the squared-norm
   /// pipeline (a no-op on well-scaled inputs); the scaling is bitwise
   /// transparent — sigma, U, V and sweep counts match the unequilibrated run
   /// exactly whenever that run stays in range.
   EquilibrateMode equilibrate = EquilibrateMode::kAuto;
-  /// Engine-level convergence watchdog (svd/recovery.hpp): when > 0, a
-  /// sweep-activity plateau of this many sweeps forces a full norm
-  /// re-reduction (the only repairable source of stagnation). 0 disables the
-  /// active repair; the *observational* stall classifier below still runs.
-  int watchdog_sweeps = 0;
   /// Trailing window of the always-on stall classifier: a non-converged run
   /// whose activity failed to decrease for this many final sweeps reports
   /// SvdStatus::kStalled instead of kMaxSweeps. Purely diagnostic — it never
@@ -127,9 +114,7 @@ SvdResult one_sided_jacobi_threaded(const Matrix& a, const Ordering& ordering,
 double off_diagonal_measure(const Matrix& a);
 
 /// Same measure, with the O(n^2 m) pair products spread over `pool` (nullptr
-/// runs serially) and the diagonal terms taken from `cache` when non-null
-/// (saving one dot per column). The drivers use this form when track_off is
-/// set.
-double off_diagonal_measure(const Matrix& a, ThreadPool* pool, const NormCache* cache);
+/// runs serially). The drivers use this form when track_off is set.
+double off_diagonal_measure(const Matrix& a, ThreadPool* pool);
 
 }  // namespace treesvd

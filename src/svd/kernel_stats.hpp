@@ -1,47 +1,31 @@
 #pragma once
-// Per-column squared-norm cache for the one-sided Jacobi drivers.
+// Pass counters of the one-sided Jacobi pair kernels.
 //
-// The classical pair kernel recomputes all three Gram elements of a column
-// pair (app = x.x, aqq = y.y, apq = x.y) on every visit. But the rotation
-// itself determines the new norms — and the fused rotate_and_norms kernel
-// returns them from the same pass that writes the rotated columns — so a
-// driver that caches squared norms per column only needs the *one* mixed
-// product apq = x.y per pair: one accumulation pass instead of three.
-//
-// Invariants and drift control:
-//  * A column's cached value is the unscaled sum of squares of its current
-//    entries, accurate to the rounding of one reduction pass. Rotated pairs
-//    are re-reduced by the fused kernel (not extrapolated algebraically via
-//    app' = c^2 app - 2cs apq + s^2 aqq), and untouched columns keep exactly
-//    the value a fresh reduction would produce, so drift does not compound
-//    across sweeps.
-//  * Defensively, drivers still refresh the whole cache every
-//    JacobiOptions::norm_recompute_sweeps sweeps, and the pair kernel
-//    re-reduces both columns whenever |apq| lands within a small factor of
-//    the rotation threshold tol*sqrt(app*aqq) — the only regime where norm
-//    error could flip the skip/rotate decision.
-//
-// The embedded KernelCounters tick with relaxed atomics so concurrent pair
-// kernels (disjoint columns, shared counters) stay TSan-clean; drivers
-// snapshot them into SvdResult::kernel_stats.
+// Every engine handles a column pair the same way (svd/pair_kernel.hpp): one
+// gram_pair pass decides the rotation, one rotation pass applies it. These
+// counters make that contract testable — gram_passes == pairs on every
+// engine. The embedded KernelCounters tick with relaxed atomics so
+// concurrent pair kernels (disjoint columns, shared counters) stay
+// TSan-clean; drivers snapshot them into SvdResult::kernel_stats.
 
 #include <atomic>
 #include <cstddef>
-#include <utility>
-#include <vector>
 
 #include "analysis/hooks.hpp"
-#include "linalg/matrix.hpp"
 
 namespace treesvd {
 
 /// Plain snapshot of the pass counters (copyable, reported in SvdResult).
 struct KernelStats {
   std::size_t pairs = 0;           ///< column pairs processed
-  std::size_t dot_passes = 0;      ///< single x.y accumulations (cached path)
+  /// Single x.y accumulations. Always 0: every engine takes one gram_pair
+  /// pass per pair. Kept because benchmark reports read the counter set.
+  std::size_t dot_passes = 0;
   std::size_t gram_passes = 0;     ///< full three-element gram_pair passes
-  std::size_t rotate_passes = 0;   ///< rotation (or fused rotate+norms) passes
-  std::size_t norm_refreshes = 0;  ///< single-column squared-norm re-reductions
+  std::size_t rotate_passes = 0;   ///< rotation passes (one per rotated or swapped pair)
+  /// Single-column squared-norm re-reductions. Always 0: no engine keeps
+  /// column norms. Kept because benchmark reports read the counter set.
+  std::size_t norm_refreshes = 0;
 
   // BLAS-3 Gram path of the block driver (block_jacobi.hpp, inner_mode ==
   // kGram). These make the one-GEMM-per-encounter contract testable: every
@@ -80,13 +64,8 @@ struct KernelStats {
 class KernelCounters {
  public:
   void add_pair() noexcept { note_tick(); pairs_.fetch_add(1, std::memory_order_relaxed); }
-  void add_dot() noexcept { note_tick(); dot_.fetch_add(1, std::memory_order_relaxed); }
   void add_gram() noexcept { note_tick(); gram_.fetch_add(1, std::memory_order_relaxed); }
   void add_rotate() noexcept { note_tick(); rotate_.fetch_add(1, std::memory_order_relaxed); }
-  void add_norm_refresh(std::size_t k = 1) noexcept {
-    note_tick();
-    refresh_.fetch_add(k, std::memory_order_relaxed);
-  }
   void add_gram_build() noexcept { note_tick(); gram_build_.fetch_add(1, std::memory_order_relaxed); }
   void add_accum_rotations(std::size_t k) noexcept {
     note_tick();
@@ -104,10 +83,8 @@ class KernelCounters {
   void store(const KernelStats& s) noexcept {
     TREESVD_HB_WRITE(this, 0, "KernelCounters");
     pairs_.store(s.pairs, std::memory_order_relaxed);
-    dot_.store(s.dot_passes, std::memory_order_relaxed);
     gram_.store(s.gram_passes, std::memory_order_relaxed);
     rotate_.store(s.rotate_passes, std::memory_order_relaxed);
-    refresh_.store(s.norm_refreshes, std::memory_order_relaxed);
     gram_build_.store(s.gram_builds, std::memory_order_relaxed);
     accum_rot_.store(s.accum_rotations, std::memory_order_relaxed);
     blocked_apply_.store(s.blocked_applies, std::memory_order_relaxed);
@@ -117,10 +94,8 @@ class KernelCounters {
     TREESVD_HB_ATOMIC(this, 0, "KernelCounters");
     KernelStats s;
     s.pairs = pairs_.load(std::memory_order_relaxed);
-    s.dot_passes = dot_.load(std::memory_order_relaxed);
     s.gram_passes = gram_.load(std::memory_order_relaxed);
     s.rotate_passes = rotate_.load(std::memory_order_relaxed);
-    s.norm_refreshes = refresh_.load(std::memory_order_relaxed);
     s.gram_builds = gram_build_.load(std::memory_order_relaxed);
     s.accum_rotations = accum_rot_.load(std::memory_order_relaxed);
     s.blocked_applies = blocked_apply_.load(std::memory_order_relaxed);
@@ -133,55 +108,11 @@ class KernelCounters {
   void note_tick() const noexcept { TREESVD_HB_ATOMIC(this, 0, "KernelCounters"); }
 
   std::atomic<std::size_t> pairs_{0};
-  std::atomic<std::size_t> dot_{0};
   std::atomic<std::size_t> gram_{0};
   std::atomic<std::size_t> rotate_{0};
-  std::atomic<std::size_t> refresh_{0};
   std::atomic<std::size_t> gram_build_{0};
   std::atomic<std::size_t> accum_rot_{0};
   std::atomic<std::size_t> blocked_apply_{0};
-};
-
-/// Squared norms of a matrix's columns, kept current across rotations.
-/// Distinct columns may be updated concurrently (disjoint pairs of a step);
-/// the counters are shared and atomic.
-class NormCache {
- public:
-  NormCache() = default;
-  explicit NormCache(const Matrix& a) { refresh(a); }
-
-  NormCache(const NormCache&) = delete;
-  NormCache& operator=(const NormCache&) = delete;
-
-  bool empty() const noexcept { return sq_.empty(); }
-  std::size_t size() const noexcept { return sq_.size(); }
-
-  /// Re-reduces every column (full drift reset).
-  void refresh(const Matrix& a);
-
-  /// Re-reduces one column.
-  void refresh_column(const Matrix& a, std::size_t j);
-
-  double sq(std::size_t j) const noexcept {
-    TREESVD_HB_READ(this, j, "NormCache");
-    return sq_[j];
-  }
-  void set(std::size_t j, double v) noexcept {
-    TREESVD_HB_WRITE(this, j, "NormCache");
-    sq_[j] = v;
-  }
-  void swap_cols(std::size_t i, std::size_t j) noexcept {
-    TREESVD_HB_WRITE(this, i, "NormCache");
-    TREESVD_HB_WRITE(this, j, "NormCache");
-    std::swap(sq_[i], sq_[j]);
-  }
-
-  KernelCounters& counters() noexcept { return counters_; }
-  const KernelCounters& counters() const noexcept { return counters_; }
-
- private:
-  std::vector<double> sq_;
-  KernelCounters counters_;
 };
 
 }  // namespace treesvd

@@ -1,5 +1,6 @@
 #include "svd/recovery.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 namespace treesvd {

@@ -1,27 +1,21 @@
 #pragma once
 // Engine-side fault tolerance shared by the SPMD Jacobi (svd/spmd.hpp) and
 // the distributed tree machine (sim/distributed.hpp): sweep-boundary
-// checkpointing with rollback/replay, a convergence watchdog, and the
-// non-finite payload guards.
+// checkpointing with rollback/replay, the observational stall classifier,
+// and the non-finite payload guard.
 //
 // Determinism rules (the contracts chaos_recovery_test pins down):
-//  * Checkpoints snapshot column ownership, column payloads, cached norms
-//    and progress counters at sweep boundaries. A rollback restores the
-//    latest checkpoint *every* participant has committed and replays from
-//    there; because the engines are deterministic, the replay is
-//    bit-identical to the run the fault interrupted.
-//  * The watchdog trips when the sweep activity measure (rotations + swaps,
-//    the quantity whose zero defines convergence) fails to decrease across
-//    `watchdog_sweeps` consecutive sweeps; a trip forces a full norm
-//    re-reduction (the only repairable source of stagnation) instead of
-//    letting drift propagate silently. Trips are counted, never fatal —
-//    max_sweeps still bounds the iteration.
-//  * Payload guards: a non-finite (or negative) cached norm arriving with a
-//    column is repaired by re-reducing the column (counted as a
-//    norm_rereduction); non-finite column *data* is unrepairable and throws
-//    naming the offending column.
+//  * Checkpoints snapshot column ownership, column payloads and progress
+//    counters at sweep boundaries. A rollback restores the latest checkpoint
+//    *every* participant has committed and replays from there; because the
+//    engines are deterministic, the replay is bit-identical to the run the
+//    fault interrupted.
+//  * Stagnation is reported, never repaired: the always-on StallDetector
+//    classifies a run whose sweep activity (rotations + swaps, the quantity
+//    whose zero defines convergence) stopped decreasing as kStalled.
+//  * Payload guard: non-finite column data arriving by message is
+//    unrepairable and throws naming the offending column.
 
-#include <cmath>
 #include <cstddef>
 #include <span>
 #include <string>
@@ -32,72 +26,22 @@
 
 namespace treesvd {
 
-/// Knobs for the checkpoint/rollback/watchdog machinery.
+/// Knobs for the checkpoint/rollback machinery.
 struct RecoveryOptions {
   /// Snapshot cadence in sweeps (1 = every sweep boundary; 0 disables
   /// checkpointing, so a rank kill is fatal).
   int checkpoint_sweeps = 1;
   /// Rollback budget: replays attempted before the failure is rethrown.
   int max_rollbacks = 8;
-  /// Stagnation window: 0 disables the watchdog.
-  int watchdog_sweeps = 0;
 };
 
-/// Tracks the per-sweep activity measure and decides watchdog trips.
-/// Deterministic: feed it the (collectively agreed) activity once per sweep.
-class ConvergenceWatchdog {
- public:
-  explicit ConvergenceWatchdog(int window) : window_(window) {}
-
-  /// Returns true when the activity has not decreased for `window`
-  /// consecutive sweeps (and is still nonzero); the caller should re-reduce
-  /// its norms and reset() the window.
-  bool observe(double activity) {
-    if (window_ <= 0) return false;
-    const bool stalled = activity > 0.0 && has_prev_ && activity >= prev_;
-    prev_ = activity;
-    has_prev_ = true;
-    stall_count_ = stalled ? stall_count_ + 1 : 0;
-    return stall_count_ >= window_;
-  }
-
-  void reset() noexcept {
-    stall_count_ = 0;
-    has_prev_ = false;
-  }
-
-  /// Exact double-serialisation (kPacked values appended) so multi-process
-  /// engines can carry the watchdog inside published checkpoint blobs; the
-  /// observed activity is itself a double, so the round trip is bitwise.
-  static constexpr std::size_t kPacked = 4;
-  void pack(std::vector<double>& out) const {
-    out.push_back(static_cast<double>(window_));
-    out.push_back(static_cast<double>(stall_count_));
-    out.push_back(prev_);
-    out.push_back(has_prev_ ? 1.0 : 0.0);
-  }
-  static ConvergenceWatchdog unpack(const double* p) {
-    ConvergenceWatchdog w(static_cast<int>(p[0]));
-    w.stall_count_ = static_cast<int>(p[1]);
-    w.prev_ = p[2];
-    w.has_prev_ = p[3] != 0.0;
-    return w;
-  }
-
- private:
-  int window_;
-  int stall_count_ = 0;
-  double prev_ = 0.0;
-  bool has_prev_ = false;
-};
-
-/// Always-on, purely observational stall classifier. Unlike the watchdog it
-/// never triggers repairs or perturbs the iteration: engines feed it the
-/// per-sweep activity and consult it only at exit, to distinguish a run that
-/// hit max_sweeps while still making progress (SvdStatus::kMaxSweeps) from
-/// one whose activity stopped decreasing (SvdStatus::kStalled — more sweeps
-/// would not have helped). Trivially copyable so spmd/distributed can carry
-/// it in their sweep checkpoints.
+/// Always-on, purely observational stall classifier. It never triggers
+/// repairs or perturbs the iteration: engines feed it the per-sweep activity
+/// and consult it only at exit, to distinguish a run that hit max_sweeps
+/// while still making progress (SvdStatus::kMaxSweeps) from one whose
+/// activity stopped decreasing (SvdStatus::kStalled — more sweeps would not
+/// have helped). Trivially copyable so spmd/distributed can carry it in
+/// their sweep checkpoints.
 class StallDetector {
  public:
   StallDetector() = default;
@@ -115,7 +59,9 @@ class StallDetector {
   /// Length of the trailing non-decreasing streak (diagnostics).
   int streak() const noexcept { return streak_; }
 
-  /// Exact double-serialisation, mirroring ConvergenceWatchdog::pack.
+  /// Exact double-serialisation (kPacked values appended) so multi-process
+  /// engines can carry the classifier inside published checkpoint blobs; the
+  /// observed activity is itself a double, so the round trip is bitwise.
   static constexpr std::size_t kPacked = 4;
   void pack(std::vector<double>& out) const {
     out.push_back(static_cast<double>(window_));
@@ -155,10 +101,5 @@ void require_finite_columns(const Matrix& a, const std::string& engine);
 /// throws std::invalid_argument naming `column` if any entry is non-finite.
 void require_finite_payload(std::span<const double> column, int column_label,
                             const std::string& engine);
-
-/// True when a cached squared norm is trustworthy: finite and non-negative.
-inline bool cached_norm_plausible(double hsq) noexcept {
-  return std::isfinite(hsq) && hsq >= 0.0;
-}
 
 }  // namespace treesvd

@@ -23,7 +23,6 @@ std::uint64_t make_tag(int sweep, int step, int to_slot) {
 
 struct SlotState {
   int label = -1;               ///< which logical column occupies the slot
-  double hsq = 0.0;             ///< cached squared norm of h (travels with it)
   std::vector<double> h;        ///< column of A/H
   std::vector<double> v;        ///< column of V (empty when not tracked)
 };
@@ -37,7 +36,6 @@ struct RankCheckpoint {
   std::size_t rot = 0;          ///< rotations accumulated so far
   std::size_t swap = 0;         ///< swaps accumulated so far
   KernelStats kernels;          ///< this rank's kernel counters at the boundary
-  ConvergenceWatchdog watchdog{0};
   StallDetector stall;          ///< observational status classifier state
 };
 
@@ -61,7 +59,6 @@ std::uint64_t result_key(int rank) {
 
 void pack_slot(const SlotState& s, std::vector<double>& out) {
   out.push_back(static_cast<double>(s.label));
-  out.push_back(s.hsq);
   out.push_back(static_cast<double>(s.h.size()));
   out.push_back(static_cast<double>(s.v.size()));
   out.insert(out.end(), s.h.begin(), s.h.end());
@@ -71,12 +68,11 @@ void pack_slot(const SlotState& s, std::vector<double>& out) {
 /// Returns the number of doubles consumed.
 std::size_t unpack_slot(const double* p, SlotState* s) {
   s->label = static_cast<int>(p[0]);
-  s->hsq = p[1];
-  const auto hn = static_cast<std::size_t>(p[2]);
-  const auto vn = static_cast<std::size_t>(p[3]);
-  s->h.assign(p + 4, p + 4 + hn);
-  s->v.assign(p + 4 + hn, p + 4 + hn + vn);
-  return 4 + hn + vn;
+  const auto hn = static_cast<std::size_t>(p[1]);
+  const auto vn = static_cast<std::size_t>(p[2]);
+  s->h.assign(p + 3, p + 3 + hn);
+  s->v.assign(p + 3 + hn, p + 3 + hn + vn);
+  return 3 + hn + vn;
 }
 
 constexpr std::size_t kKernelsPacked = 8;
@@ -105,18 +101,17 @@ KernelStats unpack_kernels(const double* p) {
   return k;
 }
 
-/// Checkpoint blob: [sweep, rot, swap, layout(n), kernels, watchdog, stall,
-/// slot0, slot1].
+/// Checkpoint blob: [sweep, rot, swap, layout(n), kernels, stall, slot0,
+/// slot1].
 std::vector<double> pack_checkpoint(const RankCheckpoint& cp) {
   std::vector<double> out;
-  out.reserve(3 + cp.layout.size() + kKernelsPacked + ConvergenceWatchdog::kPacked +
-              StallDetector::kPacked + 2 * (4 + cp.slot[0].h.size() + cp.slot[0].v.size()));
+  out.reserve(3 + cp.layout.size() + kKernelsPacked + StallDetector::kPacked +
+              2 * (3 + cp.slot[0].h.size() + cp.slot[0].v.size()));
   out.push_back(static_cast<double>(cp.sweep));
   out.push_back(static_cast<double>(cp.rot));
   out.push_back(static_cast<double>(cp.swap));
   for (const int l : cp.layout) out.push_back(static_cast<double>(l));
   pack_kernels(cp.kernels, out);
-  cp.watchdog.pack(out);
   cp.stall.pack(out);
   pack_slot(cp.slot[0], out);
   pack_slot(cp.slot[1], out);
@@ -135,8 +130,6 @@ RankCheckpoint unpack_checkpoint(const std::vector<double>& blob, int n) {
   p += n;
   cp.kernels = unpack_kernels(p);
   p += kKernelsPacked;
-  cp.watchdog = ConvergenceWatchdog::unpack(p);
-  p += ConvergenceWatchdog::kPacked;
   cp.stall = StallDetector::unpack(p);
   p += StallDetector::kPacked;
   p += unpack_slot(p, &cp.slot[0]);
@@ -193,25 +186,20 @@ SvdResult spmd_jacobi(const Matrix& a, const Ordering& ordering, const JacobiOpt
   TREESVD_REQUIRE(a.rows() >= a.cols() && a.cols() >= 2, "spmd_jacobi expects m >= n >= 2");
   require_finite_columns(a, "spmd_jacobi");
   const int n0 = static_cast<int>(a.cols());
-  int n = 0;
-  for (int w = n0; w <= 2 * n0 + 4; ++w) {
-    if (ordering.supports(w)) {
-      n = w;
-      break;
-    }
-  }
+  const int n = padded_width(ordering, n0);
   TREESVD_REQUIRE(n > 0, ordering.name() + " supports no width near n");
   const std::size_t rows = a.rows();
   const int ranks = n / 2;
 
-  RecoveryOptions recovery = transport != nullptr ? transport->recovery : RecoveryOptions{};
-  // Without a transport, the engine-level watchdog knob applies (a transport
-  // brings its own RecoveryOptions, which chaos replay depends on).
-  if (transport == nullptr) recovery.watchdog_sweeps = options.watchdog_sweeps;
+  const RecoveryOptions recovery =
+      transport != nullptr ? transport->recovery : RecoveryOptions{};
   const bool chaos = transport != nullptr;
+  // Level 0 of the engine hierarchy, bound once and shared by every rank
+  // (thread-safe across disjoint pairs).
+  const detail::PairKernel kernel(options);
 
   // Equilibration happens once, before the scatter, so every rank works at
-  // the same exact power-of-two scale and the hsq payloads stay finite.
+  // the same exact power-of-two scale.
   Matrix a_eq = a;
   const Equilibration eq = equilibrate(a_eq, options.equilibrate);
   const bool checkpointing = chaos && recovery.checkpoint_sweeps > 0;
@@ -242,7 +230,6 @@ SvdResult spmd_jacobi(const Matrix& a, const Ordering& ordering, const JacobiOpt
     // Local state: this rank's two slots.
     SlotState slot[2];
     std::vector<int> layout(static_cast<std::size_t>(n));
-    ConvergenceWatchdog watchdog(recovery.watchdog_sweeps);
     // Replicated control: every rank feeds the same collective activity, so
     // the classifier state is identical everywhere; rank 0 publishes it.
     StallDetector stall(options.stall_window);
@@ -262,9 +249,7 @@ SvdResult spmd_jacobi(const Matrix& a, const Ordering& ordering, const JacobiOpt
           slot[k].v.assign(static_cast<std::size_t>(n), 0.0);
           slot[k].v[static_cast<std::size_t>(s)] = 1.0;
         }
-        slot[k].hsq = sumsq_robust(slot[k].h);
       }
-      counters.add_norm_refresh(2);
       // Every rank derives the identical schedule (SPMD-style replicated
       // control); the layout evolves deterministically between sweeps.
       for (int i = 0; i < n; ++i) layout[static_cast<std::size_t>(i)] = i;
@@ -291,7 +276,6 @@ SvdResult spmd_jacobi(const Matrix& a, const Ordering& ordering, const JacobiOpt
       my_rot = cp.rot;
       my_swap = cp.swap;
       counters.store(cp.kernels);
-      watchdog = cp.watchdog;
       stall = cp.stall;
     }
     // Newest boundary already on this rank's board ring: a rank that rolled
@@ -306,8 +290,7 @@ SvdResult spmd_jacobi(const Matrix& a, const Ordering& ordering, const JacobiOpt
 
     bool done = false;
     for (; sweep < options.max_sweeps && !done; ++sweep) {
-      // Sweep-boundary checkpoint, before any of this sweep's work, so a
-      // replay re-executes the boundary's norm refresh identically. A rank
+      // Sweep-boundary checkpoint, before any of this sweep's work. A rank
       // that already holds this boundary (rolled back past it) skips the
       // push — the deterministic replay would recreate the same bytes.
       if (checkpointing && sweep % recovery.checkpoint_sweeps == 0) {
@@ -320,7 +303,6 @@ SvdResult spmd_jacobi(const Matrix& a, const Ordering& ordering, const JacobiOpt
           cp.rot = my_rot;
           cp.swap = my_swap;
           cp.kernels = counters.snapshot();
-          cp.watchdog = watchdog;
           cp.stall = stall;
           // The two board slots per rank form the ring: the boundary index
           // alternates between them, overwriting the snapshot that is two
@@ -330,13 +312,6 @@ SvdResult spmd_jacobi(const Matrix& a, const Ordering& ordering, const JacobiOpt
           ring_newest = sweep;
           if (me == 0) rc.add_checkpoint();
         }
-      }
-      // Scheduled drift control, mirroring the shared-memory drivers: each
-      // rank re-reduces its resident columns.
-      if (options.cache_norms && sweep > 0 && options.norm_recompute_sweeps > 0 &&
-          sweep % options.norm_recompute_sweeps == 0) {
-        for (auto& sl : slot) sl.hsq = sumsq_robust(sl.h);
-        counters.add_norm_refresh(2);
       }
       const Sweep s = ordering.sweep_from(layout, sweep);
       // Intra-leaf reconciliation: the sweep's opening layout may orient this
@@ -358,17 +333,8 @@ SvdResult spmd_jacobi(const Matrix& a, const Ordering& ordering, const JacobiOpt
           const std::span<double> none;
           const std::span<double> vlo = options.compute_v ? std::span<double>(slot[lo].v) : none;
           const std::span<double> vhi = options.compute_v ? std::span<double>(slot[hi].v) : none;
-          detail::PairOutcome o;
-          if (options.cache_norms) {
-            const auto co = detail::process_pair_columns_cached(
-                slot[lo].h, slot[hi].h, vlo, vhi, slot[lo].hsq, slot[hi].hsq, options, counters);
-            slot[lo].hsq = co.app;
-            slot[hi].hsq = co.aqq;
-            o = co.outcome;
-          } else {
-            o = detail::process_pair_columns(slot[lo].h, slot[hi].h, vlo, vhi, options,
-                                             &counters);
-          }
+          const detail::PairOutcome o =
+              kernel.process(slot[lo].h, slot[hi].h, vlo, vhi, &counters);
           sweep_rot += o.rotated ? 1 : 0;
           sweep_swap += o.swapped ? 1 : 0;
         }
@@ -381,12 +347,9 @@ SvdResult spmd_jacobi(const Matrix& a, const Ordering& ordering, const JacobiOpt
           TREESVD_ASSERT(slot[k].label == mv.index);
           const int to_leaf = mv.to_slot / 2;
           if (to_leaf == me) continue;  // intra-leaf handled below
-          // The cached squared norm travels with the column, so the
-          // receiving rank never re-reduces an arriving column.
           std::vector<double> payload;
-          payload.reserve(2 + rows + slot[k].v.size());
+          payload.reserve(1 + rows + slot[k].v.size());
           payload.push_back(static_cast<double>(mv.index));
-          payload.push_back(slot[k].hsq);
           payload.insert(payload.end(), slot[k].h.begin(), slot[k].h.end());
           payload.insert(payload.end(), slot[k].v.begin(), slot[k].v.end());
           ctx.send(to_leaf, make_tag(sweep, t, mv.to_slot), std::move(payload));
@@ -415,26 +378,17 @@ SvdResult spmd_jacobi(const Matrix& a, const Ordering& ordering, const JacobiOpt
             TREESVD_ASSERT(src_leaf >= 0 && src_leaf != me);
             std::vector<double> payload = ctx.recv(src_leaf, make_tag(sweep, t, dst_slot));
             TREESVD_ASSERT(payload.size() ==
-                           2 + rows + (options.compute_v ? static_cast<std::size_t>(n) : 0u));
+                           1 + rows + (options.compute_v ? static_cast<std::size_t>(n) : 0u));
             next[k].label = static_cast<int>(payload[0]);
             TREESVD_ASSERT(next[k].label == want);
-            next[k].hsq = payload[1];
-            next[k].h.assign(payload.begin() + 2,
-                             payload.begin() + 2 + static_cast<std::ptrdiff_t>(rows));
+            next[k].h.assign(payload.begin() + 1,
+                             payload.begin() + 1 + static_cast<std::ptrdiff_t>(rows));
             if (options.compute_v)
-              next[k].v.assign(payload.begin() + 2 + static_cast<std::ptrdiff_t>(rows),
+              next[k].v.assign(payload.begin() + 1 + static_cast<std::ptrdiff_t>(rows),
                                payload.end());
-            if (chaos) {
-              // Payload guards. A corrupted cached norm is repairable by
-              // re-reducing the column it arrived with; non-finite column
-              // data is not, and fails fast naming the column.
-              require_finite_payload(next[k].h, next[k].label, "spmd_jacobi");
-              if (options.cache_norms && !cached_norm_plausible(next[k].hsq)) {
-                next[k].hsq = sumsq_robust(next[k].h);
-                counters.add_norm_refresh();
-                rc.add_norm_rereduction();
-              }
-            }
+            // Payload guard: non-finite column data is unrepairable and
+            // fails fast naming the column.
+            if (chaos) require_finite_payload(next[k].h, next[k].label, "spmd_jacobi");
           }
         }
         slot[0] = std::move(next[0]);
@@ -448,20 +402,6 @@ SvdResult spmd_jacobi(const Matrix& a, const Ordering& ordering, const JacobiOpt
       my_swap += sweep_swap;
       if (active == 0.0) done = true;
       if (!done) stall.observe(active);
-      // Stagnation watchdog: the collectively agreed activity measure has
-      // stopped decreasing — re-reduce the cached norms (the only repairable
-      // stagnation source) instead of letting drift propagate. Every rank
-      // observes the same activity, so the trip is replicated control, not
-      // a new collective.
-      if (!done && watchdog.observe(active)) {
-        if (options.cache_norms) {
-          for (auto& sl : slot) sl.hsq = sumsq_robust(sl.h);
-          counters.add_norm_refresh(2);
-          rc.add_norm_rereduction(2);
-        }
-        if (me == 0) rc.add_watchdog_trip();
-        watchdog.reset();
-      }
     }
 
     // Publish: each rank posts its two slots of the final state (and its
@@ -569,7 +509,6 @@ SvdResult spmd_jacobi(const Matrix& a, const Ordering& ordering, const JacobiOpt
   r.diagnostics.equilibrated = eq.applied;
   r.diagnostics.equilibration_exponent = eq.exponent;
   r.diagnostics.stalled_sweeps = final_stall.streak();
-  r.diagnostics.watchdog_trips = world.recovery_stats().watchdog_trips;
   if (!r.converged || options.full_diagnostics)
     assess_quality(a, r, eq.exponent, options.rank_tol);
   return r;

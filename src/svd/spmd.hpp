@@ -25,7 +25,7 @@ namespace treesvd {
 
 struct SpmdStats {
   std::size_t messages = 0;      ///< logical column sends (replays included)
-  mp::RecoveryStats recovery;    ///< transport + checkpoint/watchdog counters
+  mp::RecoveryStats recovery;    ///< transport + checkpoint/rollback counters
 };
 
 /// Chaos/robustness configuration for spmd_jacobi. Default-constructed it
@@ -34,7 +34,7 @@ struct SpmdStats {
 struct SpmdTransport {
   mp::ReliableConfig reliable;  ///< opt-in reliable send/recv layer
   mp::FaultPlan faults;         ///< deterministic fault schedule
-  RecoveryOptions recovery;     ///< checkpoint cadence, rollback budget, watchdog
+  RecoveryOptions recovery;     ///< checkpoint cadence, rollback budget
   /// Transport backend: kInproc runs ranks as threads (default); kSocket
   /// runs every rank as its own OS process over UNIX-domain sockets, with
   /// `socket` supplying the wall-clock deadlines and heartbeat knobs. The

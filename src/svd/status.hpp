@@ -62,7 +62,7 @@ struct ScaleStats {
 ScaleStats scan_scale(const Matrix& a) noexcept;
 
 /// Quality diagnostics attached to an SvdResult. The cheap fields (scale
-/// stats, equilibration, stall/watchdog counters) are always filled in; the
+/// stats, equilibration, stall counter) are always filled in; the
 /// heavy ones (residual and defects, an extra O(mn^2) of work) are computed
 /// whenever the run did not converge, or on request via
 /// JacobiOptions::full_diagnostics — a value of -1 means "not computed".
@@ -70,7 +70,6 @@ struct SvdDiagnostics {
   ScaleStats input_scale;        ///< dynamic range of the engine input
   bool equilibrated = false;     ///< whether the pre-pass rescaled the input
   int equilibration_exponent = 0;  ///< a was scaled by 2^exponent internally
-  std::size_t watchdog_trips = 0;  ///< forced norm re-reductions (engine-level)
   int stalled_sweeps = 0;        ///< trailing sweeps with non-decreasing activity
   double scaled_residual = -1.0; ///< ||A - U diag(sigma) V^T||_F / ||A||_F
   double u_defect = -1.0;        ///< max |u_i.u_j - delta_ij| over kept columns

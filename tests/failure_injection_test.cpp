@@ -163,9 +163,6 @@ TEST(FailureInjection, RecoveryGuardChecks) {
   EXPECT_THROW(require_finite_columns(a, "engine"), std::invalid_argument);
   const std::vector<double> poisoned = {1.0, std::numeric_limits<double>::infinity()};
   EXPECT_THROW(require_finite_payload(poisoned, 3, "engine"), std::invalid_argument);
-  EXPECT_FALSE(cached_norm_plausible(std::numeric_limits<double>::quiet_NaN()));
-  EXPECT_FALSE(cached_norm_plausible(-1.0));
-  EXPECT_TRUE(cached_norm_plausible(0.0));
 }
 
 TEST(FailureInjection, GeneratorChecks) {

@@ -79,13 +79,9 @@ TEST_P(DispatchTierTest, TableIsFullyPopulatedAndLabelled) {
   EXPECT_NE(t.rotate_and_norms, nullptr);
   EXPECT_NE(t.rotate_and_norms_swapped, nullptr);
   EXPECT_NE(t.gemm_micro, nullptr);
-  EXPECT_NE(t.batched_dot, nullptr);
-  EXPECT_NE(t.batched_sumsq, nullptr);
   EXPECT_NE(t.batched_gram_pair, nullptr);
-  EXPECT_NE(t.batched_rotate_and_norms, nullptr);
   EXPECT_NE(t.batched_apply_rotation, nullptr);
   EXPECT_NE(t.batched_compute_rotation, nullptr);
-  EXPECT_NE(t.batched_drift_gate, nullptr);
 }
 
 TEST_P(DispatchTierTest, DotSumsqAxpyBitwiseMatchRef) {
@@ -185,19 +181,6 @@ TEST_P(DispatchTierTest, BatchedReductionsBitwiseMatchRef) {
       fill(rng, x);
       fill(rng, y);
 
-      std::vector<double> out_simd(w, -1), out_ref(w, -1);
-      t.batched_dot(x.data(), y.data(), m, w, out_simd.data());
-      batched_dot_ref(x.data(), y.data(), m, w, out_ref.data());
-      for (std::size_t b = 0; b < w; ++b) {
-        ASSERT_TRUE(BitEq(out_simd[b], out_ref[b])) << "dot w=" << w << " m=" << m << " b=" << b;
-      }
-
-      t.batched_sumsq(x.data(), m, w, out_simd.data());
-      batched_sumsq_ref(x.data(), m, w, out_ref.data());
-      for (std::size_t b = 0; b < w; ++b) {
-        ASSERT_TRUE(BitEq(out_simd[b], out_ref[b])) << "sumsq w=" << w << " m=" << m << " b=" << b;
-      }
-
       std::vector<double> app_s(w), aqq_s(w), apq_s(w), app_r(w), aqq_r(w), apq_r(w);
       t.batched_gram_pair(x.data(), y.data(), m, w, app_s.data(), aqq_s.data(), apq_s.data());
       batched_gram_pair_ref(x.data(), y.data(), m, w, app_r.data(), aqq_r.data(), apq_r.data());
@@ -229,22 +212,6 @@ TEST_P(DispatchTierTest, BatchedRotationsBitwiseMatchRef) {
       }
 
       std::vector<double> xs = x0, ys = y0, xr = x0, yr = y0;
-      std::vector<double> app_s(w, -1), aqq_s(w, -1), app_r(w, -1), aqq_r(w, -1);
-      t.batched_rotate_and_norms(xs.data(), ys.data(), m, w, c.data(), s.data(), rotate.data(),
-                                 swap_lanes.data(), app_s.data(), aqq_s.data());
-      batched_rotate_and_norms_ref(xr.data(), yr.data(), m, w, c.data(), s.data(), rotate.data(),
-                                   swap_lanes.data(), app_r.data(), aqq_r.data());
-      for (std::size_t i = 0; i < m * w; ++i) {
-        ASSERT_TRUE(BitEq(xs[i], xr[i])) << "rnorm x w=" << w << " m=" << m << " i=" << i;
-        ASSERT_TRUE(BitEq(ys[i], yr[i])) << "rnorm y w=" << w << " m=" << m << " i=" << i;
-      }
-      for (std::size_t b = 0; b < w; ++b) {
-        if (!rotate[b]) continue;  // masked-off lanes' norm outputs are unspecified
-        ASSERT_TRUE(BitEq(app_s[b], app_r[b])) << "rnorm app w=" << w << " m=" << m << " b=" << b;
-        ASSERT_TRUE(BitEq(aqq_s[b], aqq_r[b])) << "rnorm aqq w=" << w << " m=" << m << " b=" << b;
-      }
-
-      xs = x0, ys = y0, xr = x0, yr = y0;
       t.batched_apply_rotation(xs.data(), ys.data(), m, w, c.data(), s.data(), rotate.data(),
                                swap_lanes.data());
       batched_apply_rotation_ref(xr.data(), yr.data(), m, w, c.data(), s.data(), rotate.data(),
@@ -261,7 +228,6 @@ TEST_P(DispatchTierTest, BatchedDecisionKernelsBitwiseMatchScalar) {
   const KernelTable& t = table();
   std::mt19937_64 rng(0x5eed0007);
   const double tol = 1e-13;
-  const double guard = 8.0;
   for (std::size_t w : {std::size_t{4}, std::size_t{8}, std::size_t{16}}) {
     std::vector<double> app(w), aqq(w), apq(w);
     std::uniform_real_distribution<double> pos(1e-6, 4.0);
@@ -283,14 +249,6 @@ TEST_P(DispatchTierTest, BatchedDecisionKernelsBitwiseMatchScalar) {
       ASSERT_TRUE(BitEq(c_s[b], c_r[b])) << "rot c w=" << w << " b=" << b;
       ASSERT_TRUE(BitEq(s_s[b], s_r[b])) << "rot s w=" << w << " b=" << b;
       ASSERT_EQ(id_s[b] != 0, id_r[b] != 0) << "rot id w=" << w << " b=" << b;
-    }
-
-    std::vector<std::uint8_t> near_s(w, 9), near_r(w, 9);
-    t.batched_drift_gate(app.data(), aqq.data(), apq.data(), w, tol, guard, near_s.data());
-    detail::batched_drift_gate_scalar(app.data(), aqq.data(), apq.data(), w, tol, guard,
-                                      near_r.data());
-    for (std::size_t b = 0; b < w; ++b) {
-      ASSERT_EQ(near_s[b] != 0, near_r[b] != 0) << "gate w=" << w << " b=" << b;
     }
   }
 }

@@ -47,8 +47,8 @@ void expect_bitwise_sequential(const std::vector<Matrix>& inputs,
     EXPECT_EQ(batched[b].rotations, ref.rotations) << "lane " << b;
     EXPECT_EQ(batched[b].swaps, ref.swaps) << "lane " << b;
     EXPECT_EQ(batched[b].kernel_stats.pairs, ref.kernel_stats.pairs) << "lane " << b;
-    EXPECT_EQ(batched[b].kernel_stats.dot_passes, ref.kernel_stats.dot_passes) << "lane " << b;
-    EXPECT_EQ(batched[b].kernel_stats.norm_refreshes, ref.kernel_stats.norm_refreshes)
+    EXPECT_EQ(batched[b].kernel_stats.gram_passes, ref.kernel_stats.gram_passes) << "lane " << b;
+    EXPECT_EQ(batched[b].kernel_stats.rotate_passes, ref.kernel_stats.rotate_passes)
         << "lane " << b;
   }
 }
@@ -129,10 +129,11 @@ TEST(BatchedSvd, SimdAndReferenceKernelsAgreeBitwise) {
 }
 
 TEST(BatchedSvd, UncachedPathMatchesSequential) {
+  // The batched engine keeps no column norms: every pair is one fresh
+  // gram_pair pass per lane, as in the sequential driver.
   const OrderingPtr ord = make_ordering("round-robin");
   const auto inputs = gaussian_batch(8, 8, 6, 4242);
   BatchedSvdOptions opt;
-  opt.jacobi.cache_norms = false;
   BatchedSvd engine(8, 6, *ord, opt);
   const auto results = engine.solve({inputs.data(), inputs.size()});
   expect_bitwise_sequential(inputs, results, *ord, opt.jacobi);
@@ -159,7 +160,7 @@ TEST(BatchedSvd, ShardArenasAreReusedAcrossSolves) {
   const std::size_t cap = engine.capacity();
   EXPECT_GE(cap, 10u);
   // Two different batches through the same arenas: packing must fully reset
-  // lane state (a stale active flag or cache entry would corrupt run 2).
+  // lane state (a stale active flag or counter would corrupt run 2).
   const auto first = gaussian_batch(10, 8, 6, 1);
   const auto second = gaussian_batch(10, 8, 6, 2);
   (void)engine.solve({first.data(), first.size()});
@@ -218,17 +219,16 @@ TEST(BatchedKernels, DotSumsqGramMatchScalarBitwise) {
       }
     const auto x = to_soa(xs);
     const auto y = to_soa(ys);
-    std::vector<double> d(w);
-    std::vector<double> sq(w);
     std::vector<double> app(w);
     std::vector<double> aqq(w);
     std::vector<double> apq(w);
-    batched_dot(x.data(), y.data(), m, w, d.data());
-    batched_sumsq(x.data(), m, w, sq.data());
     batched_gram_pair(x.data(), y.data(), m, w, app.data(), aqq.data(), apq.data());
     for (std::size_t b = 0; b < w; ++b) {
-      EXPECT_EQ(d[b], dot(xs[b], ys[b])) << "w=" << w << " lane " << b;
-      EXPECT_EQ(sq[b], sumsq(xs[b])) << "w=" << w << " lane " << b;
+      // Each Gram element runs the scalar reductions' chain: apq is dot,
+      // app and aqq are sumsq, bit for bit.
+      EXPECT_EQ(apq[b], dot(xs[b], ys[b])) << "w=" << w << " lane " << b;
+      EXPECT_EQ(app[b], sumsq(xs[b])) << "w=" << w << " lane " << b;
+      EXPECT_EQ(aqq[b], sumsq(ys[b])) << "w=" << w << " lane " << b;
       const GramPair g = gram_pair(xs[b], ys[b]);
       EXPECT_EQ(app[b], g.app) << "w=" << w << " lane " << b;
       EXPECT_EQ(aqq[b], g.aqq) << "w=" << w << " lane " << b;
@@ -260,23 +260,22 @@ TEST(BatchedKernels, MaskedLanesKeepNegativeZeroAndDenormals) {
   const double s[w] = {0.6, -0.8, 0.0, 0.8};
   const std::uint8_t rot[w] = {1, 1, 0, 1};
   const std::uint8_t swp[w] = {0, 1, 0, 0};
-  std::vector<double> app(w);
-  std::vector<double> aqq(w);
-  batched_rotate_and_norms(x.data(), y.data(), m, w, c, s, rot, swp, app.data(), aqq.data());
+  batched_apply_rotation(x.data(), y.data(), m, w, c, s, rot, swp);
   for (std::size_t i = 0; i < m; ++i) {
     // Bit-level comparison: EXPECT_EQ(-0.0, 0.0) would pass, memcmp won't.
     EXPECT_EQ(std::memcmp(&x[i * w + 2], &x_before[i * w + 2], sizeof(double)), 0) << i;
     EXPECT_EQ(std::memcmp(&y[i * w + 2], &y_before[i * w + 2], sizeof(double)), 0) << i;
   }
-  // Rotated lanes match the scalar fused kernel bitwise.
+  // Rotated lanes match the scalar rotation bitwise.
   for (std::size_t b = 0; b < w; ++b) {
     if (rot[b] == 0) continue;
     auto sx = xs[b];
     auto sy = ys[b];
-    const RotatedNorms rn = swp[b] != 0 ? rotate_and_norms_swapped(sx, sy, c[b], s[b])
-                                        : rotate_and_norms(sx, sy, c[b], s[b]);
-    EXPECT_EQ(app[b], rn.app) << "lane " << b;
-    EXPECT_EQ(aqq[b], rn.aqq) << "lane " << b;
+    if (swp[b] != 0) {
+      apply_rotation_swapped(sx, sy, c[b], s[b]);
+    } else {
+      apply_rotation(sx, sy, c[b], s[b]);
+    }
     for (std::size_t i = 0; i < m; ++i) {
       EXPECT_EQ(x[i * w + b], sx[i]) << "lane " << b << " row " << i;
       EXPECT_EQ(y[i * w + b], sy[i]) << "lane " << b << " row " << i;
@@ -292,14 +291,11 @@ TEST(BatchedKernels, RefFormsMatchVectorizedForms) {
   std::vector<double> y(m * w);
   for (double& v : x) v = rng.normal();
   for (double& v : y) v = rng.normal();
-  std::vector<double> a1(w);
-  std::vector<double> a2(w);
-  batched_dot(x.data(), y.data(), m, w, a1.data());
-  batched_dot_ref(x.data(), y.data(), m, w, a2.data());
-  EXPECT_EQ(a1, a2);
-  batched_sumsq(x.data(), m, w, a1.data());
-  batched_sumsq_ref(x.data(), m, w, a2.data());
-  EXPECT_EQ(a1, a2);
+  std::vector<double> g1(3 * w);
+  std::vector<double> g2(3 * w);
+  batched_gram_pair(x.data(), y.data(), m, w, g1.data(), g1.data() + w, g1.data() + 2 * w);
+  batched_gram_pair_ref(x.data(), y.data(), m, w, g2.data(), g2.data() + w, g2.data() + 2 * w);
+  EXPECT_EQ(g1, g2);
   double c[8];
   double s[8];
   std::uint8_t rot[8];
@@ -315,24 +311,6 @@ TEST(BatchedKernels, RefFormsMatchVectorizedForms) {
   auto yv = y;
   auto xr = x;
   auto yr = y;
-  std::vector<double> app1(w);
-  std::vector<double> aqq1(w);
-  std::vector<double> app2(w);
-  std::vector<double> aqq2(w);
-  batched_rotate_and_norms(xv.data(), yv.data(), m, w, c, s, rot, swp, app1.data(), aqq1.data());
-  batched_rotate_and_norms_ref(xr.data(), yr.data(), m, w, c, s, rot, swp, app2.data(),
-                               aqq2.data());
-  EXPECT_EQ(xv, xr);
-  EXPECT_EQ(yv, yr);
-  for (std::size_t b = 0; b < w; ++b) {
-    if (rot[b] == 0) continue;
-    EXPECT_EQ(app1[b], app2[b]) << b;
-    EXPECT_EQ(aqq1[b], aqq2[b]) << b;
-  }
-  xv = x;
-  yv = y;
-  xr = x;
-  yr = y;
   batched_apply_rotation(xv.data(), yv.data(), m, w, c, s, rot, swp);
   batched_apply_rotation_ref(xr.data(), yr.data(), m, w, c, s, rot, swp);
   EXPECT_EQ(xv, xr);

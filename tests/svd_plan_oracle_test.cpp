@@ -8,7 +8,7 @@
 // Because one-sided rotations of disjoint columns commute exactly, every
 // plan-driven driver must reproduce it bit for bit: the serial driver, the
 // phase-parallel threaded driver at every thread count, and every lane of the
-// batched engine, on every ordering, ISA tier and norm mode.
+// batched engine, on every ordering and ISA tier.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -47,13 +47,10 @@ SvdResult step_major_reference(const Matrix& a, const Ordering& ordering,
   std::vector<int> layout(static_cast<std::size_t>(padded_n));
   std::iota(layout.begin(), layout.end(), 0);
 
-  NormCache cache;
-  if (options.cache_norms) cache.refresh(h);
-  KernelCounters plain_counters;
+  KernelCounters counters;
 
   SvdResult r;
   for (int sweep = 0; sweep < options.max_sweeps; ++sweep) {
-    detail::maybe_refresh(&cache, h, sweep, options);
     const Sweep s = ordering.sweep_from(layout, sweep);
     std::size_t sweep_rot = 0;
     std::size_t sweep_swap = 0;
@@ -64,9 +61,7 @@ SvdResult step_major_reference(const Matrix& a, const Ordering& ordering,
         const IndexPair p = pairs.at(k);
         const int i = std::min(p.even, p.odd);
         const int j = std::max(p.even, p.odd);
-        const detail::PairOutcome o = options.cache_norms
-                                          ? kernel.process_cached(h, vp, i, j, cache)
-                                          : kernel.process(h, vp, i, j, &plain_counters);
+        const detail::PairOutcome o = kernel.process(h, vp, i, j, &counters);
         sweep_rot += o.rotated ? 1 : 0;
         sweep_swap += o.swapped ? 1 : 0;
       }
@@ -80,11 +75,9 @@ SvdResult step_major_reference(const Matrix& a, const Ordering& ordering,
       r.converged = true;
       break;
     }
-    if (guards.observe(static_cast<double>(sweep_rot + sweep_swap)) && options.cache_norms)
-      cache.refresh(h);
+    guards.stall.observe(static_cast<double>(sweep_rot + sweep_swap));
   }
-  r.kernel_stats =
-      options.cache_norms ? cache.counters().snapshot() : plain_counters.snapshot();
+  r.kernel_stats = counters.snapshot();
   r.kernel_stats.isa_tier = static_cast<int>(kernel.tier());
   return detail::finalize(std::move(h), std::move(v), a, options, guards, std::move(r));
 }
@@ -109,34 +102,31 @@ TEST_P(PlanOracle, DriversMatchStepMajorReference) {
   std::vector<Matrix> inputs;
   for (int b = 0; b < 3; ++b) inputs.push_back(random_gaussian(shape.rows, shape.cols, rng));
 
-  for (const bool cache_norms : {true, false}) {
-    for (const IsaTier tier : {IsaTier::kBaseline, IsaTier::kAvx2, IsaTier::kAvx512}) {
-      if (!isa_supported(tier)) continue;
-      SCOPED_TRACE(std::string("cache_norms=") + (cache_norms ? "on" : "off") +
-                   " tier=" + isa_name(tier));
-      JacobiOptions opt;
-      opt.cache_norms = cache_norms;
-      opt.force_isa = static_cast<int>(tier);
+  for (const IsaTier tier : {IsaTier::kBaseline, IsaTier::kAvx2, IsaTier::kAvx512}) {
+    if (!isa_supported(tier)) continue;
+    SCOPED_TRACE(std::string("tier=") + isa_name(tier));
+    JacobiOptions opt;
+    opt.force_isa = static_cast<int>(tier);
 
-      std::vector<std::uint64_t> want;
-      for (const Matrix& a : inputs) want.push_back(result_core_digest(step_major_reference(a, *ord, opt)));
+    std::vector<std::uint64_t> want;
+    for (const Matrix& a : inputs)
+      want.push_back(result_core_digest(step_major_reference(a, *ord, opt)));
 
-      EXPECT_EQ(result_core_digest(one_sided_jacobi(inputs[0], *ord, opt)), want[0])
-          << "one_sided_jacobi";
-      // 1 thread runs the depth-0 plan, 2 threads depth 2, 3 and 4 threads
-      // depth 3 (two subtrees per thread).
-      for (const unsigned threads : {1U, 2U, 3U, 4U})
-        EXPECT_EQ(result_core_digest(one_sided_jacobi_threaded(inputs[0], *ord, opt, threads)),
-                  want[0])
-            << "one_sided_jacobi_threaded, " << threads << " threads";
+    EXPECT_EQ(result_core_digest(one_sided_jacobi(inputs[0], *ord, opt)), want[0])
+        << "one_sided_jacobi";
+    // 1 thread runs the depth-0 plan, 2 threads depth 2, 3 and 4 threads
+    // depth 3 (two subtrees per thread).
+    for (const unsigned threads : {1U, 2U, 3U, 4U})
+      EXPECT_EQ(result_core_digest(one_sided_jacobi_threaded(inputs[0], *ord, opt, threads)),
+                want[0])
+          << "one_sided_jacobi_threaded, " << threads << " threads";
 
-      BatchedSvdOptions bopt;
-      bopt.jacobi = opt;
-      BatchedSvd engine(shape.rows, shape.cols, *ord, bopt);
-      const std::vector<SvdResult> lanes = engine.solve(inputs);
-      for (std::size_t b = 0; b < lanes.size(); ++b)
-        EXPECT_EQ(result_core_digest(lanes[b]), want[b]) << "BatchedSvd lane " << b;
-    }
+    BatchedSvdOptions bopt;
+    bopt.jacobi = opt;
+    BatchedSvd engine(shape.rows, shape.cols, *ord, bopt);
+    const std::vector<SvdResult> lanes = engine.solve(inputs);
+    for (std::size_t b = 0; b < lanes.size(); ++b)
+      EXPECT_EQ(result_core_digest(lanes[b]), want[b]) << "BatchedSvd lane " << b;
   }
 }
 

@@ -9,6 +9,7 @@
 #include "linalg/generators.hpp"
 #include "linalg/symmetric_eigen.hpp"
 #include "svd/jacobi.hpp"
+#include "util/thread_pool.hpp"
 
 namespace treesvd {
 namespace {
@@ -177,6 +178,18 @@ TEST(Svd, ThreadedMatchesSerialBitwise) {
   EXPECT_EQ(serial.sweeps, threaded.sweeps);
   EXPECT_EQ(serial.u, threaded.u);
   EXPECT_EQ(serial.v, threaded.v);
+}
+
+TEST(Svd, OffDiagonalMeasurePoolMatchesSerial) {
+  // The track_off measure spreads its O(n^2 m) pair products over a pool in
+  // the threaded driver; it must agree with the serial form.
+  Rng rng(149);
+  const Matrix a = random_gaussian(40, 12, rng);
+  const double serial = off_diagonal_measure(a);
+  ThreadPool pool(3);
+  const double with_pool = off_diagonal_measure(a, &pool);
+  EXPECT_GT(serial, 0.0);
+  EXPECT_NEAR(with_pool, serial, 1e-12 * (1.0 + serial));
 }
 
 TEST(Svd, NoVComputationWhenDisabled) {

@@ -11,8 +11,11 @@
 #include "core/registry.hpp"
 #include "linalg/generators.hpp"
 #include "linalg/symmetric_eigen.hpp"
+#include "sim/distributed.hpp"
+#include "svd/batch.hpp"
 #include "svd/block_jacobi.hpp"
 #include "svd/preconditioned.hpp"
+#include "svd/spmd.hpp"
 
 namespace treesvd {
 namespace {
@@ -166,9 +169,9 @@ TEST(BlockJacobiGram, CountersShowOneGramOnePairOfAppliesPerEncounter) {
 }
 
 TEST(BlockJacobiGram, ElementwiseCountersUnchangedFromPairKernelLayer) {
-  // The retained elementwise path must still drive the cached pair kernel:
-  // one dot pass per pair, no gram passes, and none of the Gram-path
-  // counters may tick.
+  // The retained elementwise path must still drive the pair kernel: one
+  // gram pass per pair, no dot passes, and none of the Gram-path counters
+  // may tick.
   Rng rng(822);
   const Matrix a = random_gaussian(48, 24, rng);
   BlockJacobiOptions opt;
@@ -177,25 +180,39 @@ TEST(BlockJacobiGram, ElementwiseCountersUnchangedFromPairKernelLayer) {
   const SvdResult r = block_one_sided_jacobi(a, *make_ordering("round-robin"), opt);
   ASSERT_TRUE(r.converged);
   EXPECT_GT(r.kernel_stats.pairs, 0u);
-  EXPECT_EQ(r.kernel_stats.dot_passes, r.kernel_stats.pairs);
+  EXPECT_EQ(r.kernel_stats.gram_passes, r.kernel_stats.pairs);
+  EXPECT_EQ(r.kernel_stats.dot_passes, 0u);
   EXPECT_EQ(r.kernel_stats.gram_builds, 0u);
   EXPECT_EQ(r.kernel_stats.accum_rotations, 0u);
   EXPECT_EQ(r.kernel_stats.blocked_applies, 0u);
 }
 
-TEST(BlockJacobiGram, CacheNormsOffStillAgrees) {
-  Rng rng(823);
-  const Matrix a = random_gaussian(64, 24, rng);
-  BlockJacobiOptions with_cache;
-  with_cache.block_width = 4;
-  BlockJacobiOptions no_cache = with_cache;
-  no_cache.cache_norms = false;
-  const SvdResult rc = block_one_sided_jacobi(a, *make_ordering("fat-tree"), with_cache);
-  const SvdResult ru = block_one_sided_jacobi(a, *make_ordering("fat-tree"), no_cache);
-  ASSERT_TRUE(rc.converged);
-  ASSERT_TRUE(ru.converged);
-  for (std::size_t k = 0; k < rc.sigma.size(); ++k)
-    EXPECT_NEAR(rc.sigma[k], ru.sigma[k], 1e-12 * rc.sigma[0]);
+TEST(PairKernel, EveryEngineMakesOneGramPassPerPair) {
+  // Every engine handles a column pair the same way: one fresh gram_pair
+  // pass, then the decision, then the rotation. No engine keeps column
+  // norms, so no dot pass or norm re-reduction is ever counted.
+  Rng rng(103);
+  const Matrix a = random_gaussian(32, 16, rng);
+  const auto ord = make_ordering("round-robin");
+  std::vector<std::pair<std::string, KernelStats>> runs;
+  runs.emplace_back("serial", one_sided_jacobi(a, *ord).kernel_stats);
+  runs.emplace_back("threaded", one_sided_jacobi_threaded(a, *ord, {}, 3).kernel_stats);
+  runs.emplace_back("cyclic", cyclic_jacobi(a).kernel_stats);
+  BlockJacobiOptions elementwise;
+  elementwise.inner_mode = InnerMode::kElementwise;
+  runs.emplace_back("block kElementwise",
+                    block_one_sided_jacobi(a, *ord, elementwise).kernel_stats);
+  BatchedSvd batched(a.rows(), a.cols(), *ord);
+  runs.emplace_back("batched", batched.solve({&a, 1})[0].kernel_stats);
+  runs.emplace_back("spmd", spmd_jacobi(a, *ord).kernel_stats);
+  const FatTreeTopology topo(8, CapacityProfile::kCm5);
+  runs.emplace_back("distributed", distributed_jacobi(a, *ord, topo).svd.kernel_stats);
+  for (const auto& [engine, ks] : runs) {
+    EXPECT_GT(ks.pairs, 0u) << engine;
+    EXPECT_EQ(ks.gram_passes, ks.pairs) << engine;
+    EXPECT_EQ(ks.dot_passes, 0u) << engine;
+    EXPECT_EQ(ks.norm_refreshes, 0u) << engine;
+  }
 }
 
 TEST(BlockJacobiBlockCount, NonPowerOfTwoAndPaddedWidthsConverge) {

@@ -6,10 +6,12 @@
 #include <cstdint>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "util/cli.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
@@ -84,6 +86,18 @@ TEST(Rng, BelowZeroAndOne) {
   Rng r(5);
   EXPECT_EQ(r.below(0), 0u);
   EXPECT_EQ(r.below(1), 0u);
+}
+
+TEST(Json, EscapeCoversQuotesBackslashesAndControlBytes) {
+  EXPECT_EQ(json_escape("plain text, UTF-8 \xc3\xa9"), "plain text, UTF-8 \xc3\xa9");
+  EXPECT_EQ(json_escape("say \"hi\""), "say \\\"hi\\\"");
+  EXPECT_EQ(json_escape("a\\b"), "a\\\\b");
+  EXPECT_EQ(json_escape("line\nnext"), "line\\nnext");
+  EXPECT_EQ(json_escape("cr\r"), "cr\\r");
+  EXPECT_EQ(json_escape("tab\t"), "tab\\t");
+  EXPECT_EQ(json_escape("soh\x01"), "soh\\u0001");
+  EXPECT_EQ(json_escape(std::string("nul\0us\x1f", 7)), "nul\\u0000us\\u001f");
+  EXPECT_EQ(json_escape(""), "");
 }
 
 TEST(Table, FormatsAlignedColumns) {

@@ -36,6 +36,7 @@
 #include "linalg/generators.hpp"
 #include "svd/spmd.hpp"
 #include "util/cli.hpp"
+#include "util/json.hpp"
 
 namespace treesvd::chaos {
 namespace {
@@ -60,22 +61,6 @@ std::string first_divergence(const SvdResult& got, const SvdResult& want) {
   return {};
 }
 
-std::string json_escape(const std::string& in) {
-  std::string out;
-  out.reserve(in.size());
-  for (const char c : in) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
-
 std::string recovery_json(const mp::RecoveryStats& s) {
   std::ostringstream os;
   os << "{\"drops_seen\": " << s.drops_seen
@@ -86,9 +71,7 @@ std::string recovery_json(const mp::RecoveryStats& s) {
      << ", \"duplicates_suppressed\": " << s.duplicates_suppressed
      << ", \"retries\": " << s.retries << ", \"resends\": " << s.resends
      << ", \"virtual_backoff\": " << s.virtual_backoff
-     << ", \"checkpoints\": " << s.checkpoints << ", \"rollbacks\": " << s.rollbacks
-     << ", \"watchdog_trips\": " << s.watchdog_trips
-     << ", \"norm_rereductions\": " << s.norm_rereductions << "}";
+     << ", \"checkpoints\": " << s.checkpoints << ", \"rollbacks\": " << s.rollbacks << "}";
   return os.str();
 }
 

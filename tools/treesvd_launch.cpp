@@ -36,6 +36,7 @@
 #include "svd/determinism.hpp"
 #include "svd/spmd.hpp"
 #include "util/cli.hpp"
+#include "util/json.hpp"
 
 namespace treesvd::launch {
 namespace {
@@ -56,22 +57,6 @@ std::string first_divergence(const SvdResult& got, const SvdResult& want) {
   if (result_digest(got) != result_digest(want))
     return "kernel pass counters differ (full digest)";
   return {};
-}
-
-std::string json_escape(const std::string& in) {
-  std::string out;
-  out.reserve(in.size());
-  for (const char c : in) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
 }
 
 std::string hex64(std::uint64_t v) {

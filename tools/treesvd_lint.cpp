@@ -49,6 +49,7 @@
 #include "core/round_robin.hpp"
 #include "core/validate.hpp"
 #include "util/cli.hpp"
+#include "util/json.hpp"
 
 namespace treesvd::lint {
 namespace {
@@ -353,22 +354,6 @@ CaseReport run_case(const std::string& display_name, const Ordering& ord, int n,
     add("rr-equivalence", check_rr_equivalence(s, n));
   }
   return report;
-}
-
-std::string json_escape(const std::string& in) {
-  std::string out;
-  out.reserve(in.size());
-  for (const char c : in) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
 }
 
 std::string to_json(const std::vector<CaseReport>& reports, int min_n, int max_n,

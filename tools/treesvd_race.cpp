@@ -5,7 +5,7 @@
 //
 //  * Race detection: a vector-clock tracker (analysis/hb.hpp) receives
 //    fork/join, message and barrier edges from the instrumented runtime and
-//    checks every annotated shared access (NormCache columns, kernel/recovery
+//    checks every annotated shared access (each pair's H columns, kernel/recovery
 //    counters, GEMM reduction buffers, SPMD checkpoint ring). A race is two
 //    conflicting accesses with no happens-before path — reported with both
 //    access stacks, independent of how the host actually interleaved them.
@@ -61,6 +61,7 @@ int main() {
 #include "svd/jacobi.hpp"
 #include "svd/spmd.hpp"
 #include "util/cli.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -71,30 +72,6 @@ struct Engine {
   std::string name;
   std::function<SvdResult(const Matrix&, const Ordering&, const JacobiOptions&)> run;
 };
-
-/// Mirrors the drivers' padding search (the torture harness idiom): can the
-/// ordering schedule n columns, padded up to the drivers' 2n+4 limit?
-bool schedulable(const Ordering& ord, int n) {
-  for (int w = n; w <= 2 * n + 4; ++w)
-    if (ord.supports(w)) return true;
-  return false;
-}
-
-std::string json_escape(const std::string& in) {
-  std::string out;
-  out.reserve(in.size());
-  for (const char c : in) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
 
 std::string hex(std::uint64_t v) {
   std::ostringstream os;
@@ -369,7 +346,7 @@ int main(int argc, const char* const* argv) {
     if (!wanted) continue;
     for (const std::string& oname : onames) {
       const OrderingPtr ordering = make_ordering(oname);
-      if (!schedulable(*ordering, n)) continue;
+      if (padded_width(*ordering, n) == 0) continue;  // the drivers' padding search
       RunReport rep = explore(eng, oname, a, opt, schedules, base_seed);
       pass = pass && rep.ok;
       std::cerr << (rep.ok ? "ok   " : "FAIL ") << eng.name << " x " << oname;

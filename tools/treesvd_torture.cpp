@@ -45,6 +45,7 @@
 #include "svd/preconditioned.hpp"
 #include "svd/spmd.hpp"
 #include "util/cli.hpp"
+#include "util/json.hpp"
 
 namespace treesvd::torture {
 namespace {
@@ -81,14 +82,6 @@ struct Engine {
   int unit_width = 1;
   Outcome (*run)(const Matrix&, const Ordering&, EquilibrateMode, int max_sweeps);
 };
-
-/// Mirrors the drivers' padding search: can `ord` schedule `units` work
-/// units, padded up to the drivers' shared 2*units+4 limit?
-bool schedulable(const Ordering& ord, int units) {
-  for (int w = units; w <= 2 * units + 4; ++w)
-    if (ord.supports(w)) return true;
-  return false;
-}
 
 JacobiOptions jacobi_options(EquilibrateMode mode, int max_sweeps) {
   JacobiOptions opt;
@@ -174,22 +167,6 @@ double scaled_sigma_error(std::vector<double> got, std::vector<double> ref) {
   return err;
 }
 
-std::string json_escape(const std::string& in) {
-  std::string out;
-  out.reserve(in.size());
-  for (const char c : in) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
-
 struct RunReport {
   std::string kase;
   std::string engine;
@@ -238,7 +215,8 @@ int main(int argc, const char* const* argv) {
       if (eng.name == "cyclic" && oname != "round-robin") continue;  // ordering-free
       const OrderingPtr ordering = make_ordering(oname);
       if (eng.needs_exact_width && !ordering->supports(n)) continue;
-      if (!schedulable(*ordering, (n + eng.unit_width - 1) / eng.unit_width)) continue;
+      // The drivers' padding search over the engine's work units.
+      if (padded_width(*ordering, (n + eng.unit_width - 1) / eng.unit_width) == 0) continue;
       for (const TortureCase& tc : suite) {
         if (eng.square_only && tc.a.rows() != tc.a.cols()) continue;
         RunReport rep;
