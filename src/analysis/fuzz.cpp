@@ -7,11 +7,6 @@ namespace {
 
 std::atomic<ScheduleFuzzer*> g_fuzzer{nullptr};
 
-/// Uniform draw in [0, 1) from a hash (the mp/fault idiom: 53 mantissa bits).
-double unit(std::uint64_t h) noexcept {
-  return static_cast<double>(h >> 11) * 0x1.0p-53;
-}
-
 }  // namespace
 
 void ScheduleFuzzer::perturb(std::uint64_t kind, std::uint64_t a, std::uint64_t b,
@@ -21,7 +16,7 @@ void ScheduleFuzzer::perturb(std::uint64_t kind, std::uint64_t a, std::uint64_t 
   h = mix64(h ^ a);
   h = mix64(h ^ b);
   h = mix64(h ^ c);
-  if (unit(h) >= plan_.yield_prob || plan_.max_yields <= 0) return;
+  if (unit_interval(h) >= plan_.yield_prob || plan_.max_yields <= 0) return;
   const int n = 1 + static_cast<int>(mix64(h) % static_cast<std::uint64_t>(plan_.max_yields));
   for (int i = 0; i < n; ++i) {
     yields_.fetch_add(1, std::memory_order_relaxed);

@@ -32,13 +32,20 @@ inline constexpr std::uint64_t kFuzzMpSend = 2;     ///< before a transport send
 inline constexpr std::uint64_t kFuzzMpRecv = 3;     ///< before a transport recv
 inline constexpr std::uint64_t kFuzzMpSync = 4;     ///< before barrier/allreduce
 
-/// splitmix64 finalizer — the repo's standard deterministic hash
-/// (mp/fault.cpp uses the same constants for fault decisions).
+/// splitmix64 finalizer — the repo's one deterministic hash: schedule
+/// fuzzing, message faults (mp/fault.cpp), serve chaos (svd/serve.cpp) and
+/// Rng seeding (util/rng.cpp) all draw from it. mix64(0) is the first
+/// output of SplitMix64 seeded with 0.
 constexpr std::uint64_t mix64(std::uint64_t x) noexcept {
   x += 0x9e3779b97f4a7c15ULL;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
   return x ^ (x >> 31);
+}
+
+/// Uniform double in [0, 1) from the 53 high bits of a hash or draw.
+constexpr double unit_interval(std::uint64_t h) noexcept {
+  return static_cast<double>(h >> 11) * 0x1.0p-53;
 }
 
 struct FuzzPlan {

@@ -4,32 +4,26 @@
 #include <cstring>
 #include <limits>
 
+#include "analysis/fuzz.hpp"
+
 namespace treesvd::mp {
 namespace {
 
-/// splitmix64 finalizer — the same mixer util::Rng seeds through, used here
-/// directly so a decision needs no generator state at all.
-std::uint64_t mix(std::uint64_t z) noexcept {
-  z += 0x9e3779b97f4a7c15ULL;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
+using analysis::mix64;
+using analysis::unit_interval;
 
-/// Hash of one message identity under the plan seed. `salt` separates the
+/// Hash of one message identity under the plan seed (splitmix64, so a
+/// decision needs no generator state at all). `salt` separates the
 /// independent decision streams (action, corruption site, resend attempts).
 std::uint64_t identity_hash(std::uint64_t seed, int src, int dst, std::uint64_t tag,
                             std::uint64_t seq, std::uint64_t salt) noexcept {
-  std::uint64_t h = mix(seed ^ salt);
-  h = mix(h ^ static_cast<std::uint64_t>(static_cast<std::uint32_t>(src)));
-  h = mix(h ^ (static_cast<std::uint64_t>(static_cast<std::uint32_t>(dst)) << 32));
-  h = mix(h ^ tag);
-  h = mix(h ^ seq);
+  std::uint64_t h = mix64(seed ^ salt);
+  h = mix64(h ^ static_cast<std::uint64_t>(static_cast<std::uint32_t>(src)));
+  h = mix64(h ^ (static_cast<std::uint64_t>(static_cast<std::uint32_t>(dst)) << 32));
+  h = mix64(h ^ tag);
+  h = mix64(h ^ seq);
   return h;
 }
-
-/// Uniform double in [0, 1) from a hash (53 mantissa bits).
-double unit(std::uint64_t h) noexcept { return static_cast<double>(h >> 11) * 0x1.0p-53; }
 
 constexpr std::uint64_t kActionSalt = 0xAC710Dull;
 constexpr std::uint64_t kCorruptSalt = 0xC0552Dull;
@@ -39,7 +33,7 @@ constexpr std::uint64_t kResendSalt = 0x5E5EBDull;
 
 FaultAction FaultInjector::action(int src, int dst, std::uint64_t tag, std::uint64_t seq) const {
   if (!plan_.has_message_faults()) return FaultAction::kDeliver;
-  const double u = unit(identity_hash(plan_.seed, src, dst, tag, seq, kActionSalt));
+  const double u = unit_interval(identity_hash(plan_.seed, src, dst, tag, seq, kActionSalt));
   double edge = plan_.drop_prob;
   if (u < edge) return FaultAction::kDrop;
   edge += plan_.duplicate_prob;
@@ -56,7 +50,7 @@ bool FaultInjector::resend_survives(int src, int dst, std::uint64_t tag, std::ui
   if (!plan_.enabled || plan_.resend_drop_prob <= 0.0) return true;
   const std::uint64_t h = identity_hash(plan_.seed, src, dst, tag, seq,
                                         kResendSalt + static_cast<std::uint64_t>(attempt));
-  return unit(h) >= plan_.resend_drop_prob;
+  return unit_interval(h) >= plan_.resend_drop_prob;
 }
 
 void FaultInjector::corrupt_payload(std::vector<double>& payload, int src, int dst,

@@ -16,12 +16,10 @@
 
 #include "core/ordering.hpp"
 #include "linalg/matrix.hpp"
-#include "mp/fault.hpp"
 #include "network/topology.hpp"
 #include "network/traffic.hpp"
 #include "sim/machine.hpp"
 #include "svd/jacobi.hpp"
-#include "svd/recovery.hpp"
 
 namespace treesvd {
 
@@ -32,21 +30,6 @@ struct DistributedResult {
   SweepCost cost;         ///< accumulated over all executed sweeps
   std::size_t delivered_messages = 0;
   double delivered_words = 0.0;
-  mp::RecoveryStats recovery;  ///< fault/checkpoint counters (chaos runs only)
-};
-
-/// Chaos configuration for the step-synchronous machine. The simulator has
-/// no real transport underneath it, so the one fault that makes sense for a
-/// barrier-synchronous exchange is honoured:
-///  * kill_rank / kill_at_op — the machine dies at that 0-based executed
-///    communication step; with checkpointing the run rolls back to the last
-///    sweep boundary and replays bit-identically.
-/// Any drop / duplicate / corrupt / delay / resend probability is rejected —
-/// those need the real message transport (use spmd_jacobi with
-/// SpmdTransport).
-struct DistributedChaos {
-  mp::FaultPlan faults;
-  RecoveryOptions recovery;
 };
 
 /// Executes the one-sided Jacobi SVD on a simulated distributed tree machine.
@@ -61,10 +44,13 @@ struct DistributedChaos {
 ///
 /// Requires ordering.supports(a.cols()) — the distributed machine does not
 /// pad (a physical machine has a fixed processor count).
+///
+/// The machine is single-threaded and has no transport, so it meets no
+/// faults; kill and rollback over real processes are spmd_jacobi's
+/// (svd/spmd.hpp, SpmdTransport).
 DistributedResult distributed_jacobi(const Matrix& a, const Ordering& ordering,
                                      const FatTreeTopology& topology,
                                      const JacobiOptions& options = {},
-                                     const CostParams& params = {},
-                                     const DistributedChaos* chaos = nullptr);
+                                     const CostParams& params = {});
 
 }  // namespace treesvd

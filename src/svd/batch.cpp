@@ -42,14 +42,11 @@ struct BatchedSvd::Shard {
   AlignedVec<double> h;
   AlignedVec<double> v;
 
-  // Per-lane engine state (lane_width entries each).
+  // Per-lane engine state (lane_width entries each): the partial result
+  // (sweep tallies, convergence, kernel stats) that finalize completes.
   std::vector<std::uint8_t> active;
-  std::vector<std::uint8_t> converged;
+  std::vector<SvdResult> partial;
   std::vector<SweepGuards> guards;
-  std::vector<KernelStats> stats;
-  std::vector<std::size_t> rotations;
-  std::vector<std::size_t> swaps;
-  std::vector<int> sweeps;
   std::vector<std::size_t> sweep_rot;
   std::vector<std::size_t> sweep_swap;
 
@@ -104,12 +101,8 @@ std::unique_ptr<BatchedSvd::Shard> BatchedSvd::make_shard() const {
   sh->h.resize(m * np * w);
   if (options_.jacobi.compute_v) sh->v.resize(np * np * w);
   sh->active.resize(w);
-  sh->converged.resize(w);
-  sh->guards.assign(w, SweepGuards(options_.jacobi));
-  sh->stats.resize(w);
-  sh->rotations.resize(w);
-  sh->swaps.resize(w);
-  sh->sweeps.resize(w);
+  sh->partial.resize(w);
+  sh->guards.assign(w, SweepGuards(options_.jacobi.stall_window));
   sh->sweep_rot.resize(w);
   sh->sweep_swap.resize(w);
   sh->apq.resize(w);
@@ -203,12 +196,8 @@ void BatchedSvd::pack_shard(Shard& sh, std::span<const Matrix* const> inputs) {
   std::fill(sh.v.begin(), sh.v.end(), 0.0);
   for (std::size_t b = 0; b < w; ++b) {
     sh.active[b] = b < sh.count ? 1 : 0;
-    sh.converged[b] = 0;
-    sh.guards[b] = SweepGuards(jo);
-    sh.stats[b] = KernelStats{};
-    sh.rotations[b] = 0;
-    sh.swaps[b] = 0;
-    sh.sweeps[b] = 0;
+    sh.partial[b] = SvdResult{};
+    sh.guards[b] = SweepGuards(jo.stall_window);
     sh.rot_mask[b] = 0;
     sh.swap_mask[b] = 0;
     sh.c[b] = 1.0;
@@ -269,24 +258,18 @@ void BatchedSvd::iterate_shard(Shard& sh) {
 
     for (std::size_t b = 0; b < sh.count; ++b) {
       if (sh.active[b] == 0) continue;
-      TREESVD_HB_WRITE(sh.stats.data(), b, "BatchedSvd lane counters");
+      TREESVD_HB_WRITE(sh.partial.data(), b, "BatchedSvd lane counters");
       // The active set is constant within a sweep, so the per-pair counters
       // advance by the sweep's pair count in one step here instead of
       // per-lane increments inside the hot pair loop.
-      KernelStats& ks = sh.stats[b];
+      KernelStats& ks = sh.partial[b].kernel_stats;
       ks.pairs += pairs;
       ks.gram_passes += pairs;
-      sh.rotations[b] += sh.sweep_rot[b];
-      sh.swaps[b] += sh.sweep_swap[b];
-      sh.sweeps[b] = sweep + 1;
-      if (sh.sweep_rot[b] == 0 && sh.sweep_swap[b] == 0) {
-        // Lane retires: data and counters freeze, guards stop observing —
-        // exactly where the sequential run breaks its loop.
-        sh.converged[b] = 1;
+      // A converged lane retires: data and counters freeze, guards stop
+      // observing — exactly where the sequential run breaks its loop.
+      if (detail::end_sweep(sh.partial[b], sweep, sh.sweep_rot[b], sh.sweep_swap[b],
+                            sh.guards[b].stall))
         sh.active[b] = 0;
-        continue;
-      }
-      sh.guards[b].stall.observe(static_cast<double>(sh.sweep_rot[b] + sh.sweep_swap[b]));
     }
   }
 }
@@ -317,7 +300,7 @@ void BatchedSvd::process_pair(Shard& sh, int i, int j) {
   bool any_rot = false;
   for (std::size_t b = 0; b < sh.count; ++b) {
     if (sh.active[b] == 0) continue;
-    KernelStats& ks = sh.stats[b];
+    KernelStats& ks = sh.partial[b].kernel_stats;
     const bool identity = sh.ident[b] != 0;
     const bool want_swap = jo.sort == SortMode::kDescending && sh.app[b] < sh.aqq[b];
     if (identity && !want_swap) continue;
@@ -371,19 +354,13 @@ void BatchedSvd::finalize_shard(Shard& sh, std::span<const Matrix* const> inputs
       for (std::size_t j = 0; j < np; ++j)
         gather_lane(sh.v.data() + j * np * w, np, w, b, vb.col(j).data());
     }
-    SvdResult partial;
-    partial.sweeps = sh.sweeps[b];
-    partial.converged = sh.converged[b] != 0;
-    partial.rotations = sh.rotations[b];
-    partial.swaps = sh.swaps[b];
-    partial.kernel_stats = sh.stats[b];
     // Matches the sequential driver's report bit-for-bit: the tier is the
     // process-wide resolution, whether the lane kernels ran vectorized or on
     // the gather + scalar reference path (use_simd == false) — both are
     // served from the same dispatch table.
-    partial.kernel_stats.isa_tier = static_cast<int>(kernels().tier);
-    *results[b] = detail::finalize(std::move(hb), std::move(vb), *inputs[b], jo, sh.guards[b],
-                                   std::move(partial));
+    sh.partial[b].kernel_stats.isa_tier = static_cast<int>(kernels().tier);
+    *results[b] = detail::finalize(hb, vb, *inputs[b], jo.rank_tol, jo.full_diagnostics,
+                                   sh.guards[b], std::move(sh.partial[b]));
   }
 }
 

@@ -1,13 +1,17 @@
 #include "svd/block_jacobi.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/registry.hpp"
+#include "core/sweep_plan.hpp"
 #include "linalg/blas1.hpp"
 #include "linalg/gemm.hpp"
 #include "linalg/rotation.hpp"
+#include "svd/driver_detail.hpp"
 #include "svd/equilibrate.hpp"
 #include "svd/pair_kernel.hpp"
 #include "svd/recovery.hpp"
@@ -217,96 +221,56 @@ SvdResult block_one_sided_jacobi(const Matrix& a, const Ordering& ordering,
                               ", block_width=" + std::to_string(b) + ")");
   const int padded_n = nb * b;
 
-  Matrix h(a.rows(), static_cast<std::size_t>(padded_n));
-  for (std::size_t j = 0; j < a.cols(); ++j) {
-    const auto src = a.col(j);
-    const auto dst = h.col(j);
-    std::copy(src.begin(), src.end(), dst.begin());
-  }
-  const Equilibration eq = equilibrate(h, options.equilibrate);
-  StallDetector stall(options.stall_window);
+  Matrix h = detail::pad_columns(a, padded_n);
+  detail::SweepGuards guards(options.stall_window);
+  guards.eq = equilibrate(h, options.equilibrate);
   Matrix v = options.compute_v ? Matrix::identity(static_cast<std::size_t>(padded_n)) : Matrix();
   Matrix* vp = options.compute_v ? &v : nullptr;
-
-  // Block k owns global columns [k*b, (k+1)*b).
-  auto block_cols = [&](int blk) {
-    std::vector<int> cols(static_cast<std::size_t>(b));
-    for (int i = 0; i < b; ++i) cols[static_cast<std::size_t>(i)] = blk * b + i;
-    return cols;
-  };
-
-  std::vector<int> layout(static_cast<std::size_t>(nb));
-  for (int i = 0; i < nb; ++i) layout[static_cast<std::size_t>(i)] = i;
 
   KernelCounters counters;
   const bool gram_mode = options.inner_mode == InnerMode::kGram;
   ThreadPool* pool = gram_mode ? gemm_pool() : nullptr;
 
   SvdResult r;
-  for (int sweep = 0; sweep < options.max_outer_sweeps; ++sweep) {
-    const Sweep s = ordering.sweep_from(layout, sweep);
-    std::size_t sweep_rot = 0;
-    std::size_t sweep_swap = 0;
-    for (int t = 0; t < s.steps(); ++t) {
-      const StepPairs pairs = s.step_pairs(t);
-      for (int k = 0; k < pairs.leaves(); ++k) {
-        if (!pairs.active_at(k)) continue;
-        const IndexPair p = pairs.at(k);
-        std::vector<int> cols = block_cols(std::min(p.even, p.odd));
-        const std::vector<int> other = block_cols(std::max(p.even, p.odd));
-        cols.insert(cols.end(), other.begin(), other.end());
+  {
+    // Block sweeps run in subtree order like the column drivers
+    // (core/sweep_plan.hpp): the encounters of one step touch disjoint
+    // blocks, and each block meets its partners in step order, so the
+    // result is bitwise that of the step-major sweep. Scoped, as in
+    // jacobi.cpp, so the plans die before finalize.
+    const std::vector<SweepPlan> plans = plan_sweeps(ordering, nb);
+    std::vector<int> layout(static_cast<std::size_t>(nb));
+    std::iota(layout.begin(), layout.end(), 0);
+    std::vector<int> next_layout(layout.size());
+    // The met pair's 2b columns: block k owns global columns [k*b, (k+1)*b).
+    std::vector<int> cols(2 * static_cast<std::size_t>(b));
+
+    for (int sweep = 0; sweep < options.max_outer_sweeps; ++sweep) {
+      const SweepPlan& plan = plans[static_cast<std::size_t>(sweep) % plans.size()];
+      std::size_t sweep_rot = 0;
+      std::size_t sweep_swap = 0;
+      for (const IndexPair& p : plan.pairs()) {
+        const auto [lo, hi] = detail::plan_columns(layout, p);
+        for (int i = 0; i < b; ++i) {
+          cols[static_cast<std::size_t>(i)] = lo * b + i;
+          cols[static_cast<std::size_t>(b + i)] = hi * b + i;
+        }
         const detail::InnerPanelStats stats =
             gram_mode ? detail::inner_orthogonalise_gram(h, vp, cols, options, counters, pool)
                       : detail::inner_orthogonalise_elementwise(h, vp, cols, options, counters);
         sweep_rot += stats.rotations;
         sweep_swap += stats.swaps;
       }
+      plan.advance(layout, next_layout);
+      layout.swap(next_layout);
+      if (detail::end_sweep(r, sweep, sweep_rot, sweep_swap, guards.stall)) break;
     }
-    const auto fin = s.final_layout();
-    layout.assign(fin.begin(), fin.end());
-    r.rotations += sweep_rot;
-    r.swaps += sweep_swap;
-    r.sweeps = sweep + 1;
-    if (sweep_rot == 0 && sweep_swap == 0) {
-      r.converged = true;
-      break;
-    }
-    stall.observe(static_cast<double>(sweep_rot + sweep_swap));
   }
 
   r.kernel_stats = counters.snapshot();
   r.kernel_stats.isa_tier = static_cast<int>(isa_tier);
-
-  // Finalisation mirrors the element-wise engine (at the equilibrated scale;
-  // the common 2^e factor cancels in the U division and sigma is unscaled
-  // exactly afterwards).
-  r.sigma.resize(a.cols());
-  for (std::size_t j = 0; j < a.cols(); ++j) r.sigma[j] = nrm2(h.col(j));
-  const double smax = *std::max_element(r.sigma.begin(), r.sigma.end());
-  r.u = Matrix(a.rows(), a.cols());
-  for (std::size_t j = 0; j < a.cols(); ++j) {
-    if (r.sigma[j] > options.rank_tol * smax && r.sigma[j] > 0.0)
-      copy_div(h.col(j), r.sigma[j], r.u.col(j));
-  }
-  if (options.compute_v) {
-    r.v = Matrix(a.cols(), a.cols());
-    for (std::size_t j = 0; j < a.cols(); ++j) {
-      const auto src = v.col(j);
-      const auto dst = r.v.col(j);
-      std::copy(src.begin(), src.begin() + static_cast<std::ptrdiff_t>(a.cols()), dst.begin());
-    }
-  }
-  unscale_sigma(r.sigma, eq);
-
-  r.status = r.converged ? SvdStatus::kConverged
-                         : (stall.stalled() ? SvdStatus::kStalled : SvdStatus::kMaxSweeps);
-  r.diagnostics.input_scale = eq.stats;
-  r.diagnostics.equilibrated = eq.applied;
-  r.diagnostics.equilibration_exponent = eq.exponent;
-  r.diagnostics.stalled_sweeps = stall.streak();
-  if (!r.converged || options.full_diagnostics)
-    assess_quality(a, r, eq.exponent, options.rank_tol);
-  return r;
+  return detail::finalize(h, v, a, options.rank_tol, options.full_diagnostics, guards,
+                          std::move(r));
 }
 
 }  // namespace treesvd

@@ -24,11 +24,11 @@ namespace {
 using detail::PairKernel;
 using detail::PairOutcome;
 
-// Padding, the per-run robustness guards (SweepGuards) and finalisation live
-// in svd/driver_detail.hpp, shared bit-for-bit with the batched engine
-// (svd/batch.cpp).
+// Padding, the per-run robustness guards (SweepGuards), the convergence rule
+// (end_sweep) and finalisation live in svd/driver_detail.hpp, shared
+// bit-for-bit with every other column engine.
+using detail::end_sweep;
 using detail::finalize;
-using detail::pad_columns;
 using detail::SweepGuards;
 
 }  // namespace
@@ -107,9 +107,9 @@ SvdResult solve_one_sided(const Matrix& a, const Ordering& ordering,
   // pair of the run.
   const ScopedIsaOverride isa_guard(options.force_isa);
   const PairKernel kernel(options);
-  int padded_n = 0;
-  Matrix h = pad_columns(a, ordering, &padded_n);
-  SweepGuards guards(options);
+  const int padded_n = detail::require_padded_width(ordering, static_cast<int>(a.cols()));
+  Matrix h = detail::pad_columns(a, padded_n);
+  SweepGuards guards(options.stall_window);
   guards.eq = equilibrate(h, options.equilibrate);
   Matrix v = options.compute_v ? Matrix::identity(static_cast<std::size_t>(padded_n)) : Matrix();
   Matrix* vp = options.compute_v ? &v : nullptr;
@@ -161,20 +161,13 @@ SvdResult solve_one_sided(const Matrix& a, const Ordering& ordering,
       }
       plan.advance(layout, next_layout);
       layout.swap(next_layout);
-      r.rotations += sweep_rot.load();
-      r.swaps += sweep_swap.load();
-      r.sweeps = sweep + 1;
       if (options.track_off) r.off_history.push_back(off_diagonal_measure(h, pool));
-      if (sweep_rot.load() == 0 && sweep_swap.load() == 0) {
-        r.converged = true;
-        break;
-      }
-      guards.stall.observe(static_cast<double>(sweep_rot.load() + sweep_swap.load()));
+      if (end_sweep(r, sweep, sweep_rot.load(), sweep_swap.load(), guards.stall)) break;
     }
   }
   r.kernel_stats = counters.snapshot();
   r.kernel_stats.isa_tier = static_cast<int>(kernel.tier());
-  return finalize(std::move(h), std::move(v), a, options, guards, std::move(r));
+  return finalize(h, v, a, options.rank_tol, options.full_diagnostics, guards, std::move(r));
 }
 
 }  // namespace
@@ -198,7 +191,7 @@ SvdResult cyclic_jacobi(const Matrix& a, const JacobiOptions& options) {
   const PairKernel kernel(options);
   const int n = static_cast<int>(a.cols());
   Matrix h = a;
-  SweepGuards guards(options);
+  SweepGuards guards(options.stall_window);
   guards.eq = equilibrate(h, options.equilibrate);
   Matrix v = options.compute_v ? Matrix::identity(static_cast<std::size_t>(n)) : Matrix();
   Matrix* vp = options.compute_v ? &v : nullptr;
@@ -216,19 +209,12 @@ SvdResult cyclic_jacobi(const Matrix& a, const JacobiOptions& options) {
         sweep_swap += o.swapped ? 1 : 0;
       }
     }
-    r.rotations += sweep_rot;
-    r.swaps += sweep_swap;
-    r.sweeps = sweep + 1;
     if (options.track_off) r.off_history.push_back(off_diagonal_measure(h));
-    if (sweep_rot == 0 && sweep_swap == 0) {
-      r.converged = true;
-      break;
-    }
-    guards.stall.observe(static_cast<double>(sweep_rot + sweep_swap));
+    if (end_sweep(r, sweep, sweep_rot, sweep_swap, guards.stall)) break;
   }
   r.kernel_stats = counters.snapshot();
   r.kernel_stats.isa_tier = static_cast<int>(kernel.tier());
-  return finalize(std::move(h), std::move(v), a, options, guards, std::move(r));
+  return finalize(h, v, a, options.rank_tol, options.full_diagnostics, guards, std::move(r));
 }
 
 }  // namespace treesvd

@@ -1,8 +1,8 @@
 #pragma once
-// Engine-side fault tolerance shared by the SPMD Jacobi (svd/spmd.hpp) and
-// the distributed tree machine (sim/distributed.hpp): sweep-boundary
-// checkpointing with rollback/replay, the observational stall classifier,
-// and the non-finite payload guard.
+// Engine-side fault tolerance: the SPMD Jacobi's (svd/spmd.hpp)
+// sweep-boundary checkpointing with rollback/replay and non-finite payload
+// guard, plus the observational stall classifier and input guard every
+// engine uses.
 //
 // Determinism rules (the contracts chaos_recovery_test pins down):
 //  * Checkpoints snapshot column ownership, column payloads and progress
@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "linalg/matrix.hpp"
-#include "mp/fault.hpp"
 
 namespace treesvd {
 
@@ -40,8 +39,8 @@ struct RecoveryOptions {
 /// and consult it only at exit, to distinguish a run that hit max_sweeps
 /// while still making progress (SvdStatus::kMaxSweeps) from one whose
 /// activity stopped decreasing (SvdStatus::kStalled — more sweeps would not
-/// have helped). Trivially copyable so spmd/distributed can carry it in
-/// their sweep checkpoints.
+/// have helped). Trivially copyable so spmd can carry it in its sweep
+/// checkpoints.
 class StallDetector {
  public:
   StallDetector() = default;

@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "analysis/fuzz.hpp"
 #include "analysis/hooks.hpp"
 #include "core/registry.hpp"
 #include "linalg/gemm.hpp"
@@ -23,17 +24,10 @@ std::uint64_t now_ns() noexcept {
           .count());
 }
 
-/// splitmix64 finalizer — the mp/fault decision mixer, reused so serve-chaos
-/// decisions need no generator state.
-std::uint64_t mix64(std::uint64_t z) noexcept {
-  z += 0x9e3779b97f4a7c15ULL;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-/// Uniform double in [0, 1) from a hash (53 mantissa bits).
-double unit64(std::uint64_t h) noexcept { return static_cast<double>(h >> 11) * 0x1.0p-53; }
+// Serve-chaos decisions hash (seed, id) with the mp/fault mixer, so they need
+// no generator state.
+using analysis::mix64;
+using analysis::unit_interval;
 
 /// Salt separating the request-fault stream from every other splitmix64 use.
 constexpr std::uint64_t kRequestSalt = 0x5E12FEull;
@@ -49,7 +43,7 @@ ServeFaultPlan::RequestFault ServeFaultPlan::request_fault(std::uint64_t id) con
     return RequestFault::kNone;
   // First match wins over a partition of [0, 1) — at most one fault per
   // request, bit-reproducible for a given (seed, id).
-  const double u = unit64(mix64(mix64(seed ^ kRequestSalt) ^ id));
+  const double u = unit_interval(mix64(mix64(seed ^ kRequestSalt) ^ id));
   double edge = poison_prob;
   if (u < edge) return RequestFault::kPoison;
   edge += throw_prob;

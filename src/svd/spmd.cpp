@@ -1,11 +1,12 @@
 #include "svd/spmd.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <numeric>
+#include <span>
 #include <vector>
 
-#include "linalg/blas1.hpp"
 #include "mp/message_passing.hpp"
+#include "svd/driver_detail.hpp"
 #include "svd/equilibrate.hpp"
 #include "svd/pair_kernel.hpp"
 #include "util/require.hpp"
@@ -27,16 +28,19 @@ struct SlotState {
   std::vector<double> v;        ///< column of V (empty when not tracked)
 };
 
-/// One rank's sweep-boundary snapshot: everything needed to replay the run
-/// bit-identically from the sweep it names.
-struct RankCheckpoint {
-  int sweep = -1;               ///< the sweep this state is about to execute
+/// One rank's state at a sweep boundary. It travels through the world's
+/// durable blob board twice over: as a checkpoint before a sweep (everything
+/// needed to replay the run bit-identically from the sweep it names), and as
+/// the rank's share of the result after its last sweep.
+struct RankState {
+  int sweep = 0;              ///< checkpoint: the sweep about to run; result: sweeps run
+  bool converged = false;     ///< the run ended on a zero-activity sweep
+  std::size_t rot = 0;        ///< rotations accumulated so far
+  std::size_t swap = 0;       ///< swaps accumulated so far
+  std::vector<int> layout;    ///< the next sweep's opening layout (global)
+  KernelStats kernels;        ///< this rank's kernel counters at the boundary
+  StallDetector stall;        ///< observational status classifier state
   SlotState slot[2];
-  std::vector<int> layout;      ///< the sweep's opening layout (global)
-  std::size_t rot = 0;          ///< rotations accumulated so far
-  std::size_t swap = 0;         ///< swaps accumulated so far
-  KernelStats kernels;          ///< this rank's kernel counters at the boundary
-  StallDetector stall;          ///< observational status classifier state
 };
 
 // ---------------------------------------------------------------------------
@@ -75,108 +79,51 @@ std::size_t unpack_slot(const double* p, SlotState* s) {
   return 3 + hn + vn;
 }
 
-constexpr std::size_t kKernelsPacked = 8;
+/// The live KernelStats counters; dot_passes and norm_refreshes always read
+/// 0 and are not packed.
+constexpr std::size_t kKernelsPacked = 6;
 
-void pack_kernels(const KernelStats& k, std::vector<double>& out) {
-  out.push_back(static_cast<double>(k.pairs));
-  out.push_back(static_cast<double>(k.dot_passes));
-  out.push_back(static_cast<double>(k.gram_passes));
-  out.push_back(static_cast<double>(k.rotate_passes));
-  out.push_back(static_cast<double>(k.norm_refreshes));
-  out.push_back(static_cast<double>(k.gram_builds));
-  out.push_back(static_cast<double>(k.accum_rotations));
-  out.push_back(static_cast<double>(k.blocked_applies));
-}
-
-KernelStats unpack_kernels(const double* p) {
-  KernelStats k;
-  k.pairs = static_cast<std::size_t>(p[0]);
-  k.dot_passes = static_cast<std::size_t>(p[1]);
-  k.gram_passes = static_cast<std::size_t>(p[2]);
-  k.rotate_passes = static_cast<std::size_t>(p[3]);
-  k.norm_refreshes = static_cast<std::size_t>(p[4]);
-  k.gram_builds = static_cast<std::size_t>(p[5]);
-  k.accum_rotations = static_cast<std::size_t>(p[6]);
-  k.blocked_applies = static_cast<std::size_t>(p[7]);
-  return k;
-}
-
-/// Checkpoint blob: [sweep, rot, swap, layout(n), kernels, stall, slot0,
-/// slot1].
-std::vector<double> pack_checkpoint(const RankCheckpoint& cp) {
+/// Blob: [sweep, converged, rot, swap, layout(n), kernels, stall, slot0,
+/// slot1]. `sweep` stays the first word: the recovery loop reads it alone.
+std::vector<double> pack_state(const RankState& st) {
   std::vector<double> out;
-  out.reserve(3 + cp.layout.size() + kKernelsPacked + StallDetector::kPacked +
-              2 * (3 + cp.slot[0].h.size() + cp.slot[0].v.size()));
-  out.push_back(static_cast<double>(cp.sweep));
-  out.push_back(static_cast<double>(cp.rot));
-  out.push_back(static_cast<double>(cp.swap));
-  for (const int l : cp.layout) out.push_back(static_cast<double>(l));
-  pack_kernels(cp.kernels, out);
-  cp.stall.pack(out);
-  pack_slot(cp.slot[0], out);
-  pack_slot(cp.slot[1], out);
+  out.reserve(4 + st.layout.size() + kKernelsPacked + StallDetector::kPacked +
+              2 * (3 + st.slot[0].h.size() + st.slot[0].v.size()));
+  out.push_back(static_cast<double>(st.sweep));
+  out.push_back(st.converged ? 1.0 : 0.0);
+  out.push_back(static_cast<double>(st.rot));
+  out.push_back(static_cast<double>(st.swap));
+  for (const int l : st.layout) out.push_back(static_cast<double>(l));
+  const KernelStats& k = st.kernels;
+  for (const std::size_t c : {k.pairs, k.gram_passes, k.rotate_passes, k.gram_builds,
+                              k.accum_rotations, k.blocked_applies})
+    out.push_back(static_cast<double>(c));
+  st.stall.pack(out);
+  pack_slot(st.slot[0], out);
+  pack_slot(st.slot[1], out);
   return out;
 }
 
-RankCheckpoint unpack_checkpoint(const std::vector<double>& blob, int n) {
-  RankCheckpoint cp;
+RankState unpack_state(const std::vector<double>& blob, int n) {
+  RankState st;
   const double* p = blob.data();
-  cp.sweep = static_cast<int>(p[0]);
-  cp.rot = static_cast<std::size_t>(p[1]);
-  cp.swap = static_cast<std::size_t>(p[2]);
-  p += 3;
-  cp.layout.resize(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) cp.layout[static_cast<std::size_t>(i)] = static_cast<int>(p[i]);
-  p += n;
-  cp.kernels = unpack_kernels(p);
-  p += kKernelsPacked;
-  cp.stall = StallDetector::unpack(p);
-  p += StallDetector::kPacked;
-  p += unpack_slot(p, &cp.slot[0]);
-  unpack_slot(p, &cp.slot[1]);
-  return cp;
-}
-
-/// One rank's contribution to the final result, published after its last
-/// sweep: [sweep, converged, rot, swap, kernels, stall, slot0, slot1].
-struct RankResult {
-  int sweep = 0;
-  bool converged = false;
-  std::size_t rot = 0;
-  std::size_t swap = 0;
-  KernelStats kernels;
-  StallDetector stall;
-  SlotState slot[2];
-};
-
-std::vector<double> pack_result(const RankResult& r) {
-  std::vector<double> out;
-  out.push_back(static_cast<double>(r.sweep));
-  out.push_back(r.converged ? 1.0 : 0.0);
-  out.push_back(static_cast<double>(r.rot));
-  out.push_back(static_cast<double>(r.swap));
-  pack_kernels(r.kernels, out);
-  r.stall.pack(out);
-  pack_slot(r.slot[0], out);
-  pack_slot(r.slot[1], out);
-  return out;
-}
-
-RankResult unpack_result(const std::vector<double>& blob) {
-  RankResult r;
-  const double* p = blob.data();
-  r.sweep = static_cast<int>(p[0]);
-  r.converged = p[1] != 0.0;
-  r.rot = static_cast<std::size_t>(p[2]);
-  r.swap = static_cast<std::size_t>(p[3]);
+  st.sweep = static_cast<int>(p[0]);
+  st.converged = p[1] != 0.0;
+  st.rot = static_cast<std::size_t>(p[2]);
+  st.swap = static_cast<std::size_t>(p[3]);
   p += 4;
-  r.kernels = unpack_kernels(p);
-  p += kKernelsPacked;
-  r.stall = StallDetector::unpack(p);
+  st.layout.resize(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) st.layout[static_cast<std::size_t>(i)] = static_cast<int>(p[i]);
+  p += n;
+  KernelStats& k = st.kernels;
+  for (std::size_t* c : {&k.pairs, &k.gram_passes, &k.rotate_passes, &k.gram_builds,
+                         &k.accum_rotations, &k.blocked_applies})
+    *c = static_cast<std::size_t>(*p++);
+  st.stall = StallDetector::unpack(p);
   p += StallDetector::kPacked;
-  p += unpack_slot(p, &r.slot[0]);
-  unpack_slot(p, &r.slot[1]);
-  return r;
+  p += unpack_slot(p, &st.slot[0]);
+  unpack_slot(p, &st.slot[1]);
+  return st;
 }
 
 }  // namespace
@@ -186,8 +133,7 @@ SvdResult spmd_jacobi(const Matrix& a, const Ordering& ordering, const JacobiOpt
   TREESVD_REQUIRE(a.rows() >= a.cols() && a.cols() >= 2, "spmd_jacobi expects m >= n >= 2");
   require_finite_columns(a, "spmd_jacobi");
   const int n0 = static_cast<int>(a.cols());
-  const int n = padded_width(ordering, n0);
-  TREESVD_REQUIRE(n > 0, ordering.name() + " supports no width near n");
+  const int n = detail::require_padded_width(ordering, n0);
   const std::size_t rows = a.rows();
   const int ranks = n / 2;
 
@@ -201,7 +147,8 @@ SvdResult spmd_jacobi(const Matrix& a, const Ordering& ordering, const JacobiOpt
   // Equilibration happens once, before the scatter, so every rank works at
   // the same exact power-of-two scale.
   Matrix a_eq = a;
-  const Equilibration eq = equilibrate(a_eq, options.equilibrate);
+  detail::SweepGuards guards(options.stall_window);
+  guards.eq = equilibrate(a_eq, options.equilibrate);
   const bool checkpointing = chaos && recovery.checkpoint_sweeps > 0;
 
   mp::World world(ranks);
@@ -227,15 +174,12 @@ SvdResult spmd_jacobi(const Matrix& a, const Ordering& ordering, const JacobiOpt
     // respawned rank process starts from the same counter state a rolled-back
     // thread would.
     KernelCounters counters;
-    // Local state: this rank's two slots.
-    SlotState slot[2];
-    std::vector<int> layout(static_cast<std::size_t>(n));
-    // Replicated control: every rank feeds the same collective activity, so
-    // the classifier state is identical everywhere; rank 0 publishes it.
-    StallDetector stall(options.stall_window);
-    int sweep = 0;
-    std::size_t my_rot = 0;
-    std::size_t my_swap = 0;
+    // Local state: this rank's two slots and its sweep progress. Control is
+    // replicated: every rank feeds the same collective activity, so the
+    // classifier state is identical everywhere; rank 0's is the result's.
+    RankState st;
+    st.stall = StallDetector(options.stall_window);
+    auto& slot = st.slot;
     if (restore_sweep < 0) {
       for (int k = 0; k < 2; ++k) {
         const int s = 2 * me + k;
@@ -252,31 +196,24 @@ SvdResult spmd_jacobi(const Matrix& a, const Ordering& ordering, const JacobiOpt
       }
       // Every rank derives the identical schedule (SPMD-style replicated
       // control); the layout evolves deterministically between sweeps.
-      for (int i = 0; i < n; ++i) layout[static_cast<std::size_t>(i)] = i;
+      st.layout.resize(static_cast<std::size_t>(n));
+      std::iota(st.layout.begin(), st.layout.end(), 0);
     } else {
       // Respawn: resume from the newest boundary every rank committed. The
       // board is readable here on both backends — shared memory in-process,
       // the forked copy of the launcher's board in a rank process.
-      RankCheckpoint cp;
       bool found = false;
       for (int sl = 0; sl < 2 && !found; ++sl) {
         const std::uint64_t key = checkpoint_key(me, sl);
         if (!world.has_published(key)) continue;
-        RankCheckpoint cand = unpack_checkpoint(world.published(key), n);
+        RankState cand = unpack_state(world.published(key), n);
         if (cand.sweep == restore_sweep) {
-          cp = std::move(cand);
+          st = std::move(cand);
           found = true;
         }
       }
       TREESVD_ASSERT(found);
-      slot[0] = std::move(cp.slot[0]);
-      slot[1] = std::move(cp.slot[1]);
-      layout = cp.layout;
-      sweep = cp.sweep;
-      my_rot = cp.rot;
-      my_swap = cp.swap;
-      counters.store(cp.kernels);
-      stall = cp.stall;
+      counters.store(st.kernels);
     }
     // Newest boundary already on this rank's board ring: a rank that rolled
     // back past boundaries it had committed skips re-publishing them — the
@@ -288,32 +225,22 @@ SvdResult spmd_jacobi(const Matrix& a, const Ordering& ordering, const JacobiOpt
         ring_newest = std::max(ring_newest, static_cast<int>(world.published(key)[0]));
     }
 
-    bool done = false;
-    for (; sweep < options.max_sweeps && !done; ++sweep) {
+    for (; st.sweep < options.max_sweeps && !st.converged; ++st.sweep) {
+      const int sweep = st.sweep;
       // Sweep-boundary checkpoint, before any of this sweep's work. A rank
       // that already holds this boundary (rolled back past it) skips the
       // push — the deterministic replay would recreate the same bytes.
-      if (checkpointing && sweep % recovery.checkpoint_sweeps == 0) {
-        if (ring_newest < sweep) {
-          RankCheckpoint cp;
-          cp.sweep = sweep;
-          cp.slot[0] = slot[0];
-          cp.slot[1] = slot[1];
-          cp.layout = layout;
-          cp.rot = my_rot;
-          cp.swap = my_swap;
-          cp.kernels = counters.snapshot();
-          cp.stall = stall;
-          // The two board slots per rank form the ring: the boundary index
-          // alternates between them, overwriting the snapshot that is two
-          // boundaries old.
-          const int slot_idx = (sweep / recovery.checkpoint_sweeps) % 2;
-          ctx.publish(checkpoint_key(me, slot_idx), pack_checkpoint(cp));
-          ring_newest = sweep;
-          if (me == 0) rc.add_checkpoint();
-        }
+      if (checkpointing && sweep % recovery.checkpoint_sweeps == 0 && ring_newest < sweep) {
+        st.kernels = counters.snapshot();
+        // The two board slots per rank form the ring: the boundary index
+        // alternates between them, overwriting the snapshot that is two
+        // boundaries old.
+        const int slot_idx = (sweep / recovery.checkpoint_sweeps) % 2;
+        ctx.publish(checkpoint_key(me, slot_idx), pack_state(st));
+        ring_newest = sweep;
+        if (me == 0) rc.add_checkpoint();
       }
-      const Sweep s = ordering.sweep_from(layout, sweep);
+      const Sweep s = ordering.sweep_from(st.layout, sweep);
       // Intra-leaf reconciliation: the sweep's opening layout may orient this
       // leaf's pair the other way round; swapping locally is free.
       {
@@ -395,28 +322,20 @@ SvdResult spmd_jacobi(const Matrix& a, const Ordering& ordering, const JacobiOpt
         slot[1] = std::move(next[1]);
       }
       const auto fin = s.final_layout();
-      layout.assign(fin.begin(), fin.end());
-      // Convergence is a collective decision.
+      st.layout.assign(fin.begin(), fin.end());
+      st.rot += sweep_rot;
+      st.swap += sweep_swap;
+      // Convergence is a collective decision: the rule applied to the
+      // allreduced activity.
       const double active = ctx.allreduce_sum(static_cast<double>(sweep_rot + sweep_swap));
-      my_rot += sweep_rot;
-      my_swap += sweep_swap;
-      if (active == 0.0) done = true;
-      if (!done) stall.observe(active);
+      st.converged = detail::sweep_converged(active, st.stall);
     }
 
     // Publish: each rank posts its two slots of the final state (and its
     // share of the totals) to the durable board — the only channel that
     // survives the rank when it is a process.
-    RankResult res;
-    res.sweep = sweep;
-    res.converged = done;
-    res.rot = my_rot;
-    res.swap = my_swap;
-    res.kernels = counters.snapshot();
-    res.stall = stall;
-    res.slot[0] = std::move(slot[0]);
-    res.slot[1] = std::move(slot[1]);
-    ctx.publish(result_key(me), pack_result(res));
+    st.kernels = counters.snapshot();
+    ctx.publish(result_key(me), pack_state(st));
   };
 
   // Recovery loop: a killed rank is respawned by rolling the whole world
@@ -457,61 +376,35 @@ SvdResult spmd_jacobi(const Matrix& a, const Ordering& ordering, const JacobiOpt
     stats->recovery = world.recovery_stats();
   }
 
-  // Assemble the result by label from the published rank blobs, exactly like
-  // the other engines. Replicated control (sweeps/converged/stall) is read
-  // from rank 0; the additive totals are summed in rank order.
-  std::vector<RankResult> results;
+  // Assemble the result by label from the published rank states, exactly
+  // like the other engines. Replicated control (sweeps/converged/stall) is
+  // read from rank 0; the additive totals are summed in rank order.
+  std::vector<RankState> results;
   results.reserve(static_cast<std::size_t>(ranks));
-  for (int rr = 0; rr < ranks; ++rr) results.push_back(unpack_result(world.published(result_key(rr))));
+  for (int rr = 0; rr < ranks; ++rr)
+    results.push_back(unpack_state(world.published(result_key(rr)), n));
 
   SvdResult r;
   r.sweeps = results[0].sweep;
   r.converged = results[0].converged;
-  const StallDetector final_stall = results[0].stall;
-  KernelStats kernels;
-  for (const RankResult& res : results) {
+  guards.stall = results[0].stall;
+  for (const RankState& res : results) {
     r.rotations += res.rot;
     r.swaps += res.swap;
-    kernels += res.kernels;
+    r.kernel_stats += res.kernels;
   }
-  kernels.isa_tier = static_cast<int>(resolved_isa());
-  r.kernel_stats = kernels;
+  r.kernel_stats.isa_tier = static_cast<int>(resolved_isa());
 
-  std::vector<const SlotState*> by_label(static_cast<std::size_t>(n), nullptr);
-  for (const RankResult& res : results)
-    for (const SlotState& s : res.slot) by_label[static_cast<std::size_t>(s.label)] = &s;
-
-  r.sigma.resize(static_cast<std::size_t>(n0));
-  for (int i = 0; i < n0; ++i) r.sigma[static_cast<std::size_t>(i)] = nrm2(by_label[static_cast<std::size_t>(i)]->h);
-  const double smax = *std::max_element(r.sigma.begin(), r.sigma.end());
-  r.u = Matrix(rows, static_cast<std::size_t>(n0));
-  for (int i = 0; i < n0; ++i) {
-    const double sig = r.sigma[static_cast<std::size_t>(i)];
-    if (sig <= options.rank_tol * smax || sig == 0.0) continue;
-    const auto& src = by_label[static_cast<std::size_t>(i)]->h;
-    const auto dst = r.u.col(static_cast<std::size_t>(i));
-    for (std::size_t row = 0; row < rows; ++row) dst[row] = src[row] / sig;
-  }
-  if (options.compute_v) {
-    r.v = Matrix(static_cast<std::size_t>(n0), static_cast<std::size_t>(n0));
-    for (int i = 0; i < n0; ++i) {
-      const auto& src = by_label[static_cast<std::size_t>(i)]->v;
-      const auto dst = r.v.col(static_cast<std::size_t>(i));
-      std::copy(src.begin(), src.begin() + static_cast<std::ptrdiff_t>(n0), dst.begin());
+  std::vector<std::span<const double>> h(static_cast<std::size_t>(n0));
+  std::vector<std::span<const double>> v(options.compute_v ? h.size() : 0);
+  for (const RankState& res : results)
+    for (const SlotState& sl : res.slot) {
+      if (sl.label >= n0) continue;  // padding
+      h[static_cast<std::size_t>(sl.label)] = sl.h;
+      if (!v.empty()) v[static_cast<std::size_t>(sl.label)] = sl.v;
     }
-  }
-  // U was divided out at the equilibrated scale (the 2^e factor cancels
-  // bitwise); only sigma carries the scale and is undone exactly here.
-  unscale_sigma(r.sigma, eq);
-  r.status = r.converged ? SvdStatus::kConverged
-                         : (final_stall.stalled() ? SvdStatus::kStalled : SvdStatus::kMaxSweeps);
-  r.diagnostics.input_scale = eq.stats;
-  r.diagnostics.equilibrated = eq.applied;
-  r.diagnostics.equilibration_exponent = eq.exponent;
-  r.diagnostics.stalled_sweeps = final_stall.streak();
-  if (!r.converged || options.full_diagnostics)
-    assess_quality(a, r, eq.exponent, options.rank_tol);
-  return r;
+  return detail::finalize(h, v, a, options.rank_tol, options.full_diagnostics, guards,
+                          std::move(r));
 }
 
 }  // namespace treesvd

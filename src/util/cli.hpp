@@ -8,7 +8,8 @@
 namespace treesvd {
 
 /// Parses "--key=value" and bare "--key" (value "1") arguments.
-/// Unrecognised positional arguments are rejected so typos fail loudly.
+/// Unrecognised positional arguments are rejected so typos fail loudly, and
+/// so are numeric values that do not parse whole (get_int, get_double).
 class Cli {
  public:
   Cli(int argc, const char* const* argv);

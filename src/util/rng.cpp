@@ -2,16 +2,10 @@
 
 #include <cmath>
 
+#include "analysis/fuzz.hpp"
+
 namespace treesvd {
 namespace {
-
-std::uint64_t splitmix64(std::uint64_t& x) noexcept {
-  x += 0x9e3779b97f4a7c15ULL;
-  std::uint64_t z = x;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
 
 constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
   return (x << k) | (x >> (64 - k));
@@ -20,8 +14,12 @@ constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) noexcept {
+  // SplitMix64 from `seed`: its k-th output is mix64 of seed + k*gamma.
   std::uint64_t sm = seed;
-  for (auto& s : s_) s = splitmix64(sm);
+  for (auto& s : s_) {
+    s = analysis::mix64(sm);
+    sm += 0x9e3779b97f4a7c15ULL;
+  }
   // A zero state would be a fixed point of the recurrence.
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;
 }
@@ -38,10 +36,7 @@ Rng::result_type Rng::operator()() noexcept {
   return result;
 }
 
-double Rng::uniform() noexcept {
-  // 53 high bits -> double in [0,1).
-  return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
-}
+double Rng::uniform() noexcept { return analysis::unit_interval((*this)()); }
 
 double Rng::uniform(double lo, double hi) noexcept { return lo + (hi - lo) * uniform(); }
 

@@ -8,19 +8,24 @@
 // Because one-sided rotations of disjoint columns commute exactly, every
 // plan-driven driver must reproduce it bit for bit: the serial driver, the
 // phase-parallel threaded driver at every thread count, and every lane of the
-// batched engine, on every ordering and ISA tier.
+// batched engine, on every ordering and ISA tier. The block driver is pinned
+// the same way, to the step-major loop over blocks: its encounters touch
+// disjoint column blocks, so they commute too.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <numeric>
+#include <optional>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "core/registry.hpp"
 #include "linalg/dispatch.hpp"
+#include "linalg/gemm.hpp"
 #include "linalg/generators.hpp"
 #include "svd/batch.hpp"
+#include "svd/block_jacobi.hpp"
 #include "svd/determinism.hpp"
 #include "svd/driver_detail.hpp"
 #include "svd/equilibrate.hpp"
@@ -37,9 +42,9 @@ SvdResult step_major_reference(const Matrix& a, const Ordering& ordering,
                                const JacobiOptions& options) {
   const ScopedIsaOverride isa_guard(options.force_isa);
   const detail::PairKernel kernel(options);
-  int padded_n = 0;
-  Matrix h = detail::pad_columns(a, ordering, &padded_n);
-  detail::SweepGuards guards(options);
+  const int padded_n = detail::require_padded_width(ordering, static_cast<int>(a.cols()));
+  Matrix h = detail::pad_columns(a, padded_n);
+  detail::SweepGuards guards(options.stall_window);
   guards.eq = equilibrate(h, options.equilibrate);
   Matrix v = options.compute_v ? Matrix::identity(static_cast<std::size_t>(padded_n)) : Matrix();
   Matrix* vp = options.compute_v ? &v : nullptr;
@@ -79,7 +84,69 @@ SvdResult step_major_reference(const Matrix& a, const Ordering& ordering,
   }
   r.kernel_stats = counters.snapshot();
   r.kernel_stats.isa_tier = static_cast<int>(kernel.tier());
-  return detail::finalize(std::move(h), std::move(v), a, options, guards, std::move(r));
+  return detail::finalize(h, v, a, options.rank_tol, options.full_diagnostics, guards,
+                          std::move(r));
+}
+
+/// The step-major block driver: block_one_sided_jacobi's schedule rebuilt
+/// with sweep_from every outer sweep and walked step by step, leaf by leaf,
+/// each met block pair through the same inner panel solver. Empty result
+/// when the ordering cannot pad to a block count.
+std::optional<SvdResult> step_major_block_reference(const Matrix& a, const Ordering& ordering,
+                                                    const BlockJacobiOptions& options) {
+  const ScopedIsaOverride isa_guard(options.force_isa);
+  const int b = options.block_width;
+  const int nb = padded_width(ordering, (static_cast<int>(a.cols()) + b - 1) / b);
+  if (nb == 0) return std::nullopt;
+  const int padded_n = nb * b;
+  Matrix h = detail::pad_columns(a, padded_n);
+  detail::SweepGuards guards(options.stall_window);
+  guards.eq = equilibrate(h, options.equilibrate);
+  Matrix v = options.compute_v ? Matrix::identity(static_cast<std::size_t>(padded_n)) : Matrix();
+  Matrix* vp = options.compute_v ? &v : nullptr;
+  const bool gram_mode = options.inner_mode == InnerMode::kGram;
+  ThreadPool* pool = gram_mode ? gemm_pool() : nullptr;
+
+  std::vector<int> layout(static_cast<std::size_t>(nb));
+  std::iota(layout.begin(), layout.end(), 0);
+
+  KernelCounters counters;
+
+  SvdResult r;
+  for (int sweep = 0; sweep < options.max_outer_sweeps; ++sweep) {
+    const Sweep s = ordering.sweep_from(layout, sweep);
+    std::size_t sweep_rot = 0;
+    std::size_t sweep_swap = 0;
+    for (int t = 0; t < s.steps(); ++t) {
+      const StepPairs pairs = s.step_pairs(t);
+      for (int k = 0; k < pairs.leaves(); ++k) {
+        if (!pairs.active_at(k)) continue;
+        const IndexPair p = pairs.at(k);
+        std::vector<int> cols;
+        for (const int blk : {std::min(p.even, p.odd), std::max(p.even, p.odd)})
+          for (int i = 0; i < b; ++i) cols.push_back(blk * b + i);
+        const detail::InnerPanelStats stats =
+            gram_mode ? detail::inner_orthogonalise_gram(h, vp, cols, options, counters, pool)
+                      : detail::inner_orthogonalise_elementwise(h, vp, cols, options, counters);
+        sweep_rot += stats.rotations;
+        sweep_swap += stats.swaps;
+      }
+    }
+    const auto fin = s.final_layout();
+    layout.assign(fin.begin(), fin.end());
+    r.rotations += sweep_rot;
+    r.swaps += sweep_swap;
+    r.sweeps = sweep + 1;
+    if (sweep_rot == 0 && sweep_swap == 0) {
+      r.converged = true;
+      break;
+    }
+    guards.stall.observe(static_cast<double>(sweep_rot + sweep_swap));
+  }
+  r.kernel_stats = counters.snapshot();
+  r.kernel_stats.isa_tier = static_cast<int>(kernels().tier);
+  return detail::finalize(h, v, a, options.rank_tol, options.full_diagnostics, guards,
+                          std::move(r));
 }
 
 struct Shape {
@@ -127,6 +194,31 @@ TEST_P(PlanOracle, DriversMatchStepMajorReference) {
     const std::vector<SvdResult> lanes = engine.solve(inputs);
     for (std::size_t b = 0; b < lanes.size(); ++b)
       EXPECT_EQ(result_core_digest(lanes[b]), want[b]) << "BatchedSvd lane " << b;
+  }
+}
+
+TEST_P(PlanOracle, BlockDriverMatchesStepMajorReference) {
+  const OrderingPtr ord = make_ordering(std::get<0>(GetParam()));
+  const Shape shape = kShapes[std::get<1>(GetParam())];
+  Rng rng(20261018 + shape.cols);
+  const Matrix a = random_gaussian(shape.rows, shape.cols, rng);
+
+  for (const IsaTier tier : {IsaTier::kBaseline, IsaTier::kAvx2, IsaTier::kAvx512}) {
+    if (!isa_supported(tier)) continue;
+    for (const InnerMode mode : {InnerMode::kElementwise, InnerMode::kGram}) {
+      for (const std::string inner : {"", "round-robin"}) {
+        SCOPED_TRACE(std::string("tier=") + isa_name(tier) + ", inner_mode=" +
+                     (mode == InnerMode::kGram ? "gram" : "elementwise") +
+                     ", inner_ordering='" + inner + "'");
+        BlockJacobiOptions opt;
+        opt.force_isa = static_cast<int>(tier);
+        opt.inner_mode = mode;
+        opt.inner_ordering = inner;
+        const std::optional<SvdResult> want = step_major_block_reference(a, *ord, opt);
+        if (!want) continue;  // no supported block count for this shape
+        EXPECT_EQ(result_digest(block_one_sided_jacobi(a, *ord, opt)), result_digest(*want));
+      }
+    }
   }
 }
 

@@ -10,15 +10,12 @@
 #include <thread>
 #include <vector>
 
+#include "analysis/fuzz.hpp"
 #include "util/cli.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
-
-#if defined(TREESVD_ANALYSIS) && TREESVD_ANALYSIS
-#include "analysis/fuzz.hpp"
-#endif
 
 namespace treesvd {
 namespace {
@@ -27,6 +24,28 @@ TEST(Rng, DeterministicForEqualSeeds) {
   Rng a(123);
   Rng b(123);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a(), b());
+}
+
+// Every seeded experiment, fault plan, fuzz plan and serve-chaos decision
+// draws from mix64 (directly or through Rng's seeding), so these values
+// must never move.
+TEST(Rng, SplitMix64MatchesReference) {
+  EXPECT_EQ(analysis::mix64(0), 0xe220a8397b1dcdafULL);  // SplitMix64(0), first output
+  EXPECT_EQ(analysis::unit_interval(0), 0.0);
+  EXPECT_EQ(analysis::unit_interval(~std::uint64_t{0}), 1.0 - 0x1.0p-53);
+}
+
+TEST(Rng, FirstOutputsArePinned) {
+  Rng a(1);
+  EXPECT_EQ(a(), 0xcfc5d07f6f03c29bULL);
+  EXPECT_EQ(a(), 0xbf424132963fe08dULL);
+  EXPECT_EQ(a(), 0x19a37d5757aaf520ULL);
+  Rng b(2026);
+  EXPECT_EQ(b(), 0x6d4ff0619c339b97ULL);
+  EXPECT_EQ(b(), 0x9d34f4497825b7a7ULL);
+  EXPECT_EQ(b(), 0xb8d25ad967770acdULL);
+  EXPECT_EQ(Rng(1).uniform(), 0x1.9f8ba0fede078p-1);
+  EXPECT_EQ(Rng(2026).uniform(), 0x1.b53fc18670ce6p-2);
 }
 
 TEST(Rng, DifferentSeedsDiverge) {
@@ -133,6 +152,42 @@ TEST(Cli, ParsesKeyValueAndFlags) {
 TEST(Cli, RejectsPositionalArguments) {
   const char* argv[] = {"prog", "oops"};
   EXPECT_THROW(Cli(2, argv), std::invalid_argument);
+}
+
+/// Expects both numeric getters to throw std::invalid_argument naming --x
+/// when the command line is `--x=<value>`.
+void expect_numeric_flag_rejected(const char* arg) {
+  const char* argv[] = {"prog", arg};
+  const Cli cli(2, argv);
+  for (const bool integer : {true, false}) {
+    try {
+      if (integer) {
+        (void)cli.get_int("x", 0);
+      } else {
+        (void)cli.get_double("x", 0.0);
+      }
+      ADD_FAILURE() << arg << " accepted by " << (integer ? "get_int" : "get_double");
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("--x"), std::string::npos) << e.what();
+    }
+  }
+}
+
+TEST(Cli, RejectsEmptyNumericValue) { expect_numeric_flag_rejected("--x="); }
+
+TEST(Cli, RejectsNonNumericValue) { expect_numeric_flag_rejected("--x=abc"); }
+
+TEST(Cli, RejectsTrailingCharacters) {
+  expect_numeric_flag_rejected("--x=8x");
+  expect_numeric_flag_rejected("--x=1e-1q");
+}
+
+TEST(Cli, RejectsOutOfRangeNumbers) {
+  expect_numeric_flag_rejected("--x=1e999");
+  const char* argv[] = {"prog", "--n=99999999999999999999", "--m=-99999999999999999999"};
+  const Cli cli(3, argv);
+  EXPECT_THROW((void)cli.get_int("n", 0), std::invalid_argument);
+  EXPECT_THROW((void)cli.get_int("m", 0), std::invalid_argument);
 }
 
 TEST(ThreadPool, RunsEveryIndexExactlyOnce) {

@@ -321,11 +321,13 @@ int main(int argc, const char* const* argv) {
   const int rows = static_cast<int>(cli.get_int("rows", n + 4));
   const int schedules = static_cast<int>(cli.get_int("schedules", 16));
   const auto base_seed = static_cast<std::uint64_t>(cli.get_int("seed", 2026));
-  const auto threads = static_cast<unsigned>(cli.get_int("threads", 4));
-  if (n < 4 || n % 2 != 0 || rows < n || schedules < 1 || threads < 2) {
+  // Checked signed: a negative count cast to unsigned would pass as huge.
+  const long long thread_count = cli.get_int("threads", 4);
+  if (n < 4 || n % 2 != 0 || rows < n || schedules < 1 || thread_count < 2) {
     std::cerr << "treesvd_race: need even n >= 4, rows >= n, schedules >= 1, threads >= 2\n";
     return 2;
   }
+  const auto threads = static_cast<unsigned>(thread_count);
 
   std::vector<std::string> onames = ordering_names();
   if (cli.has("orderings")) onames = split_csv(cli.get("orderings", ""));

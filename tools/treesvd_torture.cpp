@@ -17,8 +17,10 @@
 //
 // The per-run results are emitted as machine-readable JSON (stdout, or
 // --json=PATH); the exit status is the contract: 0 means every run honoured
-// it, 1 means at least one violation, 2 means usage error. CI archives the
-// JSON so quality metrics are diffable across commits.
+// it, 1 means at least one violation, 2 means usage error. Every run of an
+// SvdResult engine also carries "digest", the hex result_core_digest of its
+// factorization, so two reports diff bitwise as well as by quality metric.
+// CI archives the JSON so both are diffable across commits.
 //
 // Usage:
 //   treesvd_torture [--n=8] [--rows=12] [--seed=2026] [--tol=1e-10]
@@ -29,6 +31,7 @@
 #include <cstddef>
 #include <fstream>
 #include <functional>
+#include <iomanip>
 #include <limits>
 #include <iostream>
 #include <sstream>
@@ -40,6 +43,7 @@
 #include "network/topology.hpp"
 #include "sim/distributed.hpp"
 #include "svd/block_jacobi.hpp"
+#include "svd/determinism.hpp"
 #include "svd/jacobi.hpp"
 #include "svd/kogbetliantz.hpp"
 #include "svd/preconditioned.hpp"
@@ -52,6 +56,12 @@ namespace {
 
 /// What the harness needs to know about one engine run, whatever the
 /// engine's native result type.
+std::string hex_digest(std::uint64_t d) {
+  std::ostringstream os;
+  os << std::hex << std::setw(16) << std::setfill('0') << d;
+  return os.str();
+}
+
 struct Outcome {
   std::vector<double> sigma;
   bool converged = false;
@@ -61,10 +71,13 @@ struct Outcome {
   /// SvdResult engines compute the heavy quality metrics for non-converged
   /// runs; KogbetliantzResult reports status/scale diagnostics only.
   bool has_quality = true;
+  /// result_core_digest of an SvdResult engine's run; empty for the others.
+  std::string digest;
 };
 
 Outcome from_svd(const SvdResult& r) {
   Outcome o;
+  o.digest = hex_digest(result_core_digest(r));
   o.sigma = r.sigma;
   o.converged = r.converged;
   o.status = r.status;
@@ -179,6 +192,7 @@ struct RunReport {
   double sigma_error = -1.0;      ///< scaled error vs known sigma; -1 = unknown sigma
   double scaled_residual = -1.0;  ///< from diagnostics when computed
   bool equilibrated = false;
+  std::string digest;             ///< Outcome::digest; empty = none
 };
 
 int main(int argc, const char* const* argv) {
@@ -230,6 +244,7 @@ int main(int argc, const char* const* argv) {
           rep.sweeps = o.sweeps;
           rep.scaled_residual = o.diagnostics.scaled_residual;
           rep.equilibrated = o.diagnostics.equilibrated;
+          rep.digest = o.digest;
           for (const double s : o.sigma)
             if (!std::isfinite(s)) rep.detail = "non-finite sigma";
           if (rep.detail.empty() && o.converged && o.status != SvdStatus::kConverged)
@@ -280,6 +295,7 @@ int main(int argc, const char* const* argv) {
        << (r.equilibrated ? "true" : "false");
     if (r.sigma_error >= 0.0) os << ", \"sigma_error\": " << r.sigma_error;
     if (r.scaled_residual >= 0.0) os << ", \"scaled_residual\": " << r.scaled_residual;
+    if (!r.digest.empty()) os << ", \"digest\": \"" << r.digest << "\"";
     if (!r.detail.empty()) os << ", \"detail\": \"" << json_escape(r.detail) << "\"";
     os << "}";
   }
