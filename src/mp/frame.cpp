@@ -1,13 +1,26 @@
 #include "mp/frame.hpp"
 
+#include <poll.h>
+#include <sys/socket.h>
+#include <sys/uio.h>
+
+#include <algorithm>
 #include <bit>
+#include <cerrno>
 
 #include "util/require.hpp"
+
+#ifndef MSG_NOSIGNAL
+#define MSG_NOSIGNAL 0
+#endif
 
 namespace treesvd::mp {
 namespace {
 
 constexpr std::uint8_t kMagic[4] = {'T', 'S', 'V', 'F'};
+/// WireReader's staging buffer: whole small frames (acks, NACKs, control)
+/// and the first bytes of a large one arrive in one recv.
+constexpr std::size_t kStageBytes = 4096;
 constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
 constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
 
@@ -51,28 +64,92 @@ std::uint64_t get_u64(const std::uint8_t* p) noexcept {
   return v;
 }
 
-void encode_header(const WireFrame& frame, std::uint64_t payload_sum, std::uint8_t* h) noexcept {
+void encode_header(WireKind kind, std::uint64_t tag, std::uint64_t seq, std::uint64_t aux,
+                   std::size_t count, std::uint64_t payload_sum, std::uint8_t* h) noexcept {
   h[0] = kMagic[0];
   h[1] = kMagic[1];
   h[2] = kMagic[2];
   h[3] = kMagic[3];
   h[4] = kWireVersion;
-  h[5] = static_cast<std::uint8_t>(frame.kind);
+  h[5] = static_cast<std::uint8_t>(kind);
   h[6] = 0;
   h[7] = 0;
-  put_u64(h + 8, frame.tag);
-  put_u64(h + 16, frame.seq);
-  put_u64(h + 24, frame.aux);
-  put_u64(h + 32, static_cast<std::uint64_t>(frame.payload.size()));
+  put_u64(h + 8, tag);
+  put_u64(h + 16, seq);
+  put_u64(h + 24, aux);
+  put_u64(h + 32, static_cast<std::uint64_t>(count));
   put_u64(h + 40, fnv1a_bytes(h, 40));
   put_u64(h + 48, payload_sum);
 }
 
-void append_payload(const std::vector<double>& payload, std::vector<std::uint8_t>& out) {
+/// Encodes a whole frame whose checksums cover `frame.payload` while the
+/// payload bytes come from `wire` (the same vector unless corrupting).
+void encode_frame(const WireFrame& frame, const std::vector<double>& wire,
+                  std::vector<std::uint8_t>& out) {
+  std::uint8_t header[kWireHeaderBytes];
+  encode_header(frame.kind, frame.tag, frame.seq, frame.aux, frame.payload.size(),
+                frame_checksum(frame.tag, frame.seq, frame.payload.data(), frame.payload.size()),
+                header);
+  out.insert(out.end(), header, header + kWireHeaderBytes);
   const std::size_t base = out.size();
-  out.resize(base + payload.size() * sizeof(double));
-  if (!payload.empty())
-    std::memcpy(out.data() + base, payload.data(), payload.size() * sizeof(double));
+  out.resize(base + wire.size() * sizeof(double));
+  if (!wire.empty()) std::memcpy(out.data() + base, wire.data(), wire.size() * sizeof(double));
+}
+
+/// The header rules every parser applies to the 56 bytes at `h`: magic,
+/// version, kind, then the header checksum vouches for the length field
+/// *before* it is trusted — a corrupted count can never make the receiver
+/// wait for (or allocate) a bogus gigantic frame, or walk off the end of a
+/// buffer — and last the receiver's payload bound. False is a desync; true
+/// fills the frame's kind, tag, seq and aux, its payload count and checksum.
+bool check_header(const std::uint8_t* h, std::size_t max_payload_doubles, WireFrame* out,
+                  std::size_t* count, std::uint64_t* payload_sum) noexcept {
+  if (std::memcmp(h, kMagic, 4) != 0) return false;
+  if (h[4] != kWireVersion) return false;
+  const std::uint8_t kind = h[5];
+  if (kind < 1 || kind > kWireKindMax) return false;
+  if (get_u64(h + 40) != fnv1a_bytes(h, 40)) return false;
+  const std::uint64_t n = get_u64(h + 32);
+  if (n > max_payload_doubles) return false;
+  out->kind = static_cast<WireKind>(kind);
+  out->tag = get_u64(h + 8);
+  out->seq = get_u64(h + 16);
+  out->aux = get_u64(h + 24);
+  *count = static_cast<std::size_t>(n);
+  *payload_sum = get_u64(h + 48);
+  return true;
+}
+
+/// Sends every byte `iov` describes, advancing it in place.
+bool send_all(int fd, iovec* iov, std::size_t count) noexcept {
+  while (count != 0) {
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = count;
+    const ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) {
+        // Nonblocking fd with a full buffer: wait for writability (a dead
+        // peer surfaces as POLLERR/EPIPE on the retry, never a hang).
+        pollfd pf{fd, POLLOUT, 0};
+        (void)::poll(&pf, 1, 1000);
+        continue;
+      }
+      return false;
+    }
+    auto left = static_cast<std::size_t>(n);
+    while (count != 0 && left >= iov->iov_len) {
+      left -= iov->iov_len;
+      ++iov;
+      --count;
+    }
+    if (count != 0) {
+      iov->iov_base = static_cast<std::uint8_t*>(iov->iov_base) + left;
+      iov->iov_len -= left;
+    }
+  }
+  return true;
 }
 
 }  // namespace
@@ -133,26 +210,16 @@ bool frame_valid(std::uint64_t tag, const std::vector<double>& frame, std::uint6
 }
 
 void encode_wire_frame(const WireFrame& frame, std::vector<std::uint8_t>& out) {
-  std::uint8_t header[kWireHeaderBytes];
-  encode_header(frame,
-                frame_checksum(frame.tag, frame.seq, frame.payload.data(), frame.payload.size()),
-                header);
-  out.insert(out.end(), header, header + kWireHeaderBytes);
-  append_payload(frame.payload, out);
+  encode_frame(frame, frame.payload, out);
 }
 
 void encode_corrupted_wire_frame(const WireFrame& frame, const std::vector<double>& corrupted,
                                  std::vector<std::uint8_t>& out) {
   TREESVD_REQUIRE(corrupted.size() == frame.payload.size(),
                   "corrupted wire frame must keep the clean payload's length");
-  std::uint8_t header[kWireHeaderBytes];
   // Checksums cover the *clean* payload; the wire carries the corrupted
   // bytes, so the receiver's payload-checksum check must fire.
-  encode_header(frame,
-                frame_checksum(frame.tag, frame.seq, frame.payload.data(), frame.payload.size()),
-                header);
-  out.insert(out.end(), header, header + kWireHeaderBytes);
-  append_payload(corrupted, out);
+  encode_frame(frame, corrupted, out);
 }
 
 WireDecode decode_wire_frame(const std::uint8_t* bytes, std::size_t len,
@@ -160,31 +227,97 @@ WireDecode decode_wire_frame(const std::uint8_t* bytes, std::size_t len,
                              std::size_t* consumed) {
   *consumed = 0;
   if (len < kWireHeaderBytes) return WireDecode::kNeedMore;
-  if (std::memcmp(bytes, kMagic, 4) != 0) return WireDecode::kBadFrame;
-  if (bytes[4] != kWireVersion) return WireDecode::kBadFrame;
-  const std::uint8_t kind = bytes[5];
-  if (kind < 1 || kind > kWireKindMax) return WireDecode::kBadFrame;
-  // The header checksum vouches for the length field *before* it is trusted:
-  // a corrupted count can never make the receiver wait for (or allocate) a
-  // bogus gigantic frame, or walk off the end of the buffer.
-  if (get_u64(bytes + 40) != fnv1a_bytes(bytes, 40)) return WireDecode::kBadFrame;
-  const std::uint64_t count = get_u64(bytes + 32);
-  if (count > max_payload_doubles) return WireDecode::kBadFrame;
-  const std::size_t total = kWireHeaderBytes + static_cast<std::size_t>(count) * sizeof(double);
+  std::size_t count = 0;
+  std::uint64_t payload_sum = 0;
+  if (!check_header(bytes, max_payload_doubles, out, &count, &payload_sum))
+    return WireDecode::kBadFrame;
+  const std::size_t total = kWireHeaderBytes + count * sizeof(double);
   if (len < total) return WireDecode::kNeedMore;
-  out->kind = static_cast<WireKind>(kind);
-  out->tag = get_u64(bytes + 8);
-  out->seq = get_u64(bytes + 16);
-  out->aux = get_u64(bytes + 24);
-  out->payload.resize(static_cast<std::size_t>(count));
+  out->payload.resize(count);
   if (count != 0)
-    std::memcpy(out->payload.data(), bytes + kWireHeaderBytes,
-                static_cast<std::size_t>(count) * sizeof(double));
+    std::memcpy(out->payload.data(), bytes + kWireHeaderBytes, count * sizeof(double));
   *consumed = total;
-  if (frame_checksum(out->tag, out->seq, out->payload.data(), out->payload.size()) !=
-      get_u64(bytes + 48))
+  if (frame_checksum(out->tag, out->seq, out->payload.data(), out->payload.size()) != payload_sum)
     return WireDecode::kBadPayload;
   return WireDecode::kOk;
+}
+
+bool write_wire_frames(int fd, std::span<const WireOut> frames) noexcept {
+  constexpr std::size_t kBatch = 4;
+  std::uint8_t headers[kBatch][kWireHeaderBytes];
+  iovec iov[2 * kBatch];
+  while (!frames.empty()) {
+    const std::size_t n = std::min(frames.size(), kBatch);
+    for (std::size_t i = 0; i < n; ++i) {
+      const WireOut& f = frames[i];
+      encode_header(f.kind, f.tag, f.seq, f.aux, f.payload.size(),
+                    frame_checksum(f.tag, f.seq, f.payload.data(), f.payload.size()), headers[i]);
+      const double* wire = f.on_wire != nullptr ? f.on_wire : f.payload.data();
+      iov[2 * i] = {headers[i], kWireHeaderBytes};
+      iov[2 * i + 1] = {const_cast<double*>(wire), f.payload.size() * sizeof(double)};
+    }
+    if (!send_all(fd, iov, 2 * n)) return false;
+    frames = frames.subspan(n);
+  }
+  return true;
+}
+
+WireReader::WireReader(std::size_t max_payload_doubles)
+    : max_payload_doubles_(max_payload_doubles), stage_(kStageBytes) {}
+
+WireDecode WireReader::next(int fd, WireFrame* out) {
+  for (;;) {
+    ssize_t n = 0;
+    if (!in_payload_) {
+      if (end_ - begin_ >= kWireHeaderBytes) {
+        std::size_t count = 0;
+        if (!check_header(stage_.data() + begin_, max_payload_doubles_, &cur_, &count,
+                          &payload_sum_))
+          return WireDecode::kBadFrame;  // begin_ stays put: the verdict sticks
+        begin_ += kWireHeaderBytes;
+        cur_.payload.resize(count);
+        filled_ = 0;
+        in_payload_ = true;
+        continue;
+      }
+      // Too few bytes for a header: keep them at the front, refill behind.
+      std::memmove(stage_.data(), stage_.data() + begin_, end_ - begin_);
+      end_ -= begin_;
+      begin_ = 0;
+      n = ::recv(fd, stage_.data() + end_, stage_.size() - end_, 0);
+      if (n > 0) end_ += static_cast<std::size_t>(n);
+    } else {
+      auto* dst = reinterpret_cast<std::uint8_t*>(cur_.payload.data());
+      const std::size_t total = cur_.payload.size() * sizeof(double);
+      const std::size_t staged = std::min(total - filled_, end_ - begin_);
+      if (staged != 0) std::memcpy(dst + filled_, stage_.data() + begin_, staged);
+      begin_ += staged;
+      filled_ += staged;
+      if (filled_ == total) {
+        in_payload_ = false;
+        const bool intact = frame_checksum(cur_.tag, cur_.seq, cur_.payload.data(),
+                                           cur_.payload.size()) == payload_sum_;
+        *out = std::move(cur_);
+        return intact ? WireDecode::kOk : WireDecode::kBadPayload;
+      }
+      // The staging buffer is spent: the rest of the payload goes straight
+      // into its vector, and whatever follows it into the staging buffer.
+      begin_ = 0;
+      end_ = 0;
+      iovec iov[2] = {{dst + filled_, total - filled_}, {stage_.data(), stage_.size()}};
+      n = ::readv(fd, iov, 2);
+      if (n > 0) {
+        const auto got = static_cast<std::size_t>(n);
+        const std::size_t into_payload = std::min(got, total - filled_);
+        filled_ += into_payload;
+        end_ = got - into_payload;
+      }
+    }
+    if (n > 0) continue;
+    if (n == 0) return WireDecode::kClosed;
+    if (errno == EINTR) continue;
+    return errno == EAGAIN || errno == EWOULDBLOCK ? WireDecode::kNeedMore : WireDecode::kClosed;
+  }
 }
 
 std::vector<double> pack_string(const std::string& s) {

@@ -13,13 +13,17 @@
 //  * The in-process "double frame" (make_frame / frame_valid): a 2-double
 //    [seq, checksum] header prepended to the payload, carried through the
 //    shared-memory mailboxes. This is the original reliable-transport frame.
-//  * The byte-stream "wire frame" (encode_wire_frame / decode_wire_frame):
-//    the socket backend's length-prefixed encoding (wire version 2: the
-//    word-lane payload checksum). The header carries its own FNV-1a (so a
-//    corrupted length can never make the receiver read out of bounds or
-//    desynchronise silently), and the payload checksum is the *same*
-//    frame_checksum the in-process frames use. Decoding distinguishes
-//    three failure classes so the receiver can pick the right recovery:
+//  * The byte-stream "wire frame": the socket backend's length-prefixed
+//    encoding (wire version 3: the word-lane payload checksum and the kAck
+//    kind). The header carries its own FNV-1a (so a corrupted length can
+//    never make the receiver read out of bounds or desynchronise silently),
+//    and the payload checksum is the *same* frame_checksum the in-process
+//    frames use. Frames reach a socket through write_wire_frames (header
+//    and payload gathered by one sendmsg, no staging copy) and leave it
+//    through WireReader (payloads read straight into the vector handed on);
+//    encode_wire_frame / decode_wire_frame are the byte-buffer reference
+//    the reader is tested against. Every parser distinguishes the same
+//    failure classes so the receiver can pick the right recovery:
 //      - kNeedMore:   the buffer holds a frame prefix; read more bytes.
 //      - kBadPayload: header intact, payload corrupted — skip exactly this
 //                     frame and recover the payload via NACK/resend.
@@ -31,6 +35,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -83,15 +88,16 @@ enum class WireKind : std::uint8_t {
   kKilled = 10,    ///< child -> launcher: planned kill firing (aux = op, payload = stats)
   kError = 11,     ///< child -> launcher: program exception (aux = kind, payload = message)
   kExit = 12,      ///< child -> launcher: normal completion (payload = stats)
+  kAck = 13,       ///< receiver -> sender: consumed frames (payload = tag, seq bit pairs)
 };
-inline constexpr std::uint8_t kWireKindMax = 12;
+inline constexpr std::uint8_t kWireKindMax = 13;
 
 /// Fixed wire header: magic(4) version(1) kind(1) pad(2) tag(8) seq(8)
 /// aux(8) payload_count(8) header_fnv(8) payload_checksum(8).
 inline constexpr std::size_t kWireHeaderBytes = 56;
-/// Version 2: the word-lane payload checksum (version 1 used byte-wise
-/// FNV-1a); a frame of any other version is kBadFrame.
-inline constexpr std::uint8_t kWireVersion = 2;
+/// Version 3 adds kAck to version 2's word-lane payload checksum (version 1
+/// used byte-wise FNV-1a); a frame of any other version is kBadFrame.
+inline constexpr std::uint8_t kWireVersion = 3;
 
 /// One decoded (or to-be-encoded) socket frame.
 struct WireFrame {
@@ -107,6 +113,7 @@ enum class WireDecode {
   kNeedMore,    ///< the buffer ends mid-frame; append bytes and retry
   kBadPayload,  ///< header valid, payload checksum mismatch: skip this frame
   kBadFrame,    ///< stream desync: close the connection
+  kClosed,      ///< WireReader only: the stream ended (EOF or a read error)
 };
 
 /// Appends the encoded frame to `out`.
@@ -125,6 +132,54 @@ void encode_corrupted_wire_frame(const WireFrame& frame, const std::vector<doubl
 WireDecode decode_wire_frame(const std::uint8_t* bytes, std::size_t len,
                              std::size_t max_payload_doubles, WireFrame* out,
                              std::size_t* consumed);
+
+/// A frame to write: header fields plus a view of the caller's payload, which
+/// must stay alive until write_wire_frames returns.
+struct WireOut {
+  WireKind kind = WireKind::kData;
+  std::uint64_t tag = 0;
+  std::uint64_t seq = 0;
+  std::uint64_t aux = 0;
+  std::span<const double> payload;  ///< what the payload checksum covers
+  /// Bytes written in the payload's place when set (a damaged copy of the
+  /// same length: corruption injection, as encode_corrupted_wire_frame).
+  const double* on_wire = nullptr;
+};
+
+/// Writes `frames` to the stream socket `fd`: each 56-byte header followed
+/// by its payload, gathered straight from the callers' vectors by sendmsg
+/// (one call unless the kernel takes the bytes in parts). EINTR is retried,
+/// a full nonblocking socket is waited on, SIGPIPE is suppressed. False on
+/// any error: a peer may die at any moment, so callers treat failure as a
+/// lost frame and lean on the NACK/abort machinery, never on write success.
+bool write_wire_frames(int fd, std::span<const WireOut> frames) noexcept;
+
+/// Incremental reader of one byte stream of wire frames. One recv fills a
+/// fixed staging buffer that holds whole small frames and the first bytes
+/// of a large one; each header is checked (decode_wire_frame's rules)
+/// before its payload is allocated, and the rest of a large payload is read
+/// straight into the vector the frame hands on, with the checksum checked
+/// in place. Yields exactly what decode_wire_frame yields on the same bytes.
+class WireReader {
+ public:
+  explicit WireReader(std::size_t max_payload_doubles);
+
+  /// Reads the next frame off the nonblocking stream `fd`. kOk fills `out`;
+  /// kBadPayload fills its kind/tag/seq/aux and skips the frame; kNeedMore
+  /// means nothing more is readable now; kBadFrame (desync) and kClosed
+  /// (EOF, also mid-frame, or a read error) end the stream.
+  WireDecode next(int fd, WireFrame* out);
+
+ private:
+  std::size_t max_payload_doubles_;
+  std::vector<std::uint8_t> stage_;
+  std::size_t begin_ = 0;  ///< unread staged bytes are [begin_, end_)
+  std::size_t end_ = 0;
+  bool in_payload_ = false;  ///< cur_'s header is read, its payload is not
+  WireFrame cur_;
+  std::uint64_t payload_sum_ = 0;
+  std::size_t filled_ = 0;  ///< payload bytes of cur_ read so far
+};
 
 /// Packs a UTF-8 string into doubles (length + 8 bytes per double) so error
 /// messages can ride the payload of a wire frame. Exact round trip.

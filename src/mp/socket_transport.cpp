@@ -9,6 +9,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <condition_variable>
@@ -23,10 +24,6 @@
 #include "mp/frame.hpp"
 #include "util/require.hpp"
 
-#ifndef MSG_NOSIGNAL
-#define MSG_NOSIGNAL 0
-#endif
-
 namespace treesvd::mp {
 namespace {
 
@@ -34,30 +31,6 @@ using Clock = std::chrono::steady_clock;
 
 double ms_between(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double, std::milli>(b - a).count();
-}
-
-/// Full write with EINTR retry and SIGPIPE suppressed; false on any error
-/// (a peer may die at any moment — callers treat failure as a lost frame
-/// and lean on the NACK/abort machinery, never on write success). Sockets
-/// only: it calls send(), which fails with ENOTSOCK on a pipe.
-bool write_all(int fd, const std::uint8_t* p, std::size_t len) noexcept {
-  while (len != 0) {
-    const ssize_t n = ::send(fd, p, len, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        // Nonblocking fd with a full buffer: wait for writability (a dead
-        // peer surfaces as POLLERR/EPIPE on the retry, never a hang).
-        pollfd pf{fd, POLLOUT, 0};
-        (void)::poll(&pf, 1, 1000);
-        continue;
-      }
-      return false;
-    }
-    p += n;
-    len -= static_cast<std::size_t>(n);
-  }
-  return true;
 }
 
 void set_nonblocking(int fd) noexcept {
@@ -79,24 +52,9 @@ int connect_unix(const std::string& path) noexcept {
   }
 }
 
-/// Appends whatever is readable right now; returns false on EOF or a hard
-/// error (the connection is dead either way).
-bool read_into(int fd, std::vector<std::uint8_t>& buf, bool* progress) noexcept {
-  *progress = false;
-  for (;;) {
-    std::uint8_t chunk[65536];
-    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n > 0) {
-      buf.insert(buf.end(), chunk, chunk + n);
-      *progress = true;
-      continue;
-    }
-    if (n == 0) return false;
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) return true;
-    return false;
-  }
-}
+/// Most (tag, seq) pairs one kAck frame carries before it is written on its
+/// own; ~4 KiB, so a batch never nears a receiver's payload bound.
+constexpr std::size_t kAckBatchPairs = 256;
 
 /// Exit-frame kinds (WireFrame::aux of kError): which exception type a rank
 /// process unwound with, so the launcher rethrows the same type.
@@ -189,15 +147,27 @@ struct SocketTransport::RankRuntime {
 
   std::uint64_t sync_gen = 0;         ///< program thread only
 
-  // Send-side state (out_mu): lazy connections plus the clean retransmit
-  // store that backs NACK recovery (trimmed only between runs — a receiver
-  // may NACK any frame of the run until the world tears down, which is why
-  // a finished rank waits in the exit handshake before its process ends).
+  // The clean retransmit store that backs NACK recovery (store_mu). A frame
+  // leaves it once its receiver acknowledges consuming it (kAck): after that
+  // no NACK can name it. Until then a receiver may NACK it for the rest of
+  // the run, which is why a finished rank waits in the exit handshake before
+  // its process ends. Entries are shared: a delayed, duplicated or
+  // NACK-served write may still be sending a frame when its ack arrives.
+  // store_mu is never held across a write, so the IO thread's releases never
+  // wait behind a send blocked on a full peer socket.
+  using Stored = std::shared_ptr<const std::vector<double>>;
+  std::mutex store_mu;
+  std::map<Key, std::uint64_t> send_seq;
+  std::map<Key, std::map<std::uint64_t, Stored>> store;
+  std::atomic<std::size_t> sends{0};
+
+  // Writes (out_mu): lazy connections, and per peer the (tag, seq) bit pairs
+  // of consumed frames not yet acknowledged. They ride the next frame
+  // written to that peer, or go alone before a recv blocks.
   std::mutex out_mu;
   std::vector<int> out;
-  std::map<Key, std::uint64_t> send_seq;
-  std::map<Key, std::map<std::uint64_t, std::vector<double>>> store;
-  std::atomic<std::size_t> sends{0};
+  std::vector<std::vector<double>> acks;
+  std::size_t ack_batch = 0;          ///< pairs per kAck frame (0: no acks)
 
   RecoveryStats baseline;             ///< counters at fork (ship deltas only)
   std::thread io;
@@ -212,79 +182,117 @@ struct SocketTransport::RankRuntime {
   }
 
   /// Wakes the IO thread out of poll(). The self-pipe takes write(2), not
-  /// write_all; a full pipe already holds a pending wake.
+  /// write_wire_frames; a full pipe already holds a pending wake.
   void wake_io() noexcept {
     const std::uint8_t b = 1;
     while (::write(wake_w, &b, 1) < 0 && errno == EINTR) {
     }
   }
 
-  void ctl_frame(const WireFrame& f) noexcept {
-    std::vector<std::uint8_t> bytes;
-    encode_wire_frame(f, bytes);
+  void ctl_frame(const WireOut& f) noexcept {
     std::lock_guard<std::mutex> lock(ctl_mu);
-    (void)!write_all(ctl, bytes.data(), bytes.size());
+    (void)!write_wire_frames(ctl, {&f, 1});
   }
 
-  /// Writes a pre-encoded frame to `dst`, connecting (and re-connecting
-  /// once: a killed connection is a *recoverable* physical fault) on demand.
-  void write_to(int dst, const std::vector<std::uint8_t>& bytes) noexcept {
-    std::lock_guard<std::mutex> lock(out_mu);
+  /// Writes dst's pending acks, then `frame` unless null, in one sendmsg,
+  /// connecting (and re-connecting once: a killed connection is a
+  /// *recoverable* physical fault) on demand. Caller holds out_mu.
+  void write_locked(int dst, const WireOut* frame) noexcept {
+    const auto d = static_cast<std::size_t>(dst);
+    WireOut batch[2];
+    std::size_t count = 0;
+    if (!acks[d].empty()) {
+      batch[count].kind = WireKind::kAck;
+      batch[count++].payload = acks[d];
+    }
+    if (frame != nullptr) batch[count++] = *frame;
     for (int attempt = 0; attempt < 2; ++attempt) {
-      if (out[static_cast<std::size_t>(dst)] < 0) {
-        const int fd = connect_unix(bk->paths_[static_cast<std::size_t>(dst)]);
+      if (out[d] < 0) {
+        const int fd = connect_unix(bk->paths_[d]);
         if (fd < 0) return;  // peer gone: recovery/abort machinery takes over
-        WireFrame hello;
+        WireOut hello;
         hello.kind = WireKind::kHello;
         hello.aux = static_cast<std::uint64_t>(rank);
-        std::vector<std::uint8_t> hb;
-        encode_wire_frame(hello, hb);
-        if (!write_all(fd, hb.data(), hb.size())) {
+        if (!write_wire_frames(fd, {&hello, 1})) {
           ::close(fd);
           return;
         }
-        out[static_cast<std::size_t>(dst)] = fd;
+        out[d] = fd;
       }
-      if (write_all(out[static_cast<std::size_t>(dst)], bytes.data(), bytes.size())) return;
-      ::close(out[static_cast<std::size_t>(dst)]);
-      out[static_cast<std::size_t>(dst)] = -1;
+      if (write_wire_frames(out[d], {batch, count})) {
+        acks[d].clear();
+        return;
+      }
+      ::close(out[d]);
+      out[d] = -1;
     }
+  }
+
+  void write_to(int dst, const WireOut& frame) noexcept {
+    std::lock_guard<std::mutex> lock(out_mu);
+    write_locked(dst, &frame);
   }
 
   void write_data(int dst, std::uint64_t tag, std::uint64_t seq,
                   const std::vector<double>& clean, const std::vector<double>* corrupted) {
-    WireFrame f;
-    f.kind = WireKind::kData;
+    WireOut f;
     f.tag = tag;
     f.seq = seq;
     f.payload = clean;
-    std::vector<std::uint8_t> bytes;
-    if (corrupted != nullptr) {
-      encode_corrupted_wire_frame(f, *corrupted, bytes);
-    } else {
-      encode_wire_frame(f, bytes);
-    }
-    write_to(dst, bytes);
+    if (corrupted != nullptr) f.on_wire = corrupted->data();
+    write_to(dst, f);
   }
 
   void send_nack(int src, std::uint64_t tag, std::uint64_t seq, int attempt) {
-    WireFrame f;
+    WireOut f;
     f.kind = WireKind::kNack;
     f.tag = tag;
     f.seq = seq;
     f.aux = static_cast<std::uint64_t>(attempt);
-    std::vector<std::uint8_t> bytes;
-    encode_wire_frame(f, bytes);
-    write_to(src, bytes);
+    write_to(src, f);
+  }
+
+  /// Owes `src` an acknowledgement for a frame handed to the program.
+  void record_ack(int src, std::uint64_t tag, std::uint64_t seq) {
+    if (ack_batch == 0) return;
+    std::lock_guard<std::mutex> lock(out_mu);
+    std::vector<double>& pending = acks[static_cast<std::size_t>(src)];
+    pending.push_back(bits_to_double(tag));
+    pending.push_back(bits_to_double(seq));
+    if (pending.size() >= 2 * ack_batch) write_locked(src, nullptr);
+  }
+
+  void flush_acks() {
+    std::lock_guard<std::mutex> lock(out_mu);
+    for (int peer = 0; peer < size; ++peer) {
+      if (!acks[static_cast<std::size_t>(peer)].empty()) write_locked(peer, nullptr);
+    }
+  }
+
+  /// A kAck from `dst`: drop what it consumed from the store. A receiver
+  /// consumes each (dst, tag) stream in order, so everything up to the
+  /// acknowledged seq goes.
+  void release_acked(int dst, const std::vector<double>& pairs) {
+    std::vector<Stored> released;  // freed after the lock is dropped
+    std::lock_guard<std::mutex> lock(store_mu);
+    for (std::size_t i = 0; i + 1 < pairs.size(); i += 2) {
+      const auto sit = store.find({dst, double_to_bits(pairs[i])});
+      if (sit == store.end()) continue;
+      auto& frames = sit->second;
+      const auto last = frames.upper_bound(double_to_bits(pairs[i + 1]));
+      for (auto it = frames.begin(); it != last; ++it) released.push_back(std::move(it->second));
+      frames.erase(frames.begin(), last);
+      if (frames.empty()) store.erase(sit);
+    }
   }
 
   /// Serves a peer's retransmission request from the clean store. A NACK for
   /// a frame this rank has not sent yet is ignored — the receiver's deadline
   /// simply fired before our send; the normal transmission will arrive.
   void serve_nack(int dst, std::uint64_t tag, std::uint64_t seq, int attempt) {
-    std::vector<double> clean;
+    Stored clean;
     {
-      std::lock_guard<std::mutex> lock(out_mu);
+      std::lock_guard<std::mutex> lock(store_mu);
       const auto sit = store.find({dst, tag});
       if (sit == store.end()) return;
       const auto pit = sit->second.find(seq);
@@ -296,7 +304,7 @@ struct SocketTransport::RankRuntime {
       return;
     }
     counters->add_resend();
-    write_data(dst, tag, seq, clean, nullptr);
+    write_data(dst, tag, seq, *clean, nullptr);
   }
 
   void handle_data(int src, WireFrame&& f) {
@@ -333,7 +341,7 @@ struct SocketTransport::RankRuntime {
   struct Conn {
     int fd = -1;
     int src = -1;  ///< unknown until the HELLO frame
-    std::vector<std::uint8_t> buf;
+    WireReader reader;
   };
 
   void close_conn(Conn& c) {
@@ -348,72 +356,65 @@ struct SocketTransport::RankRuntime {
     cv.notify_all();
   }
 
-  /// Decodes every complete frame in the connection's buffer. Returns false
-  /// when the stream desynchronised (kBadFrame) and must be closed: the
-  /// retry path re-delivers anything the torn stream lost.
-  bool drain_conn(Conn& c) {
-    std::size_t off = 0;
-    bool ok = true;
-    for (;;) {
-      WireFrame f;
-      std::size_t consumed = 0;
-      const WireDecode d = decode_wire_frame(c.buf.data() + off, c.buf.size() - off,
-                                             cfg.max_payload_doubles, &f, &consumed);
-      if (d == WireDecode::kNeedMore) break;
-      if (d == WireDecode::kBadFrame) {
-        ok = false;
-        break;
-      }
-      off += consumed;
-      if (d == WireDecode::kBadPayload) {
-        // Header intact, payload damaged: skip exactly this frame and ask
-        // for it again — physical corruption recovery.
-        counters->add_corruption_detected();
-        if (c.src >= 0 && f.kind == WireKind::kData) send_nack(c.src, f.tag, f.seq, 0);
-        continue;
-      }
-      switch (f.kind) {
-        case WireKind::kHello: {
-          const int src = static_cast<int>(f.aux);
-          if (src < 0 || src >= size || src == rank) {
-            ok = false;
-            break;
-          }
-          std::lock_guard<std::mutex> lock(mu);
-          if (c.src < 0) --pending_unknown;
-          c.src = src;
-          in_fd[static_cast<std::size_t>(src)] = c.fd;
-          break;
-        }
-        case WireKind::kData:
-          if (c.src < 0) {
-            ok = false;  // data before HELLO: not one of ours
-            break;
-          }
-          handle_data(c.src, std::move(f));
-          break;
-        case WireKind::kNack:
-          if (c.src >= 0) serve_nack(c.src, f.tag, f.seq, static_cast<int>(f.aux));
-          break;
-        default:
-          ok = false;  // control-only kind on a data stream
-          break;
-      }
-      if (!ok) break;
+  /// Acts on one frame from a peer connection. False when the peer broke
+  /// the protocol and the connection must be closed.
+  bool on_peer_frame(Conn& c, WireDecode d, WireFrame&& f) {
+    if (d == WireDecode::kBadPayload) {
+      // Header intact, payload damaged: the reader skipped exactly this
+      // frame; ask for it again — physical corruption recovery.
+      counters->add_corruption_detected();
+      if (c.src >= 0 && f.kind == WireKind::kData) send_nack(c.src, f.tag, f.seq, 0);
+      return true;
     }
-    if (off != 0) c.buf.erase(c.buf.begin(), c.buf.begin() + static_cast<std::ptrdiff_t>(off));
-    return ok;
+    switch (f.kind) {
+      case WireKind::kHello: {
+        const int src = static_cast<int>(f.aux);
+        if (src < 0 || src >= size || src == rank) return false;
+        std::lock_guard<std::mutex> lock(mu);
+        if (c.src < 0) --pending_unknown;
+        c.src = src;
+        in_fd[static_cast<std::size_t>(src)] = c.fd;
+        return true;
+      }
+      case WireKind::kData:
+        if (c.src < 0) return false;  // data before HELLO: not one of ours
+        handle_data(c.src, std::move(f));
+        return true;
+      case WireKind::kNack:
+        if (c.src >= 0) serve_nack(c.src, f.tag, f.seq, static_cast<int>(f.aux));
+        return true;
+      case WireKind::kAck:
+        if (c.src >= 0) release_acked(c.src, f.payload);
+        return true;
+      default:
+        return false;  // control-only kind on a data stream
+    }
   }
 
-  void drain_ctl(std::vector<std::uint8_t>& buf) {
-    std::size_t off = 0;
+  /// Reads every frame ready on `c`. EOF, a read error or a desync closes
+  /// it: the retry path re-delivers anything a torn stream lost.
+  void read_conn(Conn& c) {
     for (;;) {
       WireFrame f;
-      std::size_t consumed = 0;
-      const WireDecode d = decode_wire_frame(buf.data() + off, buf.size() - off,
-                                             cfg.max_payload_doubles, &f, &consumed);
-      if (d != WireDecode::kOk) break;  // launcher frames are never corrupt
-      off += consumed;
+      const WireDecode d = c.reader.next(c.fd, &f);
+      if (d == WireDecode::kNeedMore) return;
+      const bool framed = d == WireDecode::kOk || d == WireDecode::kBadPayload;
+      if (!framed || !on_peer_frame(c, d, std::move(f))) {
+        close_conn(c);
+        return;
+      }
+    }
+  }
+
+  /// Reads every launcher frame ready on the control stream; false once the
+  /// stream is lost (EOF, a read error, or damage launcher frames never
+  /// carry).
+  bool read_ctl(WireReader& reader) {
+    for (;;) {
+      WireFrame f;
+      const WireDecode d = reader.next(ctl, &f);
+      if (d == WireDecode::kNeedMore) return true;
+      if (d != WireDecode::kOk) return false;
       switch (f.kind) {
         case WireKind::kSyncRelease: {
           std::lock_guard<std::mutex> lock(mu);
@@ -434,12 +435,11 @@ struct SocketTransport::RankRuntime {
           break;
       }
     }
-    if (off != 0) buf.erase(buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(off));
   }
 
   void io_loop() {
     std::deque<Conn> conns;
-    std::vector<std::uint8_t> ctl_buf;
+    WireReader ctl_reader(cfg.max_payload_doubles);
     auto last_hb = Clock::now() - std::chrono::hours(1);
     bool ctl_alive = true;
     for (;;) {
@@ -449,7 +449,7 @@ struct SocketTransport::RankRuntime {
       }
       const auto now = Clock::now();
       if (ms_between(last_hb, now) >= cfg.heartbeat_interval_ms) {
-        WireFrame hb;
+        WireOut hb;
         hb.kind = WireKind::kHeartbeat;
         ctl_frame(hb);
         last_hb = now;
@@ -477,38 +477,26 @@ struct SocketTransport::RankRuntime {
           const int fd = ::accept(listen_fd, nullptr, nullptr);
           if (fd < 0) break;
           set_nonblocking(fd);
-          Conn c;
-          c.fd = fd;
           {
             std::lock_guard<std::mutex> lock(mu);
             ++pending_unknown;
           }
-          conns.push_back(std::move(c));
+          conns.push_back(Conn{fd, -1, WireReader(cfg.max_payload_doubles)});
         }
       }
-      if (ctl_alive && fds[conn_base - 1].revents != 0) {
-        bool progress = false;
-        if (!read_into(ctl, ctl_buf, &progress)) {
-          // Launcher died under us: nothing can complete any more — treat as
-          // a world abort with every peer unreachable so the program unwinds.
-          ctl_alive = false;
-          std::lock_guard<std::mutex> lock(mu);
-          aborted = true;
-          for (auto& fl : finished) fl = 1;
-          cv.notify_all();
-        }
-        if (progress) drain_ctl(ctl_buf);
+      if (ctl_alive && fds[conn_base - 1].revents != 0 && !read_ctl(ctl_reader)) {
+        // Launcher died under us: nothing can complete any more — treat as
+        // a world abort with every peer unreachable so the program unwinds.
+        ctl_alive = false;
+        std::lock_guard<std::mutex> lock(mu);
+        aborted = true;
+        for (auto& fl : finished) fl = 1;
+        cv.notify_all();
       }
       for (std::size_t i = 0; i < polled_conns; ++i) {
         // conns may not shrink inside this loop; EOF-closed entries are
         // swept afterwards.
-        if (fds[conn_base + i].revents == 0) continue;
-        Conn& c = conns[i];
-        bool progress = false;
-        const bool alive = read_into(c.fd, c.buf, &progress);
-        bool ok = true;
-        if (progress) ok = drain_conn(c);
-        if (!alive || !ok) close_conn(c);
+        if (fds[conn_base + i].revents != 0) read_conn(conns[i]);
       }
       for (auto it = conns.begin(); it != conns.end();) {
         it = it->fd < 0 ? conns.erase(it) : std::next(it);
@@ -610,12 +598,15 @@ void SocketTransport::purge_leftovers() {
 void SocketTransport::send(Context& ctx, int dst, std::uint64_t tag, std::vector<double> data) {
   TREESVD_MP_CHILD_ONLY();
   RankRuntime& rt = *runtime_;
+  // Every write below, and any NACK the IO thread serves, goes out straight
+  // from this one vector.
+  const auto frame = std::make_shared<const std::vector<double>>(std::move(data));
   std::uint64_t seq = 0;
   {
-    std::lock_guard<std::mutex> lock(rt.out_mu);
+    std::lock_guard<std::mutex> lock(rt.store_mu);
     const RankRuntime::Key key{dst, tag};
     seq = rt.send_seq[key]++;
-    rt.store[key][seq] = data;  // clean copy backs NACK recovery
+    rt.store[key][seq] = frame;  // backs NACK recovery until the receiver acks it
   }
   rt.sends.fetch_add(1, std::memory_order_relaxed);
   const FaultAction act = (rt.reliable_on && rt.inj != nullptr)
@@ -623,7 +614,7 @@ void SocketTransport::send(Context& ctx, int dst, std::uint64_t tag, std::vector
                               : FaultAction::kDeliver;
   switch (act) {
     case FaultAction::kDeliver:
-      rt.write_data(dst, tag, seq, data, nullptr);
+      rt.write_data(dst, tag, seq, *frame, nullptr);
       break;
     case FaultAction::kDrop: {
       // Physical drop: the frame never leaves, and the connection it would
@@ -640,14 +631,14 @@ void SocketTransport::send(Context& ctx, int dst, std::uint64_t tag, std::vector
     }
     case FaultAction::kDuplicate:
       rt.counters->add_duplicate_injected();
-      rt.write_data(dst, tag, seq, data, nullptr);
-      rt.write_data(dst, tag, seq, data, nullptr);
+      rt.write_data(dst, tag, seq, *frame, nullptr);
+      rt.write_data(dst, tag, seq, *frame, nullptr);
       break;
     case FaultAction::kCorrupt: {
       rt.counters->add_corruption_injected();
-      std::vector<double> damaged = data;
+      std::vector<double> damaged = *frame;
       rt.inj->corrupt_payload(damaged, ctx.rank(), dst, tag, seq);
-      rt.write_data(dst, tag, seq, data, &damaged);
+      rt.write_data(dst, tag, seq, *frame, &damaged);
       break;
     }
     case FaultAction::kDelay:
@@ -657,7 +648,7 @@ void SocketTransport::send(Context& ctx, int dst, std::uint64_t tag, std::vector
       rt.counters->add_delay();
       std::this_thread::sleep_for(
           std::chrono::duration<double, std::milli>(rt.cfg.delay_stall_ms));
-      rt.write_data(dst, tag, seq, data, nullptr);
+      rt.write_data(dst, tag, seq, *frame, nullptr);
       break;
   }
 }
@@ -668,53 +659,65 @@ std::vector<double> SocketTransport::recv(Context& ctx, int src, std::uint64_t t
   const RankRuntime::Key key{src, tag};
   std::unique_lock<std::mutex> lock(rt.mu);
   const std::uint64_t expected = rt.next_seq[key];
-  int attempt = 0;
-  double wall_ms = rt.rel.deadline * rt.cfg.recv_deadline_ms;
-  double virtual_wait = rt.rel.deadline;
-  for (;;) {
-    const auto ready = [&] {
-      const auto sit = rt.stash.find(key);
-      if (sit != rt.stash.end() && sit->second.count(expected) != 0) return true;
-      return rt.aborted && rt.unreachable(src);
-    };
-    bool have = false;
-    if (rt.reliable_on) {
-      have = rt.cv.wait_for(lock, std::chrono::duration<double, std::milli>(wall_ms), ready);
-    } else {
-      rt.cv.wait(lock, ready);
-      have = true;
-    }
+  std::vector<double> payload;
+  const auto take = [&] {
     const auto sit = rt.stash.find(key);
-    if (sit != rt.stash.end()) {
-      const auto pit = sit->second.find(expected);
-      if (pit != sit->second.end()) {
-        std::vector<double> payload = std::move(pit->second);
-        sit->second.erase(pit);
-        rt.next_seq[key] = expected + 1;
-        return payload;
-      }
-    }
-    if (have) {  // woke on the abort/unreachable arm
-      throw WorldAbortedError("recv blocked on dead rank process: src=" + std::to_string(src) +
-                              " dst=" + std::to_string(ctx.rank()) +
-                              " tag=" + std::to_string(tag) +
-                              " seq=" + std::to_string(expected));
-    }
-    // Wall-clock deadline expired: the frame was lost, torn with its
-    // connection, or is stalling in a delayed sender — NACK for a clean
-    // retransmission, with the same bounded retry + exponential backoff
-    // budget the in-process backend accounts in virtual time.
-    if (attempt >= rt.rel.max_retries)
-      throw transport_exhausted("socket", src, ctx.rank(), tag, expected, rt.rel.max_retries);
-    rt.counters->add_retry();
-    rt.counters->add_virtual_backoff(virtual_wait);
-    virtual_wait *= rt.rel.backoff;
-    wall_ms *= rt.rel.backoff;
-    ++attempt;
+    if (sit == rt.stash.end()) return false;
+    const auto pit = sit->second.find(expected);
+    if (pit == sit->second.end()) return false;
+    payload = std::move(pit->second);
+    sit->second.erase(pit);
+    rt.next_seq[key] = expected + 1;
+    return true;
+  };
+  if (!take()) {
+    // About to block: acknowledge what this rank has consumed first, so no
+    // sender's store waits on this rank's next write to that sender.
     lock.unlock();
-    rt.send_nack(src, tag, expected, attempt - 1);
+    rt.flush_acks();
     lock.lock();
+    int attempt = 0;
+    double wall_ms = rt.rel.deadline * rt.cfg.recv_deadline_ms;
+    double virtual_wait = rt.rel.deadline;
+    for (;;) {
+      const auto ready = [&] {
+        const auto sit = rt.stash.find(key);
+        if (sit != rt.stash.end() && sit->second.count(expected) != 0) return true;
+        return rt.aborted && rt.unreachable(src);
+      };
+      bool have = false;
+      if (rt.reliable_on) {
+        have = rt.cv.wait_for(lock, std::chrono::duration<double, std::milli>(wall_ms), ready);
+      } else {
+        rt.cv.wait(lock, ready);
+        have = true;
+      }
+      if (take()) break;
+      if (have) {  // woke on the abort/unreachable arm
+        throw WorldAbortedError("recv blocked on dead rank process: src=" + std::to_string(src) +
+                                " dst=" + std::to_string(ctx.rank()) +
+                                " tag=" + std::to_string(tag) +
+                                " seq=" + std::to_string(expected));
+      }
+      // Wall-clock deadline expired: the frame was lost, torn with its
+      // connection, or is stalling in a delayed sender — NACK for a clean
+      // retransmission, with the same bounded retry + exponential backoff
+      // budget the in-process backend accounts in virtual time.
+      if (attempt >= rt.rel.max_retries)
+        throw transport_exhausted("socket", src, ctx.rank(), tag, expected, rt.rel.max_retries);
+      rt.counters->add_retry();
+      rt.counters->add_virtual_backoff(virtual_wait);
+      virtual_wait *= rt.rel.backoff;
+      wall_ms *= rt.rel.backoff;
+      ++attempt;
+      lock.unlock();
+      rt.send_nack(src, tag, expected, attempt - 1);
+      lock.lock();
+    }
   }
+  lock.unlock();
+  rt.record_ack(src, tag, expected);
+  return payload;
 }
 
 double SocketTransport::allreduce_sum(Context& ctx, double value) {
@@ -728,10 +731,10 @@ double SocketTransport::allreduce_sum(Context& ctx, double value) {
                               std::to_string(ctx.rank()));
     gen = rt.sync_gen++;
   }
-  WireFrame f;
+  WireOut f;
   f.kind = WireKind::kSync;
   f.seq = gen;
-  f.payload = {value};
+  f.payload = std::span<const double>(&value, 1);
   rt.ctl_frame(f);
   std::unique_lock<std::mutex> lock(rt.mu);
   rt.cv.wait(lock, [&] { return rt.release.count(gen) != 0 || rt.aborted; });
@@ -748,14 +751,14 @@ void SocketTransport::barrier(Context& ctx) { (void)allreduce_sum(ctx, 0.0); }
 
 void SocketTransport::publish(Context&, std::uint64_t key, std::vector<double> blob) {
   TREESVD_MP_CHILD_ONLY();
-  // Locally too, so published()/has_published() behave uniformly inside the
-  // rank process (its World copy), not just on the launcher.
-  store_blob(key, blob);
-  WireFrame f;
+  WireOut f;
   f.kind = WireKind::kPublish;
   f.aux = key;
-  f.payload = std::move(blob);
+  f.payload = blob;
   runtime_->ctl_frame(f);
+  // Locally too, so published()/has_published() behave uniformly inside the
+  // rank process (its World copy), not just on the launcher.
+  store_blob(key, std::move(blob));
 }
 
 void SocketTransport::execute_kill(Context&, std::uint64_t op) {
@@ -764,10 +767,11 @@ void SocketTransport::execute_kill(Context&, std::uint64_t op) {
   rt.counters->add_kill();
   // Ship the kill notice and this rank's statistics home in one write —
   // the socketpair buffer outlives the process — then die for real.
-  WireFrame f;
+  const std::vector<double> stats = rt.stats_payload();
+  WireOut f;
   f.kind = WireKind::kKilled;
   f.aux = op;
-  f.payload = rt.stats_payload();
+  f.payload = stats;
   rt.ctl_frame(f);
   ::raise(SIGKILL);
   ::_exit(137);  // unreachable; keeps [[noreturn]] honest if SIGKILL is blocked
@@ -794,6 +798,8 @@ void SocketTransport::run_child(int rank, int ctl_fd,
   rt.finished.assign(static_cast<std::size_t>(rt.size), 0);
   rt.in_fd.assign(static_cast<std::size_t>(rt.size), -1);
   rt.out.assign(static_cast<std::size_t>(rt.size), -1);
+  rt.acks.resize(static_cast<std::size_t>(rt.size));
+  rt.ack_batch = std::min(kAckBatchPairs, cfg_.max_payload_doubles / 2);
   rt.baseline = rt.counters->snapshot();
   int wake[2] = {-1, -1};
   if (::pipe(wake) == 0) {
@@ -845,6 +851,7 @@ void SocketTransport::run_child(int rank, int ctl_fd,
       // a peer's late NACKs until every rank has returned (the launcher
       // releases this collective generation) or the world aborts. Called on
       // the backend, not through Context, so fault-op numbering is untouched.
+      rt.flush_acks();
       try {
         barrier(ctx);
       } catch (const WorldAbortedError&) {
@@ -859,15 +866,17 @@ void SocketTransport::run_child(int rank, int ctl_fd,
   rt.wake_io();
   rt.io.join();
   if (code != 0) {
-    WireFrame f;
+    const std::vector<double> message = pack_string(err_msg);
+    WireOut f;
     f.kind = WireKind::kError;
     f.aux = static_cast<std::uint64_t>(err_kind);
-    f.payload = pack_string(err_msg);
+    f.payload = message;
     rt.ctl_frame(f);
   }
-  WireFrame f;
+  const std::vector<double> stats = rt.stats_payload();
+  WireOut f;
   f.kind = WireKind::kExit;
-  f.payload = rt.stats_payload();
+  f.payload = stats;
   rt.ctl_frame(f);
   // _exit, not exit: a forked copy of the launcher must not run its static
   // destructors (or flush its inherited stdio buffers twice).
@@ -878,9 +887,11 @@ namespace {
 
 /// Launcher-side view of one rank process.
 struct ChildMon {
+  explicit ChildMon(std::size_t max_payload_doubles) : reader(max_payload_doubles) {}
+
   long pid = 0;
   int ctl = -1;
-  std::vector<std::uint8_t> buf;
+  WireReader reader;
   bool ctl_open = true;
   bool exited = false;
   bool finished_sent = false;  ///< kFinished broadcast done for this rank
@@ -918,7 +929,7 @@ void SocketTransport::run(const std::function<void(Context&)>& program) {
     ctl_child[static_cast<std::size_t>(r)] = sv[1];
   }
 
-  std::vector<ChildMon> mon(static_cast<std::size_t>(n));
+  std::vector<ChildMon> mon(static_cast<std::size_t>(n), ChildMon(cfg_.max_payload_doubles));
   const auto start = Clock::now();
   // Flush once so forked children never carry (and later re-emit) buffered
   // launcher output.
@@ -947,20 +958,18 @@ void SocketTransport::run(const std::function<void(Context&)>& program) {
   std::map<std::uint64_t, SyncGather> syncs;
   bool abort_sent = false;
 
-  const auto broadcast = [&](const WireFrame& f, int except) {
-    std::vector<std::uint8_t> bytes;
-    encode_wire_frame(f, bytes);
+  const auto broadcast = [&](const WireOut& f, int except) {
     for (int r = 0; r < n; ++r) {
       ChildMon& m = mon[static_cast<std::size_t>(r)];
       if (r == except || !m.ctl_open) continue;
-      (void)!write_all(m.ctl, bytes.data(), bytes.size());
+      (void)!write_wire_frames(m.ctl, {&f, 1});
     }
   };
   const auto trigger_abort = [&] {
     if (abort_sent) return;
     abort_sent = true;
     set_world_aborted(true);
-    WireFrame f;
+    WireOut f;
     f.kind = WireKind::kAbort;
     broadcast(f, -1);
   };
@@ -968,7 +977,7 @@ void SocketTransport::run(const std::function<void(Context&)>& program) {
     ChildMon& m = mon[static_cast<std::size_t>(r)];
     if (m.finished_sent) return;
     m.finished_sent = true;
-    WireFrame f;
+    WireOut f;
     f.kind = WireKind::kFinished;
     f.aux = static_cast<std::uint64_t>(r);
     broadcast(f, r);
@@ -978,6 +987,84 @@ void SocketTransport::run(const std::function<void(Context&)>& program) {
     const RecoveryStats delta = unpack_stats(payload, &sends);
     counters().accumulate(delta);
     count_sends(sends);
+  };
+
+  // Reads every frame rank r's control stream has ready. Also called when r
+  // is reaped: a dead rank's last frames (kKilled, kError, kExit) sit in the
+  // socket buffer, and they decide how the death is reported.
+  const auto read_ctl = [&](int r) {
+    ChildMon& m = mon[static_cast<std::size_t>(r)];
+    for (;;) {
+      WireFrame f;
+      const WireDecode d = m.reader.next(m.ctl, &f);
+      if (d == WireDecode::kNeedMore) break;
+      if (d != WireDecode::kOk) {
+        if (d != WireDecode::kClosed) {
+          // A torn control stream means the rank process is damaged in a
+          // way the protocol cannot survive; put it down.
+          if (!m.has_error) {
+            m.has_error = true;
+            m.err_kind = kErrOther;
+            m.err_msg = "mp[socket]: control-stream desync from rank " + std::to_string(r);
+          }
+          if (!m.exited && m.pid != 0) ::kill(static_cast<pid_t>(m.pid), SIGKILL);
+        }
+        ::close(m.ctl);
+        m.ctl_open = false;
+        break;
+      }
+      switch (f.kind) {
+        case WireKind::kHeartbeat:
+          m.hb = Clock::now();
+          break;
+        case WireKind::kSync: {
+          SyncGather& g = syncs[f.seq];
+          if (g.values.empty()) g.values.assign(static_cast<std::size_t>(n), 0.0);
+          g.values[static_cast<std::size_t>(r)] = f.payload.empty() ? 0.0 : f.payload[0];
+          if (++g.count == n) {
+            // Rank-order summation: deterministic regardless of arrival
+            // order (at least as strong as the in-process backend).
+            double sum = 0.0;
+            for (double v : g.values) sum += v;
+            WireOut rel;
+            rel.kind = WireKind::kSyncRelease;
+            rel.seq = f.seq;
+            rel.payload = std::span<const double>(&sum, 1);
+            broadcast(rel, -1);
+            syncs.erase(f.seq);
+          }
+          break;
+        }
+        case WireKind::kPublish:
+          store_blob(f.aux, std::move(f.payload));
+          break;
+        case WireKind::kKilled:
+          m.killed_frame = true;
+          m.kill_op = f.aux;
+          ingest_stats(f.payload);
+          // The child consumed the kill latch in its own forked memory;
+          // latch the launcher's copy so a respawned world replays past
+          // the kill instead of re-firing it.
+          if (injector() != nullptr) injector()->latch_kill();
+          // Abort on the report itself, not on the later reap: ranks
+          // waiting in the exit handshake leave one round trip after it.
+          trigger_abort();
+          break;
+        case WireKind::kError:
+          if (!m.has_error) {
+            m.has_error = true;
+            m.err_kind = static_cast<int>(f.aux);
+            m.err_msg = unpack_string(f.payload);
+          }
+          if (static_cast<int>(f.aux) != kErrWorldAborted) trigger_abort();
+          break;
+        case WireKind::kExit:
+          ingest_stats(f.payload);
+          break;
+        default:
+          break;
+      }
+    }
   };
 
   for (;;) {
@@ -1001,102 +1088,22 @@ void SocketTransport::run(const std::function<void(Context&)>& program) {
                              std::string(std::strerror(errno)));
     }
     for (std::size_t i = 0; i < fds.size(); ++i) {
-      if (fds[i].revents == 0) continue;
-      const int r = fd_rank[i];
-      ChildMon& m = mon[static_cast<std::size_t>(r)];
-      bool progress = false;
-      const bool alive = read_into(m.ctl, m.buf, &progress);
-      if (progress) {
-        std::size_t off = 0;
-        for (;;) {
-          WireFrame f;
-          std::size_t consumed = 0;
-          const WireDecode d = decode_wire_frame(m.buf.data() + off, m.buf.size() - off,
-                                                 cfg_.max_payload_doubles, &f, &consumed);
-          if (d == WireDecode::kNeedMore) break;
-          if (d != WireDecode::kOk) {
-            // A torn control stream means the rank process is damaged in a
-            // way the protocol cannot survive; put it down.
-            if (!m.has_error) {
-              m.has_error = true;
-              m.err_kind = kErrOther;
-              m.err_msg = "mp[socket]: control-stream desync from rank " + std::to_string(r);
-            }
-            if (!m.exited && m.pid != 0) ::kill(static_cast<pid_t>(m.pid), SIGKILL);
-            m.buf.clear();
-            break;
-          }
-          off += consumed;
-          switch (f.kind) {
-            case WireKind::kHeartbeat:
-              m.hb = Clock::now();
-              break;
-            case WireKind::kSync: {
-              SyncGather& g = syncs[f.seq];
-              if (g.values.empty()) g.values.assign(static_cast<std::size_t>(n), 0.0);
-              g.values[static_cast<std::size_t>(r)] = f.payload.empty() ? 0.0 : f.payload[0];
-              if (++g.count == n) {
-                // Rank-order summation: deterministic regardless of arrival
-                // order (at least as strong as the in-process backend).
-                double sum = 0.0;
-                for (double v : g.values) sum += v;
-                WireFrame rel;
-                rel.kind = WireKind::kSyncRelease;
-                rel.seq = f.seq;
-                rel.payload = {sum};
-                broadcast(rel, -1);
-                syncs.erase(f.seq);
-              }
-              break;
-            }
-            case WireKind::kPublish:
-              store_blob(f.aux, std::move(f.payload));
-              break;
-            case WireKind::kKilled:
-              m.killed_frame = true;
-              m.kill_op = f.aux;
-              ingest_stats(f.payload);
-              // The child consumed the kill latch in its own forked memory;
-              // latch the launcher's copy so a respawned world replays past
-              // the kill instead of re-firing it.
-              if (injector() != nullptr) injector()->latch_kill();
-              // Abort on the report itself, not on the later reap: ranks
-              // waiting in the exit handshake leave one round trip after it.
-              trigger_abort();
-              break;
-            case WireKind::kError:
-              if (!m.has_error) {
-                m.has_error = true;
-                m.err_kind = static_cast<int>(f.aux);
-                m.err_msg = unpack_string(f.payload);
-              }
-              if (static_cast<int>(f.aux) != kErrWorldAborted) trigger_abort();
-              break;
-            case WireKind::kExit:
-              ingest_stats(f.payload);
-              break;
-            default:
-              break;
-          }
-        }
-        if (off != 0 && !m.buf.empty())
-          m.buf.erase(m.buf.begin(), m.buf.begin() + static_cast<std::ptrdiff_t>(off));
-      }
-      if (!alive) {
-        ::close(m.ctl);
-        m.ctl_open = false;
-      }
+      if (fds[i].revents != 0) read_ctl(fd_rank[i]);
     }
 
+    // Once every control stream is closed, each rank left to reap has
+    // exited or been SIGKILLed: wait for it instead of polling in a loop.
+    const int wait_flags = fds.empty() ? 0 : WNOHANG;
     const auto now = Clock::now();
     for (int r = 0; r < n; ++r) {
       ChildMon& m = mon[static_cast<std::size_t>(r)];
       if (m.exited) continue;
       int status = 0;
-      const pid_t got = ::waitpid(static_cast<pid_t>(m.pid), &status, WNOHANG);
+      const pid_t got = ::waitpid(static_cast<pid_t>(m.pid), &status, wait_flags);
       if (got == static_cast<pid_t>(m.pid)) {
         m.exited = true;
         pids_[static_cast<std::size_t>(r)].store(0, std::memory_order_release);
+        if (m.ctl_open) read_ctl(r);
         if (WIFSIGNALED(status) && !m.killed_frame && !m.external) {
           m.external = true;
           m.ext_sig = WTERMSIG(status);

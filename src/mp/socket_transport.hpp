@@ -5,9 +5,9 @@
 // *launcher*. It binds one UNIX-domain listener per rank up front; run()
 // forks one child per rank and watches them over per-rank control
 // socketpairs. Rank-to-rank data travels directly: rank R lazily connects
-// to rank S's listener and everything R sends S (data frames, NACKs) rides
-// that one stream, so per-(src, dst, tag) FIFO order is the kernel's stream
-// order. The launcher carries what threads got for free in-process:
+// to rank S's listener and everything R sends S (data frames, NACKs, acks)
+// rides that one stream, so per-(src, dst, tag) FIFO order is the kernel's
+// stream order. The launcher carries what threads got for free in-process:
 // collectives (kSync/kSyncRelease, summed in rank order), the durable blob
 // board (kPublish), death notices (kFinished feeding the same
 // blocked-recv-gives-up-only-when-source-is-dead abort contract), the abort
@@ -30,10 +30,14 @@
 //   * A planned kill ships its statistics home (kKilled) in the same write
 //     that precedes raise(SIGKILL); the launcher latches the injector's
 //     one-shot kill so the respawned world replays past it.
-//   * A rank's retransmit store dies with its process, so a rank whose
-//     program returned does not exit at once: it enters an exit handshake
-//     (one more kSync generation) and keeps serving NACKs until every rank
-//     has returned or the world aborts — the socket counterpart of the
+//   * A sent frame stays in the sender's retransmit store until its receiver
+//     has handed it to the program and says so (kAck, batched per peer onto
+//     the next frame to that peer, or flushed before a recv blocks) — the
+//     in-process rule that consuming a frame trims the store. The store
+//     dies with its process, so a rank whose program returned does not exit
+//     at once: it enters an exit handshake (one more kSync generation) and
+//     keeps serving NACKs for frames never consumed until every rank has
+//     returned or the world aborts — the socket counterpart of the
 //     in-process store outliving a finished sender. It then wakes its IO
 //     thread through the self-pipe and leaves; no timer sits on that path.
 //   * Children leave with _exit(): a forked address space must not run the

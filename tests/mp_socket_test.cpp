@@ -7,8 +7,10 @@
 // the physical fault paths:
 // injected drops/duplicates/corruption/delays on real connections, a planned
 // SIGKILL with respawn + checkpoint rollback, and an *external* SIGKILL of a
-// live rank process surfacing as RankKilledError.
+// live rank process surfacing as RankKilledError; and the retransmit store's
+// lifetime (a consumed frame leaves its sender's store).
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <chrono>
 #include <csignal>
@@ -40,6 +42,17 @@
 
 #define SKIP_UNDER_TSAN() \
   if (TREESVD_TSAN) GTEST_SKIP() << "socket backend forks rank processes; skipped under TSan"
+
+#if defined(__SANITIZE_ADDRESS__)
+#define TREESVD_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define TREESVD_ASAN 1
+#endif
+#endif
+#ifndef TREESVD_ASAN
+#define TREESVD_ASAN 0
+#endif
 
 namespace treesvd {
 namespace {
@@ -339,6 +352,44 @@ TEST(SocketBackend, ResetForReplayRearmsAfterProcessDeath) {
   for (int r = 0; r < 3; ++r)
     EXPECT_EQ(world.published(500 + static_cast<std::uint64_t>(r))[0], static_cast<double>(r));
   EXPECT_EQ(world.recovery_stats().kills, 1u);
+}
+
+double peak_rss_kib() {
+  rusage usage{};
+  ::getrusage(RUSAGE_SELF, &usage);
+  return static_cast<double>(usage.ru_maxrss);
+}
+
+TEST(SocketBackend, ConsumedFramesLeaveTheRetransmitStore) {
+  SKIP_UNDER_TSAN();
+  if (TREESVD_ASAN) GTEST_SKIP() << "ASan's quarantine keeps freed frames from being reused";
+  // Rank 0 streams 512 spmd column messages (64 MiB in all) to rank 1, which
+  // answers each after its recv. A frame leaves rank 0's retransmit store
+  // once rank 1 has consumed it, so rank 0's peak RSS grows by a few frames,
+  // not by the whole stream as it would if the store kept every frame.
+  mp::World world(2);
+  world.set_backend(mp::Backend::kSocket);
+  world.run([](mp::Context& ctx) {
+    constexpr int kFrames = 512;
+    if (ctx.rank() == 0) {
+      const std::vector<double> column(16384, 1.0);
+      const double before = peak_rss_kib();
+      for (int k = 0; k < kFrames; ++k) {
+        ctx.send(1, 1, column);
+        static_cast<void>(ctx.recv(1, 2));
+      }
+      ctx.publish(1, {before, peak_rss_kib()});
+    } else {
+      for (int k = 0; k < kFrames; ++k) {
+        static_cast<void>(ctx.recv(0, 1));
+        ctx.send(0, 2, {1.0});
+      }
+    }
+  });
+  const std::vector<double> rss = world.published(1);
+  ASSERT_EQ(rss.size(), 2u);
+  EXPECT_LT(rss[1] - rss[0], 16.0 * 1024)
+      << "rank 0's peak RSS grew from " << rss[0] << " to " << rss[1] << " KiB";
 }
 
 }  // namespace

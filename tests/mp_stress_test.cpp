@@ -3,8 +3,12 @@
 // tests assert delivery and collective correctness; their main job is to give
 // ThreadSanitizer dense interleavings over mp::World's mailboxes and sync
 // state (this binary is the dedicated target of the TSan CI job).
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstring>
@@ -344,13 +348,14 @@ TEST(MpStressFuzzed, FaultPlanUnaffectedByFuzzSalt) {
 #endif  // TREESVD_ANALYSIS
 
 // ---------------------------------------------------------------------------
-// Wire-frame decode fuzzing (socket backend). decode_wire_frame is the only
-// code that parses bytes off a real socket, so it must classify *every*
-// byte-stream correctly without ever reading out of bounds: truncations are
-// kNeedMore, a corrupted payload is kBadPayload (skippable, NACKable), and
-// anything that would desynchronise the stream — bad magic, bad header
-// checksum, oversized length, unknown kind — is kBadFrame. Run these under
-// ASan and the no-OOB claim is machine-checked.
+// Wire-frame decode fuzzing (socket backend). decode_wire_frame is the
+// byte-buffer reference parser, and WireReader, which parses bytes off a
+// real socket, must agree with it however the stream is split. Both must
+// classify *every* byte-stream correctly without ever reading out of bounds:
+// truncations are kNeedMore, a corrupted payload is kBadPayload (skippable,
+// NACKable), and anything that would desynchronise the stream — bad magic,
+// bad header checksum, oversized length, unknown kind — is kBadFrame. Run
+// these under ASan and the no-OOB claim is machine-checked.
 
 std::vector<std::uint8_t> encode_one(const mp::WireFrame& f) {
   std::vector<std::uint8_t> bytes;
@@ -569,23 +574,175 @@ void resign_header(std::vector<std::uint8_t>& bytes) {
 
 TEST(MpWireFuzz, VersionOneFrameIsBadFrame) {
   // Version 1 summed payloads byte-wise, so its payload checksum field means
-  // something else: a version-1 frame must be refused as a desync even with
-  // a correctly signed header, never read as a payload fault.
+  // something else, and version 2 had no kAck: a frame of either version
+  // must be refused as a desync even with a correctly signed header, never
+  // read as a payload fault.
   auto bytes = encode_one(sample_frame());
   ASSERT_EQ(bytes[4], mp::kWireVersion);
-  bytes[4] = 1;
-  resign_header(bytes);
   mp::WireFrame out;
   std::size_t consumed = 99;
-  EXPECT_EQ(mp::decode_wire_frame(bytes.data(), bytes.size(), 1 << 20, &out, &consumed),
-            mp::WireDecode::kBadFrame);
-  EXPECT_EQ(consumed, 0u);
+  for (const std::uint8_t version : {1, 2}) {
+    bytes[4] = version;
+    resign_header(bytes);
+    EXPECT_EQ(mp::decode_wire_frame(bytes.data(), bytes.size(), 1 << 20, &out, &consumed),
+              mp::WireDecode::kBadFrame)
+        << "version " << int{version};
+    EXPECT_EQ(consumed, 0u);
+  }
   // Control: the same edit back to the current version decodes cleanly, so
   // the version byte alone is what the decoder refused.
   bytes[4] = mp::kWireVersion;
   resign_header(bytes);
   EXPECT_EQ(mp::decode_wire_frame(bytes.data(), bytes.size(), 1 << 20, &out, &consumed),
             mp::WireDecode::kOk);
+}
+
+/// One verdict of a parser, with the frame it yielded (kOk, kBadPayload).
+struct Parsed {
+  mp::WireDecode verdict = mp::WireDecode::kNeedMore;
+  mp::WireFrame frame;
+};
+
+/// The reference: decode_wire_frame over the whole buffer, up to the first
+/// verdict that stops a stream.
+std::vector<Parsed> decode_all(const std::vector<std::uint8_t>& bytes) {
+  std::vector<Parsed> got;
+  std::size_t off = 0;
+  for (;;) {
+    Parsed p;
+    std::size_t consumed = 0;
+    p.verdict = mp::decode_wire_frame(bytes.data() + off, bytes.size() - off, 1 << 20, &p.frame,
+                                      &consumed);
+    if (p.verdict == mp::WireDecode::kNeedMore) return got;
+    off += consumed;
+    got.push_back(std::move(p));
+    if (got.back().verdict == mp::WireDecode::kBadFrame) return got;
+  }
+}
+
+/// Writes `bytes` into a socketpair in seeded chunks of 1-4096 bytes and
+/// runs a WireReader on the nonblocking end after each chunk, then closes
+/// the writing end. Stops at the first verdict that ends a stream.
+std::vector<Parsed> read_all(const std::vector<std::uint8_t>& bytes, std::uint64_t seed) {
+  int sv[2] = {-1, -1};
+  EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  ::fcntl(sv[0], F_SETFL, ::fcntl(sv[0], F_GETFL, 0) | O_NONBLOCK);
+  mp::WireReader reader(1 << 20);
+  Rng rng(seed);
+  std::vector<Parsed> got;
+  std::size_t off = 0;
+  bool open = true;
+  for (;;) {
+    Parsed p;
+    p.verdict = reader.next(sv[0], &p.frame);
+    if (p.verdict == mp::WireDecode::kNeedMore) {
+      if (off == bytes.size()) {
+        ::close(sv[1]);
+        open = false;
+        continue;
+      }
+      const std::size_t chunk =
+          std::min(bytes.size() - off, static_cast<std::size_t>(1 + rng.below(4096)));
+      EXPECT_EQ(::write(sv[1], bytes.data() + off, chunk), static_cast<ssize_t>(chunk));
+      off += chunk;
+      continue;
+    }
+    got.push_back(std::move(p));
+    const mp::WireDecode v = got.back().verdict;
+    if (v == mp::WireDecode::kBadFrame || v == mp::WireDecode::kClosed) break;
+  }
+  ::close(sv[0]);
+  if (open) ::close(sv[1]);
+  return got;
+}
+
+void expect_same_frames(const std::vector<Parsed>& got, const std::vector<Parsed>& want,
+                        std::uint64_t seed) {
+  ASSERT_EQ(got.size(), want.size()) << "seed " << seed;
+  for (std::size_t k = 0; k < want.size(); ++k) {
+    EXPECT_EQ(got[k].verdict, want[k].verdict) << "seed " << seed << " frame " << k;
+    if (want[k].verdict == mp::WireDecode::kBadFrame) continue;
+    const mp::WireFrame& a = got[k].frame;
+    const mp::WireFrame& b = want[k].frame;
+    EXPECT_EQ(a.kind, b.kind) << "seed " << seed << " frame " << k;
+    EXPECT_EQ(a.tag, b.tag) << "seed " << seed << " frame " << k;
+    EXPECT_EQ(a.seq, b.seq) << "seed " << seed << " frame " << k;
+    EXPECT_EQ(a.aux, b.aux) << "seed " << seed << " frame " << k;
+    ASSERT_EQ(a.payload.size(), b.payload.size()) << "seed " << seed << " frame " << k;
+    EXPECT_TRUE(std::equal(a.payload.begin(), a.payload.end(), b.payload.begin(),
+                           [](double x, double y) {
+                             return mp::double_to_bits(x) == mp::double_to_bits(y);
+                           }))
+        << "seed " << seed << " frame " << k;
+  }
+}
+
+TEST(MpWireFuzz, ReaderMatchesDecoderAtEverySplit) {
+  // A stream of every frame shape the socket backend writes: data frames
+  // around the checksum's lane width and one spmd column message, NACK,
+  // HELLO, ack, and an injected corruption. However a socket splits it, the
+  // reader yields the frames and verdicts the reference decoder yields.
+  Rng rng(0x5EED);
+  std::vector<std::uint8_t> stream;
+  std::vector<std::size_t> starts;
+  std::uint64_t seq = 0;
+  for (const std::size_t n : {0, 1, 3, 4, 5, 16393}) {
+    mp::WireFrame f;
+    f.tag = 40 + n;
+    f.seq = seq++;
+    f.payload.resize(n);
+    for (double& x : f.payload) x = rng.normal();
+    starts.push_back(stream.size());
+    mp::encode_wire_frame(f, stream);
+  }
+  mp::WireFrame nack;
+  nack.kind = mp::WireKind::kNack;
+  nack.tag = 41;
+  nack.seq = 7;
+  nack.aux = 2;
+  mp::WireFrame hello;
+  hello.kind = mp::WireKind::kHello;
+  hello.aux = 3;
+  mp::WireFrame ack;
+  ack.kind = mp::WireKind::kAck;
+  ack.payload = {mp::bits_to_double(41), mp::bits_to_double(6), mp::bits_to_double(57),
+                 mp::bits_to_double(0)};
+  for (const mp::WireFrame* f : {&nack, &hello, &ack}) {
+    starts.push_back(stream.size());
+    mp::encode_wire_frame(*f, stream);
+  }
+  mp::WireFrame clean = sample_frame();
+  std::vector<double> damaged = clean.payload;
+  damaged[2] = 99.0;
+  starts.push_back(stream.size());
+  mp::encode_corrupted_wire_frame(clean, damaged, stream);
+  mp::encode_wire_frame(sample_frame(), stream);
+
+  std::vector<Parsed> want = decode_all(stream);
+  ASSERT_EQ(want.size(), starts.size() + 1);
+  EXPECT_EQ(want[starts.size() - 1].verdict, mp::WireDecode::kBadPayload);
+  want.push_back({mp::WireDecode::kClosed, {}});  // the writer closes at the end
+  for (std::uint64_t seed = 1; seed <= 16; ++seed)
+    expect_same_frames(read_all(stream, seed), want, seed);
+
+  // A flipped header byte ends the stream in a desync, after every frame
+  // before it.
+  std::vector<std::uint8_t> torn = stream;
+  torn[starts[5] + 20] ^= 0x10;
+  const std::vector<Parsed> want_torn = decode_all(torn);
+  ASSERT_EQ(want_torn.size(), 6u);
+  EXPECT_EQ(want_torn.back().verdict, mp::WireDecode::kBadFrame);
+  for (std::uint64_t seed = 1; seed <= 4; ++seed)
+    expect_same_frames(read_all(torn, seed), want_torn, seed);
+
+  // EOF inside the column message reads as the end of the stream.
+  const auto cut_at = static_cast<std::ptrdiff_t>(starts[5] + 4096);
+  const std::vector<std::uint8_t> cut(stream.begin(), stream.begin() + cut_at);
+  std::vector<Parsed> want_cut = decode_all(cut);
+  ASSERT_EQ(want_cut.size(), 5u);
+  want_cut.push_back({mp::WireDecode::kClosed, {}});
+  for (std::uint64_t seed = 1; seed <= 4; ++seed)
+    expect_same_frames(read_all(cut, seed), want_cut, seed);
 }
 
 TEST(MpWireFuzz, PackStringRoundTripsThroughPayload) {
