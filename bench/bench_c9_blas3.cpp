@@ -1,17 +1,17 @@
-// Claim C9 (BLAS-3 block engine): the Gram-based inner panel solver versus
-// the elementwise inner solver of the block-Jacobi driver, and the tiled
-// packed GEMM versus the seed jki loop.
+// Claim C9 (BLAS-3 block engine): the Gram-based inner panel solver of the
+// block-Jacobi driver, the block driver against the elementwise serial
+// engine, and the tiled packed GEMM versus the seed jki loop.
 //
-// The elementwise inner solver streams the full m-length columns once per
-// rotation (memory-bound BLAS-1); the Gram solver forms the 2b x 2b Gram
-// matrix once, rotates the small problem while accumulating the orthogonal
-// update W, and touches the m-length columns exactly once more in a blocked
-// P·W apply (compute-dense BLAS-3). The win grows with m and b.
+// The Gram solver forms the 2b x 2b Gram matrix once, rotates the small
+// problem while accumulating the orthogonal update W, and touches the
+// m-length columns exactly once more in a blocked P·W apply (compute-dense
+// BLAS-3), where the serial engine streams the full columns once per
+// rotation (memory-bound BLAS-1).
 //
 // `--json=PATH` switches to the perf-smoke mode used by CI: correctness
-// assertions first (tiled GEMM vs the naive reference; kGram vs kElementwise
-// driver agreement on singular values; the one-GEMM-per-encounter counter
-// contract), then self-timed comparisons. Assertions exiting nonzero fail
+// assertions first (tiled GEMM vs the naive reference; block driver vs
+// serial engine agreement on singular values; the one-GEMM-per-encounter
+// counter contract), then self-timed comparisons. Assertions exiting nonzero fail
 // the CI job; timings are recorded in the JSON but never assert — CI
 // machines are too noisy to gate on a ratio.
 #include <benchmark/benchmark.h>
@@ -31,6 +31,7 @@
 #include "linalg/gemm.hpp"
 #include "linalg/generators.hpp"
 #include "svd/block_jacobi.hpp"
+#include "svd/jacobi.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -57,7 +58,7 @@ Matrix seed_product(const Matrix& a, const Matrix& b) {
 }
 
 /// Restores the first `panel.cols()` columns of `h` from `panel` — the
-/// per-call reset both inner-solver timings include, so neither side gets to
+/// per-call reset every inner-solver timing includes, so no call gets to
 /// amortise an already-orthogonal panel.
 void restore_panel(Matrix& h, const Matrix& panel) {
   for (std::size_t j = 0; j < panel.cols(); ++j) {
@@ -106,26 +107,6 @@ void BM_GemmTiledThreaded(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmTiledThreaded)->Arg(256)->Arg(512)->Arg(1024)->Unit(benchmark::kMillisecond);
 
-void BM_InnerElementwise(benchmark::State& state) {
-  Rng rng(2);
-  const auto m = static_cast<std::size_t>(state.range(0));
-  const auto kw = static_cast<std::size_t>(state.range(1));
-  const Matrix panel = random_matrix(m, kw, rng);
-  Matrix h = panel;
-  const std::vector<int> cols = iota_cols(kw);
-  BlockJacobiOptions opt;
-  KernelCounters pc;
-  for (auto _ : state) {
-    restore_panel(h, panel);
-    benchmark::DoNotOptimize(detail::inner_orthogonalise_elementwise(h, nullptr, cols, opt, pc));
-  }
-}
-BENCHMARK(BM_InnerElementwise)
-    ->Args({2048, 8})
-    ->Args({2048, 16})
-    ->Args({8192, 32})
-    ->Unit(benchmark::kMicrosecond);
-
 void BM_InnerGram(benchmark::State& state) {
   Rng rng(2);
   const auto m = static_cast<std::size_t>(state.range(0));
@@ -154,15 +135,9 @@ void BM_BlockSvd(benchmark::State& state) {
   const auto ord = make_ordering("fat-tree");
   BlockJacobiOptions opt;
   opt.block_width = 8;
-  opt.inner_mode = state.range(1) != 0 ? InnerMode::kGram : InnerMode::kElementwise;
   for (auto _ : state) benchmark::DoNotOptimize(block_one_sided_jacobi(a, *ord, opt));
 }
-BENCHMARK(BM_BlockSvd)
-    ->Args({64, 0})
-    ->Args({64, 1})
-    ->Args({128, 0})
-    ->Args({128, 1})
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_BlockSvd)->Arg(64)->Arg(128)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
 // --json perf-smoke mode
@@ -188,7 +163,7 @@ int fail(const char* what) {
 }
 
 /// Correctness gate: the tiled GEMM (serial and threaded) must match the
-/// seed jki loop, the kGram driver must agree with kElementwise on the
+/// seed jki loop, the block driver must agree with the serial engine on the
 /// spectrum, and the Gram path's counters must show the
 /// one-GEMM-per-encounter contract.
 int check_blas3() {
@@ -212,20 +187,17 @@ int check_blas3() {
     const auto ord = make_ordering("fat-tree");
     BlockJacobiOptions gram;
     gram.block_width = 8;
-    gram.inner_mode = InnerMode::kGram;
-    BlockJacobiOptions elem = gram;
-    elem.inner_mode = InnerMode::kElementwise;
     const SvdResult rg = block_one_sided_jacobi(a, *ord, gram);
-    const SvdResult re = block_one_sided_jacobi(a, *ord, elem);
-    if (!rg.converged || !re.converged) return fail("block driver did not converge");
-    const double smax = std::max(rg.sigma[0], re.sigma[0]);
+    const SvdResult rs = one_sided_jacobi(a, *ord);
+    if (!rg.converged || !rs.converged) return fail("a driver did not converge");
+    const double smax = std::max(rg.sigma[0], rs.sigma[0]);
     for (std::size_t k = 0; k < rg.sigma.size(); ++k)
-      if (std::fabs(rg.sigma[k] - re.sigma[k]) > 1e-10 * smax)
-        return fail("kGram and kElementwise disagree on singular values");
+      if (std::fabs(rg.sigma[k] - rs.sigma[k]) > 1e-10 * smax)
+        return fail("block driver and serial engine disagree on singular values");
     const KernelStats& ks = rg.kernel_stats;
     if (ks.pairs != 0 || ks.dot_passes != 0 || ks.gram_passes != 0)
-      return fail("kGram ran elementwise pair kernels");
-    if (ks.gram_builds == 0) return fail("kGram built no Gram matrices");
+      return fail("block driver ran elementwise pair kernels");
+    if (ks.gram_builds == 0) return fail("block driver built no Gram matrices");
     if (ks.accum_rotations != rg.rotations)
       return fail("accumulated-rotation counter disagrees with the driver tally");
     if (ks.blocked_applies > 2 * ks.gram_builds)
@@ -243,12 +215,10 @@ int run_json_mode(const std::string& path) {
   root.add("schema", "treesvd-bench-v1");
   root.add("correctness", "ok");
 
-  // Inner panel solve, kGram vs kElementwise. Both timings include the same
-  // per-call panel restore (the copy is charged to both sides). No V panel
-  // here — this isolates the two inner solvers; the driver rows below
+  // Inner panel solve. The timing includes the per-call panel restore. No V
+  // panel here — this isolates the inner solver; the driver rows below
   // include everything.
   std::vector<JsonObject> rows;
-  double speedup_2048_b8 = 0.0;
   Rng rng(47);
   for (const std::size_t m : {std::size_t{512}, std::size_t{2048}, std::size_t{8192}}) {
     for (const int b : {4, 8, 16}) {
@@ -260,13 +230,6 @@ int run_json_mode(const std::string& path) {
       KernelCounters counters;
       const int calls =
           static_cast<int>(std::max<std::size_t>(2, 100000000 / (m * kw * kw)));
-      const double t_elem = time_per_call(
-          [&] {
-            restore_panel(h, panel);
-            benchmark::DoNotOptimize(
-                detail::inner_orthogonalise_elementwise(h, nullptr, cols, opt, counters));
-          },
-          calls);
       const double t_gram = time_per_call(
           [&] {
             restore_panel(h, panel);
@@ -274,22 +237,16 @@ int run_json_mode(const std::string& path) {
                 detail::inner_orthogonalise_gram(h, nullptr, cols, opt, counters, nullptr));
           },
           calls);
-      const double speedup = t_elem / t_gram;
-      if (m == 2048 && b == 8) speedup_2048_b8 = speedup;
       JsonObject row;
       row.add("section", "inner_solve");
       row.add("m", static_cast<long long>(m));
       row.add("block_width", static_cast<long long>(b));
-      row.add("elementwise_us_per_call", t_elem * 1e6);
       row.add("gram_us_per_call", t_gram * 1e6);
-      row.add("speedup", speedup);
       rows.push_back(row);
-      std::printf("inner m=%5zu b=%2d  elementwise %9.1f us  gram %9.1f us  speedup %.2fx\n", m,
-                  b, t_elem * 1e6, t_gram * 1e6, speedup);
+      std::printf("inner m=%5zu b=%2d  gram %9.1f us\n", m, b, t_gram * 1e6);
     }
   }
   root.add_array("inner_solve", rows);
-  root.add("speedup_at_2048_b8", speedup_2048_b8);
 
   // Tiled GEMM vs the seed jki loop, serial and threaded.
   {
@@ -321,8 +278,8 @@ int run_json_mode(const std::string& path) {
     root.add_array("gemm", grows);
   }
 
-  // Driver-level comparison: the full block_one_sided_jacobi under both
-  // inner modes (V computed — everything included).
+  // Driver-level comparison: the full block_one_sided_jacobi against the
+  // serial engine on the same input (V computed — everything included).
   {
     Rng mrng(59);
     const std::size_t n = 128;
@@ -330,23 +287,21 @@ int run_json_mode(const std::string& path) {
     const auto ord = make_ordering("fat-tree");
     BlockJacobiOptions gram;
     gram.block_width = 8;
-    BlockJacobiOptions elem = gram;
-    elem.inner_mode = InnerMode::kElementwise;
     const double t_gram = time_per_call(
         [&] { benchmark::DoNotOptimize(block_one_sided_jacobi(a, *ord, gram)); }, 1, 3);
-    const double t_elem = time_per_call(
-        [&] { benchmark::DoNotOptimize(block_one_sided_jacobi(a, *ord, elem)); }, 1, 3);
+    const double t_serial =
+        time_per_call([&] { benchmark::DoNotOptimize(one_sided_jacobi(a, *ord)); }, 1, 3);
     JsonObject drv;
     drv.add("driver", "block_one_sided_jacobi/fat-tree");
     drv.add("m", static_cast<long long>(4 * n));
     drv.add("n", static_cast<long long>(n));
     drv.add("block_width", 8LL);
-    drv.add("elementwise_ms", t_elem * 1e3);
+    drv.add("serial_ms", t_serial * 1e3);
     drv.add("gram_ms", t_gram * 1e3);
-    drv.add("speedup", t_elem / t_gram);
+    drv.add("speedup_vs_serial", t_serial / t_gram);
     root.add_array("driver", {drv});
-    std::printf("driver m=%zu n=%zu b=8  elementwise %.2f ms  gram %.2f ms  speedup %.2fx\n",
-                4 * n, n, t_elem * 1e3, t_gram * 1e3, t_elem / t_gram);
+    std::printf("driver m=%zu n=%zu b=8  serial %.2f ms  gram %.2f ms  speedup %.2fx\n", 4 * n,
+                n, t_serial * 1e3, t_gram * 1e3, t_serial / t_gram);
   }
 
   if (!treesvd::bench::write_json_file(path, root)) return 1;

@@ -63,7 +63,7 @@ int main(int argc, char** argv) {
       .cell(static_cast<long long>(dist.svd.sweeps))
       .cell(ms2, 1)
       .cell(bitwise(dist.svd) ? "yes" : "NO")
-      .cell(std::to_string(dist.delivered_messages) + " routed messages, contention " +
+      .cell(std::to_string(dist.cost.messages) + " routed messages, contention " +
             std::to_string(dist.cost.max_contention).substr(0, 4));
   t.row()
       .cell("spmd (threads)")

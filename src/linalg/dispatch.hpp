@@ -16,10 +16,9 @@
 // reassociation), so tier selection is purely a throughput decision —
 // results, convergence behaviour and determinism digests never depend on it.
 //
-// Tier resolution order: set_isa_override() (strongest; used by the
-// JacobiOptions/BlockJacobiOptions/BatchedSvdOptions `force_isa` knob and by
-// benches) ▷ the TREESVD_ISA environment variable ("baseline", "avx2",
-// "avx512f") ▷ cpuid detection. A requested tier the host cannot run is
+// Tier resolution order: set_isa_override() (strongest; used through
+// ScopedIsaOverride by tests and benches that pin a tier) ▷ the TREESVD_ISA
+// environment variable ("baseline", "avx2", "avx512f") ▷ cpuid detection. A requested tier the host cannot run is
 // clamped down to the widest supported one — forcing "avx512f" on an
 // AVX2-only machine silently runs AVX2 (graceful fallback; the resolved
 // tier, not the requested one, is what KernelStats reports).
@@ -43,7 +42,7 @@ enum class IsaTier : int {
   kAvx512 = 2,    ///< 512-bit vectors, 32 registers (AVX-512F)
 };
 
-/// `force_isa` knob value meaning "no preference — env, then cpuid".
+/// Override value meaning "no preference — env, then cpuid".
 inline constexpr int kIsaAuto = -1;
 
 /// One tier's kernel set. All pointers are non-null on every tier (tiers a
@@ -114,8 +113,8 @@ const KernelTable& kernels_for(IsaTier tier) noexcept;
 void set_isa_override(int tier) noexcept;
 
 /// RAII tier override: forces `tier` for its lifetime (kIsaAuto is a no-op),
-/// restoring the previous resolution on destruction. The drivers wrap each
-/// solve in one of these when options.force_isa is set.
+/// restoring the previous resolution on destruction. A caller that wants a
+/// solve on a particular tier wraps the solve in one of these.
 class ScopedIsaOverride {
  public:
   explicit ScopedIsaOverride(int tier) noexcept;

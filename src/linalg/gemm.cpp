@@ -31,30 +31,23 @@ constexpr std::size_t kParallelFlops = std::size_t{1} << 23;
 
 /// The shared pool is single-caller (ThreadPool::parallel_for keeps its
 /// batch state in member slots), so entry points race for this gate; losers
-/// route to the thread's fallback pool, or run serially, instead of
-/// corrupting the batch.
+/// run serially instead of corrupting the batch.
 std::mutex& pool_gate() {
   static std::mutex gate;
   return gate;
 }
 
-/// Per-thread fallback registered by ScopedGemmFallbackPool: where a
-/// gate-contended dispatch goes instead of degrading to serial.
-thread_local ThreadPool* tl_gemm_fallback = nullptr;
-
 std::atomic<std::size_t> stat_pooled{0};
-std::atomic<std::size_t> stat_fallback{0};
 std::atomic<std::size_t> stat_serial{0};
 std::atomic<std::size_t> stat_inline{0};
 
 /// Runs task(i) for i in [0, count) in chunks of `grain` consecutive
 /// indices. Route order: caller-owned pool (its owner vouches for
-/// exclusivity — no gate), shared pool when the gate is free, the thread's
-/// registered fallback pool when it is not, serial last. The serial routes
-/// walk the same grain-chunked order the pools hand out, so the configured
-/// grain survives gate contention — which route wins never changes the work
-/// decomposition. Tasks write disjoint output, so every route produces
-/// identical results.
+/// exclusivity — no gate), shared pool when the gate is free, serial when it
+/// is not. The serial routes walk the same grain-chunked order the pools
+/// hand out, so the configured grain survives gate contention — which route
+/// wins never changes the work decomposition. Tasks write disjoint output,
+/// so every route produces identical results.
 void dispatch(std::size_t count, std::size_t flops, ThreadPool* pool, std::size_t grain,
               const std::function<void(std::size_t)>& task) {
   const std::size_t g = std::max<std::size_t>(grain, 1);
@@ -78,13 +71,6 @@ void dispatch(std::size_t count, std::size_t flops, ThreadPool* pool, std::size_
     const std::unique_lock<std::mutex> gate(pool_gate(), std::adopt_lock);
     stat_pooled.fetch_add(1, std::memory_order_relaxed);
     pool->parallel_for(count, task, g);
-    return;
-  }
-  if (tl_gemm_fallback != nullptr) {
-    // Contended shared pool, but this thread carries its own: a concurrent
-    // batch shard keeps its BLAS-3 parallel instead of single-threading.
-    stat_fallback.fetch_add(1, std::memory_order_relaxed);
-    tl_gemm_fallback->parallel_for(count, task, g);
     return;
   }
   stat_serial.fetch_add(1, std::memory_order_relaxed);
@@ -150,7 +136,6 @@ ThreadPool* gemm_pool() {
 GemmDispatchStats gemm_dispatch_stats() noexcept {
   GemmDispatchStats s;
   s.pooled = stat_pooled.load(std::memory_order_relaxed);
-  s.fallback = stat_fallback.load(std::memory_order_relaxed);
   s.serial = stat_serial.load(std::memory_order_relaxed);
   s.inline_small = stat_inline.load(std::memory_order_relaxed);
   return s;
@@ -158,17 +143,9 @@ GemmDispatchStats gemm_dispatch_stats() noexcept {
 
 void gemm_dispatch_stats_reset() noexcept {
   stat_pooled.store(0, std::memory_order_relaxed);
-  stat_fallback.store(0, std::memory_order_relaxed);
   stat_serial.store(0, std::memory_order_relaxed);
   stat_inline.store(0, std::memory_order_relaxed);
 }
-
-ScopedGemmFallbackPool::ScopedGemmFallbackPool(ThreadPool& pool) noexcept
-    : prev_(tl_gemm_fallback) {
-  tl_gemm_fallback = &pool;
-}
-
-ScopedGemmFallbackPool::~ScopedGemmFallbackPool() { tl_gemm_fallback = prev_; }
 
 namespace detail {
 ScopedGemmGateHold::ScopedGemmGateHold() { pool_gate().lock(); }

@@ -15,12 +15,9 @@
 // pool that the Matrix operators use for large products. The shared pool is
 // guarded internally with a try-lock (ThreadPool::parallel_for is
 // single-caller); a caller-owned pool bypasses the gate entirely — passing
-// one asserts exclusive use. A loser of the gate no longer silently
-// single-threads: it first consults the calling thread's registered
-// fallback pool (ScopedGemmFallbackPool below) and only runs serially when
-// none is registered. Per-tile work writes disjoint output, so every route
-// produces bitwise-identical results; gemm_dispatch_stats() reports which
-// routes were taken.
+// one asserts exclusive use. A loser of the gate runs serially. Per-tile
+// work writes disjoint output, so every route produces bitwise-identical
+// results; gemm_dispatch_stats() reports which routes were taken.
 
 #include <cstddef>
 #include <span>
@@ -43,9 +40,9 @@ struct GemmTiling {
 
   /// Scheduling grain: C tiles are handed out in chunks of this many
   /// consecutive task indices. Threaded through *every* dispatch route —
-  /// pooled, fallback-pool, and the gate-contended serial path, which walks
-  /// the same chunk order — so which route wins the pool gate never changes
-  /// the work decomposition or its traversal order.
+  /// pooled, and the gate-contended serial path, which walks the same chunk
+  /// order — so which route wins the pool gate never changes the work
+  /// decomposition or its traversal order.
   std::size_t grain = 1;
 
   /// Register micro-kernel footprint: an mr x nr accumulator tile lives in
@@ -56,16 +53,15 @@ struct GemmTiling {
 
 /// Process-wide pool for the matmul entry points (hardware concurrency),
 /// created on first use. See the threading note above: safe to pass from
-/// concurrent callers; losers of the internal try-lock route to the calling
-/// thread's ScopedGemmFallbackPool, or run serially when none is registered.
+/// concurrent callers; losers of the internal try-lock run serially.
 ThreadPool* gemm_pool();
 
 /// Which route each BLAS-3 dispatch took (process-wide, relaxed counters).
 /// `pooled` counts parallel runs (shared-pool gate won, or a caller-owned
-/// pool), `fallback` counts gate-contended runs rescued by a registered
-/// fallback pool, `serial` counts gate-contended runs with no fallback — the
-/// silent-degradation case the fallback mechanism exists to eliminate — and
-/// `inline_small` counts work below the parallel threshold (or with no pool).
+/// pool), `serial` counts gate-contended runs, and `inline_small` counts
+/// work below the parallel threshold (or with no pool). `fallback` always
+/// reads 0: no route uses it. It is kept because benchmark reports read the
+/// counter set.
 struct GemmDispatchStats {
   std::size_t pooled = 0;
   std::size_t fallback = 0;
@@ -75,29 +71,10 @@ struct GemmDispatchStats {
 GemmDispatchStats gemm_dispatch_stats() noexcept;
 void gemm_dispatch_stats_reset() noexcept;
 
-/// RAII registration of a per-thread fallback pool for BLAS-3 dispatch: while
-/// alive on a thread, any gemm/syrk/panel call on that thread that loses the
-/// shared-pool gate runs on this pool instead of degrading to serial. The
-/// registered pool must be exclusively owned by the registering thread (a
-/// serving shard registers its own mini pool — never a pool another caller
-/// may be driving). Nests: the previous registration is restored on
-/// destruction.
-class ScopedGemmFallbackPool {
- public:
-  explicit ScopedGemmFallbackPool(ThreadPool& pool) noexcept;
-  ~ScopedGemmFallbackPool();
-
-  ScopedGemmFallbackPool(const ScopedGemmFallbackPool&) = delete;
-  ScopedGemmFallbackPool& operator=(const ScopedGemmFallbackPool&) = delete;
-
- private:
-  ThreadPool* prev_;
-};
-
 namespace detail {
 /// Test seam: holds the shared-pool gate for its lifetime, so tests can
-/// deterministically exercise the contended routes (fallback / serial)
-/// without racing real concurrent GEMMs. Blocks if the gate is held.
+/// deterministically exercise the contended route without racing real
+/// concurrent GEMMs. Blocks if the gate is held.
 class ScopedGemmGateHold {
  public:
   ScopedGemmGateHold();

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <sstream>
 
 #include "analysis/fuzz.hpp"
 
@@ -77,6 +78,20 @@ bool FaultInjector::should_kill(int rank, std::uint64_t op) {
 
 bool FaultInjector::should_stall(int rank, std::uint64_t op) const {
   return plan_.enabled && plan_.stall_rank == rank && plan_.stall_at_op == op;
+}
+
+std::string to_json(const RecoveryStats& s) {
+  std::ostringstream os;
+  os << "{\"drops_seen\": " << s.drops_seen
+     << ", \"duplicates_injected\": " << s.duplicates_injected
+     << ", \"corruptions_injected\": " << s.corruptions_injected
+     << ", \"delays_seen\": " << s.delays_seen << ", \"kills\": " << s.kills
+     << ", \"stalls\": " << s.stalls << ", \"corruptions_detected\": " << s.corruptions_detected
+     << ", \"duplicates_suppressed\": " << s.duplicates_suppressed
+     << ", \"retries\": " << s.retries << ", \"resends\": " << s.resends
+     << ", \"virtual_backoff\": " << s.virtual_backoff
+     << ", \"checkpoints\": " << s.checkpoints << ", \"rollbacks\": " << s.rollbacks << "}";
+  return os.str();
 }
 
 }  // namespace treesvd::mp

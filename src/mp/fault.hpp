@@ -65,9 +65,14 @@ struct FaultPlan {
 struct ReliableConfig {
   bool enabled = false;
   int max_retries = 8;      ///< recovery attempts per message before giving up
-  double deadline = 1.0;    ///< virtual-time units before the first retry
-  double backoff = 2.0;     ///< exponential backoff multiplier per attempt
 };
+
+/// Retry timing of the reliable transport: the first retry waits
+/// kRetryDeadline (virtual-time units in-process; one
+/// SocketConfig::recv_deadline_ms over sockets), and each further retry
+/// waits kRetryBackoff times longer than the one before.
+inline constexpr double kRetryDeadline = 1.0;
+inline constexpr double kRetryBackoff = 2.0;
 
 /// Plain snapshot of every recovery counter (copyable, reported on
 /// SpmdStats/DistributedResult; the style of KernelStats).
@@ -109,6 +114,10 @@ struct RecoveryStats {
   }
   bool operator==(const RecoveryStats&) const = default;
 };
+
+/// All thirteen RecoveryStats counters as one JSON object, in declaration
+/// order: the form the chaos and launch tools report.
+std::string to_json(const RecoveryStats& s);
 
 /// Relaxed-atomic counters shared by concurrent ranks; snapshot() into
 /// RecoveryStats (the KernelCounters idiom).

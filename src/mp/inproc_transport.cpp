@@ -122,11 +122,11 @@ void InprocTransport::deliver(int dst, int src, std::uint64_t tag, std::vector<d
 std::vector<double> InprocTransport::recover_locked(Mailbox& box, const Key& key,
                                                     std::uint64_t seq, int src, int dst,
                                                     std::uint64_t tag) {
-  double wait = reliable().deadline;
+  double wait = kRetryDeadline;
   for (int attempt = 0; attempt < reliable().max_retries; ++attempt) {
     counters().add_retry();
     counters().add_virtual_backoff(wait);
-    wait *= reliable().backoff;
+    wait *= kRetryBackoff;
     if (injector() != nullptr && !injector()->resend_survives(src, dst, tag, seq, attempt)) {
       counters().add_drop();
       continue;  // the retransmission was lost too; back off and NACK again

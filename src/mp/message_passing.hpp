@@ -85,21 +85,14 @@ enum class Backend {
 /// Knobs for the socket backend. Durations are wall-clock milliseconds —
 /// unlike the in-process backend there is no virtual time to hide behind.
 struct SocketConfig {
-  /// Base receive deadline before the first NACK; ReliableConfig::deadline
-  /// scales it and ReliableConfig::backoff grows it per retry.
+  /// Receive deadline before the first NACK; each further retry waits
+  /// kRetryBackoff times longer (mp/fault.hpp).
   double recv_deadline_ms = 25.0;
   /// Child -> launcher liveness beacon cadence.
   double heartbeat_interval_ms = 25.0;
   /// Silence after which the launcher declares a rank hung and SIGKILLs it
   /// (feeding the same abort/respawn path as a planned kill).
   double heartbeat_timeout_ms = 10000.0;
-  /// Physical length of an injected delay fault (must exceed the receive
-  /// deadline for the delay to exercise the recovery path, like the
-  /// in-process backend's "delayed frames are lost" rule).
-  double delay_stall_ms = 120.0;
-  /// Upper bound a receiver accepts in one frame; a corrupted length field
-  /// is rejected by checksum before this, so this bounds only legal senders.
-  std::size_t max_payload_doubles = std::size_t{1} << 20;
   /// Directory for the per-rank listener sockets (empty: a fresh mkdtemp
   /// under $TMPDIR, removed with the World).
   std::string socket_dir;

@@ -9,7 +9,6 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <condition_variable>
@@ -52,9 +51,18 @@ int connect_unix(const std::string& path) noexcept {
   }
 }
 
+/// Upper bound a receiver accepts in one frame; a corrupted length field is
+/// rejected by checksum before this, so this bounds only legal senders.
+constexpr std::size_t kMaxPayloadDoubles = std::size_t{1} << 20;
+
 /// Most (tag, seq) pairs one kAck frame carries before it is written on its
-/// own; ~4 KiB, so a batch never nears a receiver's payload bound.
+/// own; ~4 KiB, far inside a receiver's payload bound.
 constexpr std::size_t kAckBatchPairs = 256;
+
+/// Physical length of an injected delay fault. It exceeds the default
+/// receive deadline, so the delay exercises the recovery path like the
+/// in-process backend's "delayed frames are lost" rule.
+constexpr double kDelayStallMs = 120.0;
 
 /// Exit-frame kinds (WireFrame::aux of kError): which exception type a rank
 /// process unwound with, so the launcher rethrows the same type.
@@ -167,7 +175,6 @@ struct SocketTransport::RankRuntime {
   std::mutex out_mu;
   std::vector<int> out;
   std::vector<std::vector<double>> acks;
-  std::size_t ack_batch = 0;          ///< pairs per kAck frame (0: no acks)
 
   RecoveryStats baseline;             ///< counters at fork (ship deltas only)
   std::thread io;
@@ -254,12 +261,11 @@ struct SocketTransport::RankRuntime {
 
   /// Owes `src` an acknowledgement for a frame handed to the program.
   void record_ack(int src, std::uint64_t tag, std::uint64_t seq) {
-    if (ack_batch == 0) return;
     std::lock_guard<std::mutex> lock(out_mu);
     std::vector<double>& pending = acks[static_cast<std::size_t>(src)];
     pending.push_back(bits_to_double(tag));
     pending.push_back(bits_to_double(seq));
-    if (pending.size() >= 2 * ack_batch) write_locked(src, nullptr);
+    if (pending.size() >= 2 * kAckBatchPairs) write_locked(src, nullptr);
   }
 
   void flush_acks() {
@@ -439,7 +445,7 @@ struct SocketTransport::RankRuntime {
 
   void io_loop() {
     std::deque<Conn> conns;
-    WireReader ctl_reader(cfg.max_payload_doubles);
+    WireReader ctl_reader(kMaxPayloadDoubles);
     auto last_hb = Clock::now() - std::chrono::hours(1);
     bool ctl_alive = true;
     for (;;) {
@@ -481,7 +487,7 @@ struct SocketTransport::RankRuntime {
             std::lock_guard<std::mutex> lock(mu);
             ++pending_unknown;
           }
-          conns.push_back(Conn{fd, -1, WireReader(cfg.max_payload_doubles)});
+          conns.push_back(Conn{fd, -1, WireReader(kMaxPayloadDoubles)});
         }
       }
       if (ctl_alive && fds[conn_base - 1].revents != 0 && !read_ctl(ctl_reader)) {
@@ -647,7 +653,7 @@ void SocketTransport::send(Context& ctx, int dst, std::uint64_t tag, std::vector
       // is suppressed by its sequence number on arrival.
       rt.counters->add_delay();
       std::this_thread::sleep_for(
-          std::chrono::duration<double, std::milli>(rt.cfg.delay_stall_ms));
+          std::chrono::duration<double, std::milli>(kDelayStallMs));
       rt.write_data(dst, tag, seq, *frame, nullptr);
       break;
   }
@@ -677,8 +683,8 @@ std::vector<double> SocketTransport::recv(Context& ctx, int src, std::uint64_t t
     rt.flush_acks();
     lock.lock();
     int attempt = 0;
-    double wall_ms = rt.rel.deadline * rt.cfg.recv_deadline_ms;
-    double virtual_wait = rt.rel.deadline;
+    double wall_ms = rt.cfg.recv_deadline_ms;
+    double virtual_wait = kRetryDeadline;
     for (;;) {
       const auto ready = [&] {
         const auto sit = rt.stash.find(key);
@@ -707,8 +713,8 @@ std::vector<double> SocketTransport::recv(Context& ctx, int src, std::uint64_t t
         throw transport_exhausted("socket", src, ctx.rank(), tag, expected, rt.rel.max_retries);
       rt.counters->add_retry();
       rt.counters->add_virtual_backoff(virtual_wait);
-      virtual_wait *= rt.rel.backoff;
-      wall_ms *= rt.rel.backoff;
+      virtual_wait *= kRetryBackoff;
+      wall_ms *= kRetryBackoff;
       ++attempt;
       lock.unlock();
       rt.send_nack(src, tag, expected, attempt - 1);
@@ -799,7 +805,6 @@ void SocketTransport::run_child(int rank, int ctl_fd,
   rt.in_fd.assign(static_cast<std::size_t>(rt.size), -1);
   rt.out.assign(static_cast<std::size_t>(rt.size), -1);
   rt.acks.resize(static_cast<std::size_t>(rt.size));
-  rt.ack_batch = std::min(kAckBatchPairs, cfg_.max_payload_doubles / 2);
   rt.baseline = rt.counters->snapshot();
   int wake[2] = {-1, -1};
   if (::pipe(wake) == 0) {
@@ -887,11 +892,9 @@ namespace {
 
 /// Launcher-side view of one rank process.
 struct ChildMon {
-  explicit ChildMon(std::size_t max_payload_doubles) : reader(max_payload_doubles) {}
-
   long pid = 0;
   int ctl = -1;
-  WireReader reader;
+  WireReader reader{kMaxPayloadDoubles};
   bool ctl_open = true;
   bool exited = false;
   bool finished_sent = false;  ///< kFinished broadcast done for this rank
@@ -929,7 +932,7 @@ void SocketTransport::run(const std::function<void(Context&)>& program) {
     ctl_child[static_cast<std::size_t>(r)] = sv[1];
   }
 
-  std::vector<ChildMon> mon(static_cast<std::size_t>(n), ChildMon(cfg_.max_payload_doubles));
+  std::vector<ChildMon> mon(static_cast<std::size_t>(n));
   const auto start = Clock::now();
   // Flush once so forked children never carry (and later re-emit) buffered
   // launcher output.

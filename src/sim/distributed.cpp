@@ -56,7 +56,7 @@ DistributedResult distributed_jacobi(const Matrix& a, const Ordering& ordering,
   // Equilibrate once, before the initial distribution, so every travelling
   // column works at the same exact power-of-two scale.
   Matrix a_eq = a;
-  detail::SweepGuards guards(options.stall_window);
+  detail::SweepGuards guards;
   guards.eq = equilibrate(a_eq, options.equilibrate);
   SlotStore h(static_cast<std::size_t>(n), rows);
   SlotStore v(static_cast<std::size_t>(n), static_cast<std::size_t>(n));
@@ -75,8 +75,6 @@ DistributedResult distributed_jacobi(const Matrix& a, const Ordering& ordering,
   DistributedResult out;
   out.cost.transitions_using_level.assign(static_cast<std::size_t>(topology.levels()) + 1, 0);
   out.cost.words_per_level.assign(static_cast<std::size_t>(topology.levels()) + 1, 0.0);
-  const double rot_time =
-      params.flops_per_rotation_per_row * params.words_per_column * params.flop_time;
 
   std::vector<int> layout(index_at_slot);
   for (int sweep = 0; sweep < options.max_sweeps; ++sweep) {
@@ -124,28 +122,12 @@ DistributedResult distributed_jacobi(const Matrix& a, const Ordering& ordering,
         sweep_rot += o.rotated ? 1 : 0;
         sweep_swap += o.swapped ? 1 : 0;
       }
-      out.cost.compute_time += rot_time;
 
-      // Communication phase: route each inter-leaf move through the tree.
+      // Price the step — the leaves' rotations, then the transition's
+      // messages routed through the tree — by the abstract model's own rule
+      // (sim/machine.hpp).
       const std::vector<ColumnMove> moves = s.moves(t);
-      TrafficStep step(topology);
-      for (const ColumnMove& mv : moves) {
-        const int from = mv.from_slot / 2;
-        const int to = mv.to_slot / 2;
-        if (from == to) continue;
-        step.add({from, to, params.words_per_column});
-        out.cost.words_per_level[static_cast<std::size_t>(topology.route_level(from, to))] +=
-            params.words_per_column;
-        ++out.delivered_messages;
-        out.delivered_words += params.words_per_column;
-      }
-      const StepTraffic st = step.finish(params.alpha);
-      out.cost.comm_time += st.time;
-      out.cost.comm_words += st.total_words;
-      out.cost.messages += st.messages;
-      out.cost.max_overload = std::max(out.cost.max_overload, st.max_overload);
-      out.cost.max_contention = std::max(out.cost.max_contention, st.max_contention);
-      ++out.cost.transitions_using_level[static_cast<std::size_t>(st.max_level)];
+      add_step_cost(out.cost, moves, topology, params);
 
       // Deliver: physically relocate the columns (H and V travel
       // together, like the spmd engine's column payload).

@@ -27,9 +27,7 @@ namespace treesvd {
 /// actually incurred executing it.
 struct DistributedResult {
   SvdResult svd;
-  SweepCost cost;         ///< accumulated over all executed sweeps
-  std::size_t delivered_messages = 0;
-  double delivered_words = 0.0;
+  SweepCost cost;  ///< accumulated over all executed sweeps
 };
 
 /// Executes the one-sided Jacobi SVD on a simulated distributed tree machine.

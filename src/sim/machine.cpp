@@ -6,6 +6,28 @@
 
 namespace treesvd {
 
+void add_step_cost(SweepCost& cost, const std::vector<ColumnMove>& moves,
+                   const FatTreeTopology& topo, const CostParams& params) {
+  cost.compute_time +=
+      params.flops_per_rotation_per_row * params.words_per_column * params.flop_time;
+  TrafficStep step(topo);
+  for (const ColumnMove& mv : moves) {
+    const int from = mv.from_slot / 2;
+    const int to = mv.to_slot / 2;
+    if (from == to) continue;
+    step.add({from, to, params.words_per_column});
+    cost.words_per_level[static_cast<std::size_t>(topo.route_level(from, to))] +=
+        params.words_per_column;
+  }
+  const StepTraffic st = step.finish(params.alpha);
+  cost.comm_time += st.time;
+  cost.comm_words += st.total_words;
+  cost.messages += st.messages;
+  cost.max_overload = std::max(cost.max_overload, st.max_overload);
+  cost.max_contention = std::max(cost.max_contention, st.max_contention);
+  ++cost.transitions_using_level[static_cast<std::size_t>(st.max_level)];
+}
+
 SweepCost analyze_sweep(const Sweep& sweep, const FatTreeTopology& topo,
                         const CostParams& params) {
   TREESVD_REQUIRE(sweep.leaves() == topo.leaves(),
@@ -13,33 +35,9 @@ SweepCost analyze_sweep(const Sweep& sweep, const FatTreeTopology& topo,
   SweepCost cost;
   cost.transitions_using_level.assign(static_cast<std::size_t>(topo.levels()) + 1, 0);
   cost.words_per_level.assign(static_cast<std::size_t>(topo.levels()) + 1, 0.0);
-
-  const double rot_time =
-      params.flops_per_rotation_per_row * params.words_per_column * params.flop_time;
-
-  for (int t = 0; t < sweep.steps(); ++t) {
-    // Compute: every active leaf performs one rotation, in parallel.
-    cost.compute_time += rot_time;
-
-    // Communication: the transition to the next layout (the final transition
-    // hands the columns to the next sweep, so it is part of this sweep).
-    TrafficStep step(topo);
-    for (const ColumnMove& mv : sweep.moves(t)) {
-      const int from = mv.from_slot / 2;
-      const int to = mv.to_slot / 2;
-      if (from == to) continue;
-      step.add({from, to, params.words_per_column});
-      cost.words_per_level[static_cast<std::size_t>(topo.route_level(from, to))] +=
-          params.words_per_column;
-    }
-    const StepTraffic st = step.finish(params.alpha);
-    cost.comm_time += st.time;
-    cost.comm_words += st.total_words;
-    cost.messages += st.messages;
-    cost.max_overload = std::max(cost.max_overload, st.max_overload);
-    cost.max_contention = std::max(cost.max_contention, st.max_contention);
-    ++cost.transitions_using_level[static_cast<std::size_t>(st.max_level)];
-  }
+  // The final transition hands the columns to the next sweep, so it is part
+  // of this sweep.
+  for (int t = 0; t < sweep.steps(); ++t) add_step_cost(cost, sweep.moves(t), topo, params);
   cost.total_time = cost.compute_time + cost.comm_time;
   return cost;
 }

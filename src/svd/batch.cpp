@@ -102,7 +102,7 @@ std::unique_ptr<BatchedSvd::Shard> BatchedSvd::make_shard() const {
   if (options_.jacobi.compute_v) sh->v.resize(np * np * w);
   sh->active.resize(w);
   sh->partial.resize(w);
-  sh->guards.assign(w, SweepGuards(options_.jacobi.stall_window));
+  sh->guards.resize(w);
   sh->sweep_rot.resize(w);
   sh->sweep_swap.resize(w);
   sh->apq.resize(w);
@@ -148,10 +148,6 @@ void BatchedSvd::solve_into(std::span<const Matrix* const> inputs,
                     "BatchedSvd input shape mismatch");
     require_finite_columns(*a, "batched_svd");
   }
-  // Same per-solve tier override as the sequential drivers; the batched and
-  // single-problem paths then report the same resolved tier in KernelStats
-  // (one process-wide dispatch resolution, linalg/dispatch.hpp).
-  const ScopedIsaOverride isa_guard(options_.jacobi.force_isa);
   const std::size_t w = options_.lane_width;
   const std::size_t nshards = (inputs.size() + w - 1) / w;
   reserve(inputs.size());
@@ -197,7 +193,7 @@ void BatchedSvd::pack_shard(Shard& sh, std::span<const Matrix* const> inputs) {
   for (std::size_t b = 0; b < w; ++b) {
     sh.active[b] = b < sh.count ? 1 : 0;
     sh.partial[b] = SvdResult{};
-    sh.guards[b] = SweepGuards(jo.stall_window);
+    sh.guards[b] = SweepGuards{};
     sh.rot_mask[b] = 0;
     sh.swap_mask[b] = 0;
     sh.c[b] = 1.0;
@@ -285,15 +281,9 @@ void BatchedSvd::process_pair(Shard& sh, int i, int j) {
   // bitwise PairKernel::process on lane b's columns. (pairs/gram_passes
   // counters advance once per sweep in iterate_shard — the active set is
   // constant within a sweep.)
-  if (options_.use_simd) {
-    batched_gram_pair(x, y, m, w, sh.app.data(), sh.aqq.data(), sh.apq.data());
-    batched_compute_rotation(sh.app.data(), sh.aqq.data(), sh.apq.data(), w, jo.tol,
-                             sh.c.data(), sh.s.data(), sh.ident.data());
-  } else {
-    batched_gram_pair_ref(x, y, m, w, sh.app.data(), sh.aqq.data(), sh.apq.data());
-    detail::batched_compute_rotation_scalar(sh.app.data(), sh.aqq.data(), sh.apq.data(), w,
-                                            jo.tol, sh.c.data(), sh.s.data(), sh.ident.data());
-  }
+  batched_gram_pair(x, y, m, w, sh.app.data(), sh.aqq.data(), sh.apq.data());
+  batched_compute_rotation(sh.app.data(), sh.aqq.data(), sh.apq.data(), w, jo.tol, sh.c.data(),
+                           sh.s.data(), sh.ident.data());
 
   std::fill(sh.rot_mask.begin(), sh.rot_mask.end(), 0);
   std::fill(sh.swap_mask.begin(), sh.swap_mask.end(), 0);
@@ -317,23 +307,13 @@ void BatchedSvd::process_pair(Shard& sh, int i, int j) {
   }
   if (!any_rot) return;
 
-  if (options_.use_simd) {
-    batched_apply_rotation(x, y, m, w, sh.c.data(), sh.s.data(), sh.rot_mask.data(),
-                           sh.swap_mask.data());
-  } else {
-    batched_apply_rotation_ref(x, y, m, w, sh.c.data(), sh.s.data(), sh.rot_mask.data(),
-                               sh.swap_mask.data());
-  }
+  batched_apply_rotation(x, y, m, w, sh.c.data(), sh.s.data(), sh.rot_mask.data(),
+                         sh.swap_mask.data());
   if (jo.compute_v) {
     double* vx = sh.v.data() + static_cast<std::size_t>(i) * np * w;
     double* vy = sh.v.data() + static_cast<std::size_t>(j) * np * w;
-    if (options_.use_simd) {
-      batched_apply_rotation(vx, vy, np, w, sh.c.data(), sh.s.data(), sh.rot_mask.data(),
-                             sh.swap_mask.data());
-    } else {
-      batched_apply_rotation_ref(vx, vy, np, w, sh.c.data(), sh.s.data(), sh.rot_mask.data(),
-                                 sh.swap_mask.data());
-    }
+    batched_apply_rotation(vx, vy, np, w, sh.c.data(), sh.s.data(), sh.rot_mask.data(),
+                           sh.swap_mask.data());
   }
 }
 
@@ -355,9 +335,7 @@ void BatchedSvd::finalize_shard(Shard& sh, std::span<const Matrix* const> inputs
         gather_lane(sh.v.data() + j * np * w, np, w, b, vb.col(j).data());
     }
     // Matches the sequential driver's report bit-for-bit: the tier is the
-    // process-wide resolution, whether the lane kernels ran vectorized or on
-    // the gather + scalar reference path (use_simd == false) — both are
-    // served from the same dispatch table.
+    // process-wide resolution both engines' kernels are served from.
     sh.partial[b].kernel_stats.isa_tier = static_cast<int>(kernels().tier);
     *results[b] = detail::finalize(hb, vb, *inputs[b], jo.rank_tol, jo.full_diagnostics,
                                    sh.guards[b], std::move(sh.partial[b]));

@@ -71,10 +71,6 @@ struct BatchedSvdOptions {
   /// Problems per SIMD shard: 4, 8 or 16 (multiples of blas1's kBatchLanes
   /// with a vectorized kernel instantiation).
   std::size_t lane_width = 8;
-  /// When false, every lane-block kernel takes the scalar reference path
-  /// (gather + exact scalar kernel). Results are bitwise identical either
-  /// way; the switch exists for cross-checks and triage.
-  bool use_simd = true;
 };
 
 class BatchedSvd {

@@ -44,4 +44,21 @@ std::uint64_t result_digest(const SvdResult& r) {
   return h.value();
 }
 
+std::string first_divergence(const SvdResult& got, const SvdResult& want) {
+  if (got.converged != want.converged) return "converged flag differs";
+  if (got.sweeps != want.sweeps)
+    return "sweeps " + std::to_string(got.sweeps) + " != " + std::to_string(want.sweeps);
+  if (got.rotations != want.rotations) return "rotation count differs";
+  if (got.swaps != want.swaps) return "swap count differs";
+  if (got.sigma.size() != want.sigma.size()) return "sigma length differs";
+  for (std::size_t k = 0; k < want.sigma.size(); ++k)
+    if (got.sigma[k] != want.sigma[k]) return "sigma[" + std::to_string(k) + "] differs bitwise";
+  if (!(got.u == want.u)) return "U differs bitwise";
+  if (!(got.v == want.v)) return "V differs bitwise";
+  if (result_core_digest(got) != result_core_digest(want)) return "core digest differs";
+  if (result_digest(got) != result_digest(want))
+    return "kernel pass counters differ (full digest)";
+  return {};
+}
+
 }  // namespace treesvd

@@ -1,5 +1,6 @@
 #pragma once
-// Determinism-oracle digests of SvdResult (tools/treesvd_race, tests).
+// Determinism-oracle digests of SvdResult (tests and the race, chaos and
+// launch tools).
 //
 // The repo's strongest concurrency contract is that the threaded and SPMD
 // engines reproduce the serial engine *bitwise* — values, factors, and the
@@ -8,6 +9,7 @@
 // reference with a single integer equality.
 
 #include <cstdint>
+#include <string>
 
 #include "svd/jacobi.hpp"
 
@@ -22,5 +24,11 @@ std::uint64_t result_core_digest(const SvdResult& r);
 /// schedule-invariance contract (identical work accounting, not just
 /// identical numbers).
 std::uint64_t result_digest(const SvdResult& r);
+
+/// The first difference between `got` and `want`, as a diagnostic string;
+/// empty when the results are bit-identical, which is when both digests
+/// match. Names the first differing field (convergence, counts, sigma, U,
+/// V), else the digest that differs.
+std::string first_divergence(const SvdResult& got, const SvdResult& want);
 
 }  // namespace treesvd

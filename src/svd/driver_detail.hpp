@@ -52,13 +52,11 @@ inline Matrix pad_columns(const Matrix& a, int width) {
 }
 
 /// Per-driver robustness state: the equilibration record plus the (purely
-/// observational) stall classifier, threaded through finalize so every
-/// result carries the status contract.
+/// observational) stall classifier over the last kStallWindow sweeps,
+/// threaded through finalize so every result carries the status contract.
 struct SweepGuards {
   Equilibration eq;
   StallDetector stall;
-
-  explicit SweepGuards(int stall_window) : stall(stall_window) {}
 };
 
 /// The convergence rule of every column engine: a sweep with zero activity

@@ -103,13 +103,11 @@ SvdResult solve_one_sided(const Matrix& a, const Ordering& ordering,
   TREESVD_REQUIRE(a.rows() >= a.cols() && a.cols() >= 2, who + " expects m >= n >= 2");
   require_finite_columns(a, who);
   // Level 0 of the engine hierarchy: one PairKernel, bound once to the
-  // resolved dispatch table (after the per-solve tier override), drives every
-  // pair of the run.
-  const ScopedIsaOverride isa_guard(options.force_isa);
+  // resolved dispatch table, drives every pair of the run.
   const PairKernel kernel(options);
   const int padded_n = detail::require_padded_width(ordering, static_cast<int>(a.cols()));
   Matrix h = detail::pad_columns(a, padded_n);
-  SweepGuards guards(options.stall_window);
+  SweepGuards guards;
   guards.eq = equilibrate(h, options.equilibrate);
   Matrix v = options.compute_v ? Matrix::identity(static_cast<std::size_t>(padded_n)) : Matrix();
   Matrix* vp = options.compute_v ? &v : nullptr;
@@ -187,11 +185,10 @@ SvdResult cyclic_jacobi(const Matrix& a, const JacobiOptions& options) {
   TREESVD_REQUIRE(a.rows() >= a.cols() && a.cols() >= 2,
                   "cyclic_jacobi expects m >= n >= 2");
   require_finite_columns(a, "cyclic_jacobi");
-  const ScopedIsaOverride isa_guard(options.force_isa);
   const PairKernel kernel(options);
   const int n = static_cast<int>(a.cols());
   Matrix h = a;
-  SweepGuards guards(options.stall_window);
+  SweepGuards guards;
   guards.eq = equilibrate(h, options.equilibrate);
   Matrix v = options.compute_v ? Matrix::identity(static_cast<std::size_t>(n)) : Matrix();
   Matrix* vp = options.compute_v ? &v : nullptr;

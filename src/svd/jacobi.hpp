@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "core/ordering.hpp"
-#include "linalg/dispatch.hpp"
 #include "linalg/matrix.hpp"
 #include "svd/kernel_stats.hpp"
 #include "svd/status.hpp"
@@ -48,23 +47,10 @@ struct JacobiOptions {
   /// transparent — sigma, U, V and sweep counts match the unequilibrated run
   /// exactly whenever that run stays in range.
   EquilibrateMode equilibrate = EquilibrateMode::kAuto;
-  /// Trailing window of the always-on stall classifier: a non-converged run
-  /// whose activity failed to decrease for this many final sweeps reports
-  /// SvdStatus::kStalled instead of kMaxSweeps. Purely diagnostic — it never
-  /// changes the iteration.
-  int stall_window = 4;
   /// Compute the heavy quality diagnostics (scaled residual, orthonormality
   /// defects; an extra O(mn^2)) even when the run converged. They are always
   /// computed for non-converged runs.
   bool full_diagnostics = false;
-  /// CPU-dispatch tier for this solve (linalg/dispatch.hpp): kIsaAuto keeps
-  /// the process-wide resolution (TREESVD_ISA env, else cpuid); an IsaTier
-  /// value cast to int forces that tier, clamped down to what the host
-  /// supports. Results are bitwise identical on every tier — this knob is
-  /// for benchmarking and for pinning a tier in tests. The override is
-  /// process-wide for the duration of the solve (see dispatch.hpp on the
-  /// benign-race caveat for concurrent solves forcing different tiers).
-  int force_isa = kIsaAuto;
 };
 
 struct SvdResult {

@@ -27,8 +27,7 @@ struct KernelStats {
   /// column norms. Kept because benchmark reports read the counter set.
   std::size_t norm_refreshes = 0;
 
-  // BLAS-3 Gram path of the block driver (block_jacobi.hpp, inner_mode ==
-  // kGram). These make the one-GEMM-per-encounter contract testable: every
+  // BLAS-3 Gram path of the block driver (block_jacobi.hpp). These make the one-GEMM-per-encounter contract testable: every
   // encounter forms exactly one Gram matrix, its inner rotations touch only
   // the small problem, and at most one blocked apply per panel (H, and V
   // when requested) reaches the m-length columns.

@@ -65,7 +65,7 @@ KogbetliantzResult kogbetliantz_svd(const Matrix& a, const Ordering& ordering,
   // Pad diagonal with zeros: exact singular values 0, inert under the
   // threshold (their rows/columns stay zero).
   const Equilibration eq = equilibrate(work, options.equilibrate);
-  StallDetector stall(options.stall_window);
+  StallDetector stall;
 
   Matrix u = options.compute_uv ? Matrix::identity(np) : Matrix();
   Matrix v = options.compute_uv ? Matrix::identity(np) : Matrix();

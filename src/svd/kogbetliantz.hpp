@@ -26,12 +26,10 @@ struct KogbetliantzOptions {
   bool compute_uv = true;
   bool sort_descending = true;
   bool track_off = false;  ///< record off(A)/||A|| per sweep
-  /// Robustness knobs, as in JacobiOptions: exact power-of-two input
-  /// equilibration (keeps the off_fraction sums and the threshold scale
-  /// finite at extreme entry magnitudes) and the observational stall window
-  /// for the status classification.
+  /// Exact power-of-two input equilibration, as in JacobiOptions: keeps the
+  /// off_fraction sums and the threshold scale finite at extreme entry
+  /// magnitudes.
   EquilibrateMode equilibrate = EquilibrateMode::kAuto;
-  int stall_window = 4;
 };
 
 struct KogbetliantzResult {

@@ -1,9 +1,10 @@
 #pragma once
 // Level 0 of the three-level engine hierarchy (DESIGN.md §14): rotate (and
-// optionally sort-swap) one column pair. Every engine handles a pair this
-// way — the serial, thread-parallel, cyclic, block (kElementwise), SPMD and
-// distributed drivers call PairKernel::process, and the batched engine
-// mirrors the same decisions across lanes.
+// optionally sort-swap) one column pair. Every column engine handles a pair
+// this way — the serial, thread-parallel, cyclic, SPMD and distributed
+// drivers call PairKernel::process, and the batched engine mirrors the same
+// decisions across lanes. The block driver instead solves each met block
+// pair on its small Gram matrix (svd/block_jacobi.hpp).
 //
 // The PairKernel class binds the options to a resolved CPU-dispatch kernel
 // table (linalg/dispatch.hpp) once per driver run, so the per-pair cost pays

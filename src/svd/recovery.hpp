@@ -34,6 +34,11 @@ struct RecoveryOptions {
   int max_rollbacks = 8;
 };
 
+/// Trailing window of the stall classifier every engine uses: a
+/// non-converged run whose activity failed to decrease for this many final
+/// sweeps reports SvdStatus::kStalled instead of kMaxSweeps.
+inline constexpr int kStallWindow = 4;
+
 /// Always-on, purely observational stall classifier. It never triggers
 /// repairs or perturbs the iteration: engines feed it the per-sweep activity
 /// and consult it only at exit, to distinguish a run that hit max_sweeps
@@ -77,7 +82,7 @@ class StallDetector {
   }
 
  private:
-  int window_ = 4;
+  int window_ = kStallWindow;
   int streak_ = 0;
   double prev_ = 0.0;
   bool has_prev_ = false;

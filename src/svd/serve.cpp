@@ -9,10 +9,8 @@
 #include "analysis/fuzz.hpp"
 #include "analysis/hooks.hpp"
 #include "core/registry.hpp"
-#include "linalg/gemm.hpp"
 #include "svd/recovery.hpp"
 #include "util/require.hpp"
-#include "util/thread_pool.hpp"
 
 namespace treesvd {
 namespace {
@@ -514,16 +512,6 @@ void SvdServer::shard_loop(std::size_t idx) {
   TREESVD_HB_SCOPED_FRAME(serve_frame, [&] { return "serve shard " + std::to_string(idx); });
   Shard& sh = *shards_[idx];
   const std::size_t max_batch = options_.batch.lane_width;
-  // Shard-owned BLAS-3 fallback: diagnostics GEMMs in finalize that lose the
-  // shared gemm_pool() gate to a sibling shard run on this pool instead of
-  // silently single-threading (see ScopedGemmFallbackPool).
-  std::unique_ptr<ThreadPool> gemm_fb;
-  std::unique_ptr<ScopedGemmFallbackPool> gemm_reg;
-  if (options_.gemm_fallback_threads > 0) {
-    gemm_fb = std::make_unique<ThreadPool>(
-        static_cast<unsigned>(options_.gemm_fallback_threads));
-    gemm_reg = std::make_unique<ScopedGemmFallbackPool>(*gemm_fb);
-  }
   maybe_stall(sh, idx);
   for (;;) {
     sh.heartbeat.fetch_add(1, std::memory_order_relaxed);

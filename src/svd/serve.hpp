@@ -286,12 +286,6 @@ struct ServeOptions {
   std::size_t shards = 1;
   /// Per-shard submission queue bound (backpressure threshold).
   std::size_t queue_capacity = 256;
-  /// Threads of the per-shard BLAS-3 fallback pool, registered via
-  /// ScopedGemmFallbackPool for the shard's lifetime: finalisation-path GEMMs
-  /// (quality diagnostics on non-converged lanes) that lose the shared
-  /// gemm_pool() gate under concurrent shards run here instead of degrading
-  /// to serial. 0 disables the registration.
-  std::size_t gemm_fallback_threads = 1;
   /// Readiness watermarks on total backlog (accepted - completed): crossing
   /// high drops ready(); falling to low restores it. 0 = auto (high:
   /// shards * queue_capacity, low: high / 2).

@@ -147,7 +147,7 @@ SvdResult spmd_jacobi(const Matrix& a, const Ordering& ordering, const JacobiOpt
   // Equilibration happens once, before the scatter, so every rank works at
   // the same exact power-of-two scale.
   Matrix a_eq = a;
-  detail::SweepGuards guards(options.stall_window);
+  detail::SweepGuards guards;
   guards.eq = equilibrate(a_eq, options.equilibrate);
   const bool checkpointing = chaos && recovery.checkpoint_sweeps > 0;
 
@@ -178,7 +178,6 @@ SvdResult spmd_jacobi(const Matrix& a, const Ordering& ordering, const JacobiOpt
     // replicated: every rank feeds the same collective activity, so the
     // classifier state is identical everywhere; rank 0's is the result's.
     RankState st;
-    st.stall = StallDetector(options.stall_window);
     auto& slot = st.slot;
     if (restore_sweep < 0) {
       for (int k = 0; k < 2; ++k) {

@@ -1,6 +1,7 @@
 #include "util/cli.hpp"
 
 #include <cerrno>
+#include <cstdio>
 #include <cstdlib>
 
 #include "util/require.hpp"
@@ -12,7 +13,7 @@ Cli::Cli(int argc, const char* const* argv) {
   program_ = argv[0];
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    TREESVD_REQUIRE(arg.rfind("--", 0) == 0, "expected --key[=value], got: " + arg);
+    if (arg.rfind("--", 0) != 0) throw CliError("expected --key[=value], got: " + arg);
     arg.erase(0, 2);
     const auto eq = arg.find('=');
     if (eq == std::string::npos) {
@@ -35,20 +36,38 @@ namespace {
 /// Throws naming the flag unless a strtoll/strtod call that set `end` (with
 /// errno cleared before it) read all of `text`, non-empty, within range.
 void require_whole_number(const std::string& key, const std::string& text, const char* end) {
-  TREESVD_REQUIRE(end != text.c_str() && *end == '\0' && errno != ERANGE,
-                  "--" + key + " expects a number, got: '" + text + "'");
+  if (end == text.c_str() || *end != '\0' || errno == ERANGE)
+    throw CliError("--" + key + " expects a number, got: '" + text + "'");
+}
+
+long long parse_int(const std::string& key, const std::string& text) {
+  char* end = nullptr;
+  errno = 0;
+  const long long value = std::strtoll(text.c_str(), &end, 10);
+  require_whole_number(key, text, end);
+  return value;
+}
+
+/// The comma-separated items of `text`; throws naming the flag on an empty
+/// item (",a", "a,,b", "a,").
+std::vector<std::string> split_items(const std::string& key, const std::string& text) {
+  std::vector<std::string> items;
+  std::size_t begin = 0;
+  for (;;) {
+    const std::size_t comma = text.find(',', begin);
+    const std::size_t end = comma == std::string::npos ? text.size() : comma;
+    if (end == begin) throw CliError("--" + key + " has an empty list item: '" + text + "'");
+    items.push_back(text.substr(begin, end - begin));
+    if (comma == std::string::npos) return items;
+    begin = comma + 1;
+  }
 }
 
 }  // namespace
 
 long long Cli::get_int(const std::string& key, long long fallback) const {
   const auto it = kv_.find(key);
-  if (it == kv_.end()) return fallback;
-  char* end = nullptr;
-  errno = 0;
-  const long long value = std::strtoll(it->second.c_str(), &end, 10);
-  require_whole_number(key, it->second, end);
-  return value;
+  return it == kv_.end() ? fallback : parse_int(key, it->second);
 }
 
 double Cli::get_double(const std::string& key, double fallback) const {
@@ -59,6 +78,32 @@ double Cli::get_double(const std::string& key, double fallback) const {
   const double value = std::strtod(it->second.c_str(), &end);
   require_whole_number(key, it->second, end);
   return value;
+}
+
+std::vector<std::string> Cli::get_list(const std::string& key,
+                                       const std::vector<std::string>& fallback) const {
+  const auto it = kv_.find(key);
+  return it == kv_.end() ? fallback : split_items(key, it->second);
+}
+
+std::vector<long long> Cli::get_int_list(const std::string& key,
+                                         const std::vector<long long>& fallback) const {
+  const auto it = kv_.find(key);
+  if (it == kv_.end()) return fallback;
+  std::vector<long long> values;
+  for (const std::string& item : split_items(key, it->second))
+    values.push_back(parse_int(key, item));
+  return values;
+}
+
+int run_tool(const char* name, int argc, const char* const* argv,
+             int (*tool_main)(int, const char* const*)) {
+  try {
+    return tool_main(argc, argv);
+  } catch (const CliError& e) {
+    std::fprintf(stderr, "%s: %s\n", name, e.what());
+    return 2;
+  }
 }
 
 }  // namespace treesvd

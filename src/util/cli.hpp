@@ -1,15 +1,27 @@
 #pragma once
-// Tiny --flag=value command-line parser shared by the examples and benches.
+// Tiny --flag=value command-line parser shared by the examples, benches and
+// tools.
 
 #include <cstddef>
 #include <map>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 namespace treesvd {
 
+/// A malformed command line: a positional argument, or a flag value a getter
+/// cannot read. The message names the flag.
+class CliError : public std::invalid_argument {
+ public:
+  using std::invalid_argument::invalid_argument;
+};
+
 /// Parses "--key=value" and bare "--key" (value "1") arguments.
 /// Unrecognised positional arguments are rejected so typos fail loudly, and
-/// so are numeric values that do not parse whole (get_int, get_double).
+/// so are numeric values that do not parse whole (get_int, get_double) and
+/// empty list items (get_list, get_int_list). Every rejection throws
+/// CliError.
 class Cli {
  public:
   Cli(int argc, const char* const* argv);
@@ -18,6 +30,12 @@ class Cli {
   std::string get(const std::string& key, const std::string& fallback) const;
   long long get_int(const std::string& key, long long fallback) const;
   double get_double(const std::string& key, double fallback) const;
+  /// Comma-separated names ("a,b,c"); `fallback` when the flag is absent.
+  std::vector<std::string> get_list(const std::string& key,
+                                    const std::vector<std::string>& fallback) const;
+  /// Comma-separated whole numbers, each read by get_int's rule.
+  std::vector<long long> get_int_list(const std::string& key,
+                                      const std::vector<long long>& fallback) const;
 
   const std::string& program() const noexcept { return program_; }
 
@@ -25,5 +43,10 @@ class Cli {
   std::string program_;
   std::map<std::string, std::string> kv_;
 };
+
+/// Runs a tool's main, turning a CliError into the usage-error exit status
+/// 2 after printing "<name>: <message>" to stderr.
+int run_tool(const char* name, int argc, const char* const* argv,
+             int (*tool_main)(int, const char* const*));
 
 }  // namespace treesvd

@@ -151,8 +151,6 @@ TEST(FailureInjection, FaultPlanValidation) {
   {
     mp::World world(2);
     EXPECT_THROW(world.set_reliable({.enabled = true, .max_retries = 0}), std::invalid_argument);
-    EXPECT_THROW(world.set_reliable({.enabled = true, .deadline = 0.0}), std::invalid_argument);
-    EXPECT_THROW(world.set_reliable({.enabled = true, .backoff = 0.5}), std::invalid_argument);
   }
 }
 

@@ -209,7 +209,7 @@ TEST(ApplyPanelUpdate, ThreadedBitwiseEqualsSerial) {
   EXPECT_EQ(s1, s2);
 }
 
-// --- Dispatch routing: shared-pool gate, fallback pool, stats ------------
+// --- Dispatch routing: shared-pool gate, stats ----------------------------
 
 // Big enough to clear the internal parallel-flops threshold with several
 // C tiles, so dispatch genuinely decides between routes.
@@ -220,24 +220,6 @@ Matrix big_lhs() {
 Matrix big_rhs() {
   Rng rng(62);
   return random_matrix(128, 192, rng);
-}
-
-TEST(GemmDispatch, GateHeldRoutesToRegisteredFallbackPool) {
-  const Matrix a = big_lhs();
-  const Matrix b = big_rhs();
-  const Matrix ref = gemm(a, b, nullptr);
-  gemm_dispatch_stats_reset();
-  detail::ScopedGemmGateHold hold;  // simulate a sibling shard owning the gate
-  ThreadPool fb(2);
-  Matrix c;
-  {
-    ScopedGemmFallbackPool reg(fb);
-    c = gemm(a, b, gemm_pool());
-  }
-  const GemmDispatchStats s = gemm_dispatch_stats();
-  EXPECT_GE(s.fallback, 1u);  // rescued, not degraded
-  EXPECT_EQ(s.serial, 0u);
-  EXPECT_EQ(c, ref);  // every route is bitwise-identical
 }
 
 TEST(GemmDispatch, GateHeldWithoutFallbackDegradesToSerial) {
@@ -265,26 +247,6 @@ TEST(GemmDispatch, CallerOwnedPoolBypassesGate) {
   EXPECT_GE(s.pooled, 1u);
   EXPECT_EQ(s.serial, 0u);
   EXPECT_EQ(c, ref);
-}
-
-TEST(GemmDispatch, FallbackRegistrationNestsAndRestores) {
-  const Matrix a = big_lhs();
-  const Matrix b = big_rhs();
-  detail::ScopedGemmGateHold hold;
-  ThreadPool outer(2);
-  ThreadPool inner(2);
-  gemm_dispatch_stats_reset();
-  {
-    ScopedGemmFallbackPool reg_outer(outer);
-    {
-      ScopedGemmFallbackPool reg_inner(inner);
-      (void)gemm(a, b, gemm_pool());
-    }
-    (void)gemm(a, b, gemm_pool());  // outer registration restored
-  }
-  EXPECT_EQ(gemm_dispatch_stats().fallback, 2u);
-  (void)gemm(a, b, gemm_pool());  // no registration left
-  EXPECT_EQ(gemm_dispatch_stats().serial, 1u);
 }
 
 TEST(GemmDispatch, SmallWorkCountsInline) {

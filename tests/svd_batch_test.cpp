@@ -64,6 +64,13 @@ TEST(BatchedSvd, BitwiseEqualsSequentialAllOrderingsAndBatchSizes) {
       expect_bitwise_sequential(inputs, results, *ord, BatchedSvdOptions{}.jacobi);
     }
   }
+  // Seven columns pad to odd-even's eight: the padded lanes go through the
+  // same SIMD kernels.
+  const OrderingPtr odd_even = make_ordering("odd-even");
+  const auto padded = gaussian_batch(8, 12, 7, 991);
+  BatchedSvd engine(12, 7, *odd_even);
+  const auto results = engine.solve({padded.data(), padded.size()});
+  expect_bitwise_sequential(padded, results, *odd_even, BatchedSvdOptions{}.jacobi);
 }
 
 TEST(BatchedSvd, MixedScaleLanesExerciseEquilibration) {
@@ -112,20 +119,6 @@ TEST(BatchedSvd, EarlyRetiringLanesFreezeIndependently) {
   }
   EXPECT_LT(min_sweeps, max_sweeps);  // lanes genuinely retired at different sweeps
   expect_bitwise_sequential(inputs, results, *ord, BatchedSvdOptions{}.jacobi);
-}
-
-TEST(BatchedSvd, SimdAndReferenceKernelsAgreeBitwise) {
-  const OrderingPtr ord = make_ordering("odd-even");
-  const auto inputs = gaussian_batch(8, 12, 7, 991);
-  BatchedSvdOptions simd;
-  BatchedSvdOptions ref;
-  ref.use_simd = false;
-  BatchedSvd fast(12, 7, *ord, simd);
-  BatchedSvd slow(12, 7, *ord, ref);
-  const auto rf = fast.solve({inputs.data(), inputs.size()});
-  const auto rs = slow.solve({inputs.data(), inputs.size()});
-  for (std::size_t b = 0; b < inputs.size(); ++b)
-    EXPECT_EQ(result_digest(rf[b]), result_digest(rs[b])) << "lane " << b;
 }
 
 TEST(BatchedSvd, UncachedPathMatchesSequential) {

@@ -10,7 +10,8 @@
 // phase-parallel threaded driver at every thread count, and every lane of the
 // batched engine, on every ordering and ISA tier. The block driver is pinned
 // the same way, to the step-major loop over blocks: its encounters touch
-// disjoint column blocks, so they commute too.
+// disjoint column blocks, so they commute too. Each tier is pinned with
+// ScopedIsaOverride around the references and the drivers alike.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -40,11 +41,10 @@ namespace {
 /// every sweep and walked step by step, leaf by leaf.
 SvdResult step_major_reference(const Matrix& a, const Ordering& ordering,
                                const JacobiOptions& options) {
-  const ScopedIsaOverride isa_guard(options.force_isa);
   const detail::PairKernel kernel(options);
   const int padded_n = detail::require_padded_width(ordering, static_cast<int>(a.cols()));
   Matrix h = detail::pad_columns(a, padded_n);
-  detail::SweepGuards guards(options.stall_window);
+  detail::SweepGuards guards;
   guards.eq = equilibrate(h, options.equilibrate);
   Matrix v = options.compute_v ? Matrix::identity(static_cast<std::size_t>(padded_n)) : Matrix();
   Matrix* vp = options.compute_v ? &v : nullptr;
@@ -94,18 +94,16 @@ SvdResult step_major_reference(const Matrix& a, const Ordering& ordering,
 /// when the ordering cannot pad to a block count.
 std::optional<SvdResult> step_major_block_reference(const Matrix& a, const Ordering& ordering,
                                                     const BlockJacobiOptions& options) {
-  const ScopedIsaOverride isa_guard(options.force_isa);
   const int b = options.block_width;
   const int nb = padded_width(ordering, (static_cast<int>(a.cols()) + b - 1) / b);
   if (nb == 0) return std::nullopt;
   const int padded_n = nb * b;
   Matrix h = detail::pad_columns(a, padded_n);
-  detail::SweepGuards guards(options.stall_window);
+  detail::SweepGuards guards;
   guards.eq = equilibrate(h, options.equilibrate);
   Matrix v = options.compute_v ? Matrix::identity(static_cast<std::size_t>(padded_n)) : Matrix();
   Matrix* vp = options.compute_v ? &v : nullptr;
-  const bool gram_mode = options.inner_mode == InnerMode::kGram;
-  ThreadPool* pool = gram_mode ? gemm_pool() : nullptr;
+  ThreadPool* pool = gemm_pool();
 
   std::vector<int> layout(static_cast<std::size_t>(nb));
   std::iota(layout.begin(), layout.end(), 0);
@@ -126,8 +124,7 @@ std::optional<SvdResult> step_major_block_reference(const Matrix& a, const Order
         for (const int blk : {std::min(p.even, p.odd), std::max(p.even, p.odd)})
           for (int i = 0; i < b; ++i) cols.push_back(blk * b + i);
         const detail::InnerPanelStats stats =
-            gram_mode ? detail::inner_orthogonalise_gram(h, vp, cols, options, counters, pool)
-                      : detail::inner_orthogonalise_elementwise(h, vp, cols, options, counters);
+            detail::inner_orthogonalise_gram(h, vp, cols, options, counters, pool);
         sweep_rot += stats.rotations;
         sweep_swap += stats.swaps;
       }
@@ -172,8 +169,8 @@ TEST_P(PlanOracle, DriversMatchStepMajorReference) {
   for (const IsaTier tier : {IsaTier::kBaseline, IsaTier::kAvx2, IsaTier::kAvx512}) {
     if (!isa_supported(tier)) continue;
     SCOPED_TRACE(std::string("tier=") + isa_name(tier));
-    JacobiOptions opt;
-    opt.force_isa = static_cast<int>(tier);
+    const ScopedIsaOverride isa_guard(static_cast<int>(tier));
+    const JacobiOptions opt;
 
     std::vector<std::uint64_t> want;
     for (const Matrix& a : inputs)
@@ -205,20 +202,12 @@ TEST_P(PlanOracle, BlockDriverMatchesStepMajorReference) {
 
   for (const IsaTier tier : {IsaTier::kBaseline, IsaTier::kAvx2, IsaTier::kAvx512}) {
     if (!isa_supported(tier)) continue;
-    for (const InnerMode mode : {InnerMode::kElementwise, InnerMode::kGram}) {
-      for (const std::string inner : {"", "round-robin"}) {
-        SCOPED_TRACE(std::string("tier=") + isa_name(tier) + ", inner_mode=" +
-                     (mode == InnerMode::kGram ? "gram" : "elementwise") +
-                     ", inner_ordering='" + inner + "'");
-        BlockJacobiOptions opt;
-        opt.force_isa = static_cast<int>(tier);
-        opt.inner_mode = mode;
-        opt.inner_ordering = inner;
-        const std::optional<SvdResult> want = step_major_block_reference(a, *ord, opt);
-        if (!want) continue;  // no supported block count for this shape
-        EXPECT_EQ(result_digest(block_one_sided_jacobi(a, *ord, opt)), result_digest(*want));
-      }
-    }
+    SCOPED_TRACE(std::string("tier=") + isa_name(tier));
+    const ScopedIsaOverride isa_guard(static_cast<int>(tier));
+    const BlockJacobiOptions opt;
+    const std::optional<SvdResult> want = step_major_block_reference(a, *ord, opt);
+    if (!want) continue;  // no supported block count for this shape
+    EXPECT_EQ(result_digest(block_one_sided_jacobi(a, *ord, opt)), result_digest(*want));
   }
 }
 

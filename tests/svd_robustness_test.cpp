@@ -160,14 +160,6 @@ const NamedEngine kOneSidedEngines[] = {
     {"block-gram",
      [](const Matrix& a) {
        BlockJacobiOptions opt;
-       opt.inner_mode = InnerMode::kGram;
-       opt.block_width = 2;
-       return block_one_sided_jacobi(a, *make_ordering("round-robin"), opt);
-     }},
-    {"block-elementwise",
-     [](const Matrix& a) {
-       BlockJacobiOptions opt;
-       opt.inner_mode = InnerMode::kElementwise;
        opt.block_width = 2;
        return block_one_sided_jacobi(a, *make_ordering("round-robin"), opt);
      }},

@@ -106,7 +106,7 @@ TEST(BlockJacobiExtra, RejectsBadOptions) {
 }
 
 TEST(BlockJacobiGram, AgreesWithElementwiseAcrossAllOrderings) {
-  // The Gram inner solver and the historical elementwise path must agree on
+  // The Gram block driver and the elementwise serial engine must agree on
   // the factorisation to numerical tolerance on every registered ordering.
   Rng rng(820);
   const Matrix a = random_gaussian(96, 32, rng);
@@ -115,11 +115,8 @@ TEST(BlockJacobiGram, AgreesWithElementwiseAcrossAllOrderings) {
     const auto ord = make_ordering(name);
     BlockJacobiOptions gram;
     gram.block_width = 4;
-    gram.inner_mode = InnerMode::kGram;
-    BlockJacobiOptions elem = gram;
-    elem.inner_mode = InnerMode::kElementwise;
     const SvdResult rg = block_one_sided_jacobi(a, *ord, gram);
-    const SvdResult re = block_one_sided_jacobi(a, *ord, elem);
+    const SvdResult re = one_sided_jacobi(a, *ord);
     ASSERT_TRUE(rg.converged) << name;
     ASSERT_TRUE(re.converged) << name;
     const double smax = oracle[0];
@@ -168,29 +165,10 @@ TEST(BlockJacobiGram, CountersShowOneGramOnePairOfAppliesPerEncounter) {
   EXPECT_LE(rn.kernel_stats.blocked_applies, rn.kernel_stats.gram_builds);
 }
 
-TEST(BlockJacobiGram, ElementwiseCountersUnchangedFromPairKernelLayer) {
-  // The retained elementwise path must still drive the pair kernel: one
-  // gram pass per pair, no dot passes, and none of the Gram-path counters
-  // may tick.
-  Rng rng(822);
-  const Matrix a = random_gaussian(48, 24, rng);
-  BlockJacobiOptions opt;
-  opt.block_width = 4;
-  opt.inner_mode = InnerMode::kElementwise;
-  const SvdResult r = block_one_sided_jacobi(a, *make_ordering("round-robin"), opt);
-  ASSERT_TRUE(r.converged);
-  EXPECT_GT(r.kernel_stats.pairs, 0u);
-  EXPECT_EQ(r.kernel_stats.gram_passes, r.kernel_stats.pairs);
-  EXPECT_EQ(r.kernel_stats.dot_passes, 0u);
-  EXPECT_EQ(r.kernel_stats.gram_builds, 0u);
-  EXPECT_EQ(r.kernel_stats.accum_rotations, 0u);
-  EXPECT_EQ(r.kernel_stats.blocked_applies, 0u);
-}
-
 TEST(PairKernel, EveryEngineMakesOneGramPassPerPair) {
-  // Every engine handles a column pair the same way: one fresh gram_pair
-  // pass, then the decision, then the rotation. No engine keeps column
-  // norms, so no dot pass or norm re-reduction is ever counted.
+  // Every column engine handles a column pair the same way: one fresh
+  // gram_pair pass, then the decision, then the rotation. No engine keeps
+  // column norms, so no dot pass or norm re-reduction is ever counted.
   Rng rng(103);
   const Matrix a = random_gaussian(32, 16, rng);
   const auto ord = make_ordering("round-robin");
@@ -198,10 +176,6 @@ TEST(PairKernel, EveryEngineMakesOneGramPassPerPair) {
   runs.emplace_back("serial", one_sided_jacobi(a, *ord).kernel_stats);
   runs.emplace_back("threaded", one_sided_jacobi_threaded(a, *ord, {}, 3).kernel_stats);
   runs.emplace_back("cyclic", cyclic_jacobi(a).kernel_stats);
-  BlockJacobiOptions elementwise;
-  elementwise.inner_mode = InnerMode::kElementwise;
-  runs.emplace_back("block kElementwise",
-                    block_one_sided_jacobi(a, *ord, elementwise).kernel_stats);
   BatchedSvd batched(a.rows(), a.cols(), *ord);
   runs.emplace_back("batched", batched.solve({&a, 1})[0].kernel_stats);
   runs.emplace_back("spmd", spmd_jacobi(a, *ord).kernel_stats);

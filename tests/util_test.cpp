@@ -190,6 +190,55 @@ TEST(Cli, RejectsOutOfRangeNumbers) {
   EXPECT_THROW((void)cli.get_int("m", 0), std::invalid_argument);
 }
 
+TEST(Cli, ListReadersSplitOnCommas) {
+  const char* argv[] = {"prog", "--names=fat-tree,new-ring", "--sizes=8,-16,32"};
+  const Cli cli(3, argv);
+  EXPECT_EQ(cli.get_list("names", {}), (std::vector<std::string>{"fat-tree", "new-ring"}));
+  EXPECT_EQ(cli.get_int_list("sizes", {}), (std::vector<long long>{8, -16, 32}));
+  EXPECT_EQ(cli.get_list("missing", {"round-robin"}), std::vector<std::string>{"round-robin"});
+  EXPECT_EQ(cli.get_int_list("missing", {42, 43}), (std::vector<long long>{42, 43}));
+}
+
+/// Expects get_int_list, and get_list too when `names_too`, to throw a
+/// CliError naming --x when the command line is `--x=<value>`.
+void expect_list_flag_rejected(const char* arg, bool names_too) {
+  const char* argv[] = {"prog", arg};
+  const Cli cli(2, argv);
+  for (const bool ints : {true, false}) {
+    if (!ints && !names_too) continue;
+    try {
+      if (ints) {
+        (void)cli.get_int_list("x", {});
+      } else {
+        (void)cli.get_list("x", {});
+      }
+      ADD_FAILURE() << arg << " accepted by " << (ints ? "get_int_list" : "get_list");
+    } catch (const CliError& e) {
+      EXPECT_NE(std::string(e.what()).find("--x"), std::string::npos) << e.what();
+    }
+  }
+}
+
+TEST(Cli, ListReadersRejectEmptyItems) {
+  for (const char* arg : {"--x=", "--x=,8", "--x=8,,16", "--x=8,"})
+    expect_list_flag_rejected(arg, true);
+}
+
+TEST(Cli, IntListRejectsNonNumericItems) {
+  expect_list_flag_rejected("--x=8,x", false);
+  expect_list_flag_rejected("--x=abc", false);
+}
+
+TEST(Cli, IntListRejectsTrailingCharacters) {
+  expect_list_flag_rejected("--x=4x2", false);
+  expect_list_flag_rejected("--x=8,16 ", false);
+}
+
+TEST(Cli, IntListRejectsOutOfRangeItems) {
+  expect_list_flag_rejected("--x=8,99999999999999999999", false);
+  expect_list_flag_rejected("--x=-99999999999999999999", false);
+}
+
 TEST(ThreadPool, RunsEveryIndexExactlyOnce) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(1000);

@@ -34,6 +34,7 @@
 
 #include "core/registry.hpp"
 #include "linalg/generators.hpp"
+#include "svd/determinism.hpp"
 #include "svd/spmd.hpp"
 #include "util/cli.hpp"
 #include "util/json.hpp"
@@ -41,55 +42,12 @@
 namespace treesvd::chaos {
 namespace {
 
-/// First divergence between a chaos run and the fault-free reference, as a
-/// diagnostic string; empty when the runs are bit-identical.
-std::string first_divergence(const SvdResult& got, const SvdResult& want) {
-  if (got.converged != want.converged) return "converged flag differs";
-  if (got.sweeps != want.sweeps)
-    return "sweeps " + std::to_string(got.sweeps) + " != " + std::to_string(want.sweeps);
-  if (got.rotations != want.rotations) return "rotation count differs";
-  if (got.swaps != want.swaps) return "swap count differs";
-  for (std::size_t k = 0; k < want.sigma.size(); ++k)
-    if (got.sigma[k] != want.sigma[k]) return "sigma[" + std::to_string(k) + "] differs bitwise";
-  if (!(got.u == want.u)) return "U differs bitwise";
-  if (!(got.v == want.v)) return "V differs bitwise";
-  const KernelStats& g = got.kernel_stats;
-  const KernelStats& w = want.kernel_stats;
-  if (g.pairs != w.pairs || g.dot_passes != w.dot_passes || g.gram_passes != w.gram_passes ||
-      g.rotate_passes != w.rotate_passes || g.norm_refreshes != w.norm_refreshes)
-    return "kernel pass counters differ";
-  return {};
-}
-
-std::string recovery_json(const mp::RecoveryStats& s) {
-  std::ostringstream os;
-  os << "{\"drops_seen\": " << s.drops_seen
-     << ", \"duplicates_injected\": " << s.duplicates_injected
-     << ", \"corruptions_injected\": " << s.corruptions_injected
-     << ", \"delays_seen\": " << s.delays_seen << ", \"kills\": " << s.kills
-     << ", \"stalls\": " << s.stalls << ", \"corruptions_detected\": " << s.corruptions_detected
-     << ", \"duplicates_suppressed\": " << s.duplicates_suppressed
-     << ", \"retries\": " << s.retries << ", \"resends\": " << s.resends
-     << ", \"virtual_backoff\": " << s.virtual_backoff
-     << ", \"checkpoints\": " << s.checkpoints << ", \"rollbacks\": " << s.rollbacks << "}";
-  return os.str();
-}
-
 struct SeedReport {
   std::uint64_t seed = 0;
   bool bit_identical = false;
   std::string detail;  ///< divergence or exception text; empty on success
   mp::RecoveryStats recovery;
 };
-
-std::vector<std::uint64_t> parse_seeds(const std::string& csv) {
-  std::vector<std::uint64_t> out;
-  std::string item;
-  std::istringstream is(csv);
-  while (std::getline(is, item, ','))
-    if (!item.empty()) out.push_back(std::stoull(item));
-  return out;
-}
 
 int main(int argc, const char* const* argv) {
   const Cli cli(argc, argv);
@@ -117,10 +75,13 @@ int main(int argc, const char* const* argv) {
     std::cerr << "treesvd_chaos: need even n >= 4 and rows >= n\n";
     return 2;
   }
-  const auto seeds = parse_seeds(cli.get("seeds", "42,43,44"));
-  if (seeds.empty()) {
-    std::cerr << "treesvd_chaos: --seeds produced no seeds\n";
-    return 2;
+  std::vector<std::uint64_t> seeds;
+  for (const long long seed : cli.get_int_list("seeds", {42, 43, 44})) {
+    if (seed < 0) {
+      std::cerr << "treesvd_chaos: --seeds must be non-negative, got " << seed << "\n";
+      return 2;
+    }
+    seeds.push_back(static_cast<std::uint64_t>(seed));
   }
 
   OrderingPtr ordering;
@@ -180,8 +141,7 @@ int main(int argc, const char* const* argv) {
   if (backend == "socket")
     os << ", \"recv_deadline_ms\": " << transport.socket.recv_deadline_ms
        << ", \"heartbeat_interval_ms\": " << transport.socket.heartbeat_interval_ms
-       << ", \"heartbeat_timeout_ms\": " << transport.socket.heartbeat_timeout_ms
-       << ", \"delay_stall_ms\": " << transport.socket.delay_stall_ms;
+       << ", \"heartbeat_timeout_ms\": " << transport.socket.heartbeat_timeout_ms;
   os << "},\n";
   os << "  \"plan\": {\"drop\": " << transport.faults.drop_prob
      << ", \"dup\": " << transport.faults.duplicate_prob
@@ -195,7 +155,7 @@ int main(int argc, const char* const* argv) {
     os << (i ? "," : "") << "\n    {\"seed\": " << r.seed
        << ", \"bit_identical\": " << (r.bit_identical ? "true" : "false");
     if (!r.detail.empty()) os << ", \"detail\": \"" << json_escape(r.detail) << "\"";
-    os << ", \"recovery\": " << recovery_json(r.recovery) << "}";
+    os << ", \"recovery\": " << mp::to_json(r.recovery) << "}";
   }
   os << "\n  ]\n}\n";
 
@@ -223,4 +183,6 @@ int main(int argc, const char* const* argv) {
 }  // namespace
 }  // namespace treesvd::chaos
 
-int main(int argc, char** argv) { return treesvd::chaos::main(argc, argv); }
+int main(int argc, char** argv) {
+  return treesvd::run_tool("treesvd_chaos", argc, argv, treesvd::chaos::main);
+}

@@ -27,6 +27,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -41,38 +42,10 @@
 namespace treesvd::launch {
 namespace {
 
-/// First divergence between the socket run and the in-process reference, as a
-/// diagnostic string; empty when the runs are bit-identical.
-std::string first_divergence(const SvdResult& got, const SvdResult& want) {
-  if (got.converged != want.converged) return "converged flag differs";
-  if (got.sweeps != want.sweeps)
-    return "sweeps " + std::to_string(got.sweeps) + " != " + std::to_string(want.sweeps);
-  if (got.rotations != want.rotations) return "rotation count differs";
-  if (got.swaps != want.swaps) return "swap count differs";
-  for (std::size_t k = 0; k < want.sigma.size(); ++k)
-    if (got.sigma[k] != want.sigma[k]) return "sigma[" + std::to_string(k) + "] differs bitwise";
-  if (!(got.u == want.u)) return "U differs bitwise";
-  if (!(got.v == want.v)) return "V differs bitwise";
-  if (result_core_digest(got) != result_core_digest(want)) return "core digest differs";
-  if (result_digest(got) != result_digest(want))
-    return "kernel pass counters differ (full digest)";
-  return {};
-}
-
 std::string hex64(std::uint64_t v) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "0x%016" PRIx64, v);
   return buf;
-}
-
-std::string recovery_json(const mp::RecoveryStats& s) {
-  std::ostringstream os;
-  os << "{\"drops_seen\": " << s.drops_seen << ", \"corruptions_detected\": "
-     << s.corruptions_detected << ", \"duplicates_suppressed\": " << s.duplicates_suppressed
-     << ", \"kills\": " << s.kills << ", \"retries\": " << s.retries
-     << ", \"resends\": " << s.resends << ", \"checkpoints\": " << s.checkpoints
-     << ", \"rollbacks\": " << s.rollbacks << "}";
-  return os.str();
 }
 
 struct CaseReport {
@@ -85,15 +58,6 @@ struct CaseReport {
   mp::RecoveryStats recovery;  ///< from the socket run
 };
 
-std::vector<int> parse_sizes(const std::string& csv) {
-  std::vector<int> out;
-  std::string item;
-  std::istringstream is(csv);
-  while (std::getline(is, item, ','))
-    if (!item.empty()) out.push_back(std::stoi(item));
-  return out;
-}
-
 int main(int argc, const char* const* argv) {
   const Cli cli(argc, argv);
   if (cli.has("help")) {
@@ -105,19 +69,22 @@ int main(int argc, const char* const* argv) {
     return 0;
   }
 
-  const std::vector<int> sizes = parse_sizes(cli.get("sizes", "8,16"));
   const int rows_extra = static_cast<int>(cli.get_int("rows-extra", 8));
   const bool chaos = cli.has("chaos");
   const std::uint64_t seed = static_cast<std::uint64_t>(cli.get_int("seed", 42));
-  if (sizes.empty() || rows_extra < 0) {
-    std::cerr << "treesvd_launch: need nonempty --sizes and --rows-extra >= 0\n";
+  if (rows_extra < 0) {
+    std::cerr << "treesvd_launch: need --rows-extra >= 0\n";
     return 2;
   }
-  for (const int n : sizes)
-    if (n < 4 || n % 2 != 0) {
-      std::cerr << "treesvd_launch: sizes must be even and >= 4, got " << n << "\n";
+  std::vector<int> sizes;
+  for (const long long n : cli.get_int_list("sizes", {8, 16})) {
+    if (n < 4 || n % 2 != 0 || n > std::numeric_limits<int>::max()) {
+      std::cerr << "treesvd_launch: --sizes must be even numbers in [4, INT_MAX], got " << n
+                << "\n";
       return 2;
     }
+    sizes.push_back(static_cast<int>(n));
+  }
 
   std::vector<std::string> names;
   if (cli.has("ordering")) {
@@ -197,7 +164,7 @@ int main(int argc, const char* const* argv) {
     if (r.bit_identical)
       os << ", \"core_digest\": \"" << hex64(r.core_digest) << "\", \"full_digest\": \""
          << hex64(r.full_digest) << "\"";
-    os << ", \"recovery\": " << recovery_json(r.recovery) << "}";
+    os << ", \"recovery\": " << mp::to_json(r.recovery) << "}";
   }
   os << "\n  ]\n}\n";
 
@@ -226,4 +193,6 @@ int main(int argc, const char* const* argv) {
 }  // namespace
 }  // namespace treesvd::launch
 
-int main(int argc, char** argv) { return treesvd::launch::main(argc, argv); }
+int main(int argc, char** argv) {
+  return treesvd::run_tool("treesvd_launch", argc, argv, treesvd::launch::main);
+}

@@ -15,10 +15,6 @@
 //                        consistent with the per-index move accounting
 //   one-way-ring         new-ring traffic moves one hop in one direction
 //   rr-equivalence       ring orderings are round-robin under relabelling
-//   inner-recursion      reused recursively as the block driver's *inner*
-//                        ordering (svd/block_jacobi.hpp inner_ordering) the
-//                        schedule stays pair-disjoint at the inner panel
-//                        widths 4/8/16 across chained sweeps
 //
 // Output is machine-readable JSON (stdout, or --json=PATH); the exit status
 // is the contract: 0 means every check passed, 1 means at least one
@@ -277,39 +273,6 @@ std::string check_one_way_ring(const Sweep& s) {
   return "a column moved against the ring direction (or by more than one hop)";
 }
 
-std::string check_inner_recursion(const Ordering& ord) {
-  // Level-2 recursion contract (svd/block_jacobi.hpp): the block driver can
-  // reuse any registered ordering *inside* an encounter, over a met pair's
-  // 2b local columns, chaining the local layout across the encounter's inner
-  // sweeps exactly as the outer driver chains block layouts. This replays
-  // that usage at the supported inner panel widths (2b in {4, 8, 16}, two
-  // chained sweeps via sweep_from) and checks what the inner engines assume:
-  // every inner step's concurrent pairs are disjoint, and each inner sweep
-  // still rotates every local pair exactly once.
-  for (const int w : {4, 8, 16}) {
-    if (!ord.supports(w)) continue;
-    std::vector<int> layout(static_cast<std::size_t>(w));
-    std::iota(layout.begin(), layout.end(), 0);
-    for (int k = 0; k < 2; ++k) {
-      const Sweep s = ord.sweep_from(layout, k);
-      for (int t = 0; t < s.steps(); ++t) {
-        std::string detail = check_pairs_disjoint(s.step_pairs(t), w, t);
-        if (!detail.empty())
-          return "inner width " + std::to_string(w) + ", sweep " + std::to_string(k) + ": " +
-                 detail;
-      }
-      const auto want = static_cast<std::size_t>(w) * static_cast<std::size_t>(w - 1) / 2;
-      if (s.rotation_count() != want)
-        return "inner width " + std::to_string(w) + ", sweep " + std::to_string(k) +
-               ": rotation count " + std::to_string(s.rotation_count()) + ", expected " +
-               std::to_string(want);
-      const auto fin = s.final_layout();
-      layout.assign(fin.begin(), fin.end());
-    }
-  }
-  return {};
-}
-
 std::string check_rr_equivalence(const Sweep& s, int n) {
   const Sweep rr = RoundRobinOrdering().sweep(n);
   if (find_equivalence_relabelling(s, rr).has_value()) return {};
@@ -348,7 +311,6 @@ CaseReport run_case(const std::string& display_name, const Ordering& ord, int n,
   add("move-consistency", check_move_consistency(s));
   add("restoration", check_restoration(ord, n));
   add("comm-levels", check_comm_levels(s));
-  add("inner-recursion", check_inner_recursion(ord));
   if (ring_checks) {
     add("one-way-ring", check_one_way_ring(s));
     add("rr-equivalence", check_rr_equivalence(s, n));
@@ -383,15 +345,6 @@ std::string to_json(const std::vector<CaseReport>& reports, int min_n, int max_n
   }
   os << "\n  ]\n}\n";
   return os.str();
-}
-
-std::vector<std::string> split_csv(const std::string& csv) {
-  std::vector<std::string> out;
-  std::string item;
-  std::istringstream is(csv);
-  while (std::getline(is, item, ','))
-    if (!item.empty()) out.push_back(item);
-  return out;
 }
 
 /// The one-way-traffic and round-robin-equivalence theorems apply to the
@@ -516,22 +469,17 @@ int main(int argc, const char* const* argv) {
     return 2;
   }
 
-  std::vector<std::string> names;
-  if (cli.has("orderings")) {
-    names = split_csv(cli.get("orderings", ""));
-    for (const std::string& name : names) {
-      try {
-        make_ordering(name);
-      } catch (const std::invalid_argument&) {
-        std::cerr << "treesvd_lint: unknown ordering '" << name << "' (known: ";
-        const auto known = ordering_names({2, 4, 8});
-        for (std::size_t i = 0; i < known.size(); ++i) std::cerr << (i ? ", " : "") << known[i];
-        std::cerr << ")\n";
-        return 2;
-      }
+  const std::vector<std::string> known = ordering_names({2, 4, 8});
+  const std::vector<std::string> names = cli.get_list("orderings", known);
+  for (const std::string& name : names) {
+    try {
+      make_ordering(name);
+    } catch (const std::invalid_argument&) {
+      std::cerr << "treesvd_lint: unknown ordering '" << name << "' (known: ";
+      for (std::size_t i = 0; i < known.size(); ++i) std::cerr << (i ? ", " : "") << known[i];
+      std::cerr << ")\n";
+      return 2;
     }
-  } else {
-    names = ordering_names({2, 4, 8});
   }
 
   const RunOutcome outcome = run_all(names, min_n, max_n, sweeps, *corruption);
@@ -563,4 +511,6 @@ int main(int argc, const char* const* argv) {
 }  // namespace
 }  // namespace treesvd::lint
 
-int main(int argc, char** argv) { return treesvd::lint::main(argc, argv); }
+int main(int argc, char** argv) {
+  return treesvd::run_tool("treesvd_lint", argc, argv, treesvd::lint::main);
+}

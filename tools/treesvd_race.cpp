@@ -79,21 +79,6 @@ std::string hex(std::uint64_t v) {
   return os.str();
 }
 
-std::vector<std::string> split_csv(const std::string& s) {
-  std::vector<std::string> out;
-  std::string cur;
-  for (const char c : s) {
-    if (c == ',') {
-      if (!cur.empty()) out.push_back(cur);
-      cur.clear();
-    } else {
-      cur.push_back(c);
-    }
-  }
-  if (!cur.empty()) out.push_back(cur);
-  return out;
-}
-
 struct ScheduleRun {
   std::uint64_t seed = 0;
   std::uint64_t digest = 0;
@@ -329,10 +314,9 @@ int main(int argc, const char* const* argv) {
   }
   const auto threads = static_cast<unsigned>(thread_count);
 
-  std::vector<std::string> onames = ordering_names();
-  if (cli.has("orderings")) onames = split_csv(cli.get("orderings", ""));
-  std::vector<std::string> enames = {"threaded", "spmd", "batched"};
-  if (cli.has("engines")) enames = split_csv(cli.get("engines", ""));
+  const std::vector<std::string> onames = cli.get_list("orderings", ordering_names());
+  const std::vector<std::string> enames =
+      cli.get_list("engines", {"threaded", "spmd", "batched"});
 
   Rng rng(base_seed);
   const Matrix a =
@@ -409,6 +393,8 @@ int main(int argc, const char* const* argv) {
 }  // namespace
 }  // namespace treesvd::race
 
-int main(int argc, char** argv) { return treesvd::race::main(argc, argv); }
+int main(int argc, char** argv) {
+  return treesvd::run_tool("treesvd_race", argc, argv, treesvd::race::main);
+}
 
 #endif  // TREESVD_ANALYSIS

@@ -23,9 +23,9 @@
 //   treesvd_serve [--rows=32] [--cols=16] [--ordering=round-robin]
 //                 [--shards=2] [--lane-width=8] [--queue-cap=64]
 //                 [--requests=512] [--seed=2026] [--verify=32]
-//                 [--scalar] [--json=PATH]
+//                 [--json=PATH]
 //   treesvd_serve --chaos [--rows=12] [--cols=8] [--ordering=round-robin]
-//                 [--requests=96] [--seed=2026] [--scalar] [--json=PATH]
+//                 [--requests=96] [--seed=2026] [--json=PATH]
 
 #include <algorithm>
 #include <chrono>
@@ -105,7 +105,6 @@ struct ChaosConfig {
   std::size_t cols = 8;
   std::size_t requests = 96;
   std::uint64_t seed = 2026;
-  bool scalar = false;
   const Ordering* ordering = nullptr;
 };
 
@@ -175,7 +174,6 @@ LegReport run_mixed_leg(const ChaosConfig& cfg) {
   opt.shards = 2;
   opt.queue_capacity = 64;
   opt.batch.lane_width = 4;
-  opt.batch.use_simd = !cfg.scalar;
   opt.supervisor.poll_micros = 200;
   opt.supervisor.quarantine_after = 2;
   ServeFaultPlan& fp = opt.faults;
@@ -253,7 +251,6 @@ LegReport run_overload_leg(const ChaosConfig& cfg) {
   opt.shards = 1;
   opt.queue_capacity = wave;
   opt.batch.lane_width = 4;
-  opt.batch.use_simd = !cfg.scalar;
   ServeFaultPlan& fp = opt.faults;
   fp.enabled = true;
   fp.seed = cfg.seed;
@@ -338,7 +335,6 @@ LegReport run_quarantine_leg(const ChaosConfig& cfg) {
   opt.shards = 2;
   opt.queue_capacity = 64;
   opt.batch.lane_width = 4;
-  opt.batch.use_simd = !cfg.scalar;
   opt.supervisor.poll_micros = 200;
   opt.supervisor.quarantine_after = 1;
   ServeFaultPlan& fp = opt.faults;
@@ -421,7 +417,6 @@ int run_chaos(const Cli& cli) {
   cfg.cols = cols;
   cfg.requests = requests;
   cfg.seed = seed;
-  cfg.scalar = cli.has("scalar");
   cfg.ordering = ordering.get();
 
   // Each leg runs twice: the pass/fail audits run on the first, and the
@@ -449,8 +444,7 @@ int run_chaos(const Cli& cli) {
   std::ostringstream os;
   os << "{\n  \"tool\": \"treesvd_serve\",\n  \"mode\": \"chaos\",\n  \"rows\": " << rows
      << ",\n  \"cols\": " << cols << ",\n  \"ordering\": \"" << oname
-     << "\",\n  \"requests\": " << requests << ",\n  \"seed\": " << seed
-     << ",\n  \"simd\": " << (cfg.scalar ? "false" : "true") << ",\n  \"legs\": [";
+     << "\",\n  \"requests\": " << requests << ",\n  \"seed\": " << seed << ",\n  \"legs\": [";
   for (std::size_t i = 0; i < legs.size(); ++i) {
     const LegReport& leg = legs[i];
     os << (i != 0 ? "," : "") << "\n    {\"name\": \"" << leg.name
@@ -506,7 +500,6 @@ int run_serve(const Cli& cli) {
   opt.shards = shards;
   opt.queue_capacity = queue_cap;
   opt.batch.lane_width = lane_width;
-  opt.batch.use_simd = !cli.has("scalar");
 
   // Canned trace: `requests` seeded Gaussian problems, generated up front so
   // the replay measures the server, not the generator.
@@ -572,7 +565,6 @@ int run_serve(const Cli& cli) {
   os << "{\n  \"tool\": \"treesvd_serve\",\n  \"rows\": " << rows << ",\n  \"cols\": " << cols
      << ",\n  \"ordering\": \"" << oname << "\",\n  \"shards\": " << shards
      << ",\n  \"lane_width\": " << lane_width << ",\n  \"queue_capacity\": " << queue_cap
-     << ",\n  \"simd\": " << (opt.batch.use_simd ? "true" : "false")
      << ",\n  \"requests\": " << requests << ",\n  \"seed\": " << seed
      << ",\n  \"elapsed_s\": " << elapsed_s << ",\n  \"qps\": " << qps
      << ",\n  \"batches\": " << stats.batches << ",\n  \"mean_batch_fill\": "
@@ -606,10 +598,10 @@ int main(int argc, const char* const* argv) {
     std::cout << "usage: treesvd_serve [--rows=32] [--cols=16] [--ordering=round-robin]\n"
                  "                     [--shards=2] [--lane-width=8] [--queue-cap=64]\n"
                  "                     [--requests=512] [--seed=2026] [--verify=32]\n"
-                 "                     [--scalar] [--json=PATH]\n"
+                 "                     [--json=PATH]\n"
                  "       treesvd_serve --chaos [--rows=12] [--cols=8]\n"
                  "                     [--ordering=round-robin] [--requests=96]\n"
-                 "                     [--seed=2026] [--scalar] [--json=PATH]\n";
+                 "                     [--seed=2026] [--json=PATH]\n";
     return 0;
   }
   if (cli.has("chaos")) return run_chaos(cli);
@@ -619,4 +611,6 @@ int main(int argc, const char* const* argv) {
 }  // namespace
 }  // namespace treesvd::serve_tool
 
-int main(int argc, char** argv) { return treesvd::serve_tool::main(argc, argv); }
+int main(int argc, char** argv) {
+  return treesvd::run_tool("treesvd_serve", argc, argv, treesvd::serve_tool::main);
+}

@@ -120,16 +120,6 @@ const std::vector<Engine>& engines() {
       {"block-gram", false, false, 2,
        [](const Matrix& a, const Ordering& ord, EquilibrateMode mode, int sweeps) {
          BlockJacobiOptions opt;
-         opt.inner_mode = InnerMode::kGram;
-         opt.block_width = 2;
-         opt.equilibrate = mode;
-         opt.max_outer_sweeps = sweeps;
-         return from_svd(block_one_sided_jacobi(a, ord, opt));
-       }},
-      {"block-elementwise", false, false, 2,
-       [](const Matrix& a, const Ordering& ord, EquilibrateMode mode, int sweeps) {
-         BlockJacobiOptions opt;
-         opt.inner_mode = InnerMode::kElementwise;
          opt.block_width = 2;
          opt.equilibrate = mode;
          opt.max_outer_sweeps = sweeps;
@@ -326,4 +316,6 @@ int main(int argc, const char* const* argv) {
 }  // namespace
 }  // namespace treesvd::torture
 
-int main(int argc, char** argv) { return treesvd::torture::main(argc, argv); }
+int main(int argc, char** argv) {
+  return treesvd::run_tool("treesvd_torture", argc, argv, treesvd::torture::main);
+}
