@@ -5,6 +5,7 @@
 
 #include "core/registry.hpp"
 #include "linalg/generators.hpp"
+#include "linalg/golub_kahan.hpp"
 #include "svd/jacobi.hpp"
 #include "util/table.hpp"
 
@@ -16,6 +17,9 @@ int main() {
   Table table({"ordering", "sorted on exit", "fused swaps", "max |sigma - oracle|", "rank(3)"});
   Rng rng(2024);
   const Matrix a = rank_deficient(72, static_cast<std::size_t>(n), 3, rng);
+  // All interchanges are fused into rotations; sigma is checked against the
+  // independent Golub-Kahan reference.
+  const std::vector<double> ref = golub_kahan_singular_values(a);
   for (const auto& name : ordering_names({4, 12})) {
     const auto ord = make_ordering(name);
     if (!ord->supports(n)) continue;
@@ -23,12 +27,9 @@ int main() {
     bool sorted = true;
     for (std::size_t k = 1; k < r.sigma.size(); ++k)
       sorted = sorted && r.sigma[k - 1] >= r.sigma[k] - 1e-12;
-    // All interchanges are fused into rotations; verify sigma against the
-    // slow cyclic reference.
-    const SvdResult ref = cyclic_jacobi(a);
     double err = 0.0;
     for (std::size_t k = 0; k < r.sigma.size(); ++k)
-      err = std::max(err, std::abs(r.sigma[k] - ref.sigma[k]));
+      err = std::max(err, std::abs(r.sigma[k] - ref[k]));
     table.row()
         .cell(name)
         .cell(sorted ? "yes" : "NO")

@@ -5,7 +5,6 @@
 // perf-smoke job uploads; no external JSON dependency).
 
 #include <cstdio>
-#include <fstream>
 #include <functional>
 #include <string>
 #include <vector>
@@ -13,6 +12,7 @@
 #include "core/ordering.hpp"
 #include "core/validate.hpp"
 #include "util/json.hpp"
+#include "util/text_file.hpp"
 
 namespace treesvd::bench {
 
@@ -62,15 +62,9 @@ class JsonObject {
 };
 
 /// Writes the object (plus trailing newline) to `path`; returns false and
-/// prints to stderr when the file cannot be written.
+/// prints to stderr when the file cannot be written (write_text_file).
 inline bool write_json_file(const std::string& path, const JsonObject& o) {
-  std::ofstream f(path);
-  if (!f) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return false;
-  }
-  f << o.str() << "\n";
-  return f.good();
+  return write_text_file(path, o.str() + "\n");
 }
 
 /// Maps a 0-based index to the paper's label, e.g. "3(2)" for index 3 of

@@ -94,4 +94,12 @@ std::string to_json(const RecoveryStats& s) {
   return os.str();
 }
 
+std::string unfired_kill(const FaultPlan& plan, const RecoveryStats& stats) {
+  if (!plan.enabled || plan.kill_rank < 0 || (stats.kills >= 1 && stats.rollbacks >= 1))
+    return {};
+  return "planned kill of rank " + std::to_string(plan.kill_rank) + " at op " +
+         std::to_string(plan.kill_at_op) + " did not fire and roll back (kills " +
+         std::to_string(stats.kills) + ", rollbacks " + std::to_string(stats.rollbacks) + ")";
+}
+
 }  // namespace treesvd::mp

@@ -13,7 +13,7 @@
 // The companion ReliableConfig turns on the reliable transport inside
 // mp::World: per-(src, dst, tag) sequence numbers, payload checksums,
 // receive deadlines with bounded retry and deterministic exponential backoff
-// (virtual time — the simulator never waits on a wall clock), NACK/resend
+// (virtual time in-process — it never waits on a wall clock), NACK/resend
 // from the sender's clean retransmit store, and duplicate suppression. Under
 // any plan that stays below the retry budget the delivered payloads are the
 // clean ones, so a program's numerical results are bit-identical to its
@@ -75,7 +75,7 @@ inline constexpr double kRetryDeadline = 1.0;
 inline constexpr double kRetryBackoff = 2.0;
 
 /// Plain snapshot of every recovery counter (copyable, reported on
-/// SpmdStats/DistributedResult; the style of KernelStats).
+/// SpmdStats; the style of KernelStats).
 struct RecoveryStats {
   // Injector side (what the chaos plan actually did).
   std::size_t drops_seen = 0;            ///< frames lost (first sends + resends)
@@ -118,6 +118,13 @@ struct RecoveryStats {
 /// All thirteen RecoveryStats counters as one JSON object, in declaration
 /// order: the form the chaos and launch tools report.
 std::string to_json(const RecoveryStats& s);
+
+/// Why a run under `plan` left its planned rank kill unexercised: empty when
+/// the plan names no kill, or when `stats` show the kill fired and a
+/// rollback replayed past it; otherwise a message naming the rank and the
+/// op. The chaos and launch gates fail such a run: it covers no respawn and
+/// no rollback.
+std::string unfired_kill(const FaultPlan& plan, const RecoveryStats& stats);
 
 /// Relaxed-atomic counters shared by concurrent ranks; snapshot() into
 /// RecoveryStats (the KernelCounters idiom).

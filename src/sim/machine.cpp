@@ -5,7 +5,12 @@
 #include "util/require.hpp"
 
 namespace treesvd {
+namespace {
 
+/// Adds one step to `cost`: one rotation on every leaf in parallel, then the
+/// transition's `moves` as one synchronous message exchange priced by the
+/// busiest channel. `cost`'s per-level vectors hold topo.levels() + 1
+/// entries.
 void add_step_cost(SweepCost& cost, const std::vector<ColumnMove>& moves,
                    const FatTreeTopology& topo, const CostParams& params) {
   cost.compute_time +=
@@ -27,6 +32,8 @@ void add_step_cost(SweepCost& cost, const std::vector<ColumnMove>& moves,
   cost.max_contention = std::max(cost.max_contention, st.max_contention);
   ++cost.transitions_using_level[static_cast<std::size_t>(st.max_level)];
 }
+
+}  // namespace
 
 SweepCost analyze_sweep(const Sweep& sweep, const FatTreeTopology& topo,
                         const CostParams& params) {

@@ -37,13 +37,6 @@ struct SweepCost {
   std::vector<double> words_per_level;  ///< [lvl]: words routed through LCA lvl
 };
 
-/// Adds one step to `cost`: one rotation on every leaf in parallel, then the
-/// transition's `moves` as one synchronous message exchange priced by the
-/// busiest channel. `cost`'s per-level vectors hold topo.levels() + 1
-/// entries.
-void add_step_cost(SweepCost& cost, const std::vector<ColumnMove>& moves,
-                   const FatTreeTopology& topo, const CostParams& params);
-
 /// Prices one sweep: each step costs one rotation (all leaves in parallel);
 /// each transition is a synchronous message exchange priced by the busiest
 /// channel. Requires sweep.leaves() == topo.leaves().

@@ -1,12 +1,12 @@
 #pragma once
 // Shared internals of the one-sided Jacobi column engines.
 //
-// Every column engine — serial/threaded/cyclic (jacobi.cpp), batched
-// (batch.cpp), block (block_jacobi.cpp), spmd (spmd.cpp) and the simulated
-// tree machine (sim/distributed.cpp) — must agree bit-for-bit on everything
-// outside its sweep loop: column padding, the per-run robustness guards, the
-// convergence rule that ends a sweep, and the finalisation that turns the
-// final H and V columns into (U, sigma, V) plus the status contract. Keeping
+// Every column engine — serial/threaded (jacobi.cpp), batched (batch.cpp),
+// block (block_jacobi.cpp) and spmd (spmd.cpp) — must agree bit-for-bit on
+// everything outside its sweep loop: column padding, the per-run robustness
+// guards, the convergence rule that ends a sweep, and the finalisation that
+// turns the final H and V columns into (U, sigma, V) plus the status
+// contract. Keeping
 // one definition here is what makes "batched lane b == sequential run b" or
 // "spmd == serial" a structural property instead of a maintenance promise.
 

@@ -181,37 +181,4 @@ SvdResult one_sided_jacobi_threaded(const Matrix& a, const Ordering& ordering,
   return solve_one_sided(a, ordering, options, &pool, "one_sided_jacobi_threaded");
 }
 
-SvdResult cyclic_jacobi(const Matrix& a, const JacobiOptions& options) {
-  TREESVD_REQUIRE(a.rows() >= a.cols() && a.cols() >= 2,
-                  "cyclic_jacobi expects m >= n >= 2");
-  require_finite_columns(a, "cyclic_jacobi");
-  const PairKernel kernel(options);
-  const int n = static_cast<int>(a.cols());
-  Matrix h = a;
-  SweepGuards guards;
-  guards.eq = equilibrate(h, options.equilibrate);
-  Matrix v = options.compute_v ? Matrix::identity(static_cast<std::size_t>(n)) : Matrix();
-  Matrix* vp = options.compute_v ? &v : nullptr;
-
-  KernelCounters counters;
-
-  SvdResult r;
-  for (int sweep = 0; sweep < options.max_sweeps; ++sweep) {
-    std::size_t sweep_rot = 0;
-    std::size_t sweep_swap = 0;
-    for (int i = 0; i < n - 1; ++i) {
-      for (int j = i + 1; j < n; ++j) {
-        const PairOutcome o = kernel.process(h, vp, i, j, &counters);
-        sweep_rot += o.rotated ? 1 : 0;
-        sweep_swap += o.swapped ? 1 : 0;
-      }
-    }
-    if (options.track_off) r.off_history.push_back(off_diagonal_measure(h));
-    if (end_sweep(r, sweep, sweep_rot, sweep_swap, guards.stall)) break;
-  }
-  r.kernel_stats = counters.snapshot();
-  r.kernel_stats.isa_tier = static_cast<int>(kernel.tier());
-  return finalize(h, v, a, options.rank_tol, options.full_diagnostics, guards, std::move(r));
-}
-
 }  // namespace treesvd

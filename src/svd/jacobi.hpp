@@ -4,7 +4,7 @@
 // The method generates an orthogonal V as a product of plane rotations with
 // A V = H, H's nonzero columns orthogonal; normalising H gives U and the
 // singular values. Rotations are organised in sweeps drawn from an Ordering
-// (treesvd::core); the serial cyclic method is available as a baseline.
+// (treesvd::core).
 
 #include <cstddef>
 #include <optional>
@@ -83,9 +83,6 @@ struct SvdResult {
 /// step.
 SvdResult one_sided_jacobi(const Matrix& a, const Ordering& ordering,
                            const JacobiOptions& options = {});
-
-/// Serial cyclic baseline (row-cyclic pair order), same semantics.
-SvdResult cyclic_jacobi(const Matrix& a, const JacobiOptions& options = {});
 
 /// Thread-parallel variant (threads == 0 selects hardware concurrency). Each
 /// phase of the sweep plan runs its 2^d subtrees as pool tasks, d the

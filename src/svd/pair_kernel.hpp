@@ -1,8 +1,8 @@
 #pragma once
 // Level 0 of the three-level engine hierarchy (DESIGN.md §14): rotate (and
 // optionally sort-swap) one column pair. Every column engine handles a pair
-// this way — the serial, thread-parallel, cyclic, SPMD and distributed
-// drivers call PairKernel::process, and the batched engine mirrors the same
+// this way — the serial, thread-parallel and SPMD drivers call
+// PairKernel::process, and the batched engine mirrors the same
 // decisions across lanes. The block driver instead solves each met block
 // pair on its small Gram matrix (svd/block_jacobi.hpp).
 //

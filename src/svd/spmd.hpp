@@ -2,10 +2,11 @@
 // SPMD one-sided Jacobi over the message-passing runtime — the shape of the
 // paper's actual CM-5 implementation: one process per leaf, two columns per
 // process, columns exchanged by tagged messages, convergence decided by an
-// allreduce per sweep. Unlike the step-synchronous distributed machine
-// (sim/distributed.hpp) there is no global clock: ranks synchronise only
+// allreduce per sweep. There is no global clock: ranks synchronise only
 // through the column messages themselves (dataflow), plus one collective per
-// sweep.
+// sweep. Every departing column is checked against the schedule's move, and
+// every slot against the next step's layout, so a run also proves the
+// ordering's schedule executable with exactly its moves as messages.
 //
 // Fault tolerance (opt-in via SpmdTransport): the reliable transport makes
 // the run bit-identical to the fault-free one under any drop / duplicate /

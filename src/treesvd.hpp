@@ -32,7 +32,6 @@
 #include "mp/message_passing.hpp"  // IWYU pragma: export
 #include "network/topology.hpp"  // IWYU pragma: export
 #include "network/traffic.hpp"   // IWYU pragma: export
-#include "sim/distributed.hpp"   // IWYU pragma: export
 #include "sim/machine.hpp"       // IWYU pragma: export
 #include "svd/applications.hpp"  // IWYU pragma: export
 #include "svd/block_jacobi.hpp"  // IWYU pragma: export

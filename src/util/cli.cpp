@@ -1,5 +1,6 @@
 #include "util/cli.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -94,6 +95,12 @@ std::vector<long long> Cli::get_int_list(const std::string& key,
   for (const std::string& item : split_items(key, it->second))
     values.push_back(parse_int(key, item));
   return values;
+}
+
+void Cli::require_known(std::initializer_list<std::string_view> known) const {
+  for (const auto& entry : kv_)
+    if (std::find(known.begin(), known.end(), entry.first) == known.end())
+      throw CliError("unknown flag --" + entry.first);
 }
 
 int run_tool(const char* name, int argc, const char* const* argv,

@@ -3,9 +3,11 @@
 // tools.
 
 #include <cstddef>
+#include <initializer_list>
 #include <map>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace treesvd {
@@ -36,6 +38,11 @@ class Cli {
   /// Comma-separated whole numbers, each read by get_int's rule.
   std::vector<long long> get_int_list(const std::string& key,
                                       const std::vector<long long>& fallback) const;
+
+  /// Throws CliError naming the first given flag that is not in `known`.
+  /// A tool lists every flag it reads, so a misspelt flag fails loudly
+  /// instead of running on the defaults.
+  void require_known(std::initializer_list<std::string_view> known) const;
 
   const std::string& program() const noexcept { return program_; }
 

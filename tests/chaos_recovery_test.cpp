@@ -2,8 +2,7 @@
 // The central contract: under a seeded plan mixing drops, duplicates,
 // corruption and a rank kill, the reliable transport + sweep-checkpoint
 // recovery make the run *bit-identical* to the fault-free one, with exactly
-// reproducible RecoveryStats across repeated runs. (The simulated tree
-// machine, sim/distributed.hpp, has no transport and so no faults to meet.)
+// reproducible RecoveryStats across repeated runs.
 #include <gtest/gtest.h>
 
 #include <cmath>

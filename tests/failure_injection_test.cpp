@@ -51,19 +51,10 @@ TEST(FailureInjection, SvdEnginesRejectWideAndTiny) {
   const auto ord = make_ordering("round-robin");
   EXPECT_THROW(one_sided_jacobi(wide, *ord), std::invalid_argument);
   EXPECT_THROW(one_sided_jacobi_threaded(wide, *ord), std::invalid_argument);
-  EXPECT_THROW(cyclic_jacobi(wide), std::invalid_argument);
   EXPECT_THROW(spmd_jacobi(wide, *ord), std::invalid_argument);
   EXPECT_THROW(qr_preconditioned_jacobi(wide, *ord), std::invalid_argument);
   EXPECT_THROW(block_one_sided_jacobi(wide, *ord), std::invalid_argument);
   EXPECT_THROW(one_sided_jacobi(tiny, *ord), std::invalid_argument);
-}
-
-TEST(FailureInjection, DistributedMachineChecks) {
-  Rng rng(2);
-  const Matrix a = random_gaussian(16, 8, rng);
-  const FatTreeTopology wrong(2, CapacityProfile::kPerfect);
-  EXPECT_THROW(distributed_jacobi(a, *make_ordering("fat-tree"), wrong),
-               std::invalid_argument);
 }
 
 TEST(FailureInjection, NetworkChecks) {

@@ -23,6 +23,8 @@
 #include "linalg/generators.hpp"
 #include "mp/frame.hpp"
 #include "mp/message_passing.hpp"
+#include "network/topology.hpp"
+#include "sim/machine.hpp"
 #include "svd/determinism.hpp"
 #include "svd/spmd.hpp"
 
@@ -108,6 +110,11 @@ TEST(SocketBackend, SpmdBitwiseMatchesInproc) {
   EXPECT_EQ(socket.v, inproc.v);
   EXPECT_EQ(result_core_digest(socket), result_core_digest(inproc));
   EXPECT_EQ(result_digest(socket), result_digest(inproc));
+  // Over rank processes too, every inter-leaf move is one message: the count
+  // the abstract cost model prices for the same sweeps.
+  const FatTreeTopology topo(4, CapacityProfile::kCm5);
+  EXPECT_EQ(stats.messages,
+            model_run(*ord, topo, 8, CostParams{}, socket.sweeps).per_sweep_total.messages);
 }
 
 TEST(SocketBackend, TransportErrorCarriesContext) {

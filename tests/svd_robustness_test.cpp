@@ -10,8 +10,6 @@
 #include "core/registry.hpp"
 #include "linalg/blas1.hpp"
 #include "linalg/generators.hpp"
-#include "network/topology.hpp"
-#include "sim/distributed.hpp"
 #include "svd/block_jacobi.hpp"
 #include "svd/jacobi.hpp"
 #include "svd/kogbetliantz.hpp"
@@ -156,7 +154,6 @@ const NamedEngine kOneSidedEngines[] = {
      [](const Matrix& a) { return one_sided_jacobi(a, *make_ordering("fat-tree")); }},
     {"threaded",
      [](const Matrix& a) { return one_sided_jacobi_threaded(a, *make_ordering("new-ring")); }},
-    {"cyclic", [](const Matrix& a) { return cyclic_jacobi(a); }},
     {"block-gram",
      [](const Matrix& a) {
        BlockJacobiOptions opt;
@@ -166,11 +163,6 @@ const NamedEngine kOneSidedEngines[] = {
     {"preconditioned",
      [](const Matrix& a) { return qr_preconditioned_jacobi(a, *make_ordering("fat-tree")); }},
     {"spmd", [](const Matrix& a) { return spmd_jacobi(a, *make_ordering("fat-tree")); }},
-    {"distributed",
-     [](const Matrix& a) {
-       const FatTreeTopology topo(static_cast<int>(a.cols()) / 2, CapacityProfile::kPerfect);
-       return distributed_jacobi(a, *make_ordering("fat-tree"), topo).svd;
-     }},
 };
 
 void check_degenerate(const SvdResult& r, const char* engine, std::size_t rank) {
@@ -250,7 +242,6 @@ TEST(SvdRobustness, InfInputRejectedByEveryEngine) {
   const auto ord = make_ordering("fat-tree");
   EXPECT_THROW(one_sided_jacobi(a, *ord), std::invalid_argument);
   EXPECT_THROW(one_sided_jacobi_threaded(a, *ord), std::invalid_argument);
-  EXPECT_THROW(cyclic_jacobi(a), std::invalid_argument);
 }
 
 }  // namespace

@@ -11,7 +11,6 @@
 #include "core/registry.hpp"
 #include "linalg/generators.hpp"
 #include "linalg/symmetric_eigen.hpp"
-#include "sim/distributed.hpp"
 #include "svd/batch.hpp"
 #include "svd/block_jacobi.hpp"
 #include "svd/preconditioned.hpp"
@@ -175,12 +174,9 @@ TEST(PairKernel, EveryEngineMakesOneGramPassPerPair) {
   std::vector<std::pair<std::string, KernelStats>> runs;
   runs.emplace_back("serial", one_sided_jacobi(a, *ord).kernel_stats);
   runs.emplace_back("threaded", one_sided_jacobi_threaded(a, *ord, {}, 3).kernel_stats);
-  runs.emplace_back("cyclic", cyclic_jacobi(a).kernel_stats);
   BatchedSvd batched(a.rows(), a.cols(), *ord);
   runs.emplace_back("batched", batched.solve({&a, 1})[0].kernel_stats);
   runs.emplace_back("spmd", spmd_jacobi(a, *ord).kernel_stats);
-  const FatTreeTopology topo(8, CapacityProfile::kCm5);
-  runs.emplace_back("distributed", distributed_jacobi(a, *ord, topo).svd.kernel_stats);
   for (const auto& [engine, ks] : runs) {
     EXPECT_GT(ks.pairs, 0u) << engine;
     EXPECT_EQ(ks.gram_passes, ks.pairs) << engine;

@@ -4,6 +4,9 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -15,6 +18,7 @@
 #include "util/json.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
+#include "util/text_file.hpp"
 #include "util/thread_pool.hpp"
 
 namespace treesvd {
@@ -237,6 +241,46 @@ TEST(Cli, IntListRejectsTrailingCharacters) {
 TEST(Cli, IntListRejectsOutOfRangeItems) {
   expect_list_flag_rejected("--x=8,99999999999999999999", false);
   expect_list_flag_rejected("--x=-99999999999999999999", false);
+}
+
+TEST(Cli, RequireKnownRejectsUnlistedFlags) {
+  const char* argv[] = {"prog", "--seeds=1,2", "--n=8"};
+  const Cli cli(3, argv);
+  EXPECT_NO_THROW(cli.require_known({"seeds", "n", "json"}));
+  try {
+    cli.require_known({"seed", "n"});
+    FAIL() << "an unlisted flag was accepted";
+  } catch (const CliError& e) {
+    EXPECT_NE(std::string(e.what()).find("--seeds"), std::string::npos) << e.what();
+  }
+}
+
+TEST(TextFile, ReplacesTheFileWithTheText) {
+  const std::string path = ::testing::TempDir() + "treesvd_text_file_test.json";
+  ASSERT_TRUE(write_text_file(path, "first, longer text\n"));
+  ASSERT_TRUE(write_text_file(path, "{}\n"));
+  std::string got;
+  {
+    std::ifstream in(path);
+    got.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  }
+  std::remove(path.c_str());
+  EXPECT_EQ(got, "{}\n");
+}
+
+TEST(TextFile, ReportsWritesThatFail) {
+  // A missing directory fails at the open; /dev/full (every write ENOSPC)
+  // accepts the open and the buffered write, and fails only at the flush.
+  const std::string missing = ::testing::TempDir() + "treesvd-no-such-dir/report.json";
+  ::testing::internal::CaptureStderr();
+  EXPECT_FALSE(write_text_file(missing, "{}\n"));
+  EXPECT_NE(::testing::internal::GetCapturedStderr().find("cannot write " + missing),
+            std::string::npos);
+  if (!std::ifstream("/dev/full")) GTEST_SKIP() << "no /dev/full on this system";
+  ::testing::internal::CaptureStderr();
+  EXPECT_FALSE(write_text_file("/dev/full", "{}\n"));
+  EXPECT_NE(::testing::internal::GetCapturedStderr().find("cannot write /dev/full"),
+            std::string::npos);
 }
 
 TEST(ThreadPool, RunsEveryIndexExactlyOnce) {

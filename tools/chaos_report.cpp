@@ -9,8 +9,10 @@
 // and bitwise-equal sigma/U/V. RecoveryStats for each seed are emitted as
 // machine-readable JSON (stdout, or --json=PATH); the exit status is the
 // contract: 0 means every seed reproduced the fault-free result, 1 means at
-// least one diverged (or died), 2 means usage error. CI archives the JSON as
-// an artifact so fault/recovery counters are diffable across commits.
+// least one diverged (or died, or its planned rank kill never fired, so the
+// respawn and rollback went unexercised), 2 means usage error — a plan the
+// world rejects included. CI archives the JSON as an artifact so
+// fault/recovery counters are diffable across commits.
 //
 // --backend selects the transport under test: "inproc" (default) replays the
 // faults against the shared-memory mailboxes, "socket" runs every rank as its
@@ -26,7 +28,6 @@
 //                 [--kill-at-op=31] [--max-retries=12] [--json=PATH]
 
 #include <cstdint>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -38,6 +39,7 @@
 #include "svd/spmd.hpp"
 #include "util/cli.hpp"
 #include "util/json.hpp"
+#include "util/text_file.hpp"
 
 namespace treesvd::chaos {
 namespace {
@@ -45,12 +47,15 @@ namespace {
 struct SeedReport {
   std::uint64_t seed = 0;
   bool bit_identical = false;
-  std::string detail;  ///< divergence or exception text; empty on success
+  /// Divergence, unfired planned kill, or exception text; empty on success.
+  std::string detail;
   mp::RecoveryStats recovery;
 };
 
 int main(int argc, const char* const* argv) {
   const Cli cli(argc, argv);
+  cli.require_known({"help", "seeds", "n", "rows", "ordering", "backend", "drop", "dup",
+                     "corrupt", "delay", "kill-rank", "kill-at-op", "max-retries", "json"});
   if (cli.has("help")) {
     std::cout
         << "usage: treesvd_chaos [--seeds=42,43,44] [--n=8] [--rows=16]\n"
@@ -92,12 +97,6 @@ int main(int argc, const char* const* argv) {
     return 2;
   }
 
-  // Fixed matrix; the seeds vary only the fault schedule.
-  Rng rng(2026);
-  const Matrix a =
-      random_gaussian(static_cast<std::size_t>(rows), static_cast<std::size_t>(n), rng);
-  const SvdResult reference = spmd_jacobi(a, *ordering);
-
   SpmdTransport transport;
   transport.reliable.enabled = true;
   transport.reliable.max_retries = static_cast<int>(cli.get_int("max-retries", 12));
@@ -111,6 +110,22 @@ int main(int argc, const char* const* argv) {
   transport.recovery.checkpoint_sweeps = 1;
   transport.recovery.max_rollbacks = 8;
   if (backend == "socket") transport.backend = mp::Backend::kSocket;
+  // A plan the engine's world would reject (one rank per column pair of
+  // the padded width) is a usage error, not a failed seed.
+  try {
+    mp::World world(padded_width(*ordering, n) / 2);
+    world.set_reliable(transport.reliable);
+    world.set_fault_plan(transport.faults);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "treesvd_chaos: rejected fault plan: " << e.what() << "\n";
+    return 2;
+  }
+
+  // Fixed matrix; the seeds vary only the fault schedule.
+  Rng rng(2026);
+  const Matrix a =
+      random_gaussian(static_cast<std::size_t>(rows), static_cast<std::size_t>(n), rng);
+  const SvdResult reference = spmd_jacobi(a, *ordering);
 
   std::vector<SeedReport> reports;
   bool pass = true;
@@ -124,12 +139,13 @@ int main(int argc, const char* const* argv) {
       r.detail = first_divergence(chaotic, reference);
       r.bit_identical = r.detail.empty();
       r.recovery = stats.recovery;
+      if (r.bit_identical) r.detail = mp::unfired_kill(transport.faults, r.recovery);
     } catch (const std::exception& e) {
       // A plan that exceeds the retry/rollback budget (or a config the
       // engine rejects) is a failed seed, not a harness crash.
       r.detail = e.what();
     }
-    pass = pass && r.bit_identical;
+    pass = pass && r.detail.empty();
     reports.push_back(std::move(r));
   }
 
@@ -164,19 +180,13 @@ int main(int argc, const char* const* argv) {
   if (path.empty()) {
     std::cout << json;
   } else {
-    std::ofstream f(path);
-    if (!f) {
-      std::cerr << "treesvd_chaos: cannot write " << path << "\n";
-      return 2;
-    }
-    f << json;
+    if (!write_text_file(path, json)) return 2;
     std::cout << (pass ? "PASS" : "FAIL") << ": " << reports.size()
               << " seeded chaos runs vs fault-free reference, report written to " << path << "\n";
   }
   if (!pass)
     for (const SeedReport& r : reports)
-      if (!r.bit_identical)
-        std::cerr << "divergence: seed " << r.seed << ": " << r.detail << "\n";
+      if (!r.detail.empty()) std::cerr << "failed: seed " << r.seed << ": " << r.detail << "\n";
   return pass ? 0 : 1;
 }
 

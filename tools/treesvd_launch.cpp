@@ -11,12 +11,12 @@
 // across backends. With --chaos each socket case additionally replays a
 // hostile fault plan (drops, duplicates, corruption, delays, one SIGKILLed
 // rank process with respawn + checkpoint rollback) and must still reproduce
-// the reference bit-for-bit.
+// the reference bit-for-bit, with its planned kill fired and rolled back.
 //
 // Exit status is the contract: 0 when every case is bit-identical, 1 when any
-// diverged (or died), 2 on usage error. The JSON report (stdout, or
-// --json=PATH) carries per-case digests and the socket run's RecoveryStats so
-// CI can archive and diff them across commits.
+// diverged (or died, or its planned kill never fired), 2 on usage error. The
+// JSON report (stdout, or --json=PATH) carries per-case digests and the
+// socket run's RecoveryStats so CI can archive and diff them across commits.
 //
 // Usage:
 //   treesvd_launch [--sizes=8,16] [--ordering=NAME] [--rows-extra=8]
@@ -25,7 +25,6 @@
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <limits>
 #include <sstream>
@@ -38,6 +37,7 @@
 #include "svd/spmd.hpp"
 #include "util/cli.hpp"
 #include "util/json.hpp"
+#include "util/text_file.hpp"
 
 namespace treesvd::launch {
 namespace {
@@ -52,7 +52,8 @@ struct CaseReport {
   std::string ordering;
   int n = 0;
   bool bit_identical = false;
-  std::string detail;  ///< divergence or exception text; empty on success
+  /// Divergence, unfired planned kill, or exception text; empty on success.
+  std::string detail;
   std::uint64_t core_digest = 0;
   std::uint64_t full_digest = 0;
   mp::RecoveryStats recovery;  ///< from the socket run
@@ -60,6 +61,7 @@ struct CaseReport {
 
 int main(int argc, const char* const* argv) {
   const Cli cli(argc, argv);
+  cli.require_known({"help", "sizes", "ordering", "rows-extra", "chaos", "seed", "json"});
   if (cli.has("help")) {
     std::cout << "usage: treesvd_launch [--sizes=8,16] [--ordering=NAME] [--rows-extra=8]\n"
                  "                      [--chaos] [--seed=42] [--json=PATH]\n"
@@ -139,12 +141,13 @@ int main(int argc, const char* const* argv) {
         r.core_digest = result_core_digest(over_sockets);
         r.full_digest = result_digest(over_sockets);
         r.recovery = stats.recovery;
+        if (r.bit_identical) r.detail = mp::unfired_kill(transport.faults, r.recovery);
       } catch (const std::exception& e) {
         // A rank-process death the recovery budget cannot absorb (or a config
         // the engine rejects) is a failed case, not a harness crash.
         r.detail = e.what();
       }
-      pass = pass && r.bit_identical;
+      pass = pass && r.detail.empty();
       reports.push_back(std::move(r));
     }
   }
@@ -173,20 +176,15 @@ int main(int argc, const char* const* argv) {
   if (path.empty()) {
     std::cout << json;
   } else {
-    std::ofstream f(path);
-    if (!f) {
-      std::cerr << "treesvd_launch: cannot write " << path << "\n";
-      return 2;
-    }
-    f << json;
+    if (!write_text_file(path, json)) return 2;
     std::cout << (pass ? "PASS" : "FAIL") << ": " << reports.size()
               << " socket-backend runs vs in-process reference, report written to " << path
               << "\n";
   }
   if (!pass)
     for (const CaseReport& r : reports)
-      if (!r.bit_identical)
-        std::cerr << "divergence: " << r.ordering << " n=" << r.n << ": " << r.detail << "\n";
+      if (!r.detail.empty())
+        std::cerr << "failed: " << r.ordering << " n=" << r.n << ": " << r.detail << "\n";
   return pass ? 0 : 1;
 }
 

@@ -28,7 +28,6 @@
 //   KIND: duplicate-pair | no-restore | reversed-traffic | overlapping-pair
 
 #include <algorithm>
-#include <fstream>
 #include <iostream>
 #include <iterator>
 #include <memory>
@@ -46,6 +45,7 @@
 #include "core/validate.hpp"
 #include "util/cli.hpp"
 #include "util/json.hpp"
+#include "util/text_file.hpp"
 
 namespace treesvd::lint {
 namespace {
@@ -448,6 +448,8 @@ int self_test() {
 
 int main(int argc, const char* const* argv) {
   const Cli cli(argc, argv);
+  cli.require_known({"help", "self-test", "min-n", "max-n", "orderings", "sweeps", "json",
+                     "corrupt"});
   if (cli.has("help")) {
     std::cout << "usage: treesvd_lint [--min-n=4] [--max-n=64] [--orderings=a,b,...]\n"
                  "                    [--sweeps=4] [--json=PATH] [--corrupt=KIND] [--self-test]\n"
@@ -489,12 +491,7 @@ int main(int argc, const char* const* argv) {
   if (path.empty()) {
     std::cout << json;
   } else {
-    std::ofstream f(path);
-    if (!f) {
-      std::cerr << "treesvd_lint: cannot write " << path << "\n";
-      return 2;
-    }
-    f << json;
+    if (!write_text_file(path, json)) return 2;
     std::cout << (outcome.pass ? "PASS" : "FAIL") << ": " << outcome.reports.size()
               << " ordering/size cases, report written to " << path << "\n";
   }

@@ -42,7 +42,6 @@ int main() {
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <fstream>
 #include <functional>
 #include <iostream>
 #include <optional>
@@ -63,6 +62,7 @@ int main() {
 #include "util/cli.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
+#include "util/text_file.hpp"
 #include "util/thread_pool.hpp"
 
 namespace treesvd::race {
@@ -293,6 +293,8 @@ int self_test() {
 
 int main(int argc, const char* const* argv) {
   const Cli cli(argc, argv);
+  cli.require_known({"help", "self-test", "n", "rows", "schedules", "seed", "threads",
+                     "orderings", "engines", "max-sweeps", "json"});
   if (cli.has("help")) {
     std::cout << "usage: treesvd_race [--n=8] [--rows=12] [--seed=2026] [--schedules=16]\n"
                  "                    [--threads=4] [--engines=threaded,spmd,batched]\n"
@@ -379,13 +381,8 @@ int main(int argc, const char* const* argv) {
   const std::string path = cli.get("json", "");
   if (path.empty()) {
     std::cout << os.str();
-  } else {
-    std::ofstream f(path);
-    f << os.str();
-    if (!f) {
-      std::cerr << "treesvd_race: cannot write " << path << "\n";
-      return 2;
-    }
+  } else if (!write_text_file(path, os.str())) {
+    return 2;
   }
   return pass ? 0 : 1;
 }

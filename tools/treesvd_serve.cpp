@@ -30,7 +30,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <fstream>
 #include <iostream>
 #include <limits>
 #include <sstream>
@@ -44,6 +43,7 @@
 #include "svd/serve.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
+#include "util/text_file.hpp"
 
 namespace treesvd::serve_tool {
 namespace {
@@ -459,12 +459,7 @@ int run_chaos(const Cli& cli) {
   if (path.empty()) {
     std::cout << os.str();
   } else {
-    std::ofstream f(path);
-    f << os.str();
-    if (!f) {
-      std::cerr << "treesvd_serve: cannot write " << path << "\n";
-      return 2;
-    }
+    if (!write_text_file(path, os.str())) return 2;
     std::cout << (ok ? "chaos pass" : "chaos FAIL") << ": " << legs.size()
               << " legs replayed -> " << path << "\n";
   }
@@ -485,6 +480,9 @@ int run_serve(const Cli& cli) {
     std::cerr << "treesvd_serve: need rows >= cols >= 2, shards >= 1, requests >= 1\n";
     return 2;
   }
+  // The batched engine's shard widths (BatchedSvdOptions::lane_width).
+  if (lane_width != 4 && lane_width != 8 && lane_width != 16)
+    throw CliError("--lane-width must be 4, 8 or 16, got: " + cli.get("lane-width", ""));
 
   OrderingPtr ordering;
   try {
@@ -579,12 +577,7 @@ int run_serve(const Cli& cli) {
   if (path.empty()) {
     std::cout << os.str();
   } else {
-    std::ofstream f(path);
-    f << os.str();
-    if (!f) {
-      std::cerr << "treesvd_serve: cannot write " << path << "\n";
-      return 2;
-    }
+    if (!write_text_file(path, os.str())) return 2;
     std::cout << (ok ? "pass" : "FAIL") << ": " << requests << " requests, qps=" << qps
               << ", p50=" << stats.latency.p50_ns() << "ns, p99=" << stats.latency.p99_ns()
               << "ns -> " << path << "\n";
@@ -594,6 +587,11 @@ int run_serve(const Cli& cli) {
 
 int main(int argc, const char* const* argv) {
   const Cli cli(argc, argv);
+  if (cli.has("chaos"))
+    cli.require_known({"help", "chaos", "rows", "cols", "ordering", "requests", "seed", "json"});
+  else
+    cli.require_known({"help", "rows", "cols", "ordering", "shards", "lane-width", "queue-cap",
+                       "requests", "seed", "verify", "json"});
   if (cli.has("help")) {
     std::cout << "usage: treesvd_serve [--rows=32] [--cols=16] [--ordering=round-robin]\n"
                  "                     [--shards=2] [--lane-width=8] [--queue-cap=64]\n"

@@ -29,7 +29,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <fstream>
 #include <functional>
 #include <iomanip>
 #include <limits>
@@ -40,8 +39,6 @@
 
 #include "core/registry.hpp"
 #include "linalg/generators.hpp"
-#include "network/topology.hpp"
-#include "sim/distributed.hpp"
 #include "svd/block_jacobi.hpp"
 #include "svd/determinism.hpp"
 #include "svd/jacobi.hpp"
@@ -50,6 +47,7 @@
 #include "svd/spmd.hpp"
 #include "util/cli.hpp"
 #include "util/json.hpp"
+#include "util/text_file.hpp"
 
 namespace treesvd::torture {
 namespace {
@@ -88,8 +86,7 @@ Outcome from_svd(const SvdResult& r) {
 
 struct Engine {
   std::string name;
-  bool square_only = false;        ///< kogbetliantz: two-sided needs m == n
-  bool needs_exact_width = false;  ///< distributed: ordering.supports(n), no padding
+  bool square_only = false;  ///< kogbetliantz: two-sided needs m == n
   /// Units the ordering schedules for this engine: 1 = columns, otherwise
   /// the block width (the block driver schedules ceil(n/b) blocks).
   int unit_width = 1;
@@ -105,19 +102,15 @@ JacobiOptions jacobi_options(EquilibrateMode mode, int max_sweeps) {
 
 const std::vector<Engine>& engines() {
   static const std::vector<Engine> kEngines = {
-      {"serial", false, false, 1,
+      {"serial", false, 1,
        [](const Matrix& a, const Ordering& ord, EquilibrateMode mode, int sweeps) {
          return from_svd(one_sided_jacobi(a, ord, jacobi_options(mode, sweeps)));
        }},
-      {"threaded", false, false, 1,
+      {"threaded", false, 1,
        [](const Matrix& a, const Ordering& ord, EquilibrateMode mode, int sweeps) {
          return from_svd(one_sided_jacobi_threaded(a, ord, jacobi_options(mode, sweeps)));
        }},
-      {"cyclic", false, false, 1,
-       [](const Matrix& a, const Ordering&, EquilibrateMode mode, int sweeps) {
-         return from_svd(cyclic_jacobi(a, jacobi_options(mode, sweeps)));
-       }},
-      {"block-gram", false, false, 2,
+      {"block-gram", false, 2,
        [](const Matrix& a, const Ordering& ord, EquilibrateMode mode, int sweeps) {
          BlockJacobiOptions opt;
          opt.block_width = 2;
@@ -125,20 +118,15 @@ const std::vector<Engine>& engines() {
          opt.max_outer_sweeps = sweeps;
          return from_svd(block_one_sided_jacobi(a, ord, opt));
        }},
-      {"preconditioned", false, false, 1,
+      {"preconditioned", false, 1,
        [](const Matrix& a, const Ordering& ord, EquilibrateMode mode, int sweeps) {
          return from_svd(qr_preconditioned_jacobi(a, ord, jacobi_options(mode, sweeps)));
        }},
-      {"spmd", false, false, 1,
+      {"spmd", false, 1,
        [](const Matrix& a, const Ordering& ord, EquilibrateMode mode, int sweeps) {
          return from_svd(spmd_jacobi(a, ord, jacobi_options(mode, sweeps)));
        }},
-      {"distributed", false, true, 1,
-       [](const Matrix& a, const Ordering& ord, EquilibrateMode mode, int sweeps) {
-         const FatTreeTopology topo(static_cast<int>(a.cols()) / 2, CapacityProfile::kPerfect);
-         return from_svd(distributed_jacobi(a, ord, topo, jacobi_options(mode, sweeps)).svd);
-       }},
-      {"kogbetliantz", true, false, 1,
+      {"kogbetliantz", true, 1,
        [](const Matrix& a, const Ordering& ord, EquilibrateMode mode, int sweeps) {
          KogbetliantzOptions opt;
          opt.equilibrate = mode;
@@ -187,6 +175,7 @@ struct RunReport {
 
 int main(int argc, const char* const* argv) {
   const Cli cli(argc, argv);
+  cli.require_known({"help", "n", "rows", "seed", "tol", "max-sweeps", "json"});
   if (cli.has("help")) {
     std::cout << "usage: treesvd_torture [--n=8] [--rows=12] [--seed=2026] [--tol=1e-10]\n"
                  "                       [--max-sweeps=60] [--json=PATH]\n";
@@ -216,9 +205,7 @@ int main(int argc, const char* const* argv) {
   for (const Engine& eng : engines()) {
     const auto& suite = eng.square_only ? square_cases : cases;
     for (const std::string& oname : ordering_names()) {
-      if (eng.name == "cyclic" && oname != "round-robin") continue;  // ordering-free
       const OrderingPtr ordering = make_ordering(oname);
-      if (eng.needs_exact_width && !ordering->supports(n)) continue;
       // The drivers' padding search over the engine's work units.
       if (padded_width(*ordering, (n + eng.unit_width - 1) / eng.unit_width) == 0) continue;
       for (const TortureCase& tc : suite) {
@@ -296,12 +283,7 @@ int main(int argc, const char* const* argv) {
   if (path.empty()) {
     std::cout << json;
   } else {
-    std::ofstream f(path);
-    if (!f) {
-      std::cerr << "treesvd_torture: cannot write " << path << "\n";
-      return 2;
-    }
-    f << json;
+    if (!write_text_file(path, json)) return 2;
     std::cout << (pass ? "PASS" : "FAIL") << ": " << reports.size()
               << " engine x ordering x case torture runs, report written to " << path << "\n";
   }
