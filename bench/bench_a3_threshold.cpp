@@ -6,7 +6,7 @@
 
 #include "core/registry.hpp"
 #include "linalg/generators.hpp"
-#include "linalg/symmetric_eigen.hpp"
+#include "linalg/golub_kahan.hpp"
 #include "svd/jacobi.hpp"
 #include "util/table.hpp"
 
@@ -16,7 +16,7 @@ int main() {
 
   Rng rng(7777);
   const Matrix a = with_spectrum(96, 48, geometric_spectrum(48, 1e4), rng);
-  const auto oracle = singular_values_oracle(a);
+  const auto oracle = golub_kahan_singular_values(a);
   const auto ord = make_ordering("fat-tree");
 
   Table t({"tol", "sweeps", "rotations", "max |sigma-oracle|/sigma_1", "converged"});

@@ -5,7 +5,7 @@
 
 #include "core/registry.hpp"
 #include "linalg/generators.hpp"
-#include "linalg/symmetric_eigen.hpp"
+#include "linalg/golub_kahan.hpp"
 #include "svd/jacobi.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
@@ -25,7 +25,7 @@ int main() {
     Timer timer;
     const SvdResult r = one_sided_jacobi(a, *ord);
     const double ms = timer.millis();
-    const auto oracle = singular_values_oracle(a);
+    const auto oracle = golub_kahan_singular_values(a);
     double err = 0.0;
     for (std::size_t k = 0; k < oracle.size(); ++k)
       err = std::max(err, std::fabs(r.sigma[k] - oracle[k]) / oracle[0]);

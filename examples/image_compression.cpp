@@ -34,11 +34,10 @@ Matrix make_image(std::size_t size) {
   return img;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, const char* const* argv) {
   using namespace treesvd;
   const Cli cli(argc, argv);
+  cli.require_known({"size", "ordering"});
   const auto size = static_cast<std::size_t>(cli.get_int("size", 128));
   const std::string ordering_name = cli.get("ordering", "hybrid-g4");
 
@@ -87,4 +86,10 @@ int main(int argc, char** argv) {
   std::printf("\n(The sorted singular values mean the best rank-k approximation is always\n"
               " the first k columns — no post-hoc sorting required.)\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return treesvd::run_tool("image_compression", argc, argv, run);
 }

@@ -8,9 +8,13 @@
 
 #include "treesvd.hpp"
 
-int main(int argc, char** argv) {
-  using namespace treesvd;
+namespace {
+
+using namespace treesvd;
+
+int run(int argc, const char* const* argv) {
   const Cli cli(argc, argv);
+  cli.require_known({"points", "degree", "ordering"});
   const auto points = static_cast<std::size_t>(cli.get_int("points", 200));
   const auto degree = static_cast<std::size_t>(cli.get_int("degree", 12));
   const std::string ordering_name = cli.get("ordering", "new-ring");
@@ -70,3 +74,7 @@ int main(int argc, char** argv) {
               "stable) coefficients — the standard rank-revealing use of a sorted SVD.\n");
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return treesvd::run_tool("least_squares", argc, argv, run); }

@@ -14,9 +14,13 @@
 
 #include "treesvd.hpp"
 
-int main(int argc, char** argv) {
-  using namespace treesvd;
+namespace {
+
+using namespace treesvd;
+
+int run(int argc, const char* const* argv) {
   const Cli cli(argc, argv);
+  cli.require_known({"n", "rows", "ordering"});
   const int n = static_cast<int>(cli.get_int("n", 32));
   const auto rows = static_cast<std::size_t>(cli.get_int("rows", 2 * n));
   const std::string name = cli.get("ordering", "hybrid-g4");
@@ -89,3 +93,7 @@ int main(int argc, char** argv) {
               cost.max_contention);
   return ok ? 0 : 1;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return treesvd::run_tool("machine_comparison", argc, argv, run); }

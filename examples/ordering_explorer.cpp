@@ -8,9 +8,13 @@
 
 #include "treesvd.hpp"
 
-int main(int argc, char** argv) {
-  using namespace treesvd;
+namespace {
+
+using namespace treesvd;
+
+int run(int argc, const char* const* argv) {
   const Cli cli(argc, argv);
+  cli.require_known({"ordering", "n", "sweeps"});
   const std::string name = cli.get("ordering", "fat-tree");
   const int n = static_cast<int>(cli.get_int("n", 16));
   const int sweeps = static_cast<int>(cli.get_int("sweeps", 2));
@@ -54,3 +58,7 @@ int main(int argc, char** argv) {
               restored ? "yes" : "no");
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return treesvd::run_tool("ordering_explorer", argc, argv, run); }

@@ -8,9 +8,13 @@
 
 #include "treesvd.hpp"
 
-int main(int argc, char** argv) {
-  using namespace treesvd;
+namespace {
+
+using namespace treesvd;
+
+int run(int argc, const char* const* argv) {
   const Cli cli(argc, argv);
+  cli.require_known({"samples", "features", "ordering"});
   const auto samples = static_cast<std::size_t>(cli.get_int("samples", 2000));
   const auto features = static_cast<std::size_t>(cli.get_int("features", 16));
   const std::string name = cli.get("ordering", "fat-tree");
@@ -61,3 +65,7 @@ int main(int argc, char** argv) {
               " component 3 recovers them — the sorted sigma makes the scree plot free)\n");
   return cum > 0.9 ? 0 : 1;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return treesvd::run_tool("pca", argc, argv, run); }

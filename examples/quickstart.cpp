@@ -6,9 +6,13 @@
 
 #include "treesvd.hpp"
 
-int main(int argc, char** argv) {
-  using namespace treesvd;
+namespace {
+
+using namespace treesvd;
+
+int run(int argc, const char* const* argv) {
   const Cli cli(argc, argv);
+  cli.require_known({"m", "n", "ordering"});
   const auto m = static_cast<std::size_t>(cli.get_int("m", 200));
   const auto n = static_cast<std::size_t>(cli.get_int("n", 64));
   const std::string ordering_name = cli.get("ordering", "fat-tree");
@@ -33,3 +37,7 @@ int main(int argc, char** argv) {
   std::printf("  ||U^T U - I|| (first r)   = %.2e\n", orthonormality_defect(r.u));
   return rec < 1e-10 ? 0 : 1;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return treesvd::run_tool("quickstart", argc, argv, run); }

@@ -1,10 +1,14 @@
-// Spectral clustering on a planted-partition graph, using the ordering-driven
-// two-sided Jacobi eigensolver: build the graph Laplacian, take the
-// eigenvectors of its smallest nontrivial eigenvalues (they arrive sorted, so
-// they are simply the tail columns), embed the vertices and cluster with a
-// few Lloyd iterations.
+// Spectral clustering on a planted-partition graph: build the graph
+// Laplacian, take the eigenvectors of its smallest nontrivial eigenvalues,
+// embed the vertices and cluster with a few Lloyd iterations. The Laplacian
+// is symmetric positive semidefinite, so its singular values are its
+// eigenvalues and V holds its eigenvectors: one_sided_jacobi solves the
+// eigenproblem, and the sorted output puts the smallest eigenpairs in the
+// tail columns.
 //
 //   ./spectral_clustering [--vertices=60] [--clusters=3] [--ordering=fat-tree]
+//
+// Requires 2 <= clusters < vertices.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -101,18 +105,19 @@ double purity(const std::vector<int>& got, const std::vector<int>& truth, int k)
   return best;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, const char* const* argv) {
   const Cli cli(argc, argv);
+  cli.require_known({"vertices", "clusters", "ordering"});
   const int vertices = static_cast<int>(cli.get_int("vertices", 60));
   const int clusters = static_cast<int>(cli.get_int("clusters", 3));
   const std::string ordering_name = cli.get("ordering", "fat-tree");
+  if (clusters < 2) throw CliError("--clusters must be at least 2");
+  if (vertices <= clusters) throw CliError("--vertices must exceed --clusters");
 
   Rng rng(2718);
   const Planted g = planted_partition(vertices, clusters, 0.65, 0.05, rng);
 
-  const EigenResult r = jacobi_symmetric_eigen(g.laplacian, *make_ordering(ordering_name));
+  const SvdResult r = one_sided_jacobi(g.laplacian, *make_ordering(ordering_name));
   std::printf("spectral clustering: %d vertices, %d planted clusters, %s ordering\n", vertices,
               clusters, ordering_name.c_str());
   std::printf("  Laplacian eigendecomposition: %d sweeps, converged=%s\n", r.sweeps,
@@ -123,18 +128,23 @@ int main(int argc, char** argv) {
   const std::size_t nn = static_cast<std::size_t>(vertices);
   std::printf("  smallest eigenvalues: ");
   for (int k = 0; k < clusters + 1; ++k)
-    std::printf("%.4f ", r.eigenvalues[nn - 1 - static_cast<std::size_t>(k)]);
+    std::printf("%.4f ", r.sigma[nn - 1 - static_cast<std::size_t>(k)]);
   std::printf("(the ~0 one is the constant vector; the next %d are the cluster gap)\n",
               clusters - 1);
 
   std::vector<std::vector<double>> pts(nn, std::vector<double>(static_cast<std::size_t>(clusters - 1)));
   for (std::size_t i = 0; i < nn; ++i)
     for (int a = 0; a < clusters - 1; ++a)
-      pts[i][static_cast<std::size_t>(a)] =
-          r.eigenvectors(i, nn - 2 - static_cast<std::size_t>(a));
+      pts[i][static_cast<std::size_t>(a)] = r.v(i, nn - 2 - static_cast<std::size_t>(a));
 
   const std::vector<int> assign = kmeans(pts, clusters, rng);
   const double acc = purity(assign, g.truth, clusters);
   std::printf("  clustering accuracy vs planted partition: %.1f%%\n", 100.0 * acc);
   return acc > 0.9 ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return treesvd::run_tool("spectral_clustering", argc, argv, run);
 }

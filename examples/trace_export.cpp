@@ -3,37 +3,45 @@
 // level) — for offline analysis or plotting, plus a per-transition channel
 // utilisation summary on a chosen topology.
 //
-//   ./trace_export --ordering=fat-tree --n=16 [--topology=cm5] [--out=trace.csv]
+//   ./trace_export --ordering=fat-tree --n=16 [--topology=cm5|perfect|binary]
+//                  [--out=trace.csv]
+//
+// Exits 2 when the CSV cannot be written.
 #include <cstdio>
-#include <fstream>
+#include <sstream>
 
 #include "treesvd.hpp"
+#include "util/text_file.hpp"
 
-int main(int argc, char** argv) {
-  using namespace treesvd;
+namespace {
+
+using namespace treesvd;
+
+int run(int argc, const char* const* argv) {
   const Cli cli(argc, argv);
+  cli.require_known({"ordering", "n", "topology", "out"});
   const std::string name = cli.get("ordering", "fat-tree");
   const int n = static_cast<int>(cli.get_int("n", 16));
   const std::string topo_name = cli.get("topology", "cm5");
   const std::string out_path = cli.get("out", "trace.csv");
+  CapacityProfile profile = CapacityProfile::kCm5;
+  if (topo_name == "perfect") {
+    profile = CapacityProfile::kPerfect;
+  } else if (topo_name == "binary") {
+    profile = CapacityProfile::kConstant;
+  } else if (topo_name != "cm5") {
+    throw CliError("--topology expects cm5, perfect or binary, got: '" + topo_name + "'");
+  }
 
   const auto ord = make_ordering(name);
   if (!ord->supports(n)) {
     std::printf("%s does not support n=%d\n", name.c_str(), n);
     return 1;
   }
-  CapacityProfile profile = CapacityProfile::kCm5;
-  if (topo_name == "perfect") profile = CapacityProfile::kPerfect;
-  if (topo_name == "binary") profile = CapacityProfile::kConstant;
   const FatTreeTopology topo(n / 2, profile);
 
   const Sweep s = ord->sweep(n);
-  std::ofstream out(out_path);
-  if (!out) {
-    std::printf("cannot open %s\n", out_path.c_str());
-    return 1;
-  }
-
+  std::ostringstream out;
   out << "record,step,kind,a,b,level\n";
   std::size_t pair_rows = 0;
   std::size_t move_rows = 0;
@@ -49,7 +57,7 @@ int main(int argc, char** argv) {
       ++move_rows;
     }
   }
-  out.close();
+  if (!write_text_file(out_path, out.str())) return 2;
 
   std::printf("trace of %s (n=%d) written to %s: %zu rotations, %zu column moves\n",
               name.c_str(), n, out_path.c_str(), pair_rows, move_rows);
@@ -69,3 +77,7 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return treesvd::run_tool("trace_export", argc, argv, run); }

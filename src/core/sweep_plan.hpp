@@ -18,9 +18,8 @@
 // step order, and a leaf runs its steps in order. A one-sided rotation reads
 // and writes only its own two columns, so rotations of disjoint columns
 // commute exactly, and running a plan is bitwise identical to running the
-// sweep step by step. (Two-sided engines — Kogbetliantz, Jacobi eigen —
-// rotate rows too, so rotations of one step share matrix entries and must
-// keep step order.)
+// sweep step by step. (The two-sided Kogbetliantz engine rotates rows too,
+// so rotations of one step share matrix entries and must keep step order.)
 //
 // Phases. A plan is built at a tree depth d. Its rotations are grouped into
 // phases, and each phase into 2^d tasks, one per depth-d subtree: the phase

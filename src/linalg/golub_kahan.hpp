@@ -3,10 +3,10 @@
 // bidiagonalization followed by implicit-shift QR on the bidiagonal — the
 // "various ways to compute the SVD [6]" the paper contrasts with Jacobi.
 //
-// Serves as a second, independent oracle: unlike the tridiagonal-QL oracle it
-// never forms A^T A, so it resolves singular values below sqrt(eps)*sigma_max
-// and lets the tests compare the Jacobi engines' accuracy on severely graded
-// spectra (ablation A9).
+// Serves as the independent reference for the Jacobi engines: it never forms
+// A^T A, so it resolves singular values below sqrt(eps)*sigma_max and lets
+// the tests compare the engines' accuracy on severely graded spectra
+// (ablation A9).
 
 #include <vector>
 

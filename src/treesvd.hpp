@@ -20,20 +20,17 @@
 #include "core/round_robin.hpp"  // IWYU pragma: export
 #include "core/sweep_plan.hpp"  // IWYU pragma: export
 #include "core/validate.hpp"     // IWYU pragma: export
-#include "eigen/jacobi_eigen.hpp"  // IWYU pragma: export
 #include "linalg/blas1.hpp"      // IWYU pragma: export
 #include "linalg/generators.hpp" // IWYU pragma: export
 #include "linalg/golub_kahan.hpp"  // IWYU pragma: export
 #include "linalg/matrix.hpp"     // IWYU pragma: export
 #include "linalg/qr.hpp"         // IWYU pragma: export
 #include "linalg/rotation.hpp"   // IWYU pragma: export
-#include "linalg/symmetric_eigen.hpp"  // IWYU pragma: export
 #include "mp/fault.hpp"          // IWYU pragma: export
 #include "mp/message_passing.hpp"  // IWYU pragma: export
 #include "network/topology.hpp"  // IWYU pragma: export
 #include "network/traffic.hpp"   // IWYU pragma: export
 #include "sim/machine.hpp"       // IWYU pragma: export
-#include "svd/applications.hpp"  // IWYU pragma: export
 #include "svd/block_jacobi.hpp"  // IWYU pragma: export
 #include "svd/jacobi.hpp"        // IWYU pragma: export
 #include "svd/kogbetliantz.hpp"  // IWYU pragma: export

@@ -69,16 +69,6 @@ TEST(FailureInjection, NetworkChecks) {
   EXPECT_THROW(step.add({0, 9, 1.0}), std::invalid_argument);
 }
 
-TEST(FailureInjection, EigenChecks) {
-  EXPECT_THROW(jacobi_symmetric_eigen(Matrix(0, 0), *make_ordering("round-robin")),
-               std::invalid_argument);
-  EXPECT_THROW(jacobi_symmetric_eigen(Matrix(1, 1), *make_ordering("round-robin")),
-               std::invalid_argument);
-  const Matrix asym = Matrix::from_rows({{1, 2}, {0, 1}});
-  EXPECT_THROW(jacobi_symmetric_eigen(asym, *make_ordering("round-robin")),
-               std::invalid_argument);
-}
-
 TEST(FailureInjection, QrChecks) {
   EXPECT_THROW(HouseholderQr(Matrix(2, 4)), std::invalid_argument);
   Rng rng(3);

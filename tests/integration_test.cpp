@@ -2,7 +2,6 @@
 // across all orderings, SVD-based least squares and low-rank approximation.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 
 #include "treesvd.hpp"
@@ -91,20 +90,32 @@ TEST(Integration, ModeledRunAndRealRunAgreeOnSweepCounts) {
 }
 
 TEST(Integration, SymmetricEigenproblemViaSvd) {
-  // For a symmetric positive definite matrix the singular values are the
-  // eigenvalues; cross-check the full pipeline against the tridiagonal QL
-  // oracle on the matrix itself (not its Gram matrix).
+  // For a symmetric positive semidefinite matrix (a graph Laplacian, say)
+  // the singular values are the eigenvalues and V holds the eigenvectors, so
+  // one_sided_jacobi solves the eigenproblem. S = Q diag(lambda) Q^T with
+  // eigenvalues 9 down to 0.25 and one exact zero.
   Rng rng(781);
-  Matrix g = random_gaussian(12, 12, rng);
-  Matrix spd = g.transposed() * g;
-  for (int i = 0; i < 12; ++i)
-    spd(static_cast<std::size_t>(i), static_cast<std::size_t>(i)) += 1.0;
-  const SvdResult r = one_sided_jacobi(spd, *make_ordering("hybrid-g2"));
+  const std::size_t n = 12;
+  std::vector<double> lambda(n, 0.0);
+  for (std::size_t k = 0; k + 1 < n; ++k) lambda[k] = 9.0 - 0.875 * static_cast<double>(k);
+  const Matrix q = random_orthonormal(n, n, rng);
+  Matrix q_lambda = q;
+  for (std::size_t k = 0; k < n; ++k)
+    for (double& x : q_lambda.col(k)) x *= lambda[k];
+  const Matrix s = q_lambda * q.transposed();
+  const SvdResult r = one_sided_jacobi(s, *make_ordering("hybrid-g2"));
   ASSERT_TRUE(r.converged);
-  auto ev = symmetric_eigenvalues(spd);       // ascending
-  std::reverse(ev.begin(), ev.end());         // descending
-  for (std::size_t k = 0; k < ev.size(); ++k)
-    EXPECT_NEAR(r.sigma[k], ev[k], 1e-8 * ev[0]);
+  const double tol = 1e-8 * lambda[0];
+  const Matrix s_v = s * r.v;
+  for (std::size_t k = 0; k < n; ++k) {
+    EXPECT_NEAR(r.sigma[k], lambda[k], tol) << "k=" << k;
+    double defect = 0.0;  // ||S v_k - sigma_k v_k||
+    for (std::size_t i = 0; i < n; ++i) {
+      const double d = s_v(i, k) - r.sigma[k] * r.v(i, k);
+      defect += d * d;
+    }
+    EXPECT_LE(std::sqrt(defect), tol) << "k=" << k;
+  }
 }
 
 TEST(Integration, LargerProblemAllPiecesTogether) {

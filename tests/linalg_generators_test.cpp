@@ -4,7 +4,7 @@
 #include <cmath>
 
 #include "linalg/generators.hpp"
-#include "linalg/symmetric_eigen.hpp"
+#include "linalg/golub_kahan.hpp"
 
 namespace treesvd {
 namespace {
@@ -60,7 +60,7 @@ TEST(Generators, WithSpectrumReproducesSigma) {
   Rng rng(43);
   const std::vector<double> sigma = {4.0, 2.0, 1.0, 0.1};
   const Matrix a = with_spectrum(10, 4, sigma, rng);
-  const auto sv = singular_values_oracle(a);
+  const auto sv = golub_kahan_singular_values(a);
   for (std::size_t k = 0; k < 4; ++k) EXPECT_NEAR(sv[k], sigma[k], 1e-8);
 }
 
@@ -73,9 +73,9 @@ TEST(Generators, WithSpectrumValidatesArguments) {
 TEST(Generators, RankDeficientRank) {
   Rng rng(44);
   const Matrix a = rank_deficient(20, 10, 4, rng);
-  const auto sv = singular_values_oracle(a);
-  // The oracle squares A, so exact zeros surface as ~sqrt(eps) ~ 1e-8; use a
-  // threshold comfortably above that noise floor.
+  const auto sv = golub_kahan_singular_values(a);
+  // Exact zeros surface as rounding noise; use a threshold far above it and
+  // far below the smallest nonzero singular value.
   int rank = 0;
   for (double s : sv)
     if (s > 1e-6) ++rank;
@@ -92,8 +92,8 @@ TEST(Generators, HilbertEntries) {
   EXPECT_DOUBLE_EQ(h(0, 0), 1.0);
   EXPECT_DOUBLE_EQ(h(1, 2), 1.0 / 4.0);
   EXPECT_DOUBLE_EQ(h(3, 3), 1.0 / 7.0);
-  // Symmetric and positive definite: all oracle singular values positive.
-  const auto sv = singular_values_oracle(h);
+  // Symmetric and positive definite: all singular values positive.
+  const auto sv = golub_kahan_singular_values(h);
   for (double s : sv) EXPECT_GT(s, 0.0);
 }
 

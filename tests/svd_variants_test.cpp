@@ -10,7 +10,7 @@
 
 #include "core/registry.hpp"
 #include "linalg/generators.hpp"
-#include "linalg/symmetric_eigen.hpp"
+#include "linalg/golub_kahan.hpp"
 #include "svd/batch.hpp"
 #include "svd/block_jacobi.hpp"
 #include "svd/preconditioned.hpp"
@@ -35,7 +35,7 @@ TEST_P(BlockJacobi, FactorisationAccurateAndSorted) {
   EXPECT_LT(orthonormality_defect(r.v), 1e-11);
   for (std::size_t k = 1; k < r.sigma.size(); ++k)
     EXPECT_GE(r.sigma[k - 1], r.sigma[k] - 1e-10);
-  const auto sv = singular_values_oracle(a);
+  const auto sv = golub_kahan_singular_values(a);
   for (std::size_t k = 0; k < sv.size(); ++k) EXPECT_NEAR(r.sigma[k], sv[k], 1e-7);
 }
 
@@ -70,7 +70,7 @@ TEST(BlockJacobiExtra, WidthOneMatchesElementwiseBehaviour) {
   opt.block_width = 1;
   const SvdResult r = block_one_sided_jacobi(a, *make_ordering("round-robin"), opt);
   ASSERT_TRUE(r.converged);
-  const auto sv = singular_values_oracle(a);
+  const auto sv = golub_kahan_singular_values(a);
   for (std::size_t k = 0; k < sv.size(); ++k) EXPECT_NEAR(r.sigma[k], sv[k], 1e-8);
 }
 
@@ -109,7 +109,7 @@ TEST(BlockJacobiGram, AgreesWithElementwiseAcrossAllOrderings) {
   // the factorisation to numerical tolerance on every registered ordering.
   Rng rng(820);
   const Matrix a = random_gaussian(96, 32, rng);
-  const auto oracle = singular_values_oracle(a);
+  const auto oracle = golub_kahan_singular_values(a);
   for (const auto& name : ordering_names({2, 4})) {
     const auto ord = make_ordering(name);
     BlockJacobiOptions gram;
@@ -194,7 +194,7 @@ TEST(BlockJacobiBlockCount, NonPowerOfTwoAndPaddedWidthsConverge) {
   for (const auto& [n, width] : std::vector<std::pair<std::size_t, int>>{
            {18, 4}, {18, 16}, {19, 5}, {10, 3}, {33, 8}}) {
     const Matrix a = random_gaussian(2 * n + 5, n, rng);
-    const auto oracle = singular_values_oracle(a);
+    const auto oracle = golub_kahan_singular_values(a);
     for (const char* name : {"round-robin", "fat-tree", "new-ring", "hybrid-g2"}) {
       BlockJacobiOptions opt;
       opt.block_width = width;
@@ -244,7 +244,7 @@ TEST(Preconditioned, TallAndSkinny) {
   const Matrix a = with_spectrum(500, 12, geometric_spectrum(12, 1e5), rng);
   const SvdResult r = qr_preconditioned_jacobi(a, *make_ordering("new-ring"));
   ASSERT_TRUE(r.converged);
-  const auto sv = singular_values_oracle(a);
+  const auto sv = golub_kahan_singular_values(a);
   for (std::size_t k = 0; k < sv.size(); ++k)
     EXPECT_NEAR(r.sigma[k], sv[k], 1e-7 * sv[0]);
 }
