@@ -30,7 +30,7 @@ int main() {
       const SvdResult one = one_sided_jacobi(a, *ord);
       const double ms1 = t1.millis();
       Timer t2;
-      const KogbetliantzResult two = kogbetliantz_svd(a, *ord);
+      const SvdResult two = kogbetliantz_svd(a, *ord);
       const double ms2 = t2.millis();
       // Data touched per rotation: one-sided reads/writes two columns (2m);
       // two-sided reads/writes two rows AND two columns (4n) plus both U and

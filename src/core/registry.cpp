@@ -29,7 +29,9 @@ OrderingPtr make_ordering(const std::string& name) {
     TREESVD_REQUIRE(groups > 0, "bad hybrid group count in ordering name: " + name);
     return std::make_shared<HybridOrdering>(groups);
   }
-  TREESVD_REQUIRE(false, "unknown ordering: " + name);
+  TREESVD_REQUIRE(false, "unknown ordering '" + name +
+                             "' (known: round-robin, odd-even, fat-tree, llb-fat-tree, new-ring, "
+                             "modified-ring, hybrid-g<N>, block-ring-g<N>)");
   return nullptr;  // unreachable
 }
 

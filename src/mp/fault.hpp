@@ -116,14 +116,14 @@ struct RecoveryStats {
 };
 
 /// All thirteen RecoveryStats counters as one JSON object, in declaration
-/// order: the form the chaos and launch tools report.
+/// order: the form the chaos tool reports.
 std::string to_json(const RecoveryStats& s);
 
 /// Why a run under `plan` left its planned rank kill unexercised: empty when
 /// the plan names no kill, or when `stats` show the kill fired and a
 /// rollback replayed past it; otherwise a message naming the rank and the
-/// op. The chaos and launch gates fail such a run: it covers no respawn and
-/// no rollback.
+/// op. The chaos tool fails such a run: it covers no respawn and no
+/// rollback.
 std::string unfired_kill(const FaultPlan& plan, const RecoveryStats& stats);
 
 /// Relaxed-atomic counters shared by concurrent ranks; snapshot() into

@@ -21,7 +21,7 @@
 // retry *counters* are timing-dependent — but recovered payloads come from
 // the sender's clean retransmit store, so delivered data, and therefore
 // σ/U/V and every result digest, stays bit-identical to the in-process run
-// (tools/treesvd_launch gates exactly that).
+// (treesvd_chaos --backend=socket gates exactly that).
 //
 // Process-death rules a thread backend never needed:
 //   * Rank memory dies with the rank: results and checkpoints must travel

@@ -1,6 +1,6 @@
 #pragma once
-// Determinism-oracle digests of SvdResult (tests and the race, chaos and
-// launch tools).
+// Determinism-oracle digests of SvdResult (tests, the torture and race tools
+// and the chaos tool's spmd gate).
 //
 // The repo's strongest concurrency contract is that the threaded and SPMD
 // engines reproduce the serial engine *bitwise* — values, factors, and the

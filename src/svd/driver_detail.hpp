@@ -9,6 +9,9 @@
 // contract. Keeping
 // one definition here is what makes "batched lane b == sequential run b" or
 // "spmd == serial" a structural property instead of a maintenance promise.
+// The two-sided engine (kogbetliantz.cpp) ends its sweeps and its run through
+// the same end_sweep and finish_status, so every engine shares one status
+// contract.
 
 #include <algorithm>
 #include <span>
@@ -80,6 +83,23 @@ inline bool end_sweep(SvdResult& r, int sweep, std::size_t rotations, std::size_
   return r.converged;
 }
 
+/// The tail of every engine's run, once sigma (still at the equilibrated
+/// scale), U and V are formed: unscales sigma, sets the status and the cheap
+/// diagnostics, and assesses quality when the run did not converge or
+/// `full_diagnostics` asks for it.
+inline void finish_status(SvdResult& r, const Matrix& a, double rank_tol, bool full_diagnostics,
+                          const SweepGuards& guards) {
+  unscale_sigma(r.sigma, guards.eq);
+  r.status = r.converged ? SvdStatus::kConverged
+                         : (guards.stall.stalled() ? SvdStatus::kStalled
+                                                   : SvdStatus::kMaxSweeps);
+  r.diagnostics.input_scale = guards.eq.stats;
+  r.diagnostics.equilibrated = guards.eq.applied;
+  r.diagnostics.equilibration_exponent = guards.eq.exponent;
+  r.diagnostics.stalled_sweeps = guards.stall.streak();
+  if (!r.converged || full_diagnostics) assess_quality(a, r, guards.eq.exponent, rank_tol);
+}
+
 /// Columns of a final working matrix, in input order.
 using ColumnViews = std::span<const std::span<const double>>;
 
@@ -108,16 +128,7 @@ inline SvdResult finalize(ColumnViews h, ColumnViews v, const Matrix& a, double 
     for (std::size_t j = 0; j < n; ++j)
       std::copy(v[j].begin(), v[j].begin() + static_cast<std::ptrdiff_t>(n), r.v.col(j).begin());
   }
-  unscale_sigma(r.sigma, guards.eq);
-
-  r.status = r.converged ? SvdStatus::kConverged
-                         : (guards.stall.stalled() ? SvdStatus::kStalled
-                                                   : SvdStatus::kMaxSweeps);
-  r.diagnostics.input_scale = guards.eq.stats;
-  r.diagnostics.equilibrated = guards.eq.applied;
-  r.diagnostics.equilibration_exponent = guards.eq.exponent;
-  r.diagnostics.stalled_sweeps = guards.stall.streak();
-  if (!r.converged || full_diagnostics) assess_quality(a, r, guards.eq.exponent, rank_tol);
+  finish_status(r, a, rank_tol, full_diagnostics, guards);
   return r;
 }
 

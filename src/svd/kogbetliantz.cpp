@@ -4,9 +4,7 @@
 #include <cmath>
 #include <numeric>
 
-#include "svd/equilibrate.hpp"
-#include "svd/recovery.hpp"
-#include "util/require.hpp"
+#include "svd/driver_detail.hpp"
 
 namespace treesvd {
 namespace {
@@ -49,33 +47,32 @@ TwoSidedRotation two_sided_rotation(double w, double x, double y, double z) noex
   return {std::cos(alpha), std::sin(alpha), std::cos(beta), std::sin(beta)};
 }
 
-KogbetliantzResult kogbetliantz_svd(const Matrix& a, const Ordering& ordering,
-                                    const KogbetliantzOptions& options) {
+SvdResult kogbetliantz_svd(const Matrix& a, const Ordering& ordering,
+                           const JacobiOptions& options) {
   TREESVD_REQUIRE(a.rows() == a.cols() && a.rows() >= 2,
                   "kogbetliantz_svd needs a square matrix (QR-reduce tall inputs first)");
   require_finite_columns(a, "kogbetliantz_svd");
   const std::size_t n0 = a.rows();
-  const int padded = padded_width(ordering, static_cast<int>(n0));
-  TREESVD_REQUIRE(padded > 0, ordering.name() + " supports no width near n");
-  const auto np = static_cast<std::size_t>(padded);
+  const auto np =
+      static_cast<std::size_t>(detail::require_padded_width(ordering, static_cast<int>(n0)));
 
   Matrix work(np, np);
   for (std::size_t j = 0; j < n0; ++j)
     for (std::size_t i = 0; i < n0; ++i) work(i, j) = a(i, j);
   // Pad diagonal with zeros: exact singular values 0, inert under the
   // threshold (their rows/columns stay zero).
-  const Equilibration eq = equilibrate(work, options.equilibrate);
-  StallDetector stall;
+  detail::SweepGuards guards;
+  guards.eq = equilibrate(work, options.equilibrate);
 
-  Matrix u = options.compute_uv ? Matrix::identity(np) : Matrix();
-  Matrix v = options.compute_uv ? Matrix::identity(np) : Matrix();
+  Matrix u = Matrix::identity(np);
+  Matrix v = Matrix::identity(np);
 
   const double scale = std::max(work.max_abs(), 1e-300);
 
   std::vector<int> layout(np);
   std::iota(layout.begin(), layout.end(), 0);
 
-  KogbetliantzResult r;
+  SvdResult r;
   for (int sweep = 0; sweep < options.max_sweeps; ++sweep) {
     const Sweep s = ordering.sweep_from(layout, sweep);
     std::size_t sweep_rot = 0;
@@ -102,15 +99,13 @@ KogbetliantzResult kogbetliantz_svd(const Matrix& a, const Ordering& ordering,
           work(i, k) = st.rot.cl * rik + st.rot.sl * rjk;
           work(j, k) = -st.rot.sl * rik + st.rot.cl * rjk;
         }
-        if (options.compute_uv) {
-          const auto ui = u.col(i);
-          const auto uj = u.col(j);
-          for (std::size_t k = 0; k < np; ++k) {
-            const double a1 = ui[k];
-            const double a2 = uj[k];
-            ui[k] = st.rot.cl * a1 + st.rot.sl * a2;
-            uj[k] = -st.rot.sl * a1 + st.rot.cl * a2;
-          }
+        const auto ui = u.col(i);
+        const auto uj = u.col(j);
+        for (std::size_t k = 0; k < np; ++k) {
+          const double a1 = ui[k];
+          const double a2 = uj[k];
+          ui[k] = st.rot.cl * a1 + st.rot.sl * a2;
+          uj[k] = -st.rot.sl * a1 + st.rot.cl * a2;
         }
       }
       // Right phase: columns i, j combine (J_r from the right).
@@ -125,15 +120,13 @@ KogbetliantzResult kogbetliantz_svd(const Matrix& a, const Ordering& ordering,
           ci[k] = st.rot.cr * a1 + st.rot.sr * a2;
           cj[k] = -st.rot.sr * a1 + st.rot.cr * a2;
         }
-        if (options.compute_uv) {
-          const auto vi = v.col(i);
-          const auto vj = v.col(j);
-          for (std::size_t k = 0; k < np; ++k) {
-            const double a1 = vi[k];
-            const double a2 = vj[k];
-            vi[k] = st.rot.cr * a1 + st.rot.sr * a2;
-            vj[k] = -st.rot.sr * a1 + st.rot.cr * a2;
-          }
+        const auto vi = v.col(i);
+        const auto vj = v.col(j);
+        for (std::size_t k = 0; k < np; ++k) {
+          const double a1 = vi[k];
+          const double a2 = vj[k];
+          vi[k] = st.rot.cr * a1 + st.rot.sr * a2;
+          vj[k] = -st.rot.sr * a1 + st.rot.cr * a2;
         }
         // Exact annihilation of the targeted off-diagonal pair.
         work(i, j) = 0.0;
@@ -142,14 +135,8 @@ KogbetliantzResult kogbetliantz_svd(const Matrix& a, const Ordering& ordering,
     }
     const auto fin = s.final_layout();
     layout.assign(fin.begin(), fin.end());
-    r.rotations += sweep_rot;
-    r.sweeps = sweep + 1;
     if (options.track_off) r.off_history.push_back(off_fraction(work));
-    if (sweep_rot == 0) {
-      r.converged = true;
-      break;
-    }
-    stall.observe(static_cast<double>(sweep_rot));
+    if (detail::end_sweep(r, sweep, sweep_rot, 0, guards.stall)) break;
   }
 
   // Extraction: sigma = |diag|, signs folded into U; drop the padding; sort.
@@ -157,33 +144,21 @@ KogbetliantzResult kogbetliantz_svd(const Matrix& a, const Ordering& ordering,
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::vector<double> mags(n0);
   for (std::size_t i = 0; i < n0; ++i) mags[i] = std::fabs(work(i, i));
-  if (options.sort_descending) {
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::size_t p, std::size_t q) { return mags[p] > mags[q]; });
-  }
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t p, std::size_t q) { return mags[p] > mags[q]; });
   r.sigma.resize(n0);
-  if (options.compute_uv) {
-    r.u = Matrix(n0, n0);
-    r.v = Matrix(n0, n0);
-  }
+  r.u = Matrix(n0, n0);
+  r.v = Matrix(n0, n0);
   for (std::size_t out = 0; out < n0; ++out) {
     const std::size_t src = order[out];
     r.sigma[out] = mags[src];
-    if (!options.compute_uv) continue;
     const double sign = work(src, src) < 0.0 ? -1.0 : 1.0;
     for (std::size_t k = 0; k < n0; ++k) {
       r.u(k, out) = sign * u(k, src);
       r.v(k, out) = v(k, src);
     }
   }
-  unscale_sigma(r.sigma, eq);
-
-  r.status = r.converged ? SvdStatus::kConverged
-                         : (stall.stalled() ? SvdStatus::kStalled : SvdStatus::kMaxSweeps);
-  r.diagnostics.input_scale = eq.stats;
-  r.diagnostics.equilibrated = eq.applied;
-  r.diagnostics.equilibration_exponent = eq.exponent;
-  r.diagnostics.stalled_sweeps = stall.streak();
+  detail::finish_status(r, a, options.rank_tol, options.full_diagnostics, guards);
   return r;
 }
 

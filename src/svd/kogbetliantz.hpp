@@ -20,36 +20,17 @@
 
 namespace treesvd {
 
-struct KogbetliantzOptions {
-  double tol = 1e-13;  ///< |a_ij|, |a_ji| negligible below tol * scale
-  int max_sweeps = 60;
-  bool compute_uv = true;
-  bool sort_descending = true;
-  bool track_off = false;  ///< record off(A)/||A|| per sweep
-  /// Exact power-of-two input equilibration, as in JacobiOptions: keeps the
-  /// off_fraction sums and the threshold scale finite at extreme entry
-  /// magnitudes.
-  EquilibrateMode equilibrate = EquilibrateMode::kAuto;
-};
-
-struct KogbetliantzResult {
-  Matrix u;  ///< n x n (empty when compute_uv is false)
-  std::vector<double> sigma;
-  Matrix v;  ///< n x n
-  int sweeps = 0;
-  bool converged = false;
-  std::size_t rotations = 0;
-  std::vector<double> off_history;
-  /// Graceful-degradation classification, as on SvdResult.
-  SvdStatus status = SvdStatus::kMaxSweeps;
-  SvdDiagnostics diagnostics;
-};
-
 /// Two-sided Jacobi SVD of a *square* matrix using the given parallel
-/// ordering (pads with identity rows/columns to a supported width). For
-/// m > n, factor with HouseholderQr first and pass R.
-KogbetliantzResult kogbetliantz_svd(const Matrix& a, const Ordering& ordering,
-                                    const KogbetliantzOptions& options = {});
+/// ordering (pads with zero rows/columns to a supported width). For m > n,
+/// factor with HouseholderQr first and pass R. Reads tol (|a_ij|, |a_ji|
+/// negligible below tol * max|a|), max_sweeps, equilibrate, track_off
+/// (off_history then holds off(A)/||A||_F per sweep), rank_tol and
+/// full_diagnostics; U and V are always formed and sigma is always sorted
+/// descending. Unlike the one-sided engines, U is n x n and orthogonal on
+/// every column, including those of zero singular values. kernel_stats and
+/// swaps stay zero.
+SvdResult kogbetliantz_svd(const Matrix& a, const Ordering& ordering,
+                           const JacobiOptions& options = {});
 
 /// The 2x2 kernel, exposed for tests: rotations (cl, sl), (cr, sr) such that
 /// G(cl,sl)^T [[w,x],[y,z]] G(cr,sr) is diagonal, where G(c,s) = [[c,-s],[s,c]].

@@ -41,7 +41,7 @@ struct SpmdTransport {
   /// `socket` supplying the wall-clock deadlines and heartbeat knobs. The
   /// engine publishes checkpoints and results to the world's durable blob
   /// board either way, so σ/U/V and every digest are bit-identical across
-  /// backends (mp_socket_test and tools/treesvd_launch gate this).
+  /// backends (mp_socket_test and treesvd_chaos --backend=socket gate this).
   mp::Backend backend = mp::Backend::kInproc;
   mp::SocketConfig socket;
 };

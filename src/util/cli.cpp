@@ -107,7 +107,7 @@ int run_tool(const char* name, int argc, const char* const* argv,
              int (*tool_main)(int, const char* const*)) {
   try {
     return tool_main(argc, argv);
-  } catch (const CliError& e) {
+  } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "%s: %s\n", name, e.what());
     return 2;
   }

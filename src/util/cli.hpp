@@ -51,8 +51,9 @@ class Cli {
   std::map<std::string, std::string> kv_;
 };
 
-/// Runs a tool's main, turning a CliError into the usage-error exit status
-/// 2 after printing "<name>: <message>" to stderr.
+/// Runs a tool's main, turning a std::invalid_argument — a CliError, or a
+/// value the library rejects through TREESVD_REQUIRE — into the usage-error
+/// exit status 2 after printing "<name>: <message>" to stderr.
 int run_tool(const char* name, int argc, const char* const* argv,
              int (*tool_main)(int, const char* const*));
 

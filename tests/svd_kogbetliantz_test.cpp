@@ -60,7 +60,7 @@ TEST_P(KogbetliantzAcrossOrderings, DecomposesSquareMatrices) {
   const auto ord = make_ordering(name);
   Rng rng(912);
   const Matrix a = random_gaussian(static_cast<std::size_t>(n), static_cast<std::size_t>(n), rng);
-  const KogbetliantzResult r = kogbetliantz_svd(a, *ord);
+  const SvdResult r = kogbetliantz_svd(a, *ord);
   ASSERT_TRUE(r.converged) << name;
   EXPECT_LT(reconstruction_error(a, r.u, r.sigma, r.v) / a.frobenius_norm(), 1e-12);
   EXPECT_LT(orthonormality_defect(r.u), 1e-12);
@@ -86,7 +86,7 @@ TEST(Kogbetliantz, TallMatrixViaQr) {
   Rng rng(913);
   const Matrix a = random_gaussian(60, 20, rng);
   const HouseholderQr qr(a);
-  const KogbetliantzResult r = kogbetliantz_svd(qr.r(), *make_ordering("fat-tree"));
+  const SvdResult r = kogbetliantz_svd(qr.r(), *make_ordering("fat-tree"));
   ASSERT_TRUE(r.converged);
   const auto sv = golub_kahan_singular_values(a);
   for (std::size_t k = 0; k < sv.size(); ++k) EXPECT_NEAR(r.sigma[k], sv[k], 1e-10 * sv[0]);
@@ -95,7 +95,7 @@ TEST(Kogbetliantz, TallMatrixViaQr) {
 TEST(Kogbetliantz, RankDeficientAndNegativeDeterminant) {
   Rng rng(914);
   Matrix a = rank_deficient(12, 12, 5, rng);
-  const KogbetliantzResult r = kogbetliantz_svd(a, *make_ordering("round-robin"));
+  const SvdResult r = kogbetliantz_svd(a, *make_ordering("round-robin"));
   ASSERT_TRUE(r.converged);
   int rank = 0;
   for (double s : r.sigma)
@@ -107,12 +107,32 @@ TEST(Kogbetliantz, RankDeficientAndNegativeDeterminant) {
 TEST(Kogbetliantz, OffDecaysMonotonicallyAtTheTail) {
   Rng rng(915);
   const Matrix a = random_gaussian(24, 24, rng);
-  KogbetliantzOptions opt;
+  JacobiOptions opt;
   opt.track_off = true;
-  const KogbetliantzResult r = kogbetliantz_svd(a, *make_ordering("new-ring"), opt);
+  const SvdResult r = kogbetliantz_svd(a, *make_ordering("new-ring"), opt);
   ASSERT_TRUE(r.converged);
   ASSERT_GE(r.off_history.size(), 3u);
   EXPECT_LT(r.off_history.back(), 1e-10);
+}
+
+TEST(Kogbetliantz, NonConvergedRunCarriesQualityDiagnostics) {
+  // A run cut off by the sweep budget still returns a best-effort
+  // factorization under the one status contract: its status says why it
+  // stopped, and the heavy diagnostics say how far to trust it.
+  Rng rng(917);
+  const Matrix a = random_gaussian(16, 16, rng);
+  JacobiOptions opt;
+  opt.max_sweeps = 1;
+  const SvdResult r = kogbetliantz_svd(a, *make_ordering("fat-tree"), opt);
+  EXPECT_FALSE(r.converged);
+  EXPECT_EQ(r.status, SvdStatus::kMaxSweeps);
+  EXPECT_EQ(r.sweeps, 1);
+  EXPECT_GE(r.diagnostics.scaled_residual, 0.0);
+  // U and V are products of plane rotations after any number of sweeps.
+  EXPECT_GE(r.diagnostics.u_defect, 0.0);
+  EXPECT_LT(r.diagnostics.u_defect, 1e-12);
+  EXPECT_GE(r.diagnostics.v_defect, 0.0);
+  EXPECT_LT(r.diagnostics.v_defect, 1e-12);
 }
 
 TEST(Kogbetliantz, RejectsNonSquare) {
@@ -123,7 +143,7 @@ TEST(Kogbetliantz, RejectsNonSquare) {
 TEST(Kogbetliantz, MatchesOneSidedHestenes) {
   Rng rng(916);
   const Matrix a = with_spectrum(20, 20, geometric_spectrum(20, 1e4), rng);
-  const KogbetliantzResult two = kogbetliantz_svd(a, *make_ordering("fat-tree"));
+  const SvdResult two = kogbetliantz_svd(a, *make_ordering("fat-tree"));
   const SvdResult one = one_sided_jacobi(a, *make_ordering("fat-tree"));
   ASSERT_TRUE(two.converged);
   ASSERT_TRUE(one.converged);

@@ -8,13 +8,9 @@
 #include <string>
 
 #include "core/registry.hpp"
+#include "engines.hpp"
 #include "linalg/blas1.hpp"
 #include "linalg/generators.hpp"
-#include "svd/block_jacobi.hpp"
-#include "svd/jacobi.hpp"
-#include "svd/kogbetliantz.hpp"
-#include "svd/preconditioned.hpp"
-#include "svd/spmd.hpp"
 
 namespace treesvd {
 namespace {
@@ -137,45 +133,23 @@ TEST(SvdRobustness, NanInputFailsFastNamingTheColumn) {
 }
 
 // ---------------------------------------------------------------------------
-// Degenerate inputs across every registered engine (one-sided SvdResult
-// family). Zero and duplicate columns must yield finite sorted sigma, the
-// exact rank, and — because the trailing U columns carry no information —
-// exactly-zero U columns for the zero singular values.
+// Degenerate inputs across every engine of the engine table that takes tall
+// inputs, under three orderings. Zero and duplicate columns must yield finite
+// sorted sigma, the exact rank, and — because the trailing U columns carry no
+// information — exactly-zero U columns for the zero singular values.
 
-using EngineFn = SvdResult (*)(const Matrix&);
+constexpr const char* kDegenerateOrderings[] = {"fat-tree", "new-ring", "round-robin"};
 
-struct NamedEngine {
-  const char* name;
-  EngineFn run;
-};
-
-const NamedEngine kOneSidedEngines[] = {
-    {"serial",
-     [](const Matrix& a) { return one_sided_jacobi(a, *make_ordering("fat-tree")); }},
-    {"threaded",
-     [](const Matrix& a) { return one_sided_jacobi_threaded(a, *make_ordering("new-ring")); }},
-    {"block-gram",
-     [](const Matrix& a) {
-       BlockJacobiOptions opt;
-       opt.block_width = 2;
-       return block_one_sided_jacobi(a, *make_ordering("round-robin"), opt);
-     }},
-    {"preconditioned",
-     [](const Matrix& a) { return qr_preconditioned_jacobi(a, *make_ordering("fat-tree")); }},
-    {"spmd", [](const Matrix& a) { return spmd_jacobi(a, *make_ordering("fat-tree")); }},
-};
-
-void check_degenerate(const SvdResult& r, const char* engine, std::size_t rank) {
-  ASSERT_TRUE(r.converged) << engine;
-  EXPECT_EQ(r.status, SvdStatus::kConverged) << engine;
-  for (const double s : r.sigma) EXPECT_TRUE(std::isfinite(s)) << engine;
-  for (std::size_t k = 1; k < r.sigma.size(); ++k)
-    EXPECT_GE(r.sigma[k - 1], r.sigma[k]) << engine;
-  EXPECT_EQ(r.rank(1e-9), rank) << engine;
+void check_degenerate(const SvdResult& r, std::size_t rank) {
+  ASSERT_TRUE(r.converged);
+  EXPECT_EQ(r.status, SvdStatus::kConverged);
+  for (const double s : r.sigma) EXPECT_TRUE(std::isfinite(s));
+  for (std::size_t k = 1; k < r.sigma.size(); ++k) EXPECT_GE(r.sigma[k - 1], r.sigma[k]);
+  EXPECT_EQ(r.rank(1e-9), rank);
   // U columns for the zero singular values are exactly zero, never garbage
   // left over from dividing a near-zero column by a near-zero sigma.
   for (std::size_t k = rank; k < r.sigma.size(); ++k)
-    for (const double v : r.u.col(k)) EXPECT_EQ(v, 0.0) << engine << " U col " << k;
+    for (const double v : r.u.col(k)) EXPECT_EQ(v, 0.0) << "U col " << k;
 }
 
 TEST(SvdRobustness, ZeroColumnsAcrossEveryEngine) {
@@ -185,9 +159,12 @@ TEST(SvdRobustness, ZeroColumnsAcrossEveryEngine) {
   Matrix a(12, 8);
   for (std::size_t j = 0; j < 6; ++j)
     std::copy(b.col(j).begin(), b.col(j).end(), a.col(j).begin());
-  for (const NamedEngine& e : kOneSidedEngines) {
-    SCOPED_TRACE(e.name);
-    check_degenerate(e.run(a), e.name, 6);
+  for (const EngineEntry& e : kEngines) {
+    if (e.square_only) continue;
+    for (const char* ordering : kDegenerateOrderings) {
+      SCOPED_TRACE(std::string(e.name) + " x " + ordering);
+      check_degenerate(e.solve(a, *make_ordering(ordering), {}, 0), 6);
+    }
   }
 }
 
@@ -200,13 +177,16 @@ TEST(SvdRobustness, DuplicateColumnsAcrossEveryEngine) {
     std::copy(b.col(j).begin(), b.col(j).end(), a.col(j).begin());
     std::copy(b.col(j).begin(), b.col(j).end(), a.col(4 + j).begin());
   }
-  for (const NamedEngine& e : kOneSidedEngines) {
-    SCOPED_TRACE(e.name);
-    const SvdResult r = e.run(a);
-    check_degenerate(r, e.name, 4);
-    // [B | B] has sigma = sqrt(2) * sigma(B) for the nonzero half.
-    for (std::size_t k = 0; k < 4; ++k)
-      EXPECT_NEAR(r.sigma[k], std::sqrt(2.0) * spec[k], 1e-12 * spec[0]) << e.name;
+  for (const EngineEntry& e : kEngines) {
+    if (e.square_only) continue;
+    for (const char* ordering : kDegenerateOrderings) {
+      SCOPED_TRACE(std::string(e.name) + " x " + ordering);
+      const SvdResult r = e.solve(a, *make_ordering(ordering), {}, 0);
+      check_degenerate(r, 4);
+      // [B | B] has sigma = sqrt(2) * sigma(B) for the nonzero half.
+      for (std::size_t k = 0; k < 4; ++k)
+        EXPECT_NEAR(r.sigma[k], std::sqrt(2.0) * spec[k], 1e-12 * spec[0]);
+    }
   }
 }
 
@@ -219,7 +199,7 @@ TEST(SvdRobustness, KogbetliantzDegenerateInputsStayOrthogonal) {
   Matrix a(8, 8);
   for (std::size_t j = 0; j < 6; ++j)
     std::copy(b.col(j).begin(), b.col(j).end(), a.col(j).begin());
-  const KogbetliantzResult r = kogbetliantz_svd(a, *make_ordering("fat-tree"));
+  const SvdResult r = kogbetliantz_svd(a, *make_ordering("fat-tree"));
   ASSERT_TRUE(r.converged);
   EXPECT_EQ(r.status, SvdStatus::kConverged);
   for (const double s : r.sigma) EXPECT_TRUE(std::isfinite(s));

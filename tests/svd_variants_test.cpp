@@ -9,12 +9,11 @@
 #include <vector>
 
 #include "core/registry.hpp"
+#include "engines.hpp"
 #include "linalg/generators.hpp"
 #include "linalg/golub_kahan.hpp"
-#include "svd/batch.hpp"
 #include "svd/block_jacobi.hpp"
 #include "svd/preconditioned.hpp"
-#include "svd/spmd.hpp"
 
 namespace treesvd {
 namespace {
@@ -168,20 +167,18 @@ TEST(PairKernel, EveryEngineMakesOneGramPassPerPair) {
   // Every column engine handles a column pair the same way: one fresh
   // gram_pair pass, then the decision, then the rotation. No engine keeps
   // column norms, so no dot pass or norm re-reduction is ever counted.
+  // The bitwise-serial entries of the engine table are the pair-kernel
+  // engines.
   Rng rng(103);
   const Matrix a = random_gaussian(32, 16, rng);
   const auto ord = make_ordering("round-robin");
-  std::vector<std::pair<std::string, KernelStats>> runs;
-  runs.emplace_back("serial", one_sided_jacobi(a, *ord).kernel_stats);
-  runs.emplace_back("threaded", one_sided_jacobi_threaded(a, *ord, {}, 3).kernel_stats);
-  BatchedSvd batched(a.rows(), a.cols(), *ord);
-  runs.emplace_back("batched", batched.solve({&a, 1})[0].kernel_stats);
-  runs.emplace_back("spmd", spmd_jacobi(a, *ord).kernel_stats);
-  for (const auto& [engine, ks] : runs) {
-    EXPECT_GT(ks.pairs, 0u) << engine;
-    EXPECT_EQ(ks.gram_passes, ks.pairs) << engine;
-    EXPECT_EQ(ks.dot_passes, 0u) << engine;
-    EXPECT_EQ(ks.norm_refreshes, 0u) << engine;
+  for (const EngineEntry& e : kEngines) {
+    if (!e.bitwise_serial) continue;
+    const KernelStats ks = e.solve(a, *ord, {}, 3).kernel_stats;
+    EXPECT_GT(ks.pairs, 0u) << e.name;
+    EXPECT_EQ(ks.gram_passes, ks.pairs) << e.name;
+    EXPECT_EQ(ks.dot_passes, 0u) << e.name;
+    EXPECT_EQ(ks.norm_refreshes, 0u) << e.name;
   }
 }
 

@@ -1,7 +1,8 @@
 // treesvd_race — concurrency-analysis acceptance harness.
 //
-// For every threaded/SPMD engine x registry ordering, runs the happens-before
-// race detector and the schedule-perturbation determinism oracle:
+// For every bitwise-serial engine of the engine table (engines.hpp) but the
+// serial reference itself x registry ordering, runs the happens-before race
+// detector and the schedule-perturbation determinism oracle:
 //
 //  * Race detection: a vector-clock tracker (analysis/hb.hpp) receives
 //    fork/join, message and barrier edges from the instrumented runtime and
@@ -24,7 +25,7 @@
 //
 // Usage:
 //   treesvd_race [--n=8] [--rows=12] [--seed=2026] [--schedules=16]
-//                [--threads=4] [--engines=threaded,spmd,batched] [--orderings=...]
+//                [--threads=4] [--engines=threaded,batched,spmd] [--orderings=...]
 //                [--max-sweeps=60] [--json=PATH] [--self-test]
 
 #if !defined(TREESVD_ANALYSIS) || !TREESVD_ANALYSIS
@@ -39,14 +40,16 @@ int main() {
 
 #else
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <iostream>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/digest.hpp"
@@ -54,11 +57,10 @@ int main() {
 #include "analysis/hb.hpp"
 #include "analysis/hooks.hpp"
 #include "core/registry.hpp"
+#include "engines.hpp"
 #include "linalg/generators.hpp"
-#include "svd/batch.hpp"
 #include "svd/determinism.hpp"
 #include "svd/jacobi.hpp"
-#include "svd/spmd.hpp"
 #include "util/cli.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
@@ -67,17 +69,6 @@ int main() {
 
 namespace treesvd::race {
 namespace {
-
-struct Engine {
-  std::string name;
-  std::function<SvdResult(const Matrix&, const Ordering&, const JacobiOptions&)> run;
-};
-
-std::string hex(std::uint64_t v) {
-  std::ostringstream os;
-  os << std::hex << v;
-  return os.str();
-}
 
 struct ScheduleRun {
   std::uint64_t seed = 0;
@@ -99,51 +90,24 @@ struct RunReport {
   std::vector<std::string> races;  ///< rendered race reports (both stacks)
 };
 
-const std::vector<Engine>& engines(unsigned threads) {
-  static std::vector<Engine> kEngines;
-  if (kEngines.empty()) {
-    kEngines.push_back({"threaded", [threads](const Matrix& a, const Ordering& ord,
-                                              const JacobiOptions& opt) {
-                          return one_sided_jacobi_threaded(a, ord, opt, threads);
-                        }});
-    kEngines.push_back(
-        {"spmd", [](const Matrix& a, const Ordering& ord, const JacobiOptions& opt) {
-           return spmd_jacobi(a, ord, opt);
-         }});
-    // Batched engine: 5 identical copies across 2 SIMD shards on a shared
-    // pool. Every lane must digest identically (same input, same schedule),
-    // and the oracle then holds lane 0 to the serial reference — the full
-    // bitwise contract under fuzzed shard interleavings.
-    kEngines.push_back({"batched", [threads](const Matrix& a, const Ordering& ord,
-                                             const JacobiOptions& opt) {
-                          BatchedSvdOptions bopt;
-                          bopt.jacobi = opt;
-                          bopt.lane_width = 4;
-                          BatchedSvd engine(a.rows(), a.cols(), ord, bopt);
-                          const std::vector<Matrix> inputs(5, a);
-                          ThreadPool pool(threads);
-                          const auto rs =
-                              engine.solve({inputs.data(), inputs.size()}, &pool);
-                          const std::uint64_t d0 = result_digest(rs.front());
-                          for (std::size_t b = 1; b < rs.size(); ++b)
-                            if (result_digest(rs[b]) != d0)
-                              throw std::runtime_error(
-                                  "batched lane " + std::to_string(b) +
-                                  " diverged from lane 0 on identical input");
-                          return rs.front();
-                        }});
-  }
-  return kEngines;
+/// The engines the oracle races: every bitwise-serial entry after the table's
+/// first, the serial reference itself, which has no schedule to perturb.
+std::vector<const EngineEntry*> raced_engines() {
+  std::vector<const EngineEntry*> out;
+  for (const EngineEntry& eng : std::span(kEngines).subspan(1))
+    if (eng.bitwise_serial) out.push_back(&eng);
+  return out;
 }
 
-RunReport explore(const Engine& eng, const std::string& oname, const Matrix& a,
-                  const JacobiOptions& opt, int schedules, std::uint64_t base_seed) {
+RunReport explore(const EngineEntry& eng, const std::string& oname, const Matrix& a,
+                  const JacobiOptions& opt, unsigned threads, int schedules,
+                  std::uint64_t base_seed) {
   RunReport rep;
   rep.engine = eng.name;
   rep.ordering = oname;
   const OrderingPtr ordering = make_ordering(oname);
 
-  const SvdResult serial = one_sided_jacobi(a, *ordering, opt);
+  const SvdResult serial = kEngines[0].solve(a, *ordering, opt, threads);
   rep.serial_digest = result_digest(serial);
 
   bool ok = true;
@@ -157,7 +121,7 @@ RunReport explore(const Engine& eng, const std::string& oname, const Matrix& a,
     ScheduleRun run;
     run.seed = plan.seed;
     try {
-      const SvdResult r = eng.run(a, *ordering, opt);
+      const SvdResult r = eng.solve(a, *ordering, opt, threads);
       run.digest = result_digest(r);
     } catch (const std::exception& e) {
       ok = false;
@@ -170,8 +134,8 @@ RunReport explore(const Engine& eng, const std::string& oname, const Matrix& a,
     run.yields = fuzzer->yields();
     if (!run.match && ok && detail.empty()) {
       ok = false;
-      detail = "schedule seed " + std::to_string(run.seed) + " digest " + hex(run.digest) +
-               " != serial " + hex(rep.serial_digest);
+      detail = "schedule seed " + std::to_string(run.seed) + " digest " +
+               hex_digest(run.digest) + " != serial " + hex_digest(rep.serial_digest);
     }
     if (run.races != 0) {
       ok = false;
@@ -268,8 +232,9 @@ bool self_test_clean_run(std::string* why) {
   const Matrix a = random_gaussian(12, 8, rng);
   const OrderingPtr ordering = make_ordering("fat-tree");
   const JacobiOptions opt;
-  const Engine eng = engines(4).front();
-  const RunReport rep = explore(eng, "fat-tree", a, opt, 2, 99);
+  const auto threaded = std::ranges::find_if(
+      kEngines, [](const EngineEntry& e) { return std::string_view(e.name) == "threaded"; });
+  const RunReport rep = explore(*threaded, "fat-tree", a, opt, 4, 2, 99);
   if (!rep.ok) {
     *why = "clean threaded run failed the contract: " + rep.detail;
     return false;
@@ -297,7 +262,7 @@ int main(int argc, const char* const* argv) {
                      "orderings", "engines", "max-sweeps", "json"});
   if (cli.has("help")) {
     std::cout << "usage: treesvd_race [--n=8] [--rows=12] [--seed=2026] [--schedules=16]\n"
-                 "                    [--threads=4] [--engines=threaded,spmd,batched]\n"
+                 "                    [--threads=4] [--engines=threaded,batched,spmd]\n"
                  "                    [--orderings=a,b,...] [--max-sweeps=60] [--json=PATH]\n"
                  "                    [--self-test]\n";
     return 0;
@@ -317,8 +282,10 @@ int main(int argc, const char* const* argv) {
   const auto threads = static_cast<unsigned>(thread_count);
 
   const std::vector<std::string> onames = cli.get_list("orderings", ordering_names());
-  const std::vector<std::string> enames =
-      cli.get_list("engines", {"threaded", "spmd", "batched"});
+  const std::vector<const EngineEntry*> raced = raced_engines();
+  std::vector<std::string> raced_names;
+  for (const EngineEntry* eng : raced) raced_names.emplace_back(eng->name);
+  const std::vector<std::string> enames = cli.get_list("engines", raced_names);
 
   Rng rng(base_seed);
   const Matrix a =
@@ -328,16 +295,14 @@ int main(int argc, const char* const* argv) {
 
   std::vector<RunReport> reports;
   bool pass = true;
-  for (const Engine& eng : engines(threads)) {
-    bool wanted = false;
-    for (const auto& e : enames) wanted = wanted || e == eng.name;
-    if (!wanted) continue;
+  for (const EngineEntry* eng : raced) {
+    if (std::ranges::find(enames, eng->name) == enames.end()) continue;
     for (const std::string& oname : onames) {
       const OrderingPtr ordering = make_ordering(oname);
       if (padded_width(*ordering, n) == 0) continue;  // the drivers' padding search
-      RunReport rep = explore(eng, oname, a, opt, schedules, base_seed);
+      RunReport rep = explore(*eng, oname, a, opt, threads, schedules, base_seed);
       pass = pass && rep.ok;
-      std::cerr << (rep.ok ? "ok   " : "FAIL ") << eng.name << " x " << oname;
+      std::cerr << (rep.ok ? "ok   " : "FAIL ") << eng->name << " x " << oname;
       if (!rep.ok) std::cerr << ": " << rep.detail;
       std::cerr << "\n";
       reports.push_back(std::move(rep));
@@ -357,15 +322,16 @@ int main(int argc, const char* const* argv) {
     const RunReport& r = reports[i];
     os << (i != 0 ? "," : "") << "\n    {\"engine\": \"" << json_escape(r.engine)
        << "\", \"ordering\": \"" << json_escape(r.ordering) << "\", \"ok\": "
-       << (r.ok ? "true" : "false") << ", \"serial_digest\": \"" << hex(r.serial_digest) << "\"";
+       << (r.ok ? "true" : "false") << ", \"serial_digest\": \"" << hex_digest(r.serial_digest)
+       << "\"";
     if (!r.detail.empty()) os << ", \"detail\": \"" << json_escape(r.detail) << "\"";
     os << ", \"schedules\": [";
     for (std::size_t k = 0; k < r.schedules.size(); ++k) {
       const ScheduleRun& s = r.schedules[k];
-      os << (k != 0 ? "," : "") << "{\"seed\": " << s.seed << ", \"digest\": \"" << hex(s.digest)
-         << "\", \"match\": " << (s.match ? "true" : "false") << ", \"races\": " << s.races
-         << ", \"events\": " << s.events << ", \"tasks\": " << s.tasks
-         << ", \"yields\": " << s.yields << "}";
+      os << (k != 0 ? "," : "") << "{\"seed\": " << s.seed << ", \"digest\": \""
+         << hex_digest(s.digest) << "\", \"match\": " << (s.match ? "true" : "false")
+         << ", \"races\": " << s.races << ", \"events\": " << s.events
+         << ", \"tasks\": " << s.tasks << ", \"yields\": " << s.yields << "}";
     }
     os << "]";
     if (!r.races.empty()) {

@@ -405,13 +405,7 @@ int run_chaos(const Cli& cli) {
     std::cerr << "treesvd_serve --chaos: need rows >= cols >= 2 and requests >= 24\n";
     return 2;
   }
-  OrderingPtr ordering;
-  try {
-    ordering = make_ordering(oname);
-  } catch (const std::exception& e) {
-    std::cerr << "treesvd_serve: " << e.what() << "\n";
-    return 2;
-  }
+  const OrderingPtr ordering = make_ordering(oname);
   ChaosConfig cfg;
   cfg.rows = rows;
   cfg.cols = cols;
@@ -484,13 +478,7 @@ int run_serve(const Cli& cli) {
   if (lane_width != 4 && lane_width != 8 && lane_width != 16)
     throw CliError("--lane-width must be 4, 8 or 16, got: " + cli.get("lane-width", ""));
 
-  OrderingPtr ordering;
-  try {
-    ordering = make_ordering(oname);
-  } catch (const std::exception& e) {
-    std::cerr << "treesvd_serve: " << e.what() << "\n";
-    return 2;
-  }
+  const OrderingPtr ordering = make_ordering(oname);
 
   ServeOptions opt;
   opt.rows = rows;

@@ -1,7 +1,7 @@
 // treesvd_torture — numerical-robustness acceptance harness.
 //
-// Runs every registered SVD engine against every registry ordering on the
-// torture-input family (linalg/generators.hpp: graded condition numbers up
+// Runs every engine of the engine table (engines.hpp) against every registry
+// ordering on the torture-input family (linalg/generators.hpp: graded condition numbers up
 // to 1e12, entry magnitudes near 1e+-150, denormal-laced perturbations,
 // exact zero and duplicate columns, Hilbert). The contract, per run:
 //
@@ -17,9 +17,9 @@
 //
 // The per-run results are emitted as machine-readable JSON (stdout, or
 // --json=PATH); the exit status is the contract: 0 means every run honoured
-// it, 1 means at least one violation, 2 means usage error. Every run of an
-// SvdResult engine also carries "digest", the hex result_core_digest of its
-// factorization, so two reports diff bitwise as well as by quality metric.
+// it, 1 means at least one violation, 2 means usage error. Every run also
+// carries "digest", the hex result_core_digest of its factorization, so two
+// reports diff bitwise as well as by quality metric.
 // CI archives the JSON so both are diffable across commits.
 //
 // Usage:
@@ -30,7 +30,6 @@
 #include <cmath>
 #include <cstddef>
 #include <functional>
-#include <iomanip>
 #include <limits>
 #include <iostream>
 #include <sstream>
@@ -38,112 +37,15 @@
 #include <vector>
 
 #include "core/registry.hpp"
+#include "engines.hpp"
 #include "linalg/generators.hpp"
-#include "svd/block_jacobi.hpp"
 #include "svd/determinism.hpp"
-#include "svd/jacobi.hpp"
-#include "svd/kogbetliantz.hpp"
-#include "svd/preconditioned.hpp"
-#include "svd/spmd.hpp"
 #include "util/cli.hpp"
 #include "util/json.hpp"
 #include "util/text_file.hpp"
 
 namespace treesvd::torture {
 namespace {
-
-/// What the harness needs to know about one engine run, whatever the
-/// engine's native result type.
-std::string hex_digest(std::uint64_t d) {
-  std::ostringstream os;
-  os << std::hex << std::setw(16) << std::setfill('0') << d;
-  return os.str();
-}
-
-struct Outcome {
-  std::vector<double> sigma;
-  bool converged = false;
-  SvdStatus status = SvdStatus::kMaxSweeps;
-  SvdDiagnostics diagnostics;
-  int sweeps = 0;
-  /// SvdResult engines compute the heavy quality metrics for non-converged
-  /// runs; KogbetliantzResult reports status/scale diagnostics only.
-  bool has_quality = true;
-  /// result_core_digest of an SvdResult engine's run; empty for the others.
-  std::string digest;
-};
-
-Outcome from_svd(const SvdResult& r) {
-  Outcome o;
-  o.digest = hex_digest(result_core_digest(r));
-  o.sigma = r.sigma;
-  o.converged = r.converged;
-  o.status = r.status;
-  o.diagnostics = r.diagnostics;
-  o.sweeps = r.sweeps;
-  return o;
-}
-
-struct Engine {
-  std::string name;
-  bool square_only = false;  ///< kogbetliantz: two-sided needs m == n
-  /// Units the ordering schedules for this engine: 1 = columns, otherwise
-  /// the block width (the block driver schedules ceil(n/b) blocks).
-  int unit_width = 1;
-  Outcome (*run)(const Matrix&, const Ordering&, EquilibrateMode, int max_sweeps);
-};
-
-JacobiOptions jacobi_options(EquilibrateMode mode, int max_sweeps) {
-  JacobiOptions opt;
-  opt.equilibrate = mode;
-  opt.max_sweeps = max_sweeps;
-  return opt;
-}
-
-const std::vector<Engine>& engines() {
-  static const std::vector<Engine> kEngines = {
-      {"serial", false, 1,
-       [](const Matrix& a, const Ordering& ord, EquilibrateMode mode, int sweeps) {
-         return from_svd(one_sided_jacobi(a, ord, jacobi_options(mode, sweeps)));
-       }},
-      {"threaded", false, 1,
-       [](const Matrix& a, const Ordering& ord, EquilibrateMode mode, int sweeps) {
-         return from_svd(one_sided_jacobi_threaded(a, ord, jacobi_options(mode, sweeps)));
-       }},
-      {"block-gram", false, 2,
-       [](const Matrix& a, const Ordering& ord, EquilibrateMode mode, int sweeps) {
-         BlockJacobiOptions opt;
-         opt.block_width = 2;
-         opt.equilibrate = mode;
-         opt.max_outer_sweeps = sweeps;
-         return from_svd(block_one_sided_jacobi(a, ord, opt));
-       }},
-      {"preconditioned", false, 1,
-       [](const Matrix& a, const Ordering& ord, EquilibrateMode mode, int sweeps) {
-         return from_svd(qr_preconditioned_jacobi(a, ord, jacobi_options(mode, sweeps)));
-       }},
-      {"spmd", false, 1,
-       [](const Matrix& a, const Ordering& ord, EquilibrateMode mode, int sweeps) {
-         return from_svd(spmd_jacobi(a, ord, jacobi_options(mode, sweeps)));
-       }},
-      {"kogbetliantz", true, 1,
-       [](const Matrix& a, const Ordering& ord, EquilibrateMode mode, int sweeps) {
-         KogbetliantzOptions opt;
-         opt.equilibrate = mode;
-         opt.max_sweeps = sweeps;
-         const KogbetliantzResult r = kogbetliantz_svd(a, ord, opt);
-         Outcome o;
-         o.sigma = r.sigma;
-         o.converged = r.converged;
-         o.status = r.status;
-         o.diagnostics = r.diagnostics;
-         o.sweeps = r.sweeps;
-         o.has_quality = false;
-         return o;
-       }},
-  };
-  return kEngines;
-}
 
 /// max_k |sigma_k - ref_k| / ref_max over descending-sorted copies; ref must
 /// be non-empty with ref_max > 0.
@@ -170,7 +72,7 @@ struct RunReport {
   double sigma_error = -1.0;      ///< scaled error vs known sigma; -1 = unknown sigma
   double scaled_residual = -1.0;  ///< from diagnostics when computed
   bool equilibrated = false;
-  std::string digest;             ///< Outcome::digest; empty = none
+  std::string digest;             ///< hex result_core_digest; empty when the run threw
 };
 
 int main(int argc, const char* const* argv) {
@@ -200,9 +102,17 @@ int main(int argc, const char* const* argv) {
   const auto square_cases =
       torture_suite(static_cast<std::size_t>(n), static_cast<std::size_t>(n), rng_sq);
 
+  // Engine options for an equilibration mode; the rest stay at their defaults.
+  const auto options = [&](EquilibrateMode mode) {
+    JacobiOptions opt;
+    opt.equilibrate = mode;
+    opt.max_sweeps = max_sweeps;
+    return opt;
+  };
+
   std::vector<RunReport> reports;
   bool pass = true;
-  for (const Engine& eng : engines()) {
+  for (const EngineEntry& eng : kEngines) {
     const auto& suite = eng.square_only ? square_cases : cases;
     for (const std::string& oname : ordering_names()) {
       const OrderingPtr ordering = make_ordering(oname);
@@ -215,21 +125,20 @@ int main(int argc, const char* const* argv) {
         rep.engine = eng.name;
         rep.ordering = oname;
         try {
-          const Outcome o = eng.run(tc.a, *ordering, EquilibrateMode::kAuto, max_sweeps);
+          const SvdResult o = eng.solve(tc.a, *ordering, options(EquilibrateMode::kAuto), 0);
           rep.status = to_string(o.status);
           rep.converged = o.converged;
           rep.sweeps = o.sweeps;
           rep.scaled_residual = o.diagnostics.scaled_residual;
           rep.equilibrated = o.diagnostics.equilibrated;
-          rep.digest = o.digest;
+          rep.digest = hex_digest(result_core_digest(o));
           for (const double s : o.sigma)
             if (!std::isfinite(s)) rep.detail = "non-finite sigma";
           if (rep.detail.empty() && o.converged && o.status != SvdStatus::kConverged)
             rep.detail = "converged run not classified kConverged";
           if (rep.detail.empty() && !o.converged && o.status == SvdStatus::kConverged)
             rep.detail = "non-converged run classified kConverged";
-          if (rep.detail.empty() && !o.converged && o.has_quality &&
-              o.diagnostics.scaled_residual < 0.0)
+          if (rep.detail.empty() && !o.converged && o.diagnostics.scaled_residual < 0.0)
             rep.detail = "non-converged run missing quality diagnostics";
           if (rep.detail.empty() && !tc.sigma.empty()) {
             rep.sigma_error = scaled_sigma_error(o.sigma, tc.sigma);
@@ -240,8 +149,9 @@ int main(int argc, const char* const* argv) {
           // Bitwise equilibration transparency, checked once per engine x
           // ordering on the well-scaled case.
           if (rep.detail.empty() && tc.name == "well-scaled") {
-            const Outcome off = eng.run(tc.a, *ordering, EquilibrateMode::kOff, max_sweeps);
-            const Outcome always = eng.run(tc.a, *ordering, EquilibrateMode::kAlways, max_sweeps);
+            const SvdResult off = eng.solve(tc.a, *ordering, options(EquilibrateMode::kOff), 0);
+            const SvdResult always =
+                eng.solve(tc.a, *ordering, options(EquilibrateMode::kAlways), 0);
             if (off.sweeps != always.sweeps)
               rep.detail = "equilibrated sweep count differs from unequilibrated";
             for (std::size_t k = 0; rep.detail.empty() && k < off.sigma.size(); ++k)
