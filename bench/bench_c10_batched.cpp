@@ -13,13 +13,12 @@
 //    single timing.
 //  * serve: a saturated SvdServer (requests pre-generated, submitted as fast
 //    as the bounded queues accept) reporting QPS plus p50/p99 submit-to-done
-//    latency from the server's own histograms, and the fault-tolerance
-//    counters (shed/expired/failed/restarts — all zero on the clean load).
+//    latency from the server's own histograms, and the fault counters
+//    (shed/expired/failed — all zero on the clean load).
 //  * serve_faults: one deterministic degraded-mode point — doomed deadlines
-//    evicted by a kShedExpired admission behind a fault-plan stall, plus one
-//    planned shard kill/restart — so the shed/timeout/restart counters in
-//    BENCH_serve.json are exercised with exact expected values, not just
-//    carried as zeros.
+//    evicted by a kShedExpired admission behind a fault-plan stall — so the
+//    shed/timeout counters in BENCH_serve.json are exercised with exact
+//    expected values, not just carried as zeros.
 //
 // `--json=PATH` switches to the perf-smoke mode used by CI: the same gated
 // runs, written as machine-readable BENCH_serve.json. Timings are recorded,
@@ -125,13 +124,12 @@ struct ServePoint {
   std::uint64_t p50_ns = 0;
   std::uint64_t p99_ns = 0;
   double mean_batch_fill = 0.0;
-  // Fault-tolerance counters (zero on the clean saturation load; the
-  // serve_faults point checks them against exact expected values).
+  // Fault counters (zero on the clean saturation load; the serve_faults
+  // point checks them against exact expected values).
   std::uint64_t solved = 0;
   std::uint64_t expired = 0;
   std::uint64_t failed = 0;
   std::uint64_t shed = 0;
-  std::uint64_t restarts = 0;
 };
 
 /// Saturation load: all requests pre-generated, submitted back-to-back from
@@ -185,9 +183,8 @@ bool run_serve_case(const Ordering& ordering, std::size_t n, std::size_t request
   out.expired = stats.expired;
   out.failed = stats.failed;
   out.shed = stats.shed;
-  out.restarts = stats.restarts;
   // The clean load must not trip any of the fault paths.
-  if (stats.expired != 0 || stats.failed != 0 || stats.shed != 0 || stats.restarts != 0) {
+  if (stats.expired != 0 || stats.failed != 0 || stats.shed != 0) {
     fail("serve n=" + std::to_string(n) + " clean load tripped a fault counter");
     return false;
   }
@@ -195,11 +192,9 @@ bool run_serve_case(const Ordering& ordering, std::size_t n, std::size_t request
 }
 
 /// Deterministic degraded-mode point: eight doomed requests (1 ns deadlines)
-/// parked behind a fault-plan stall are shed by a kShedExpired admission,
-/// and a planned kill of one healthy request's batch forces a supervised
-/// restart with requeue. Every surviving payload is still verified bitwise,
-/// and the counters have exact expected values (same discipline as the
-/// treesvd_serve --chaos gate).
+/// parked behind a fault-plan stall are shed by a kShedExpired admission.
+/// Every surviving payload is still verified bitwise, and the counters have
+/// exact expected values (same discipline as the treesvd_serve --chaos gate).
 bool run_faulted_serve_case(const Ordering& ordering, ServePoint& out) {
   constexpr std::size_t kN = 16;
   constexpr std::size_t kDoomed = 8;
@@ -213,9 +208,6 @@ bool run_faulted_serve_case(const Ordering& ordering, ServePoint& out) {
   opt.faults.enabled = true;
   opt.faults.stall_shard = 0;
   opt.faults.stall_until_submitted = kDoomed + 2;  // released by the 2nd healthy submit
-  opt.faults.stall_micros = 30000000;
-  opt.faults.kill_request = static_cast<long long>(kDoomed + 4);  // a healthy id
-  opt.faults.kill_repeat = 1;
 
   Rng rng(0xC10F);
   std::vector<Matrix> inputs;
@@ -265,9 +257,8 @@ bool run_faulted_serve_case(const Ordering& ordering, ServePoint& out) {
   out.expired = stats.expired;
   out.failed = stats.failed;
   out.shed = stats.shed;
-  out.restarts = stats.restarts;
   if (stats.shed != kDoomed || stats.expired != kDoomed || stats.solved != kHealthy ||
-      stats.failed != 0 || stats.restarts != 1 || stats.kills != 1) {
+      stats.failed != 0) {
     fail("serve_faults counters diverged from the deterministic plan");
     return false;
   }
@@ -336,15 +327,12 @@ int run(const std::string& json_path) {
     }
     std::printf("%s\n", q.str().c_str());
 
-    std::printf("Serve degraded mode (deterministic shed/expire + one supervised "
-                "restart):\n");
-    std::printf("  requests=%zu solved=%llu expired=%llu shed=%llu failed=%llu "
-                "restarts=%llu\n\n",
+    std::printf("Serve degraded mode (deterministic shed/expire):\n");
+    std::printf("  requests=%zu solved=%llu expired=%llu shed=%llu failed=%llu\n\n",
                 faulted.requests, static_cast<unsigned long long>(faulted.solved),
                 static_cast<unsigned long long>(faulted.expired),
                 static_cast<unsigned long long>(faulted.shed),
-                static_cast<unsigned long long>(faulted.failed),
-                static_cast<unsigned long long>(faulted.restarts));
+                static_cast<unsigned long long>(faulted.failed));
     std::printf("Every batched and served result was verified bitwise against the\n"
                 "sequential driver before any timing above was recorded.\n");
     return 0;
@@ -372,8 +360,7 @@ int run(const std::string& json_path) {
         .add("solved", static_cast<std::size_t>(serve[i].solved))
         .add("expired", static_cast<std::size_t>(serve[i].expired))
         .add("shed", static_cast<std::size_t>(serve[i].shed))
-        .add("failed", static_cast<std::size_t>(serve[i].failed))
-        .add("restarts", static_cast<std::size_t>(serve[i].restarts));
+        .add("failed", static_cast<std::size_t>(serve[i].failed));
     serve_rows.push_back(row);
   }
   bench::JsonObject faulted_row;
@@ -386,8 +373,7 @@ int run(const std::string& json_path) {
       .add("solved", static_cast<std::size_t>(faulted.solved))
       .add("expired", static_cast<std::size_t>(faulted.expired))
       .add("shed", static_cast<std::size_t>(faulted.shed))
-      .add("failed", static_cast<std::size_t>(faulted.failed))
-      .add("restarts", static_cast<std::size_t>(faulted.restarts));
+      .add("failed", static_cast<std::size_t>(faulted.failed));
   bench::JsonObject root;
   root.add("bench", "batched_serve");
   root.add("schema", "treesvd-bench-v1");

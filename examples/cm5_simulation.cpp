@@ -18,7 +18,7 @@ int run(int argc, const char* const* argv) {
   const Cli cli(argc, argv);
   cli.require_known({"n", "rows", "cond"});
   const int n = static_cast<int>(cli.get_int("n", 64));  // 32 leaves = 32 nodes
-  const auto rows = static_cast<std::size_t>(cli.get_int("rows", 2 * n));
+  const std::size_t rows = cli.get_count("rows", 2 * n);
   const double cond = cli.get_double("cond", 100.0);
 
   std::printf("simulated %d-node machine (n = %d columns of length %zu, cond = %.0f)\n\n",

@@ -38,7 +38,7 @@ int run(int argc, const char* const* argv) {
   using namespace treesvd;
   const Cli cli(argc, argv);
   cli.require_known({"size", "ordering"});
-  const auto size = static_cast<std::size_t>(cli.get_int("size", 128));
+  const std::size_t size = cli.get_count("size", 128);
   const std::string ordering_name = cli.get("ordering", "hybrid-g4");
 
   const Matrix img = make_image(size);

@@ -15,8 +15,8 @@ using namespace treesvd;
 int run(int argc, const char* const* argv) {
   const Cli cli(argc, argv);
   cli.require_known({"points", "degree", "ordering"});
-  const auto points = static_cast<std::size_t>(cli.get_int("points", 200));
-  const auto degree = static_cast<std::size_t>(cli.get_int("degree", 12));
+  const std::size_t points = cli.get_count("points", 200);
+  const std::size_t degree = cli.get_count("degree", 12);
   const std::string ordering_name = cli.get("ordering", "new-ring");
 
   // Ground truth: f(x) = sin(3x) on [-1, 1], sampled with noise.

@@ -22,7 +22,7 @@ int run(int argc, const char* const* argv) {
   const Cli cli(argc, argv);
   cli.require_known({"n", "rows", "ordering"});
   const int n = static_cast<int>(cli.get_int("n", 32));
-  const auto rows = static_cast<std::size_t>(cli.get_int("rows", 2 * n));
+  const std::size_t rows = cli.get_count("rows", 2 * n);
   const std::string name = cli.get("ordering", "hybrid-g4");
 
   Rng rng(1993);

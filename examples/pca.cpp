@@ -15,8 +15,8 @@ using namespace treesvd;
 int run(int argc, const char* const* argv) {
   const Cli cli(argc, argv);
   cli.require_known({"samples", "features", "ordering"});
-  const auto samples = static_cast<std::size_t>(cli.get_int("samples", 2000));
-  const auto features = static_cast<std::size_t>(cli.get_int("features", 16));
+  const std::size_t samples = cli.get_count("samples", 2000);
+  const std::size_t features = cli.get_count("features", 16);
   const std::string name = cli.get("ordering", "fat-tree");
 
   // Synthetic data: 3 latent factors + noise, so the spectrum has a visible

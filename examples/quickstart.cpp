@@ -13,8 +13,8 @@ using namespace treesvd;
 int run(int argc, const char* const* argv) {
   const Cli cli(argc, argv);
   cli.require_known({"m", "n", "ordering"});
-  const auto m = static_cast<std::size_t>(cli.get_int("m", 200));
-  const auto n = static_cast<std::size_t>(cli.get_int("n", 64));
+  const std::size_t m = cli.get_count("m", 200);
+  const std::size_t n = cli.get_count("n", 64);
   const std::string ordering_name = cli.get("ordering", "fat-tree");
 
   Rng rng(42);

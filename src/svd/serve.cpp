@@ -8,7 +8,6 @@
 
 #include "analysis/fuzz.hpp"
 #include "analysis/hooks.hpp"
-#include "core/registry.hpp"
 #include "svd/recovery.hpp"
 #include "util/require.hpp"
 
@@ -29,6 +28,11 @@ using analysis::unit_interval;
 
 /// Salt separating the request-fault stream from every other splitmix64 use.
 constexpr std::uint64_t kRequestSalt = 0x5E12FEull;
+
+/// Wall-clock safety bound on a planned shard stall (30 s); the stall's
+/// release is the submission-count event, this bound only caps a plan whose
+/// event never comes.
+constexpr std::uint64_t kStallBoundNs = 30'000'000'000ull;
 
 std::string injected_fault_message(std::uint64_t id) {
   return "serve chaos: injected solver fault (request " + std::to_string(id) + ")";
@@ -85,13 +89,12 @@ std::uint64_t LatencyHistogram::quantile_ns(double q) const noexcept {
 
 /// One worker's world: its queue, its engine, its pointer scratch and its
 /// telemetry. Iteration scratch (pending/keep/in/out) is touched only by the
-/// owning thread (and by the supervisor/stop strictly after joining it);
-/// telemetry sits behind stats_mu, the in-flight record behind inflight_mu,
-/// and the health flags are atomics — stats() and the supervisor read all of
-/// it while the shard runs.
+/// owning thread (and by stop() strictly after joining it); telemetry sits
+/// behind stats_mu and the load counter is an atomic — stats() and
+/// pick_shard() read both while the shard runs.
 struct SvdServer::Shard {
   BoundedMpscQueue<Request> queue;
-  std::unique_ptr<BatchedSvd> engine;
+  BatchedSvd engine;
   std::vector<Request> pending;
   std::vector<Request> keep;
   std::vector<const Matrix*> in;
@@ -104,41 +107,23 @@ struct SvdServer::Shard {
   std::uint64_t batches = 0;
   std::uint64_t lanes = 0;
 
-  /// Loop-progress counter: ticked at the top of every shard iteration and
-  /// after every solve. Flat heartbeat + pending work = stuck.
-  std::atomic<std::uint64_t> heartbeat{0};
+  /// Requests popped but not yet terminal; with the queue depth, the load
+  /// that admission routes on.
   std::atomic<std::size_t> inflight_count{0};
-  std::atomic<bool> dead{false};
-  std::atomic<bool> quarantined{false};
-  std::atomic<std::uint64_t> deaths{0};
-  std::atomic<bool> stall_fired{false};
-
-  /// The requests popped but not yet terminal, recorded before each solve so
-  /// the supervisor can requeue them if the thread dies mid-batch.
-  std::mutex inflight_mu;
-  std::vector<Request> inflight;
-
-  // Supervisor-private stuck-detection state (read/written only by the
-  // supervisor thread, initialised before it starts).
-  std::uint64_t last_heartbeat = 0;
-  std::uint64_t flat_since_ns = 0;
-  bool stuck_latched = false;
 
   Shard(const Ordering& ordering, const ServeOptions& o)
-      : queue(o.queue_capacity),
-        engine(std::make_unique<BatchedSvd>(o.rows, o.cols, ordering, o.batch)) {
+      : queue(o.queue_capacity), engine(o.rows, o.cols, ordering, o.batch) {
     const std::size_t w = o.batch.lane_width;
-    engine->reserve(w);
+    engine.reserve(w);
     pending.reserve(w);
     keep.reserve(w);
-    inflight.reserve(w);
     in.reserve(w);
     out.reserve(w);
   }
 };
 
 SvdServer::SvdServer(const Ordering& ordering, const ServeOptions& options)
-    : options_(options), ordering_name_(ordering.name()) {
+    : options_(options) {
   TREESVD_REQUIRE(options_.shards >= 1, "SvdServer needs at least one shard");
   high_watermark_ = options_.high_watermark != 0
                         ? options_.high_watermark
@@ -157,68 +142,37 @@ SvdServer::~SvdServer() { stop(); }
 void SvdServer::start() {
   TREESVD_REQUIRE(!started_, "SvdServer::start called twice");
   started_ = true;
-  const std::uint64_t t0 = now_ns();
-  for (auto& sh : shards_) sh->flat_since_ns = t0;
   threads_.reserve(shards_.size());
   for (std::size_t s = 0; s < shards_.size(); ++s)
     threads_.emplace_back([this, s] { shard_loop(s); });
-  if (options_.supervisor.enabled)
-    supervisor_ = std::thread([this] { supervisor_loop(); });
 }
 
 void SvdServer::stop() {
   if (stopped_) return;
   stopped_ = true;
   stopping_.store(true, std::memory_order_relaxed);
-  if (supervisor_.joinable()) {
-    { std::lock_guard<std::mutex> lk(sup_mu_); }
-    sup_cv_.notify_all();
-    supervisor_.join();
-  }
-  // Adopt shards that died after the supervisor's last pass (or with the
-  // supervisor disabled): collect their in-flight requests for the drain.
-  std::vector<std::pair<std::size_t, Request>> orphans;
-  for (std::size_t s = 0; s < shards_.size() && s < threads_.size(); ++s) {
-    Shard& sh = *shards_[s];
-    if (!sh.dead.load(std::memory_order_acquire)) continue;
-    if (threads_[s].joinable()) threads_[s].join();
-    std::lock_guard<std::mutex> lock(sh.inflight_mu);
-    for (Request& r : sh.inflight) orphans.emplace_back(s, r);
-    sh.inflight.clear();
-    sh.inflight_count.store(0, std::memory_order_relaxed);
-  }
+  // The drain: a closed queue still hands out what it holds, and a shard
+  // leaves its loop only once pop_batch finds its queue closed and empty (a
+  // stalled shard wakes on stopping_ first). So when the joins return, every
+  // accepted request has reached a terminal state — none is lost to shutdown.
   for (auto& sh : shards_) sh->queue.close();
-  for (auto& t : threads_)
-    if (t.joinable()) t.join();
+  for (auto& t : threads_) t.join();
   threads_.clear();
-  // Drain: every request still queued anywhere reaches a terminal state —
-  // an accepted submission is never lost, even across shutdown.
-  std::vector<Request> leftovers;
-  for (auto& shp : shards_) {
-    Shard& sh = *shp;
-    leftovers.clear();
-    while (sh.queue.pop_batch(leftovers, sh.queue.capacity() + 1) > 0) {
-    }
-    for (const Request& r : leftovers) finish_solo(sh, r);
-  }
-  for (auto& [s, r] : orphans) finish_solo(*shards_[s], r);
 }
 
-int SvdServer::pick_shard() const noexcept {
-  // Least-loaded admission: shortest (queued + in-flight) healthy shard,
-  // ties to the lowest index. A stalled or dying shard's load never drains,
-  // so routing starves it without any explicit health signal; quarantined
-  // shards are skipped outright.
-  int best = -1;
+std::size_t SvdServer::pick_shard() const noexcept {
+  // Least-loaded admission: shortest (queued + in-flight) shard, ties to the
+  // lowest index. A stalled shard's load never drains, so routing starves it
+  // without any explicit health signal.
+  std::size_t best = 0;
   std::size_t best_load = std::numeric_limits<std::size_t>::max();
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     const Shard& sh = *shards_[s];
-    if (sh.quarantined.load(std::memory_order_relaxed)) continue;
     const std::size_t load =
         sh.queue.size() + sh.inflight_count.load(std::memory_order_relaxed);
     if (load < best_load) {
       best_load = load;
-      best = static_cast<int>(s);
+      best = s;
     }
   }
   return best;
@@ -237,9 +191,7 @@ SubmitOutcome SvdServer::submit(const Matrix& a, SvdResult* out, const SubmitOpt
     req.deadline_ns = now + (opt.deadline_ns < cap ? opt.deadline_ns : cap);
   }
   req.id = next_id_.fetch_add(1, std::memory_order_relaxed);
-  const int s = pick_shard();
-  if (s < 0) return SubmitOutcome::kStopped;  // every shard quarantined
-  Shard& sh = *shards_[static_cast<std::size_t>(s)];
+  Shard& sh = *shards_[pick_shard()];
   bool accepted = false;
   switch (opt.policy) {
     case SubmitPolicy::kBlock:
@@ -367,12 +319,7 @@ ServeStats SvdServer::stats() const {
   s.shed = shed_.load(std::memory_order_relaxed);
   s.failed = failed_.load(std::memory_order_relaxed);
   s.rejected = rejected_.load(std::memory_order_relaxed);
-  s.requeued = requeued_.load(std::memory_order_relaxed);
-  s.kills = kills_.load(std::memory_order_relaxed);
-  s.restarts = restarts_.load(std::memory_order_relaxed);
-  s.quarantines = quarantines_.load(std::memory_order_relaxed);
   s.stalls_injected = stalls_injected_.load(std::memory_order_relaxed);
-  s.stuck_detected = stuck_detected_.load(std::memory_order_relaxed);
   s.ready = ready();
   s.shards.reserve(shards_.size());
   for (const auto& shp : shards_) {
@@ -388,10 +335,6 @@ ServeStats SvdServer::stats() const {
     }
     snap.queued = sh.queue.size();
     snap.inflight = sh.inflight_count.load(std::memory_order_relaxed);
-    snap.heartbeat = sh.heartbeat.load(std::memory_order_relaxed);
-    snap.deaths = sh.deaths.load(std::memory_order_relaxed);
-    snap.dead = sh.dead.load(std::memory_order_relaxed);
-    snap.quarantined = sh.quarantined.load(std::memory_order_relaxed);
     s.batches += snap.batches;
     s.batched_lanes += snap.lanes;
     s.shards.push_back(snap);
@@ -399,38 +342,23 @@ ServeStats SvdServer::stats() const {
   return s;
 }
 
-void SvdServer::maybe_stall(Shard& sh, std::size_t idx) {
+void SvdServer::maybe_stall(std::size_t idx) {
   const ServeFaultPlan& fp = options_.faults;
   if (!fp.enabled || fp.stall_shard < 0 || static_cast<std::size_t>(fp.stall_shard) != idx)
     return;
-  if (sh.stall_fired.exchange(true, std::memory_order_relaxed)) return;
   stalls_injected_.fetch_add(1, std::memory_order_relaxed);
   // The release condition is the server-wide submission count — an event in
   // the request trace, not a wall-clock instant — so a stalled run's counters
-  // replay deterministically. The micros bound is a safety net only.
-  const std::uint64_t bound_us = fp.stall_micros != 0 ? fp.stall_micros : 10000000;
+  // replay deterministically. The time bound is a safety net only.
   const std::uint64_t t0 = now_ns();
   for (;;) {
     if (stopping_.load(std::memory_order_relaxed)) return;
     if (fp.stall_until_submitted != 0 &&
         submitted_.load(std::memory_order_relaxed) >= fp.stall_until_submitted)
       return;
-    if (now_ns() - t0 >= bound_us * 1000) return;
+    if (now_ns() - t0 >= kStallBoundNs) return;
     std::this_thread::sleep_for(std::chrono::microseconds(100));
   }
-}
-
-bool SvdServer::kill_applies(const Shard& sh) {
-  const ServeFaultPlan& fp = options_.faults;
-  if (!fp.enabled || fp.kill_request < 0) return false;
-  const auto target = static_cast<std::uint64_t>(fp.kill_request);
-  bool present = false;
-  for (const Request& r : sh.keep) present = present || r.id == target;
-  if (!present) return false;
-  // Bounded budget dispenser: the first kill_repeat encounters of the target
-  // request fire, every later one solves normally — so a requeued kill
-  // request eventually completes and the death count is exact.
-  return kill_attempts_.fetch_add(1, std::memory_order_relaxed) < fp.kill_repeat;
 }
 
 void SvdServer::finish_solo(Shard& sh, const Request& r) {
@@ -452,7 +380,7 @@ void SvdServer::finish_solo(Shard& sh, const Request& r) {
     return;
   }
   try {
-    sh.engine->solve_single_into(*r.a, r.out);
+    sh.engine.solve_single_into(*r.a, r.out);
   } catch (const std::exception& e) {
     complete_failed(sh, r, e.what());
     return;
@@ -461,13 +389,6 @@ void SvdServer::finish_solo(Shard& sh, const Request& r) {
     return;
   }
   complete_solved(sh, r, now_ns(), 1);
-}
-
-void SvdServer::isolate_batch(Shard& sh) {
-  // A lane re-run solo is a batch of one, which the engine contract makes
-  // bitwise equal to the sequential driver — exactly what the lane would
-  // have produced in the clean batch. Only the poison lanes end kFailed.
-  for (const Request& r : sh.keep) finish_solo(sh, r);
 }
 
 void SvdServer::solve_batch(Shard& sh) {
@@ -484,8 +405,8 @@ void SvdServer::solve_batch(Shard& sh) {
       for (const Request& r : sh.keep)
         if (fp.should_throw(r.id)) throw std::runtime_error(injected_fault_message(r.id));
     }
-    sh.engine->solve_into({sh.in.data(), sh.in.size()}, {sh.out.data(), sh.out.size()},
-                          nullptr);
+    sh.engine.solve_into({sh.in.data(), sh.in.size()}, {sh.out.data(), sh.out.size()},
+                         nullptr);
   } catch (...) {
     // One poison request must not take its batchmates down: fall through to
     // lane-by-lane isolation. (solve_into validates every input before
@@ -505,16 +426,18 @@ void SvdServer::solve_batch(Shard& sh) {
     bump_completed(sh.keep.size());
     return;
   }
-  isolate_batch(sh);
+  // A lane re-run solo is a batch of one, which the engine contract makes
+  // bitwise equal to the sequential driver — exactly what the lane would
+  // have produced in the clean batch. Only the poison lanes end kFailed.
+  for (const Request& r : sh.keep) finish_solo(sh, r);
 }
 
 void SvdServer::shard_loop(std::size_t idx) {
   TREESVD_HB_SCOPED_FRAME(serve_frame, [&] { return "serve shard " + std::to_string(idx); });
   Shard& sh = *shards_[idx];
   const std::size_t max_batch = options_.batch.lane_width;
-  maybe_stall(sh, idx);
+  maybe_stall(idx);
   for (;;) {
-    sh.heartbeat.fetch_add(1, std::memory_order_relaxed);
     sh.pending.clear();
     // Block for the first request, then opportunistically fill the rest of
     // the SIMD shard from whatever else is already queued.
@@ -530,132 +453,9 @@ void SvdServer::shard_loop(std::size_t idx) {
         sh.keep.push_back(r);
     }
     if (sh.keep.empty()) continue;
-    {
-      std::lock_guard<std::mutex> lock(sh.inflight_mu);
-      sh.inflight.assign(sh.keep.begin(), sh.keep.end());
-    }
     sh.inflight_count.store(sh.keep.size(), std::memory_order_relaxed);
-    if (kill_applies(sh)) {
-      // Planned death: leave the in-flight record for the supervisor (which
-      // requeues it) and exit the thread.
-      kills_.fetch_add(1, std::memory_order_relaxed);
-      sh.dead.store(true, std::memory_order_release);
-      {
-        std::lock_guard<std::mutex> lk(sup_mu_);
-      }
-      sup_cv_.notify_all();
-      return;
-    }
     solve_batch(sh);
-    {
-      std::lock_guard<std::mutex> lock(sh.inflight_mu);
-      sh.inflight.clear();
-    }
     sh.inflight_count.store(0, std::memory_order_relaxed);
-    sh.heartbeat.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-void SvdServer::supervisor_loop() {
-  TREESVD_HB_SCOPED_FRAME(sup_frame, [&] { return std::string("serve supervisor"); });
-  const SupervisorOptions& so = options_.supervisor;
-  std::unique_lock<std::mutex> lk(sup_mu_);
-  while (!stopping_.load(std::memory_order_relaxed)) {
-    sup_cv_.wait_for(lk, std::chrono::microseconds(so.poll_micros),
-                     [&] { return stopping_.load(std::memory_order_relaxed); });
-    if (stopping_.load(std::memory_order_relaxed)) break;
-    lk.unlock();
-    for (std::size_t s = 0; s < shards_.size(); ++s) supervise_shard(s);
-    lk.lock();
-  }
-}
-
-void SvdServer::supervise_shard(std::size_t idx) {
-  Shard& sh = *shards_[idx];
-  if (sh.dead.load(std::memory_order_acquire)) {
-    restart_or_quarantine(idx);
-    return;
-  }
-  // Stuck detection: heartbeat flat while work is pending. Detection only —
-  // a wedged std::thread cannot be safely killed, but least-loaded routing
-  // already starves it, and the counter surfaces the condition.
-  const std::uint64_t hb = sh.heartbeat.load(std::memory_order_relaxed);
-  const bool busy = sh.inflight_count.load(std::memory_order_relaxed) > 0 ||
-                    sh.queue.size() > 0;
-  const std::uint64_t now = now_ns();
-  if (hb != sh.last_heartbeat || !busy) {
-    sh.last_heartbeat = hb;
-    sh.flat_since_ns = now;
-    sh.stuck_latched = false;
-    return;
-  }
-  if (!sh.stuck_latched &&
-      now - sh.flat_since_ns > options_.supervisor.stuck_after_micros * 1000) {
-    sh.stuck_latched = true;
-    stuck_detected_.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-void SvdServer::restart_or_quarantine(std::size_t idx) {
-  Shard& sh = *shards_[idx];
-  // The dying thread set `dead` as its last store and returned; the join
-  // gives every pre-death write (including the in-flight record) a
-  // happens-before edge into this thread.
-  if (threads_[idx].joinable()) threads_[idx].join();
-  sh.dead.store(false, std::memory_order_relaxed);
-  const std::uint64_t deaths = sh.deaths.fetch_add(1, std::memory_order_relaxed) + 1;
-  std::vector<Request> orphans;
-  {
-    std::lock_guard<std::mutex> lock(sh.inflight_mu);
-    orphans.swap(sh.inflight);
-    sh.inflight.reserve(options_.batch.lane_width);
-  }
-  sh.inflight_count.store(0, std::memory_order_relaxed);
-  bool restarted = false;
-  if (deaths <= options_.supervisor.quarantine_after) {
-    try {
-      // Fresh engine: whatever state the death left behind is discarded.
-      sh.engine = std::make_unique<BatchedSvd>(options_.rows, options_.cols,
-                                               *make_ordering(ordering_name_), options_.batch);
-      sh.engine->reserve(options_.batch.lane_width);
-      threads_[idx] = std::thread([this, idx] { shard_loop(idx); });
-      restarts_.fetch_add(1, std::memory_order_relaxed);
-      restarted = true;
-    } catch (...) {
-      restarted = false;
-    }
-  }
-  if (!restarted) {
-    // Repeat offender (or unrebuildable): retire the shard and move every
-    // request it still holds — queued and in-flight — to the survivors.
-    sh.quarantined.store(true, std::memory_order_relaxed);
-    quarantines_.fetch_add(1, std::memory_order_relaxed);
-    sh.queue.close();
-    std::vector<Request> queued;
-    while (sh.queue.pop_batch(queued, sh.queue.capacity() + 1) > 0) {
-    }
-    orphans.insert(orphans.end(), queued.begin(), queued.end());
-  }
-  requeue_or_fail(sh, orphans, restarted);
-}
-
-void SvdServer::requeue_or_fail(Shard& home, std::vector<Request>& reqs, bool home_alive) {
-  for (Request& r : reqs) {
-    Shard* target = nullptr;
-    if (home_alive) {
-      // A restarted shard readopts its own in-flight work: deterministic
-      // (the kill/restart sequence does not depend on sibling load), and the
-      // happens-before through the queue keeps the payloads clean.
-      target = &home;
-    } else {
-      const int s = pick_shard();
-      if (s >= 0) target = shards_[static_cast<std::size_t>(s)].get();
-    }
-    if (target != nullptr && target->queue.push(r)) {
-      requeued_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      complete_failed(home, r, "shard died and no healthy shard could adopt the request");
-    }
   }
 }
 

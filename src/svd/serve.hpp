@@ -1,7 +1,6 @@
 #pragma once
 // Many-SVD serving front-end over the batched engine (svd/batch.hpp), with a
-// fault story: deadlines, load shedding, failure isolation, and shard
-// supervision.
+// fault story: deadlines, load shedding and failure isolation.
 //
 // Shape: clients submit independent same-shape problems; `shards` worker
 // threads each own one BatchedSvd instance (satisfying its single-caller
@@ -13,24 +12,22 @@
 // on which requests happened to share its batch — racy arrival order never
 // changes payloads, only latency.
 //
-// Admission: submit() picks the least-loaded healthy shard (shortest
-// queue + in-flight at admission; quarantined shards are skipped). Under
-// SubmitPolicy::kBlock a full queue blocks the producer (backpressure);
-// kReject bounces immediately; kShedExpired first evicts queued requests
-// whose deadline already passed (completing them as kDeadlineExpired) and
-// retries once. Deadlines are re-checked at batch formation, so an expired
-// request never burns a SIMD lane. Total backlog crossing the high watermark
-// drops ready() until it falls back under the low one.
+// Admission: submit() picks the least-loaded shard (shortest queue +
+// in-flight at admission). Under SubmitPolicy::kBlock a full queue blocks the
+// producer (backpressure); kReject bounces immediately; kShedExpired first
+// evicts queued requests whose deadline already passed (completing them as
+// kDeadlineExpired) and retries once. Deadlines are re-checked at batch
+// formation, so an expired request never burns a SIMD lane. Total backlog
+// crossing the high watermark drops ready() until it falls back under the
+// low one.
 //
 // Failure isolation: a batch whose solve throws (poison input, injected
 // fault) is re-run lane by lane through solve_single_into — bitwise equal to
 // the batch path — so only the poison request completes as kFailed (with the
 // captured error in diagnostics.error) and every batchmate keeps its exact
-// payload. A shard thread that dies is detected by the supervisor, which
-// joins it, rebuilds a fresh BatchedSvd, requeues the in-flight requests and
-// restarts the loop; a shard that keeps dying is quarantined (its work moves
-// to surviving shards). Stuck shards (heartbeat flat while work is pending)
-// are detected and counted; routing starves them naturally.
+// payload. Shards are not supervised: both solve paths complete every solver
+// exception as kFailed, and any other exception leaving a shard thread calls
+// std::terminate, which no in-process restart could survive.
 //
 // Every accepted request reaches exactly one terminal state — a solved
 // payload, kFailed, or kDeadlineExpired — including across stop(), which
@@ -40,9 +37,9 @@
 //
 // Telemetry: per-shard log2-bucket latency histograms (submit -> completion,
 // steady clock) and batch counters, snapshotted under each shard's stats
-// mutex; global relaxed-atomic counters for shed/expired/failed/restart
-// accounting — everything the serve tool dumps as JSON. The steady-state
-// serving path still allocates nothing.
+// mutex; global relaxed-atomic counters for shed/expired/failed accounting —
+// everything the serve tool dumps as JSON. The steady-state serving path
+// still allocates nothing.
 
 #include <array>
 #include <atomic>
@@ -214,7 +211,7 @@ struct SubmitOptions {
 enum class SubmitOutcome {
   kAccepted,   ///< queued; the request will reach exactly one terminal state
   kQueueFull,  ///< rejected under kReject/kShedExpired with no space
-  kStopped,    ///< server not started, stopping, or every shard quarantined
+  kStopped,    ///< server not started or stopping
 };
 
 /// Seeded, fully deterministic fault schedule for a serving run — the
@@ -226,7 +223,7 @@ enum class SubmitOutcome {
 /// The request-fault bands partition [0, 1): at most one fault per request.
 /// kPoison and kExpire are *client-side* decisions (the chaos driver builds
 /// a NaN input / submits an unmeetable deadline — the server just reacts);
-/// kThrow and the kill/stall faults are server-side injections.
+/// kThrow and the shard stall are server-side injections.
 struct ServeFaultPlan {
   bool enabled = false;     ///< master switch; a default plan injects nothing
   std::uint64_t seed = 1;   ///< mixes into every per-request decision
@@ -236,21 +233,12 @@ struct ServeFaultPlan {
   double expire_prob = 0.0;  ///< request admitted with an already-expired
                              ///< deadline (driver-built)
 
-  /// Request whose batch kills its shard thread just before the solve
-  /// (-1 = never). The kill re-fires each time the request is requeued and
-  /// re-popped, up to kill_repeat shard deaths, then the request solves
-  /// normally — so one knob exercises death, restart, requeue and (when
-  /// kill_repeat exceeds the supervisor's quarantine budget) quarantine.
-  long long kill_request = -1;
-  std::size_t kill_repeat = 1;
-
-  /// Shard stalled once at loop entry (-1 = never): it stops heartbeating
-  /// and consuming until the server-wide submission count reaches
-  /// stall_until_submitted (deterministic, load-independent release), with
-  /// stall_micros as a wall-clock safety bound (0 = default bound).
+  /// Shard stalled once at loop entry (-1 = never): it stops consuming
+  /// until the server-wide submission count reaches stall_until_submitted
+  /// (deterministic, load-independent release) or stop() begins, with a
+  /// 30 s wall-clock safety bound.
   int stall_shard = -1;
   std::uint64_t stall_until_submitted = 0;
-  std::uint64_t stall_micros = 0;
 
   /// Fault class for one request id (the partition decision).
   enum class RequestFault { kNone, kPoison, kThrow, kExpire };
@@ -258,22 +246,6 @@ struct ServeFaultPlan {
   bool should_throw(std::uint64_t id) const noexcept {
     return request_fault(id) == RequestFault::kThrow;
   }
-};
-
-/// Supervisor knobs: detection cadence and the restart/quarantine budget.
-struct SupervisorOptions {
-  /// Run the supervisor thread. Off, a dead shard's in-flight and queued
-  /// requests are still completed — but only at stop()-time drain.
-  bool enabled = true;
-  /// Health-check cadence.
-  std::uint64_t poll_micros = 500;
-  /// A shard whose heartbeat stays flat this long while it has pending or
-  /// in-flight work is counted stuck (detection only; routing already
-  /// starves it because its load never drains).
-  std::uint64_t stuck_after_micros = 50000;
-  /// Shard deaths tolerated before quarantine: death N <= this budget gets a
-  /// fresh-engine restart; the next death retires the shard for good.
-  std::size_t quarantine_after = 2;
 };
 
 struct ServeOptions {
@@ -291,21 +263,16 @@ struct ServeOptions {
   /// shards * queue_capacity, low: high / 2).
   std::size_t high_watermark = 0;
   std::size_t low_watermark = 0;
-  SupervisorOptions supervisor;
   /// Deterministic chaos schedule (off by default; treesvd_serve --chaos).
   ServeFaultPlan faults;
 };
 
-/// Per-shard health/telemetry snapshot (ServeStats::shards).
+/// Per-shard load/telemetry snapshot (ServeStats::shards).
 struct ShardSnapshot {
   std::size_t queued = 0;        ///< submission queue depth
   std::size_t inflight = 0;      ///< requests popped but not yet terminal
-  std::uint64_t heartbeat = 0;   ///< loop-progress counter
   std::uint64_t batches = 0;     ///< engine solve calls issued by this shard
   std::uint64_t lanes = 0;       ///< lanes solved by this shard
-  std::uint64_t deaths = 0;      ///< times this shard's thread died
-  bool dead = false;             ///< thread exited, restart pending
-  bool quarantined = false;      ///< retired; receives no new work
 };
 
 /// Aggregated server counters (a consistent snapshot under the per-shard
@@ -324,12 +291,9 @@ struct ServeStats {
   std::uint64_t shed = 0;      ///< expired requests evicted at admission
                                ///< (subset of `expired`)
   std::uint64_t rejected = 0;  ///< submissions bounced kQueueFull
-  std::uint64_t requeued = 0;  ///< in-flight requests moved after a death
-  std::uint64_t kills = 0;         ///< fault-plan shard kills fired
-  std::uint64_t restarts = 0;      ///< dead shards restarted (fresh engine)
-  std::uint64_t quarantines = 0;   ///< shards retired as repeat offenders
+  std::uint64_t restarts = 0;  ///< always 0: no shard is ever restarted (the
+                               ///< field stays while perfbench reports it)
   std::uint64_t stalls_injected = 0;  ///< fault-plan shard stalls fired
-  std::uint64_t stuck_detected = 0;   ///< supervisor stuck-shard detections
 
   bool ready = false;          ///< backlog below the watermarks and serving
   std::vector<ShardSnapshot> shards;
@@ -342,8 +306,7 @@ struct ServeStats {
 /// per-request signalling.
 class SvdServer {
  public:
-  /// The ordering shapes each shard's engine schedule; its name is retained
-  /// (core/registry.hpp) so the supervisor can rebuild a dead shard's engine.
+  /// The ordering shapes each shard's engine schedule; it is not retained.
   SvdServer(const Ordering& ordering, const ServeOptions& options);
   ~SvdServer();
 
@@ -360,8 +323,7 @@ class SvdServer {
 
   /// Enqueues one problem (must be rows x cols; checked by the engine at
   /// solve time). *out is written by the owning shard before the request
-  /// counts as completed. The shard is the least-loaded healthy one at
-  /// admission; `opt.policy` decides what a full queue does.
+  /// counts as completed. The shard is the least-loaded one at admission; `opt.policy` decides what a full queue does.
   SubmitOutcome submit(const Matrix& a, SvdResult* out, const SubmitOptions& opt);
 
   /// Backward-compatible blocking submit (no deadline): true iff accepted.
@@ -396,17 +358,11 @@ class SvdServer {
   struct Shard;
 
   void shard_loop(std::size_t idx);
-  void supervisor_loop();
-  void supervise_shard(std::size_t idx);
-  void restart_or_quarantine(std::size_t idx);
   void solve_batch(Shard& sh);
-  void isolate_batch(Shard& sh);
-  void maybe_stall(Shard& sh, std::size_t idx);
-  bool kill_applies(const Shard& sh);
-  int pick_shard() const noexcept;
+  void maybe_stall(std::size_t idx);
+  std::size_t pick_shard() const noexcept;
   void shed_expired(Shard& sh, std::uint64_t now);
   void finish_solo(Shard& sh, const Request& r);
-  void requeue_or_fail(Shard& home, std::vector<Request>& reqs, bool home_alive);
 
   void complete_solved(Shard& sh, const Request& r, std::uint64_t done_ns,
                        std::size_t batch_lanes);
@@ -415,10 +371,8 @@ class SvdServer {
   void bump_completed(std::size_t k);
 
   ServeOptions options_;
-  std::string ordering_name_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<std::thread> threads_;
-  std::thread supervisor_;
   bool started_ = false;
   bool stopped_ = false;
 
@@ -430,13 +384,7 @@ class SvdServer {
   std::atomic<std::uint64_t> shed_{0};
   std::atomic<std::uint64_t> failed_{0};
   std::atomic<std::uint64_t> rejected_{0};
-  std::atomic<std::uint64_t> requeued_{0};
-  std::atomic<std::uint64_t> kills_{0};
-  std::atomic<std::uint64_t> kill_attempts_{0};  ///< kill-budget dispenser
-  std::atomic<std::uint64_t> restarts_{0};
-  std::atomic<std::uint64_t> quarantines_{0};
   std::atomic<std::uint64_t> stalls_injected_{0};
-  std::atomic<std::uint64_t> stuck_detected_{0};
   std::atomic<bool> overloaded_{false};
   std::atomic<bool> stopping_{false};
   std::size_t high_watermark_ = 0;
@@ -444,9 +392,6 @@ class SvdServer {
 
   mutable std::mutex idle_mu_;
   std::condition_variable idle_cv_;
-
-  std::mutex sup_mu_;
-  std::condition_variable sup_cv_;
 };
 
 }  // namespace treesvd

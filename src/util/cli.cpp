@@ -71,6 +71,15 @@ long long Cli::get_int(const std::string& key, long long fallback) const {
   return it == kv_.end() ? fallback : parse_int(key, it->second);
 }
 
+std::uint64_t Cli::get_count(const std::string& key, std::uint64_t fallback) const {
+  const auto it = kv_.find(key);
+  if (it == kv_.end()) return fallback;
+  const long long value = parse_int(key, it->second);
+  if (value < 0)
+    throw CliError("--" + key + " expects a whole number >= 0, got: '" + it->second + "'");
+  return static_cast<std::uint64_t>(value);
+}
+
 double Cli::get_double(const std::string& key, double fallback) const {
   const auto it = kv_.find(key);
   if (it == kv_.end()) return fallback;

@@ -3,6 +3,7 @@
 // tools.
 
 #include <cstddef>
+#include <cstdint>
 #include <initializer_list>
 #include <map>
 #include <stdexcept>
@@ -21,9 +22,9 @@ class CliError : public std::invalid_argument {
 
 /// Parses "--key=value" and bare "--key" (value "1") arguments.
 /// Unrecognised positional arguments are rejected so typos fail loudly, and
-/// so are numeric values that do not parse whole (get_int, get_double) and
-/// empty list items (get_list, get_int_list). Every rejection throws
-/// CliError.
+/// so are numeric values that do not parse whole (get_int, get_count,
+/// get_double), negative counts (get_count) and empty list items (get_list,
+/// get_int_list). Every rejection throws CliError.
 class Cli {
  public:
   Cli(int argc, const char* const* argv);
@@ -31,6 +32,9 @@ class Cli {
   bool has(const std::string& key) const;
   std::string get(const std::string& key, const std::string& fallback) const;
   long long get_int(const std::string& key, long long fallback) const;
+  /// A whole number >= 0 (a size, a count or a seed) read by get_int's rule;
+  /// a negative value throws CliError naming the flag instead of wrapping.
+  std::uint64_t get_count(const std::string& key, std::uint64_t fallback) const;
   double get_double(const std::string& key, double fallback) const;
   /// Comma-separated names ("a,b,c"); `fallback` when the flag is absent.
   std::vector<std::string> get_list(const std::string& key,

@@ -9,6 +9,8 @@
 #include <map>
 #include <numeric>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <tuple>
 #include <utility>
 
@@ -280,6 +282,20 @@ INSTANTIATE_TEST_SUITE_P(Registry, SweepPlanProperty,
 TEST(OrderingRegistry, UnknownNameThrows) {
   EXPECT_THROW(make_ordering("nope"), std::invalid_argument);
   EXPECT_THROW(make_ordering("hybrid-gX"), std::invalid_argument);
+}
+
+TEST(OrderingRegistry, RejectionNamesOnlyTheProblem) {
+  // A library rejection reaches users verbatim (tools print it as a usage
+  // error), so it carries the message alone: no condition text, no path.
+  try {
+    (void)make_ordering("bogus");
+    FAIL() << "an unknown ordering name was accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_EQ(what.rfind("treesvd: unknown ordering 'bogus'", 0), 0u) << what;
+    EXPECT_EQ(what.find("precondition failed"), std::string::npos) << what;
+    EXPECT_EQ(what.find(".cpp"), std::string::npos) << what;
+  }
 }
 
 TEST(OrderingRegistry, NamesRoundTrip) {

@@ -375,7 +375,6 @@ TEST(SvdServer, LeastLoadedRoutingStarvesStalledShard) {
   opt.faults.enabled = true;
   opt.faults.stall_shard = 0;
   opt.faults.stall_until_submitted = kHealthy + 2;  // released by the final submit
-  opt.faults.stall_micros = 30000000;               // safety bound only
   SvdServer server(*ord, opt);
   server.start();
 
@@ -428,7 +427,6 @@ TEST(SvdServer, DeadlineExpiresAtFormationWithoutBurningALane) {
   opt.faults.enabled = true;
   opt.faults.stall_shard = 0;
   opt.faults.stall_until_submitted = 3;
-  opt.faults.stall_micros = 30000000;
   SvdServer server(*ord, opt);
   server.start();
 
@@ -473,7 +471,6 @@ TEST(SvdServer, ShedExpiredPolicyEvictsDeadEntriesRejectOnlyBounces) {
   opt.faults.enabled = true;
   opt.faults.stall_shard = 0;
   opt.faults.stall_until_submitted = 4;
-  opt.faults.stall_micros = 30000000;
   SvdServer server(*ord, opt);
   server.start();
 
@@ -531,7 +528,6 @@ TEST(SvdServer, PoisonInputFailsAloneAndBatchmatesStayBitwise) {
   opt.faults.enabled = true;
   opt.faults.stall_shard = 0;
   opt.faults.stall_until_submitted = 6;  // all six queued before the first pop
-  opt.faults.stall_micros = 30000000;
   SvdServer server(*ord, opt);
   server.start();
 
@@ -558,146 +554,6 @@ TEST(SvdServer, PoisonInputFailsAloneAndBatchmatesStayBitwise) {
   }
 }
 
-TEST(SvdServer, SupervisorRestartsDeadShardAndRequeuesInflight) {
-  // The fault plan kills the shard thread while a full four-lane batch is in
-  // flight. The supervisor must join the corpse, rebuild a fresh engine,
-  // requeue all four requests, and the restarted shard must solve them with
-  // payloads bitwise equal to the sequential driver.
-  const OrderingPtr ord = make_ordering("round-robin");
-  ServeOptions opt;
-  opt.rows = 8;
-  opt.cols = 6;
-  opt.shards = 1;
-  opt.queue_capacity = 8;
-  opt.batch.lane_width = 4;
-  opt.supervisor.poll_micros = 200;
-  opt.supervisor.quarantine_after = 2;
-  opt.faults.enabled = true;
-  opt.faults.kill_request = 0;
-  opt.faults.kill_repeat = 1;
-  opt.faults.stall_shard = 0;
-  opt.faults.stall_until_submitted = 4;  // all four share the fatal batch
-  opt.faults.stall_micros = 30000000;
-  SvdServer server(*ord, opt);
-  server.start();
-
-  Rng rng(29);
-  std::vector<Matrix> inputs;
-  for (int i = 0; i < 4; ++i) inputs.push_back(random_gaussian(8, 6, rng));
-  std::vector<SvdResult> results(4);
-  for (int i = 0; i < 4; ++i) ASSERT_TRUE(server.submit(inputs[i], &results[i]));
-  server.wait_idle();
-
-  const ServeStats s = server.stats();
-  EXPECT_EQ(s.kills, 1u);
-  EXPECT_EQ(s.restarts, 1u);
-  EXPECT_EQ(s.quarantines, 0u);
-  EXPECT_EQ(s.requeued, 4u);
-  EXPECT_EQ(s.solved, 4u);
-  ASSERT_EQ(s.shards.size(), 1u);
-  EXPECT_EQ(s.shards[0].deaths, 1u);
-  EXPECT_FALSE(s.shards[0].dead);
-  EXPECT_FALSE(s.shards[0].quarantined);
-  server.stop();
-
-  for (int i = 0; i < 4; ++i) {
-    const SvdResult ref = one_sided_jacobi(inputs[i], *ord, opt.batch.jacobi);
-    EXPECT_EQ(result_digest(results[i]), result_digest(ref)) << "request " << i;
-  }
-}
-
-TEST(SvdServer, RepeatOffenderIsQuarantinedAndWorkReroutes) {
-  // quarantine_after = 0: the first death retires shard 0 for good. Its
-  // in-flight work must move to shard 1 and the server must keep serving.
-  const OrderingPtr ord = make_ordering("round-robin");
-  ServeOptions opt;
-  opt.rows = 8;
-  opt.cols = 6;
-  opt.shards = 2;
-  opt.queue_capacity = 8;
-  opt.batch.lane_width = 4;
-  opt.supervisor.poll_micros = 200;
-  opt.supervisor.quarantine_after = 0;
-  opt.faults.enabled = true;
-  opt.faults.kill_request = 0;  // idle tie-break routes request 0 to shard 0
-  opt.faults.kill_repeat = 1;
-  SvdServer server(*ord, opt);
-  server.start();
-
-  Rng rng(31);
-  std::vector<Matrix> inputs;
-  for (int i = 0; i < 5; ++i) inputs.push_back(random_gaussian(8, 6, rng));
-  std::vector<SvdResult> results(5);
-  // Request 0 routes to idle shard 0 (tie-break), kills it, and the first
-  // death retires it. Waiting for the quarantine before submitting more
-  // keeps every later admission deterministic (only shard 1 is healthy).
-  ASSERT_TRUE(server.submit(inputs[0], &results[0]));
-  ASSERT_TRUE(eventually([&] { return server.stats().quarantines >= 1; }))
-      << "supervisor never quarantined the killed shard";
-  for (int i = 1; i < 5; ++i) ASSERT_TRUE(server.submit(inputs[i], &results[i]));
-  server.wait_idle();
-
-  const ServeStats s = server.stats();
-  EXPECT_EQ(s.kills, 1u);
-  EXPECT_EQ(s.restarts, 0u);
-  EXPECT_EQ(s.quarantines, 1u);
-  EXPECT_EQ(s.requeued, 1u) << "the in-flight kill victim must move to shard 1";
-  EXPECT_EQ(s.solved, 5u);
-  ASSERT_EQ(s.shards.size(), 2u);
-  EXPECT_EQ(s.shards[0].deaths, 1u);
-  EXPECT_TRUE(s.shards[0].quarantined);
-  EXPECT_FALSE(s.shards[1].quarantined);
-  server.stop();
-
-  for (int i = 0; i < 5; ++i) {
-    const SvdResult ref = one_sided_jacobi(inputs[i], *ord, opt.batch.jacobi);
-    EXPECT_EQ(result_digest(results[i]), result_digest(ref)) << "request " << i;
-  }
-}
-
-TEST(SvdServer, StuckShardIsDetectedThenRecovers) {
-  // A stalled shard with queued work stops heartbeating: the supervisor must
-  // count it stuck. The stall releases on a later submission (an event in the
-  // request trace), after which everything still solves.
-  const OrderingPtr ord = make_ordering("round-robin");
-  ServeOptions opt;
-  opt.rows = 8;
-  opt.cols = 6;
-  opt.shards = 1;
-  opt.queue_capacity = 8;
-  opt.batch.lane_width = 4;
-  opt.supervisor.poll_micros = 200;
-  opt.supervisor.stuck_after_micros = 3000;
-  opt.faults.enabled = true;
-  opt.faults.stall_shard = 0;
-  opt.faults.stall_until_submitted = 3;
-  opt.faults.stall_micros = 30000000;
-  SvdServer server(*ord, opt);
-  server.start();
-
-  Rng rng(37);
-  std::vector<Matrix> inputs;
-  for (int i = 0; i < 3; ++i) inputs.push_back(random_gaussian(8, 6, rng));
-  std::vector<SvdResult> results(3);
-  ASSERT_TRUE(server.submit(inputs[0], &results[0]));
-  ASSERT_TRUE(server.submit(inputs[1], &results[1]));
-  ASSERT_TRUE(eventually([&] { return server.stats().stuck_detected >= 1; }))
-      << "supervisor never flagged the stalled shard";
-  ASSERT_TRUE(server.submit(inputs[2], &results[2]));  // releases the stall
-  server.wait_idle();
-
-  const ServeStats s = server.stats();
-  EXPECT_GE(s.stuck_detected, 1u);
-  EXPECT_EQ(s.solved, 3u);
-  EXPECT_EQ(s.kills, 0u);  // stuck is detection-only, never a kill
-  server.stop();
-
-  for (int i = 0; i < 3; ++i) {
-    const SvdResult ref = one_sided_jacobi(inputs[i], *ord, opt.batch.jacobi);
-    EXPECT_EQ(result_digest(results[i]), result_digest(ref)) << "request " << i;
-  }
-}
-
 TEST(SvdServer, ReadinessWatermarksHysteresis) {
   // Backlog >= high drops ready(); it stays down until backlog <= low.
   const OrderingPtr ord = make_ordering("round-robin");
@@ -712,7 +568,6 @@ TEST(SvdServer, ReadinessWatermarksHysteresis) {
   opt.faults.enabled = true;
   opt.faults.stall_shard = 0;
   opt.faults.stall_until_submitted = 3;
-  opt.faults.stall_micros = 30000000;
   SvdServer server(*ord, opt);
   server.start();
   EXPECT_TRUE(server.ready());
@@ -792,8 +647,8 @@ TEST(SvdServer, StopDrainsEveryAcceptedRequestToATerminalState) {
   opt.batch.lane_width = 4;
   opt.faults.enabled = true;
   opt.faults.stall_shard = 0;
-  opt.faults.stall_until_submitted = 99;  // never released by submissions
-  opt.faults.stall_micros = 30000000;     // stop() breaks the stall instead
+  opt.faults.stall_until_submitted = 99;  // never released by submissions;
+                                          // stop() breaks the stall instead
   SvdServer server(*ord, opt);
   server.start();
 

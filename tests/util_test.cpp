@@ -194,6 +194,24 @@ TEST(Cli, RejectsOutOfRangeNumbers) {
   EXPECT_THROW((void)cli.get_int("m", 0), std::invalid_argument);
 }
 
+TEST(Cli, GetCountRejectsNegative) {
+  const char* argv[] = {"prog", "--rows=12", "--zero=0", "--n=-1", "--x=abc"};
+  const Cli cli(5, argv);
+  EXPECT_EQ(cli.get_count("rows", 7), 12u);
+  EXPECT_EQ(cli.get_count("zero", 7), 0u);
+  EXPECT_EQ(cli.get_count("missing", 7), 7u);
+  // A negative count must not wrap to 2^64 - 1: it names the flag instead.
+  for (const char* key : {"n", "x"}) {
+    try {
+      (void)cli.get_count(key, 0);
+      ADD_FAILURE() << "--" << key << " accepted by get_count";
+    } catch (const CliError& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("--") + key), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(Cli, ListReadersSplitOnCommas) {
   const char* argv[] = {"prog", "--names=fat-tree,new-ring", "--sizes=8,-16,32"};
   const Cli cli(3, argv);

@@ -116,7 +116,7 @@ int main(int argc, const char* const* argv) {
     transport.faults.corrupt_prob = cli.get_double("corrupt", 0.06);
     transport.faults.delay_prob = cli.get_double("delay", 0.04);
     transport.faults.kill_rank = static_cast<int>(cli.get_int("kill-rank", 2));
-    transport.faults.kill_at_op = static_cast<std::uint64_t>(cli.get_int("kill-at-op", 31));
+    transport.faults.kill_at_op = cli.get_count("kill-at-op", 31);
   }
 
   std::vector<std::pair<std::string, OrderingPtr>> orderings;

@@ -272,7 +272,7 @@ int main(int argc, const char* const* argv) {
   const int n = static_cast<int>(cli.get_int("n", 8));
   const int rows = static_cast<int>(cli.get_int("rows", n + 4));
   const int schedules = static_cast<int>(cli.get_int("schedules", 16));
-  const auto base_seed = static_cast<std::uint64_t>(cli.get_int("seed", 2026));
+  const std::uint64_t base_seed = cli.get_count("seed", 2026);
   // Checked signed: a negative count cast to unsigned would pass as huge.
   const long long thread_count = cli.get_int("threads", 4);
   if (n < 4 || n % 2 != 0 || rows < n || schedules < 1 || thread_count < 2) {

@@ -10,14 +10,13 @@
 // sequential engine bit-for-bit and the histogram is sane (count == requests,
 // p50 <= p99, nonzero QPS); 1 on any violation; 2 on usage error.
 //
-// --chaos flips the tool into the deterministic serve-chaos gate: three
-// seeded fault legs (mixed poison/throw/expire with shard kills; overload
-// with a stalled shard and deadline shedding; repeat-offender quarantine),
-// each replayed to prove the fault counters are bit-reproducible. The gate
-// fails on any lost request (a submission that never reached a terminal
-// state), any healthy payload that diverges from the sequential solve, or
-// any counter drift between replays — the serving counterpart of the
-// transport chaos gate.
+// --chaos flips the tool into the deterministic serve-chaos gate: two
+// seeded fault legs (mixed poison/throw/expire; overload with a stalled
+// shard and deadline shedding), each replayed to prove the fault counters
+// are bit-reproducible. The gate fails on any lost request (a submission
+// that never reached a terminal state), any healthy payload that diverges
+// from the sequential solve, or any counter drift between replays — the
+// serving counterpart of the transport chaos gate.
 //
 // Usage:
 //   treesvd_serve [--rows=32] [--cols=16] [--ordering=round-robin]
@@ -70,16 +69,14 @@ std::string histogram_json(const LatencyHistogram& h) {
 /// completion overwrites it, so a surviving sentinel is a lost request.
 constexpr int kSentinelSweeps = -12345;
 
-/// The deterministic subset of ServeStats a replay must reproduce
-/// bit-for-bit. (requeued and stuck_detected depend on batch composition and
-/// supervisor poll timing, so they are reported but not replay-gated.)
+/// The ServeStats counters a replay must reproduce bit-for-bit.
 struct ChaosCounters {
   std::uint64_t submitted = 0, completed = 0, solved = 0, expired = 0, shed = 0, failed = 0,
-                rejected = 0, kills = 0, restarts = 0, quarantines = 0, stalls_injected = 0;
+                rejected = 0, stalls_injected = 0;
 
   static ChaosCounters from(const ServeStats& s) {
-    return {s.submitted, s.completed, s.solved,    s.expired,     s.shed,           s.failed,
-            s.rejected,  s.kills,     s.restarts, s.quarantines, s.stalls_injected};
+    return {s.submitted, s.completed, s.solved, s.expired,
+            s.shed,      s.failed,    s.rejected, s.stalls_injected};
   }
   bool operator==(const ChaosCounters&) const = default;
 };
@@ -161,9 +158,9 @@ void audit_results(LegReport& leg, const ChaosConfig& cfg, const ServeFaultPlan&
             "terminal accounting broken: completed != solved + expired + failed");
 }
 
-/// Leg A — mixed faults: seeded poison inputs (NaN), injected solver throws,
-/// pre-expired deadlines, plus a double shard kill (restart + requeue, no
-/// quarantine). The healthy majority must come through bitwise clean.
+/// Leg A — mixed faults: seeded poison inputs (NaN), injected solver throws
+/// and pre-expired deadlines over two shards. The healthy majority must come
+/// through bitwise clean.
 LegReport run_mixed_leg(const ChaosConfig& cfg) {
   LegReport leg;
   leg.name = "mixed";
@@ -174,24 +171,12 @@ LegReport run_mixed_leg(const ChaosConfig& cfg) {
   opt.shards = 2;
   opt.queue_capacity = 64;
   opt.batch.lane_width = 4;
-  opt.supervisor.poll_micros = 200;
-  opt.supervisor.quarantine_after = 2;
   ServeFaultPlan& fp = opt.faults;
   fp.enabled = true;
   fp.seed = cfg.seed;
   fp.poison_prob = 0.12;
   fp.throw_prob = 0.10;
   fp.expire_prob = 0.10;
-  fp.kill_repeat = 2;
-  // The kill target must be a fault-free request: a poisoned/expired one
-  // would be retired before the kill check ever sees it.
-  fp.kill_request = -1;
-  for (std::uint64_t id = cfg.requests / 3; id < cfg.requests; ++id) {
-    if (fp.request_fault(id) == ServeFaultPlan::RequestFault::kNone) {
-      fp.kill_request = static_cast<long long>(id);
-      break;
-    }
-  }
 
   Rng rng(cfg.seed);
   std::vector<Matrix> inputs;
@@ -229,9 +214,6 @@ LegReport run_mixed_leg(const ChaosConfig& cfg) {
   expect_counter(leg, "expired", leg.stats.expired, nexpire);
   expect_counter(leg, "failed", leg.stats.failed, npoison + nthrow);
   expect_counter(leg, "solved", leg.stats.solved, cfg.requests - nexpire - npoison - nthrow);
-  expect_counter(leg, "kills", leg.stats.kills, fp.kill_repeat);
-  expect_counter(leg, "restarts", leg.stats.restarts, fp.kill_repeat);
-  expect_counter(leg, "quarantines", leg.stats.quarantines, 0);
   return leg;
 }
 
@@ -256,7 +238,6 @@ LegReport run_overload_leg(const ChaosConfig& cfg) {
   fp.seed = cfg.seed;
   fp.stall_shard = 0;
   fp.stall_until_submitted = 2 * wave;  // event-released: when the trace is in
-  fp.stall_micros = 30000000;           // 30 s wall-clock safety bound
 
   Rng rng(cfg.seed + 1);
   std::vector<Matrix> inputs;
@@ -319,87 +300,21 @@ LegReport run_overload_leg(const ChaosConfig& cfg) {
   return leg;
 }
 
-/// Leg C — repeat offender: the kill budget outlives the quarantine budget,
-/// so the victim shard dies, restarts, dies again, gets quarantined, and its
-/// work (kill request included) moves to the survivor — which absorbs one
-/// more planned death, restarts, and finishes the trace. Every request still
-/// completes with a bitwise-clean payload.
-LegReport run_quarantine_leg(const ChaosConfig& cfg) {
-  LegReport leg;
-  leg.name = "quarantine";
-
-  const std::size_t requests = 24;
-  ServeOptions opt;
-  opt.rows = cfg.rows;
-  opt.cols = cfg.cols;
-  opt.shards = 2;
-  opt.queue_capacity = 64;
-  opt.batch.lane_width = 4;
-  opt.supervisor.poll_micros = 200;
-  opt.supervisor.quarantine_after = 1;
-  ServeFaultPlan& fp = opt.faults;
-  fp.enabled = true;
-  fp.seed = cfg.seed;
-  fp.kill_request = 2;
-  fp.kill_repeat = 3;
-
-  Rng rng(cfg.seed + 2);
-  std::vector<Matrix> inputs;
-  inputs.reserve(requests);
-  for (std::size_t i = 0; i < requests; ++i)
-    inputs.push_back(random_gaussian(cfg.rows, cfg.cols, rng));
-  std::vector<SvdResult> results(requests);
-  for (auto& r : results) r.sweeps = kSentinelSweeps;
-
-  SvdServer server(*cfg.ordering, opt);
-  server.start();
-  for (std::size_t i = 0; i < requests; ++i) {
-    if (!server.submit(inputs[i], &results[i]))
-      leg.fail("submission " + std::to_string(i) + " not accepted");
-  }
-  server.wait_idle();
-  server.stop();
-  leg.stats = server.stats();
-
-  for (std::size_t i = 0; i < requests; ++i) {
-    const SvdResult& r = results[i];
-    leg.check(r.sweeps != kSentinelSweeps, "request " + std::to_string(i) + " LOST");
-    if (r.sweeps == kSentinelSweeps) continue;
-    const SvdResult ref = one_sided_jacobi(inputs[i], *cfg.ordering, opt.batch.jacobi);
-    leg.check(result_digest(r) == result_digest(ref),
-              "request " + std::to_string(i) + " diverged from sequential solve");
-  }
-  expect_counter(leg, "kills", leg.stats.kills, fp.kill_repeat);
-  expect_counter(leg, "restarts", leg.stats.restarts, 2);
-  expect_counter(leg, "quarantines", leg.stats.quarantines, 1);
-  expect_counter(leg, "solved", leg.stats.solved, requests);
-  expect_counter(leg, "failed", leg.stats.failed, 0);
-  expect_counter(leg, "completed", leg.stats.completed, requests);
-  std::uint64_t deaths = 0;
-  for (const ShardSnapshot& sh : leg.stats.shards) deaths += sh.deaths;
-  expect_counter(leg, "total shard deaths", deaths, fp.kill_repeat);
-  leg.check(leg.stats.requeued >= 1, "a killed batch was never requeued");
-  return leg;
-}
-
 std::string counters_json(const ServeStats& s) {
   std::ostringstream os;
   os << "{\"submitted\": " << s.submitted << ", \"completed\": " << s.completed
      << ", \"solved\": " << s.solved << ", \"expired\": " << s.expired
      << ", \"shed\": " << s.shed << ", \"failed\": " << s.failed
-     << ", \"rejected\": " << s.rejected << ", \"requeued\": " << s.requeued
-     << ", \"kills\": " << s.kills << ", \"restarts\": " << s.restarts
-     << ", \"quarantines\": " << s.quarantines
-     << ", \"stalls_injected\": " << s.stalls_injected
-     << ", \"stuck_detected\": " << s.stuck_detected << "}";
+     << ", \"rejected\": " << s.rejected << ", \"stalls_injected\": " << s.stalls_injected
+     << "}";
   return os.str();
 }
 
 int run_chaos(const Cli& cli) {
-  const auto rows = static_cast<std::size_t>(cli.get_int("rows", 12));
-  const auto cols = static_cast<std::size_t>(cli.get_int("cols", 8));
-  const auto requests = static_cast<std::size_t>(cli.get_int("requests", 96));
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 2026));
+  const std::size_t rows = cli.get_count("rows", 12);
+  const std::size_t cols = cli.get_count("cols", 8);
+  const std::size_t requests = cli.get_count("requests", 96);
+  const std::uint64_t seed = cli.get_count("seed", 2026);
   const std::string oname = cli.get("ordering", "round-robin");
   if (rows < cols || cols < 2 || requests < 24) {
     std::cerr << "treesvd_serve --chaos: need rows >= cols >= 2 and requests >= 24\n";
@@ -430,7 +345,6 @@ int run_chaos(const Cli& cli) {
   };
   run_replayed(run_mixed_leg);
   run_replayed(run_overload_leg);
-  run_replayed(run_quarantine_leg);
 
   bool ok = replay_identical;
   for (const LegReport& leg : legs) ok = ok && leg.ok;
@@ -461,14 +375,14 @@ int run_chaos(const Cli& cli) {
 }
 
 int run_serve(const Cli& cli) {
-  const auto rows = static_cast<std::size_t>(cli.get_int("rows", 32));
-  const auto cols = static_cast<std::size_t>(cli.get_int("cols", 16));
-  const auto shards = static_cast<std::size_t>(cli.get_int("shards", 2));
-  const auto lane_width = static_cast<std::size_t>(cli.get_int("lane-width", 8));
-  const auto queue_cap = static_cast<std::size_t>(cli.get_int("queue-cap", 64));
-  const auto requests = static_cast<std::size_t>(cli.get_int("requests", 512));
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 2026));
-  const auto verify = static_cast<std::size_t>(cli.get_int("verify", 32));
+  const std::size_t rows = cli.get_count("rows", 32);
+  const std::size_t cols = cli.get_count("cols", 16);
+  const std::size_t shards = cli.get_count("shards", 2);
+  const std::size_t lane_width = cli.get_count("lane-width", 8);
+  const std::size_t queue_cap = cli.get_count("queue-cap", 64);
+  const std::size_t requests = cli.get_count("requests", 512);
+  const std::uint64_t seed = cli.get_count("seed", 2026);
+  const std::size_t verify = cli.get_count("verify", 32);
   const std::string oname = cli.get("ordering", "round-robin");
   if (rows < cols || cols < 2 || shards < 1 || requests < 1) {
     std::cerr << "treesvd_serve: need rows >= cols >= 2, shards >= 1, requests >= 1\n";

@@ -93,12 +93,12 @@ int main(int argc, const char* const* argv) {
     return 2;
   }
 
-  Rng rng(static_cast<std::uint64_t>(cli.get_int("seed", 2026)));
+  Rng rng(cli.get_count("seed", 2026));
   const auto cases =
       torture_suite(static_cast<std::size_t>(rows), static_cast<std::size_t>(n), rng);
   // A second, square family for the two-sided engine (skipping any case the
   // construction leaves non-square).
-  Rng rng_sq(static_cast<std::uint64_t>(cli.get_int("seed", 2026)));
+  Rng rng_sq(cli.get_count("seed", 2026));
   const auto square_cases =
       torture_suite(static_cast<std::size_t>(n), static_cast<std::size_t>(n), rng_sq);
 
