@@ -14,11 +14,8 @@
 //  * serve: a saturated SvdServer (requests pre-generated, submitted as fast
 //    as the bounded queues accept) reporting QPS plus p50/p99 submit-to-done
 //    latency from the server's own histograms, and the fault counters
-//    (shed/expired/failed — all zero on the clean load).
-//  * serve_faults: one deterministic degraded-mode point — doomed deadlines
-//    evicted by a kShedExpired admission behind a fault-plan stall — so the
-//    shed/timeout counters in BENCH_serve.json are exercised with exact
-//    expected values, not just carried as zeros.
+//    (expired/failed — both zero on the clean load). The fault paths
+//    themselves are gated by serve_test and treesvd_serve --chaos.
 //
 // `--json=PATH` switches to the perf-smoke mode used by CI: the same gated
 // runs, written as machine-readable BENCH_serve.json. Timings are recorded,
@@ -124,12 +121,10 @@ struct ServePoint {
   std::uint64_t p50_ns = 0;
   std::uint64_t p99_ns = 0;
   double mean_batch_fill = 0.0;
-  // Fault counters (zero on the clean saturation load; the serve_faults
-  // point checks them against exact expected values).
+  // Fault counters (zero on the clean saturation load).
   std::uint64_t solved = 0;
   std::uint64_t expired = 0;
   std::uint64_t failed = 0;
-  std::uint64_t shed = 0;
 };
 
 /// Saturation load: all requests pre-generated, submitted back-to-back from
@@ -182,87 +177,12 @@ bool run_serve_case(const Ordering& ordering, std::size_t n, std::size_t request
   out.solved = stats.solved;
   out.expired = stats.expired;
   out.failed = stats.failed;
-  out.shed = stats.shed;
   // The clean load must not trip any of the fault paths.
-  if (stats.expired != 0 || stats.failed != 0 || stats.shed != 0) {
+  if (stats.expired != 0 || stats.failed != 0) {
     fail("serve n=" + std::to_string(n) + " clean load tripped a fault counter");
     return false;
   }
   return out.qps > 0.0;
-}
-
-/// Deterministic degraded-mode point: eight doomed requests (1 ns deadlines)
-/// parked behind a fault-plan stall are shed by a kShedExpired admission.
-/// Every surviving payload is still verified bitwise, and the counters have
-/// exact expected values (same discipline as the treesvd_serve --chaos gate).
-bool run_faulted_serve_case(const Ordering& ordering, ServePoint& out) {
-  constexpr std::size_t kN = 16;
-  constexpr std::size_t kDoomed = 8;
-  constexpr std::size_t kHealthy = 64;
-  ServeOptions opt;
-  opt.rows = kN;
-  opt.cols = kN;
-  opt.shards = 1;
-  opt.queue_capacity = kDoomed;  // the doomed wave exactly fills the queue
-  opt.batch.lane_width = kLaneWidth;
-  opt.faults.enabled = true;
-  opt.faults.stall_shard = 0;
-  opt.faults.stall_until_submitted = kDoomed + 2;  // released by the 2nd healthy submit
-
-  Rng rng(0xC10F);
-  std::vector<Matrix> inputs;
-  inputs.reserve(kDoomed + kHealthy);
-  for (std::size_t i = 0; i < kDoomed + kHealthy; ++i)
-    inputs.push_back(random_gaussian(kN, kN, rng));
-  std::vector<SvdResult> results(inputs.size());
-
-  SvdServer server(ordering, opt);
-  server.start();
-  const auto t0 = Clock::now();
-  SubmitOptions doomed;
-  doomed.deadline_ns = 1;  // expires long before the stall releases
-  for (std::size_t i = 0; i < kDoomed; ++i)
-    if (server.submit(inputs[i], &results[i], doomed) != SubmitOutcome::kAccepted) return false;
-  // First healthy admission meets the full queue of corpses and sheds them;
-  // the rest take the blocking path (kShedExpired would bounce once the
-  // queue is full of *live* requests — that is saturation, not overload).
-  SubmitOptions shedding;
-  shedding.policy = SubmitPolicy::kShedExpired;
-  if (server.submit(inputs[kDoomed], &results[kDoomed], shedding) != SubmitOutcome::kAccepted)
-    return false;
-  for (std::size_t i = kDoomed + 1; i < inputs.size(); ++i)
-    if (!server.submit(inputs[i], &results[i])) return false;
-  server.wait_idle();
-  const double elapsed = seconds_since(t0);
-  server.stop();
-
-  for (std::size_t i = kDoomed; i < inputs.size(); i += 7) {
-    const SvdResult ref = one_sided_jacobi(inputs[i], ordering, opt.batch.jacobi);
-    if (result_digest(results[i]) != result_digest(ref)) {
-      fail("serve_faults request " + std::to_string(i) + " diverged from the direct solve");
-      return false;
-    }
-  }
-
-  const ServeStats stats = server.stats();
-  out.requests = inputs.size();
-  out.qps = elapsed > 0.0 ? static_cast<double>(inputs.size()) / elapsed : 0.0;
-  out.p50_ns = stats.latency.p50_ns();
-  out.p99_ns = stats.latency.p99_ns();
-  out.mean_batch_fill =
-      stats.batches != 0
-          ? static_cast<double>(stats.batched_lanes) / static_cast<double>(stats.batches)
-          : 0.0;
-  out.solved = stats.solved;
-  out.expired = stats.expired;
-  out.failed = stats.failed;
-  out.shed = stats.shed;
-  if (stats.shed != kDoomed || stats.expired != kDoomed || stats.solved != kHealthy ||
-      stats.failed != 0) {
-    fail("serve_faults counters diverged from the deterministic plan");
-    return false;
-  }
-  return true;
 }
 
 constexpr std::size_t kSizes[] = {16, 32, 64};
@@ -288,8 +208,6 @@ int run(const std::string& json_path) {
     if (!run_serve_case(*ordering, n, /*requests=*/n <= 32 ? 256 : 64, p)) return 1;
     serve.push_back(p);
   }
-  ServePoint faulted;
-  if (!run_faulted_serve_case(*ordering, faulted)) return 1;
 
   if (json_path.empty()) {
     std::printf("C10 — batched SoA engine vs loop of sequential solves "
@@ -326,13 +244,6 @@ int run(const std::string& json_path) {
           .cell(fill);
     }
     std::printf("%s\n", q.str().c_str());
-
-    std::printf("Serve degraded mode (deterministic shed/expire):\n");
-    std::printf("  requests=%zu solved=%llu expired=%llu shed=%llu failed=%llu\n\n",
-                faulted.requests, static_cast<unsigned long long>(faulted.solved),
-                static_cast<unsigned long long>(faulted.expired),
-                static_cast<unsigned long long>(faulted.shed),
-                static_cast<unsigned long long>(faulted.failed));
     std::printf("Every batched and served result was verified bitwise against the\n"
                 "sequential driver before any timing above was recorded.\n");
     return 0;
@@ -359,21 +270,9 @@ int run(const std::string& json_path) {
         .add("mean_batch_fill", serve[i].mean_batch_fill)
         .add("solved", static_cast<std::size_t>(serve[i].solved))
         .add("expired", static_cast<std::size_t>(serve[i].expired))
-        .add("shed", static_cast<std::size_t>(serve[i].shed))
         .add("failed", static_cast<std::size_t>(serve[i].failed));
     serve_rows.push_back(row);
   }
-  bench::JsonObject faulted_row;
-  faulted_row.add("n", std::size_t{16})
-      .add("requests", faulted.requests)
-      .add("qps", faulted.qps)
-      .add("p50_ns", static_cast<std::size_t>(faulted.p50_ns))
-      .add("p99_ns", static_cast<std::size_t>(faulted.p99_ns))
-      .add("mean_batch_fill", faulted.mean_batch_fill)
-      .add("solved", static_cast<std::size_t>(faulted.solved))
-      .add("expired", static_cast<std::size_t>(faulted.expired))
-      .add("shed", static_cast<std::size_t>(faulted.shed))
-      .add("failed", static_cast<std::size_t>(faulted.failed));
   bench::JsonObject root;
   root.add("bench", "batched_serve");
   root.add("schema", "treesvd-bench-v1");
@@ -384,7 +283,6 @@ int run(const std::string& json_path) {
   root.add("reps", static_cast<long long>(kReps));
   root.add_array("engine", engine_rows);
   root.add_array("serve", serve_rows);
-  root.add_array("serve_faults", {faulted_row});
   if (!bench::write_json_file(json_path, root)) return 1;
   std::printf("batched correctness OK (%zu engine cases, %zu serve points), "
               "report written to %s\n",

@@ -17,8 +17,8 @@ using namespace treesvd;
 int run(int argc, const char* const* argv) {
   const Cli cli(argc, argv);
   cli.require_known({"n", "rows", "cond"});
-  const int n = static_cast<int>(cli.get_int("n", 64));  // 32 leaves = 32 nodes
-  const std::size_t rows = cli.get_count("rows", 2 * n);
+  const int n = cli.get_size("n", 64);  // 32 leaves = 32 nodes
+  const std::size_t rows = cli.get_count("rows", 2 * static_cast<std::uint64_t>(n));
   const double cond = cli.get_double("cond", 100.0);
 
   std::printf("simulated %d-node machine (n = %d columns of length %zu, cond = %.0f)\n\n",

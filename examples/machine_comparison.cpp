@@ -21,8 +21,8 @@ using namespace treesvd;
 int run(int argc, const char* const* argv) {
   const Cli cli(argc, argv);
   cli.require_known({"n", "rows", "ordering"});
-  const int n = static_cast<int>(cli.get_int("n", 32));
-  const std::size_t rows = cli.get_count("rows", 2 * n);
+  const int n = cli.get_size("n", 32);
+  const std::size_t rows = cli.get_count("rows", 2 * static_cast<std::uint64_t>(n));
   const std::string name = cli.get("ordering", "hybrid-g4");
 
   Rng rng(1993);

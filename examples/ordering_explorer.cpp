@@ -16,8 +16,8 @@ int run(int argc, const char* const* argv) {
   const Cli cli(argc, argv);
   cli.require_known({"ordering", "n", "sweeps"});
   const std::string name = cli.get("ordering", "fat-tree");
-  const int n = static_cast<int>(cli.get_int("n", 16));
-  const int sweeps = static_cast<int>(cli.get_int("sweeps", 2));
+  const int n = cli.get_size("n", 16);
+  const int sweeps = cli.get_size("sweeps", 2);
 
   const auto ordering = make_ordering(name);
   if (!ordering->supports(n)) {

@@ -108,8 +108,8 @@ double purity(const std::vector<int>& got, const std::vector<int>& truth, int k)
 int run(int argc, const char* const* argv) {
   const Cli cli(argc, argv);
   cli.require_known({"vertices", "clusters", "ordering"});
-  const int vertices = static_cast<int>(cli.get_int("vertices", 60));
-  const int clusters = static_cast<int>(cli.get_int("clusters", 3));
+  const int vertices = cli.get_size("vertices", 60);
+  const int clusters = cli.get_size("clusters", 3);
   const std::string ordering_name = cli.get("ordering", "fat-tree");
   if (clusters < 2) throw CliError("--clusters must be at least 2");
   if (vertices <= clusters) throw CliError("--vertices must exceed --clusters");

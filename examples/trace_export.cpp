@@ -21,7 +21,7 @@ int run(int argc, const char* const* argv) {
   const Cli cli(argc, argv);
   cli.require_known({"ordering", "n", "topology", "out"});
   const std::string name = cli.get("ordering", "fat-tree");
-  const int n = static_cast<int>(cli.get_int("n", 16));
+  const int n = cli.get_size("n", 16);
   const std::string topo_name = cli.get("topology", "cm5");
   const std::string out_path = cli.get("out", "trace.csv");
   CapacityProfile profile = CapacityProfile::kCm5;

@@ -75,7 +75,7 @@ struct BatchedSvd::Shard {
 
 BatchedSvd::BatchedSvd(std::size_t rows, std::size_t cols, const Ordering& ordering,
                        BatchedSvdOptions options)
-    : rows_(rows), cols_(cols), options_(std::move(options)), ordering_name_(ordering.name()) {
+    : rows_(rows), cols_(cols), options_(std::move(options)) {
   TREESVD_REQUIRE(rows_ >= cols_ && cols_ >= 2, "BatchedSvd expects m >= n >= 2");
   TREESVD_REQUIRE(valid_lane_width(options_.lane_width),
                   "BatchedSvd lane_width must be 4, 8 or 16");

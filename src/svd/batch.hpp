@@ -51,7 +51,6 @@
 #include <cstddef>
 #include <memory>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "core/ordering.hpp"
@@ -88,7 +87,6 @@ class BatchedSvd {
   std::size_t cols() const noexcept { return cols_; }
   std::size_t lane_width() const noexcept { return options_.lane_width; }
   const BatchedSvdOptions& options() const noexcept { return options_; }
-  const std::string& ordering_name() const noexcept { return ordering_name_; }
 
   /// Number of problems the preallocated shard arenas can hold.
   std::size_t capacity() const noexcept;
@@ -128,7 +126,6 @@ class BatchedSvd {
   std::size_t cols_ = 0;
   int padded_n_ = 0;
   BatchedSvdOptions options_;
-  std::string ordering_name_;
   /// One subtree-ordered plan per ordering procedure; sweep k runs
   /// plans_[k % plans_.size()] through the shard's current layout.
   std::vector<SweepPlan> plans_;

@@ -48,9 +48,6 @@ inline constexpr int kStallWindow = 4;
 /// checkpoints.
 class StallDetector {
  public:
-  StallDetector() = default;
-  explicit StallDetector(int window) : window_(window) {}
-
   void observe(double activity) noexcept {
     const bool flat = activity > 0.0 && has_prev_ && activity >= prev_;
     prev_ = activity;
@@ -58,31 +55,30 @@ class StallDetector {
     streak_ = flat ? streak_ + 1 : 0;
   }
 
-  /// True when the trailing `window` sweeps all failed to decrease activity.
-  bool stalled() const noexcept { return window_ > 0 && streak_ >= window_; }
+  /// True when the trailing kStallWindow sweeps all failed to decrease
+  /// activity.
+  bool stalled() const noexcept { return streak_ >= kStallWindow; }
   /// Length of the trailing non-decreasing streak (diagnostics).
   int streak() const noexcept { return streak_; }
 
   /// Exact double-serialisation (kPacked values appended) so multi-process
   /// engines can carry the classifier inside published checkpoint blobs; the
   /// observed activity is itself a double, so the round trip is bitwise.
-  static constexpr std::size_t kPacked = 4;
+  static constexpr std::size_t kPacked = 3;
   void pack(std::vector<double>& out) const {
-    out.push_back(static_cast<double>(window_));
     out.push_back(static_cast<double>(streak_));
     out.push_back(prev_);
     out.push_back(has_prev_ ? 1.0 : 0.0);
   }
   static StallDetector unpack(const double* p) {
-    StallDetector s(static_cast<int>(p[0]));
-    s.streak_ = static_cast<int>(p[1]);
-    s.prev_ = p[2];
-    s.has_prev_ = p[3] != 0.0;
+    StallDetector s;
+    s.streak_ = static_cast<int>(p[0]);
+    s.prev_ = p[1];
+    s.has_prev_ = p[2] != 0.0;
     return s;
   }
 
  private:
-  int window_ = kStallWindow;
   int streak_ = 0;
   double prev_ = 0.0;
   bool has_prev_ = false;

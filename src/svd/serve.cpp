@@ -125,13 +125,6 @@ struct SvdServer::Shard {
 SvdServer::SvdServer(const Ordering& ordering, const ServeOptions& options)
     : options_(options) {
   TREESVD_REQUIRE(options_.shards >= 1, "SvdServer needs at least one shard");
-  high_watermark_ = options_.high_watermark != 0
-                        ? options_.high_watermark
-                        : options_.shards * options_.queue_capacity;
-  low_watermark_ =
-      options_.low_watermark != 0 ? options_.low_watermark : high_watermark_ / 2;
-  TREESVD_REQUIRE(low_watermark_ <= high_watermark_,
-                  "SvdServer watermarks inverted (low > high)");
   shards_.reserve(options_.shards);
   for (std::size_t s = 0; s < options_.shards; ++s)
     shards_.push_back(std::make_unique<Shard>(ordering, options_));
@@ -178,69 +171,28 @@ std::size_t SvdServer::pick_shard() const noexcept {
   return best;
 }
 
-SubmitOutcome SvdServer::submit(const Matrix& a, SvdResult* out, const SubmitOptions& opt) {
+bool SvdServer::admit(const Matrix& a, SvdResult* out, std::uint64_t deadline_ns, bool block) {
   TREESVD_REQUIRE(out != nullptr, "SvdServer::submit needs a result slot");
-  if (!started_ || stopping_.load(std::memory_order_relaxed)) return SubmitOutcome::kStopped;
+  if (!started_ || stopping_.load(std::memory_order_relaxed)) return false;
   const std::uint64_t now = now_ns();
   Request req;
   req.a = &a;
   req.out = out;
   req.enqueue_ns = now;
-  if (opt.deadline_ns != 0) {
+  if (deadline_ns != 0) {
     const std::uint64_t cap = std::numeric_limits<std::uint64_t>::max() - now;
-    req.deadline_ns = now + (opt.deadline_ns < cap ? opt.deadline_ns : cap);
+    req.deadline_ns = now + (deadline_ns < cap ? deadline_ns : cap);
   }
   req.id = next_id_.fetch_add(1, std::memory_order_relaxed);
-  Shard& sh = *shards_[pick_shard()];
-  bool accepted = false;
-  switch (opt.policy) {
-    case SubmitPolicy::kBlock:
-      if (!sh.queue.push(req)) return SubmitOutcome::kStopped;  // closed mid-wait
-      accepted = true;
-      break;
-    case SubmitPolicy::kReject:
-      accepted = sh.queue.try_push(req);
-      break;
-    case SubmitPolicy::kShedExpired:
-      accepted = sh.queue.try_push(req);
-      if (!accepted) {
-        shed_expired(sh, now);
-        accepted = sh.queue.try_push(req);
-      }
-      break;
-  }
-  if (!accepted) {
+  BoundedMpscQueue<Request>& queue = shards_[pick_shard()]->queue;
+  if (block) {
+    if (!queue.push(req)) return false;  // closed mid-wait
+  } else if (!queue.try_push(req)) {
     rejected_.fetch_add(1, std::memory_order_relaxed);
-    return SubmitOutcome::kQueueFull;
+    return false;
   }
-  const std::uint64_t subs = submitted_.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (subs - completed_.load(std::memory_order_relaxed) >= high_watermark_) {
-    // Set-and-clear of overloaded_ is serialized under idle_mu_: an unlocked
-    // store here could land after the drain's clear check in bump_completed
-    // and stick the server not-ready forever. Re-check under the lock so a
-    // set always reflects the backlog at a serialized instant, which every
-    // later completion observes. Only the overload onset pays for the lock.
-    std::lock_guard<std::mutex> lock(idle_mu_);
-    if (submitted_.load(std::memory_order_relaxed) -
-            completed_.load(std::memory_order_relaxed) >=
-        high_watermark_)
-      overloaded_.store(true, std::memory_order_relaxed);
-  }
-  return SubmitOutcome::kAccepted;
-}
-
-void SvdServer::shed_expired(Shard& sh, std::uint64_t now) {
-  // Off the steady path by construction: runs only when a kShedExpired
-  // submission meets a full queue.
-  std::vector<Request> evicted;
-  sh.queue.remove_if(
-      [now](const Request& r) { return r.deadline_ns != 0 && now > r.deadline_ns; }, evicted);
-  for (const Request& r : evicted) complete_expired(sh, r, true);
-}
-
-bool SvdServer::ready() const noexcept {
-  return started_ && !stopping_.load(std::memory_order_relaxed) &&
-         !overloaded_.load(std::memory_order_relaxed);
+  submitted_.fetch_add(1, std::memory_order_relaxed);
+  return true;
 }
 
 void SvdServer::wait_idle() {
@@ -255,13 +207,6 @@ void SvdServer::bump_completed(std::size_t k) {
   {
     std::lock_guard<std::mutex> lock(idle_mu_);
     completed_.fetch_add(k, std::memory_order_relaxed);
-    // Hysteresis clear, under the same lock as the set in submit(): every
-    // completion after a serialized set runs this check and sees the flag.
-    if (overloaded_.load(std::memory_order_relaxed)) {
-      const std::uint64_t backlog = submitted_.load(std::memory_order_relaxed) -
-                                    completed_.load(std::memory_order_relaxed);
-      if (backlog <= low_watermark_) overloaded_.store(false, std::memory_order_relaxed);
-    }
   }
   idle_cv_.notify_all();
 }
@@ -278,12 +223,11 @@ void SvdServer::complete_solved(Shard& sh, const Request& r, std::uint64_t done_
   bump_completed(1);
 }
 
-void SvdServer::complete_expired(Shard& sh, const Request& r, bool via_shed) {
+void SvdServer::complete_expired(Shard& sh, const Request& r) {
   SvdResult res;
   res.converged = false;
   res.status = SvdStatus::kDeadlineExpired;
-  res.diagnostics.error = via_shed ? "deadline expired in queue (shed at admission)"
-                                   : "deadline expired before batch formation";
+  res.diagnostics.error = "deadline expired before batch formation";
   *r.out = std::move(res);
   const std::uint64_t done_ns = now_ns();
   {
@@ -291,7 +235,6 @@ void SvdServer::complete_expired(Shard& sh, const Request& r, bool via_shed) {
     sh.latency.record(done_ns > r.enqueue_ns ? done_ns - r.enqueue_ns : 0);
   }
   expired_.fetch_add(1, std::memory_order_relaxed);
-  if (via_shed) shed_.fetch_add(1, std::memory_order_relaxed);
   bump_completed(1);
 }
 
@@ -316,11 +259,9 @@ ServeStats SvdServer::stats() const {
   s.completed = completed_.load(std::memory_order_relaxed);
   s.solved = solved_.load(std::memory_order_relaxed);
   s.expired = expired_.load(std::memory_order_relaxed);
-  s.shed = shed_.load(std::memory_order_relaxed);
   s.failed = failed_.load(std::memory_order_relaxed);
   s.rejected = rejected_.load(std::memory_order_relaxed);
   s.stalls_injected = stalls_injected_.load(std::memory_order_relaxed);
-  s.ready = ready();
   s.shards.reserve(shards_.size());
   for (const auto& shp : shards_) {
     const Shard& sh = *shp;
@@ -362,11 +303,6 @@ void SvdServer::maybe_stall(std::size_t idx) {
 }
 
 void SvdServer::finish_solo(Shard& sh, const Request& r) {
-  const std::uint64_t now = now_ns();
-  if (r.deadline_ns != 0 && now > r.deadline_ns) {
-    complete_expired(sh, r, false);
-    return;
-  }
   const ServeFaultPlan& fp = options_.faults;
   if (fp.enabled && fp.should_throw(r.id)) {
     complete_failed(sh, r, injected_fault_message(r.id));
@@ -428,7 +364,8 @@ void SvdServer::solve_batch(Shard& sh) {
   }
   // A lane re-run solo is a batch of one, which the engine contract makes
   // bitwise equal to the sequential driver — exactly what the lane would
-  // have produced in the clean batch. Only the poison lanes end kFailed.
+  // have produced in the clean batch. Only the poison lanes end kFailed;
+  // every lane already passed formation, so no deadline is re-checked.
   for (const Request& r : sh.keep) finish_solo(sh, r);
 }
 
@@ -448,7 +385,7 @@ void SvdServer::shard_loop(std::size_t idx) {
     sh.keep.clear();
     for (const Request& r : sh.pending) {
       if (r.deadline_ns != 0 && formed_ns > r.deadline_ns)
-        complete_expired(sh, r, false);
+        complete_expired(sh, r);
       else
         sh.keep.push_back(r);
     }

@@ -1,6 +1,6 @@
 #pragma once
 // Many-SVD serving front-end over the batched engine (svd/batch.hpp), with a
-// fault story: deadlines, load shedding and failure isolation.
+// fault story: deadlines and failure isolation.
 //
 // Shape: clients submit independent same-shape problems; `shards` worker
 // threads each own one BatchedSvd instance (satisfying its single-caller
@@ -12,14 +12,11 @@
 // on which requests happened to share its batch — racy arrival order never
 // changes payloads, only latency.
 //
-// Admission: submit() picks the least-loaded shard (shortest queue +
-// in-flight at admission). Under SubmitPolicy::kBlock a full queue blocks the
-// producer (backpressure); kReject bounces immediately; kShedExpired first
-// evicts queued requests whose deadline already passed (completing them as
-// kDeadlineExpired) and retries once. Deadlines are re-checked at batch
-// formation, so an expired request never burns a SIMD lane. Total backlog
-// crossing the high watermark drops ready() until it falls back under the
-// low one.
+// Admission: submit() and try_submit() pick the least-loaded shard
+// (shortest queue + in-flight at admission). A full queue blocks submit()
+// (backpressure) and bounces try_submit(), which counts the bounce in
+// ServeStats::rejected. A deadline is checked in one place, batch
+// formation, so an expired request never burns a SIMD lane.
 //
 // Failure isolation: a batch whose solve throws (poison input, injected
 // fault) is re-run lane by lane through solve_single_into — bitwise equal to
@@ -37,9 +34,9 @@
 //
 // Telemetry: per-shard log2-bucket latency histograms (submit -> completion,
 // steady clock) and batch counters, snapshotted under each shard's stats
-// mutex; global relaxed-atomic counters for shed/expired/failed accounting —
-// everything the serve tool dumps as JSON. The steady-state serving path
-// still allocates nothing.
+// mutex; global relaxed-atomic counters for expired/failed/rejected
+// accounting — everything the serve tool dumps as JSON. The steady-state
+// serving path still allocates nothing.
 
 #include <array>
 #include <atomic>
@@ -48,6 +45,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -105,30 +103,6 @@ class BoundedMpscQueue {
     }
     if (taken > 0) cv_space_.notify_all();
     return taken;
-  }
-
-  /// Extracts every queued entry matching `pred` into `removed`, preserving
-  /// FIFO order among the survivors. The shed path: a producer evicts
-  /// deadline-expired entries to make room instead of blocking behind them.
-  /// Returns the number removed (space waiters are woken when > 0).
-  template <typename Pred>
-  std::size_t remove_if(Pred pred, std::vector<T>& removed) {
-    std::lock_guard<std::mutex> lock(mu_);
-    std::size_t kept = 0;
-    const std::size_t n = count_;
-    for (std::size_t k = 0; k < n; ++k) {
-      T& slot = buf_[(head_ + k) % cap_];
-      if (pred(static_cast<const T&>(slot))) {
-        removed.push_back(std::move(slot));
-      } else {
-        if (kept != k) buf_[(head_ + kept) % cap_] = std::move(slot);
-        ++kept;
-      }
-    }
-    count_ = kept;
-    const std::size_t gone = n - kept;
-    if (gone > 0) cv_space_.notify_all();
-    return gone;
   }
 
   void close() {
@@ -189,31 +163,6 @@ class LatencyHistogram {
   std::uint64_t max_ns_ = 0;
 };
 
-/// What submit() does when the chosen shard's queue is full.
-enum class SubmitPolicy {
-  kBlock,        ///< wait for space (producer backpressure; the default)
-  kReject,       ///< fail the submission immediately (caller retries/sheds)
-  kShedExpired,  ///< evict deadline-expired queued requests to make room,
-                 ///< then retry once; reject if still full
-};
-
-/// Per-request admission options.
-struct SubmitOptions {
-  /// Relative deadline in nanoseconds from admission (0 = none). Checked at
-  /// admission (under kShedExpired eviction) and again at batch formation:
-  /// an expired request completes as SvdStatus::kDeadlineExpired without
-  /// burning a SIMD lane.
-  std::uint64_t deadline_ns = 0;
-  SubmitPolicy policy = SubmitPolicy::kBlock;
-};
-
-/// Why a submission did not enter a queue.
-enum class SubmitOutcome {
-  kAccepted,   ///< queued; the request will reach exactly one terminal state
-  kQueueFull,  ///< rejected under kReject/kShedExpired with no space
-  kStopped,    ///< server not started or stopping
-};
-
 /// Seeded, fully deterministic fault schedule for a serving run — the
 /// mp::FaultPlan idiom lifted to requests: every per-request decision is a
 /// pure function of the request id mixed with the plan seed (splitmix64), so
@@ -236,7 +185,9 @@ struct ServeFaultPlan {
   /// Shard stalled once at loop entry (-1 = never): it stops consuming
   /// until the server-wide submission count reaches stall_until_submitted
   /// (deterministic, load-independent release) or stop() begins, with a
-  /// 30 s wall-clock safety bound.
+  /// 30 s wall-clock safety bound. A submission counts once it is queued,
+  /// so a submit() blocked on the stalled shard's full queue never releases
+  /// the stall.
   int stall_shard = -1;
   std::uint64_t stall_until_submitted = 0;
 
@@ -258,11 +209,6 @@ struct ServeOptions {
   std::size_t shards = 1;
   /// Per-shard submission queue bound (backpressure threshold).
   std::size_t queue_capacity = 256;
-  /// Readiness watermarks on total backlog (accepted - completed): crossing
-  /// high drops ready(); falling to low restores it. 0 = auto (high:
-  /// shards * queue_capacity, low: high / 2).
-  std::size_t high_watermark = 0;
-  std::size_t low_watermark = 0;
   /// Deterministic chaos schedule (off by default; treesvd_serve --chaos).
   ServeFaultPlan faults;
 };
@@ -288,14 +234,11 @@ struct ServeStats {
   std::uint64_t solved = 0;    ///< completed with a real factorization
   std::uint64_t expired = 0;   ///< completed kDeadlineExpired
   std::uint64_t failed = 0;    ///< completed kFailed (poison/injected)
-  std::uint64_t shed = 0;      ///< expired requests evicted at admission
-                               ///< (subset of `expired`)
-  std::uint64_t rejected = 0;  ///< submissions bounced kQueueFull
+  std::uint64_t rejected = 0;  ///< try_submit() calls bounced by a full queue
   std::uint64_t restarts = 0;  ///< always 0: no shard is ever restarted (the
                                ///< field stays while perfbench reports it)
   std::uint64_t stalls_injected = 0;  ///< fault-plan shard stalls fired
 
-  bool ready = false;          ///< backlog below the watermarks and serving
   std::vector<ShardSnapshot> shards;
 };
 
@@ -322,25 +265,21 @@ class SvdServer {
   void stop();
 
   /// Enqueues one problem (must be rows x cols; checked by the engine at
-  /// solve time). *out is written by the owning shard before the request
-  /// counts as completed. The shard is the least-loaded one at admission; `opt.policy` decides what a full queue does.
-  SubmitOutcome submit(const Matrix& a, SvdResult* out, const SubmitOptions& opt);
-
-  /// Backward-compatible blocking submit (no deadline): true iff accepted.
-  bool submit(const Matrix& a, SvdResult* out) {
-    return submit(a, out, SubmitOptions{}) == SubmitOutcome::kAccepted;
+  /// solve time) on the least-loaded shard, blocking while its queue is
+  /// full. *out is written by the owning shard before the request counts as
+  /// completed. `deadline_ns` is relative to admission (0 = none): a request
+  /// whose deadline has passed when its batch forms completes as
+  /// SvdStatus::kDeadlineExpired without burning a SIMD lane. True iff
+  /// accepted; false when the server is not started or is stopping.
+  bool submit(const Matrix& a, SvdResult* out, std::uint64_t deadline_ns = 0) {
+    return admit(a, out, deadline_ns, /*block=*/true);
   }
 
-  /// Non-blocking fast path: kReject admission with an optional deadline.
+  /// submit() without the wait: a full queue bounces the request (false,
+  /// counted in ServeStats::rejected) and leaves the queued ones untouched.
   bool try_submit(const Matrix& a, SvdResult* out, std::uint64_t deadline_ns = 0) {
-    return submit(a, out, SubmitOptions{deadline_ns, SubmitPolicy::kReject}) ==
-           SubmitOutcome::kAccepted;
+    return admit(a, out, deadline_ns, /*block=*/false);
   }
-
-  /// Load-shedding readiness: false while the backlog sits above the
-  /// watermarks (or the server is stopping). Advisory — submissions are
-  /// still admitted by policy.
-  bool ready() const noexcept;
 
   /// Blocks until completed == submitted (all accepted work terminal).
   void wait_idle();
@@ -357,16 +296,16 @@ class SvdServer {
   };
   struct Shard;
 
+  bool admit(const Matrix& a, SvdResult* out, std::uint64_t deadline_ns, bool block);
   void shard_loop(std::size_t idx);
   void solve_batch(Shard& sh);
   void maybe_stall(std::size_t idx);
   std::size_t pick_shard() const noexcept;
-  void shed_expired(Shard& sh, std::uint64_t now);
   void finish_solo(Shard& sh, const Request& r);
 
   void complete_solved(Shard& sh, const Request& r, std::uint64_t done_ns,
                        std::size_t batch_lanes);
-  void complete_expired(Shard& sh, const Request& r, bool via_shed);
+  void complete_expired(Shard& sh, const Request& r);
   void complete_failed(Shard& sh, const Request& r, const std::string& why);
   void bump_completed(std::size_t k);
 
@@ -381,14 +320,10 @@ class SvdServer {
   std::atomic<std::uint64_t> completed_{0};
   std::atomic<std::uint64_t> solved_{0};
   std::atomic<std::uint64_t> expired_{0};
-  std::atomic<std::uint64_t> shed_{0};
   std::atomic<std::uint64_t> failed_{0};
   std::atomic<std::uint64_t> rejected_{0};
   std::atomic<std::uint64_t> stalls_injected_{0};
-  std::atomic<bool> overloaded_{false};
   std::atomic<bool> stopping_{false};
-  std::size_t high_watermark_ = 0;
-  std::size_t low_watermark_ = 0;
 
   mutable std::mutex idle_mu_;
   std::condition_variable idle_cv_;

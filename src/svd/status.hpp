@@ -26,7 +26,7 @@ enum class SvdStatus {
   kMaxSweeps,        ///< sweep budget exhausted while activity was still decreasing
   kStalled,          ///< sweep budget exhausted with activity non-decreasing over
                      ///< the trailing stall window — more sweeps would not help
-  kDeadlineExpired,  ///< request shed: its deadline passed before a solve ran
+  kDeadlineExpired,  ///< request dropped: its deadline passed before its batch formed
   kFailed,           ///< request's solve threw; diagnostics.error holds the cause
 };
 

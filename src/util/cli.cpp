@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 #include "util/require.hpp"
 
@@ -78,6 +79,17 @@ std::uint64_t Cli::get_count(const std::string& key, std::uint64_t fallback) con
   if (value < 0)
     throw CliError("--" + key + " expects a whole number >= 0, got: '" + it->second + "'");
   return static_cast<std::uint64_t>(value);
+}
+
+int Cli::get_size(const std::string& key, int fallback) const {
+  const auto it = kv_.find(key);
+  if (it == kv_.end()) return fallback;
+  const long long value = parse_int(key, it->second);
+  if (value < 0 || value > std::numeric_limits<int>::max())
+    throw CliError("--" + key + " expects a whole number in [0, " +
+                   std::to_string(std::numeric_limits<int>::max()) + "], got: '" + it->second +
+                   "'");
+  return static_cast<int>(value);
 }
 
 double Cli::get_double(const std::string& key, double fallback) const {

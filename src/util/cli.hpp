@@ -23,8 +23,9 @@ class CliError : public std::invalid_argument {
 /// Parses "--key=value" and bare "--key" (value "1") arguments.
 /// Unrecognised positional arguments are rejected so typos fail loudly, and
 /// so are numeric values that do not parse whole (get_int, get_count,
-/// get_double), negative counts (get_count) and empty list items (get_list,
-/// get_int_list). Every rejection throws CliError.
+/// get_size, get_double), negative counts (get_count, get_size), sizes past
+/// INT_MAX (get_size) and empty list items (get_list, get_int_list). Every
+/// rejection throws CliError.
 class Cli {
  public:
   Cli(int argc, const char* const* argv);
@@ -35,6 +36,10 @@ class Cli {
   /// A whole number >= 0 (a size, a count or a seed) read by get_int's rule;
   /// a negative value throws CliError naming the flag instead of wrapping.
   std::uint64_t get_count(const std::string& key, std::uint64_t fallback) const;
+  /// A size or count held in an `int` (a matrix order, a sweep or schedule
+  /// count): a whole number in [0, INT_MAX] by get_int's rule; anything else
+  /// throws CliError naming the flag instead of wrapping or truncating.
+  int get_size(const std::string& key, int fallback) const;
   double get_double(const std::string& key, double fallback) const;
   /// Comma-separated names ("a,b,c"); `fallback` when the flag is absent.
   std::vector<std::string> get_list(const std::string& key,

@@ -169,7 +169,7 @@ TEST(SvdServer, ConcurrentProducersUnderBackpressure) {
 }
 
 // ---------------------------------------------------------------------------
-// Fault-tolerant serving: deadlines, shedding, isolation, supervision.
+// Fault-tolerant serving: deadlines, bounces, isolation, drain.
 // ---------------------------------------------------------------------------
 
 /// Polls `pred` until true or `timeout_ms` elapses (tests must never hang on
@@ -185,41 +185,10 @@ bool eventually(Pred pred, int timeout_ms = 20000) {
   return true;
 }
 
-TEST(BoundedMpscQueue, RemoveIfShedsMatchesAndKeepsSurvivorFifo) {
-  BoundedMpscQueue<int> q(8);
-  for (int i = 0; i < 6; ++i) ASSERT_TRUE(q.try_push(i));
-  std::vector<int> removed;
-  EXPECT_EQ(q.remove_if([](int v) { return v % 2 == 1; }, removed), 3u);
-  EXPECT_EQ(removed, (std::vector<int>{1, 3, 5}));  // eviction order == FIFO
-  std::vector<int> rest;
-  EXPECT_EQ(q.pop_batch(rest, 8), 3u);
-  EXPECT_EQ(rest, (std::vector<int>{0, 2, 4}));  // survivors keep their order
-
-  // Eviction frees space: a producer blocked on a full queue must wake.
-  BoundedMpscQueue<int> small(2);
-  ASSERT_TRUE(small.try_push(10));
-  ASSERT_TRUE(small.try_push(11));
-  std::atomic<bool> pushed{false};
-  std::thread producer([&] {
-    ASSERT_TRUE(small.push(12));
-    pushed.store(true);
-  });
-  std::vector<int> evicted;
-  ASSERT_TRUE(eventually([&] {
-    return small.remove_if([](int v) { return v == 10; }, evicted) == 1 || evicted.size() == 1;
-  }));
-  ASSERT_TRUE(eventually([&] { return pushed.load(); }));
-  producer.join();
-  std::vector<int> tail;
-  EXPECT_EQ(small.pop_batch(tail, 4), 2u);
-  EXPECT_EQ(tail, (std::vector<int>{11, 12}));
-}
-
 TEST(BoundedMpscQueue, CloseDrainContentionLosesNothing) {
-  // Producers, an evicting shedder, and a mid-stream close all hammer one
-  // queue; every accepted item must surface exactly once (popped or evicted)
-  // and per-producer FIFO must hold among the popped. Several close points
-  // give TSan distinct interleavings over the close/drain edge.
+  // Producers and a mid-stream close hammer one queue; every accepted item
+  // must be popped exactly once and per-producer FIFO must hold. Several
+  // close points give TSan distinct interleavings over the close/drain edge.
   for (int close_after : {0, 5, 20, 1000000}) {
     constexpr int kProducers = 4;
     constexpr int kPerProducer = 64;
@@ -227,7 +196,6 @@ TEST(BoundedMpscQueue, CloseDrainContentionLosesNothing) {
     std::vector<std::vector<int>> accepted(kProducers);
     std::atomic<int> popped_count{0};
     std::atomic<int> producers_done{0};
-    std::atomic<bool> closer_done{false};
 
     std::vector<std::thread> producers;
     for (int p = 0; p < kProducers; ++p) {
@@ -252,16 +220,6 @@ TEST(BoundedMpscQueue, CloseDrainContentionLosesNothing) {
       while (popped_count.load() < close_after && producers_done.load() < kProducers)
         std::this_thread::yield();
       q.close();
-      closer_done.store(true);
-    });
-    std::vector<int> shed;
-    std::thread shedder([&] {
-      // The shed path under contention: evict a sparse value class while
-      // producers and the consumer race it for the lock.
-      while (!closer_done.load()) {
-        q.remove_if([](int v) { return v % 97 == 13; }, shed);
-        std::this_thread::yield();
-      }
     });
 
     std::vector<int> popped;
@@ -273,9 +231,7 @@ TEST(BoundedMpscQueue, CloseDrainContentionLosesNothing) {
       popped_count.store(static_cast<int>(popped.size()));
     }
     for (auto& t : producers) t.join();
-    closer_done.store(true);
     closer.join();
-    shedder.join();
     // close() may have raced the last pushes; drain any residue.
     for (;;) {
       batch.clear();
@@ -286,11 +242,9 @@ TEST(BoundedMpscQueue, CloseDrainContentionLosesNothing) {
     std::multiset<int> in;
     for (const auto& a : accepted) in.insert(a.begin(), a.end());
     std::multiset<int> out(popped.begin(), popped.end());
-    out.insert(shed.begin(), shed.end());
     EXPECT_EQ(in, out) << "close_after=" << close_after
-                       << ": accepted items must be popped or shed exactly once";
-    // Per-producer FIFO among the popped (eviction only deletes, never
-    // reorders survivors).
+                       << ": accepted items must be popped exactly once";
+    // Per-producer FIFO among the popped.
     for (int p = 0; p < kProducers; ++p) {
       int last = -1;
       for (int v : popped) {
@@ -435,10 +389,9 @@ TEST(SvdServer, DeadlineExpiresAtFormationWithoutBurningALane) {
   for (int i = 0; i < 3; ++i) inputs.push_back(random_gaussian(8, 6, rng));
   std::vector<SvdResult> results(3);
 
-  SubmitOptions doomed;
-  doomed.deadline_ns = 1;  // expires long before the stall releases
-  ASSERT_EQ(server.submit(inputs[0], &results[0], doomed), SubmitOutcome::kAccepted);
-  ASSERT_EQ(server.submit(inputs[1], &results[1], doomed), SubmitOutcome::kAccepted);
+  // 1 ns deadlines expire long before the stall releases.
+  ASSERT_TRUE(server.submit(inputs[0], &results[0], /*deadline_ns=*/1));
+  ASSERT_TRUE(server.submit(inputs[1], &results[1], /*deadline_ns=*/1));
   ASSERT_TRUE(server.submit(inputs[2], &results[2]));  // releases the stall
   server.wait_idle();
 
@@ -451,64 +404,54 @@ TEST(SvdServer, DeadlineExpiresAtFormationWithoutBurningALane) {
 
   const ServeStats s = server.stats();
   EXPECT_EQ(s.expired, 2u);
-  EXPECT_EQ(s.shed, 0u);  // formation-time expiry, not admission-time shedding
   EXPECT_EQ(s.solved, 1u);
   EXPECT_EQ(s.batched_lanes, 1u) << "expired requests must not burn SIMD lanes";
   EXPECT_EQ(s.batches, 1u);
   server.stop();
 }
 
-TEST(SvdServer, ShedExpiredPolicyEvictsDeadEntriesRejectOnlyBounces) {
-  // A full queue of already-expired requests: kReject bounces, kShedExpired
-  // evicts the dead entries (completing them kDeadlineExpired) and admits.
+TEST(SvdServer, TrySubmitOnFullQueueBouncesAndCounts) {
+  // A stalled shard's full queue: try_submit bounces without touching the
+  // queued entries, and the bounce is counted in `rejected`. stop() releases
+  // the stall — a blocking submit on the full queue would wait out the
+  // stall's safety bound instead.
   const OrderingPtr ord = make_ordering("round-robin");
   ServeOptions opt;
   opt.rows = 8;
   opt.cols = 6;
   opt.shards = 1;
-  opt.queue_capacity = 2;  // exactly the two doomed requests
+  opt.queue_capacity = 2;  // exactly the two queued requests
   opt.batch.lane_width = 4;
   opt.faults.enabled = true;
   opt.faults.stall_shard = 0;
-  opt.faults.stall_until_submitted = 4;
+  opt.faults.stall_until_submitted = 99;  // never reached by submissions
   SvdServer server(*ord, opt);
   server.start();
 
   Rng rng(19);
   std::vector<Matrix> inputs;
-  for (int i = 0; i < 4; ++i) inputs.push_back(random_gaussian(8, 6, rng));
-  std::vector<SvdResult> results(4);
+  for (int i = 0; i < 3; ++i) inputs.push_back(random_gaussian(8, 6, rng));
+  std::vector<SvdResult> results(3);
+  results[2].sweeps = -1;  // sentinel: a bounced request's slot is never written
+  ASSERT_TRUE(server.submit(inputs[0], &results[0]));
+  ASSERT_TRUE(server.try_submit(inputs[1], &results[1]));
 
-  SubmitOptions doomed;
-  doomed.deadline_ns = 1;
-  ASSERT_EQ(server.submit(inputs[0], &results[0], doomed), SubmitOutcome::kAccepted);
-  ASSERT_EQ(server.submit(inputs[1], &results[1], doomed), SubmitOutcome::kAccepted);
-
-  // Queue is full and the shard is stalled: the non-blocking path must bounce
-  // without touching the queued entries.
   EXPECT_FALSE(server.try_submit(inputs[2], &results[2]));
-  EXPECT_EQ(server.stats().rejected, 1u);
-
-  // Shedding admission evicts both expired entries and takes their space.
-  SubmitOptions shedding;
-  shedding.policy = SubmitPolicy::kShedExpired;
-  ASSERT_EQ(server.submit(inputs[2], &results[2], shedding), SubmitOutcome::kAccepted);
-  EXPECT_EQ(results[0].status, SvdStatus::kDeadlineExpired);
-  EXPECT_EQ(results[1].status, SvdStatus::kDeadlineExpired);
   {
     const ServeStats s = server.stats();
-    EXPECT_EQ(s.shed, 2u);
-    EXPECT_EQ(s.expired, 2u);
+    EXPECT_EQ(s.rejected, 1u);
+    EXPECT_EQ(s.submitted, 2u);
+    EXPECT_EQ(s.completed, 0u);
+    EXPECT_EQ(s.shards[0].queued, 2u) << "a bounce must leave the queued entries in place";
   }
 
-  ASSERT_TRUE(server.submit(inputs[3], &results[3]));  // 4th submit: stall releases
-  server.wait_idle();
+  server.stop();  // breaks the stall and drains both queued requests
   const ServeStats s = server.stats();
+  EXPECT_EQ(s.rejected, 1u);
+  EXPECT_EQ(s.completed, 2u);
   EXPECT_EQ(s.solved, 2u);
-  EXPECT_EQ(s.expired, 2u);
-  server.stop();
-
-  for (int i = 2; i < 4; ++i) {
+  EXPECT_EQ(results[2].sweeps, -1) << "a bounced request must not be served";
+  for (int i = 0; i < 2; ++i) {
     const SvdResult ref = one_sided_jacobi(inputs[i], *ord, opt.batch.jacobi);
     EXPECT_EQ(result_digest(results[i]), result_digest(ref)) << "request " << i;
   }
@@ -552,39 +495,6 @@ TEST(SvdServer, PoisonInputFailsAloneAndBatchmatesStayBitwise) {
     const SvdResult ref = one_sided_jacobi(inputs[i], *ord, opt.batch.jacobi);
     EXPECT_EQ(result_digest(results[i]), result_digest(ref)) << "batchmate " << i;
   }
-}
-
-TEST(SvdServer, ReadinessWatermarksHysteresis) {
-  // Backlog >= high drops ready(); it stays down until backlog <= low.
-  const OrderingPtr ord = make_ordering("round-robin");
-  ServeOptions opt;
-  opt.rows = 8;
-  opt.cols = 6;
-  opt.shards = 1;
-  opt.queue_capacity = 8;
-  opt.batch.lane_width = 4;
-  opt.high_watermark = 2;
-  opt.low_watermark = 1;
-  opt.faults.enabled = true;
-  opt.faults.stall_shard = 0;
-  opt.faults.stall_until_submitted = 3;
-  SvdServer server(*ord, opt);
-  server.start();
-  EXPECT_TRUE(server.ready());
-
-  Rng rng(41);
-  std::vector<Matrix> inputs;
-  for (int i = 0; i < 3; ++i) inputs.push_back(random_gaussian(8, 6, rng));
-  std::vector<SvdResult> results(3);
-  ASSERT_TRUE(server.submit(inputs[0], &results[0]));
-  ASSERT_TRUE(server.submit(inputs[1], &results[1]));
-  // Backlog is pinned at 2 (== high) behind the stall: overloaded.
-  EXPECT_FALSE(server.ready());
-  ASSERT_TRUE(server.submit(inputs[2], &results[2]));  // releases the stall
-  server.wait_idle();
-  EXPECT_TRUE(server.ready()) << "drained backlog must restore readiness";
-  server.stop();
-  EXPECT_FALSE(server.ready()) << "a stopped server is never ready";
 }
 
 TEST(ServeFaultPlan, RequestFaultIsAPureSeededPartition) {

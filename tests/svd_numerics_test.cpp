@@ -227,24 +227,23 @@ TEST(PairKernel, TinyColumnsStillRotate) {
 // Status contract
 
 TEST(StallDetector, ClassifiesNonDecreasingActivity) {
-  StallDetector d(3);
+  StallDetector d;
   d.observe(10.0);  // no previous value yet
   d.observe(8.0);   // decreasing: progress
   EXPECT_FALSE(d.stalled());
-  d.observe(8.0);
-  d.observe(8.0);
-  EXPECT_FALSE(d.stalled());  // streak 2 < window 3
+  for (int k = 1; k < kStallWindow; ++k) d.observe(8.0);
+  EXPECT_FALSE(d.stalled());  // streak kStallWindow - 1
   d.observe(9.0);
-  EXPECT_TRUE(d.stalled());  // streak 3
+  EXPECT_TRUE(d.stalled());  // streak kStallWindow
+  EXPECT_EQ(d.streak(), kStallWindow);
   d.observe(1.0);
   EXPECT_FALSE(d.stalled());  // decrease resets
 }
 
 TEST(StallDetector, ZeroActivityIsConvergenceNotStall) {
-  StallDetector d(2);
+  StallDetector d;
   d.observe(4.0);
-  d.observe(0.0);
-  d.observe(0.0);
+  for (int k = 0; k <= kStallWindow; ++k) d.observe(0.0);
   EXPECT_FALSE(d.stalled());
   EXPECT_EQ(d.streak(), 0);
 }

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -205,6 +206,27 @@ TEST(Cli, GetCountRejectsNegative) {
     try {
       (void)cli.get_count(key, 0);
       ADD_FAILURE() << "--" << key << " accepted by get_count";
+    } catch (const CliError& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("--") + key), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(Cli, GetSizeRejectsNegativeAndPastIntMax) {
+  const char* argv[] = {"prog",     "--n=16",           "--zero=0",          "--max=2147483647",
+                        "--neg=-4", "--big=4294967304", "--over=2147483648", "--x=abc"};
+  const Cli cli(8, argv);
+  EXPECT_EQ(cli.get_size("n", 7), 16);
+  EXPECT_EQ(cli.get_size("zero", 7), 0);
+  EXPECT_EQ(cli.get_size("max", 7), std::numeric_limits<int>::max());
+  EXPECT_EQ(cli.get_size("missing", 7), 7);
+  // A value an int cannot hold must name the flag, not truncate (2^32 + 8
+  // used to read as 8) or go negative.
+  for (const char* key : {"neg", "big", "over", "x"}) {
+    try {
+      (void)cli.get_size(key, 0);
+      ADD_FAILURE() << "--" << key << " accepted by get_size";
     } catch (const CliError& e) {
       EXPECT_NE(std::string(e.what()).find(std::string("--") + key), std::string::npos)
           << e.what();

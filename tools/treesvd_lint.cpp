@@ -458,9 +458,9 @@ int main(int argc, const char* const* argv) {
   }
   if (cli.has("self-test")) return self_test();
 
-  const int min_n = static_cast<int>(cli.get_int("min-n", 4));
-  const int max_n = static_cast<int>(cli.get_int("max-n", 64));
-  const int sweeps = static_cast<int>(cli.get_int("sweeps", 4));
+  const int min_n = cli.get_size("min-n", 4);
+  const int max_n = cli.get_size("max-n", 64);
+  const int sweeps = cli.get_size("sweeps", 4);
   if (min_n < 4 || max_n < min_n) {
     std::cerr << "treesvd_lint: invalid n range [" << min_n << ", " << max_n << "]\n";
     return 2;

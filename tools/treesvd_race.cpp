@@ -269,9 +269,9 @@ int main(int argc, const char* const* argv) {
   }
   if (cli.has("self-test")) return self_test();
 
-  const int n = static_cast<int>(cli.get_int("n", 8));
-  const int rows = static_cast<int>(cli.get_int("rows", n + 4));
-  const int schedules = static_cast<int>(cli.get_int("schedules", 16));
+  const int n = cli.get_size("n", 8);
+  const int rows = cli.get_size("rows", n + 4);
+  const int schedules = cli.get_size("schedules", 16);
   const std::uint64_t base_seed = cli.get_count("seed", 2026);
   // Checked signed: a negative count cast to unsigned would pass as huge.
   const long long thread_count = cli.get_int("threads", 4);
@@ -291,7 +291,7 @@ int main(int argc, const char* const* argv) {
   const Matrix a =
       random_gaussian(static_cast<std::size_t>(rows), static_cast<std::size_t>(n), rng);
   JacobiOptions opt;
-  opt.max_sweeps = static_cast<int>(cli.get_int("max-sweeps", 60));
+  opt.max_sweeps = cli.get_size("max-sweeps", 60);
 
   std::vector<RunReport> reports;
   bool pass = true;

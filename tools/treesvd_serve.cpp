@@ -10,13 +10,13 @@
 // sequential engine bit-for-bit and the histogram is sane (count == requests,
 // p50 <= p99, nonzero QPS); 1 on any violation; 2 on usage error.
 //
-// --chaos flips the tool into the deterministic serve-chaos gate: two
-// seeded fault legs (mixed poison/throw/expire; overload with a stalled
-// shard and deadline shedding), each replayed to prove the fault counters
-// are bit-reproducible. The gate fails on any lost request (a submission
-// that never reached a terminal state), any healthy payload that diverges
-// from the sequential solve, or any counter drift between replays — the
-// serving counterpart of the transport chaos gate.
+// --chaos flips the tool into the deterministic serve-chaos gate: one seeded
+// mixed fault leg (poison inputs, injected throws, expired deadlines over
+// two shards), replayed to prove the fault counters are bit-reproducible.
+// The gate fails on any lost request (a submission that never reached a
+// terminal state), any healthy payload that diverges from the sequential
+// solve, or any counter drift between replays — the serving counterpart of
+// the transport chaos gate.
 //
 // Usage:
 //   treesvd_serve [--rows=32] [--cols=16] [--ordering=round-robin]
@@ -71,12 +71,11 @@ constexpr int kSentinelSweeps = -12345;
 
 /// The ServeStats counters a replay must reproduce bit-for-bit.
 struct ChaosCounters {
-  std::uint64_t submitted = 0, completed = 0, solved = 0, expired = 0, shed = 0, failed = 0,
-                rejected = 0, stalls_injected = 0;
+  std::uint64_t submitted = 0, completed = 0, solved = 0, expired = 0, failed = 0, rejected = 0,
+                stalls_injected = 0;
 
   static ChaosCounters from(const ServeStats& s) {
-    return {s.submitted, s.completed, s.solved, s.expired,
-            s.shed,      s.failed,    s.rejected, s.stalls_injected};
+    return {s.submitted, s.completed, s.solved, s.expired, s.failed, s.rejected, s.stalls_injected};
   }
   bool operator==(const ChaosCounters&) const = default;
 };
@@ -112,7 +111,7 @@ void expect_counter(LegReport& leg, const char* what, std::uint64_t got, std::ui
   }
 }
 
-/// Common post-run audit: no submission may be lost (sentinel survived or
+/// Post-run audit: no submission may be lost (sentinel survived or
 /// accounting mismatch), and every request must sit in exactly the terminal
 /// state its planned fault dictates — healthy ones bitwise equal to the
 /// sequential solve.
@@ -158,8 +157,8 @@ void audit_results(LegReport& leg, const ChaosConfig& cfg, const ServeFaultPlan&
             "terminal accounting broken: completed != solved + expired + failed");
 }
 
-/// Leg A — mixed faults: seeded poison inputs (NaN), injected solver throws
-/// and pre-expired deadlines over two shards. The healthy majority must come
+/// The mixed leg: seeded poison inputs (NaN), injected solver throws and
+/// pre-expired deadlines over two shards. The healthy majority must come
 /// through bitwise clean.
 LegReport run_mixed_leg(const ChaosConfig& cfg) {
   LegReport leg;
@@ -200,10 +199,11 @@ LegReport run_mixed_leg(const ChaosConfig& cfg) {
   SvdServer server(*cfg.ordering, opt);
   server.start();
   for (std::size_t i = 0; i < cfg.requests; ++i) {
-    SubmitOptions so;
-    if (fp.request_fault(static_cast<std::uint64_t>(i)) == ServeFaultPlan::RequestFault::kExpire)
-      so.deadline_ns = 1;  // unmeetable: expires at batch formation, never solves
-    if (server.submit(inputs[i], &results[i], so) != SubmitOutcome::kAccepted)
+    // An expire request's 1 ns deadline is unmeetable: it expires at batch
+    // formation and never solves.
+    const bool expire =
+        fp.request_fault(static_cast<std::uint64_t>(i)) == ServeFaultPlan::RequestFault::kExpire;
+    if (!server.submit(inputs[i], &results[i], expire ? 1 : 0))
       leg.fail("submission " + std::to_string(i) + " not accepted");
   }
   server.wait_idle();
@@ -217,96 +217,12 @@ LegReport run_mixed_leg(const ChaosConfig& cfg) {
   return leg;
 }
 
-/// Leg B — overload and shedding: one shard, stalled by the plan until the
-/// whole trace is submitted, a queue full of already-expired requests, and a
-/// healthy wave admitted under kShedExpired that must evict them. Also pins
-/// the watermark readiness transitions, which are deterministic here because
-/// the stall forbids any completion while the backlog builds.
-LegReport run_overload_leg(const ChaosConfig& cfg) {
-  LegReport leg;
-  leg.name = "overload";
-
-  const std::size_t wave = 8;
-  ServeOptions opt;
-  opt.rows = cfg.rows;
-  opt.cols = cfg.cols;
-  opt.shards = 1;
-  opt.queue_capacity = wave;
-  opt.batch.lane_width = 4;
-  ServeFaultPlan& fp = opt.faults;
-  fp.enabled = true;
-  fp.seed = cfg.seed;
-  fp.stall_shard = 0;
-  fp.stall_until_submitted = 2 * wave;  // event-released: when the trace is in
-
-  Rng rng(cfg.seed + 1);
-  std::vector<Matrix> inputs;
-  inputs.reserve(2 * wave);
-  for (std::size_t i = 0; i < 2 * wave; ++i)
-    inputs.push_back(random_gaussian(cfg.rows, cfg.cols, rng));
-  std::vector<SvdResult> results(2 * wave);
-  for (auto& r : results) r.sweeps = kSentinelSweeps;
-
-  SvdServer server(*cfg.ordering, opt);
-  server.start();
-  leg.check(server.ready(), "server not ready before any load");
-  // Fill the queue with doomed requests (the shard is stalled, so none can
-  // complete and the backlog is exact).
-  for (std::size_t i = 0; i < wave; ++i) {
-    SubmitOptions so;
-    so.deadline_ns = 1;
-    if (server.submit(inputs[i], &results[i], so) != SubmitOutcome::kAccepted)
-      leg.fail("expired-wave submission " + std::to_string(i) + " not accepted");
-  }
-  leg.check(!server.ready(), "backlog at the high watermark did not drop readiness");
-  // The healthy wave sheds its way in.
-  for (std::size_t i = wave; i < 2 * wave; ++i) {
-    SubmitOptions so;
-    so.policy = SubmitPolicy::kShedExpired;
-    if (server.submit(inputs[i], &results[i], so) != SubmitOutcome::kAccepted)
-      leg.fail("healthy-wave submission " + std::to_string(i) + " not accepted");
-  }
-  server.wait_idle();
-  leg.check(server.ready(), "server not ready again after the backlog drained");
-  server.stop();
-  leg.stats = server.stats();
-
-  // The doomed wave must be shed-expired; the healthy wave must be real
-  // solves, bitwise equal to the sequential engine.
-  for (std::size_t i = 0; i < wave; ++i) {
-    const SvdResult& r = results[i];
-    leg.check(r.sweeps != kSentinelSweeps,
-              "doomed request " + std::to_string(i) + " LOST");
-    leg.check(r.status == SvdStatus::kDeadlineExpired,
-              "doomed request " + std::to_string(i) + " not kDeadlineExpired (status " +
-                  to_string(r.status) + ")");
-  }
-  for (std::size_t i = wave; i < 2 * wave; ++i) {
-    const SvdResult& r = results[i];
-    leg.check(r.sweeps != kSentinelSweeps, "healthy request " + std::to_string(i) + " LOST");
-    if (r.sweeps == kSentinelSweeps) continue;
-    const SvdResult ref = one_sided_jacobi(inputs[i], *cfg.ordering, opt.batch.jacobi);
-    leg.check(result_digest(r) == result_digest(ref),
-              "healthy request " + std::to_string(i) + " diverged from sequential solve");
-  }
-  expect_counter(leg, "shed", leg.stats.shed, wave);
-  expect_counter(leg, "expired", leg.stats.expired, wave);
-  expect_counter(leg, "solved", leg.stats.solved, wave);
-  expect_counter(leg, "failed", leg.stats.failed, 0);
-  expect_counter(leg, "rejected", leg.stats.rejected, 0);
-  expect_counter(leg, "completed", leg.stats.completed, 2 * wave);
-  expect_counter(leg, "stalls_injected", leg.stats.stalls_injected, 1);
-  leg.check(leg.stats.latency.count() == leg.stats.completed, "latency count != completed");
-  return leg;
-}
-
 std::string counters_json(const ServeStats& s) {
   std::ostringstream os;
   os << "{\"submitted\": " << s.submitted << ", \"completed\": " << s.completed
      << ", \"solved\": " << s.solved << ", \"expired\": " << s.expired
-     << ", \"shed\": " << s.shed << ", \"failed\": " << s.failed
-     << ", \"rejected\": " << s.rejected << ", \"stalls_injected\": " << s.stalls_injected
-     << "}";
+     << ", \"failed\": " << s.failed << ", \"rejected\": " << s.rejected
+     << ", \"stalls_injected\": " << s.stalls_injected << "}";
   return os.str();
 }
 
@@ -316,8 +232,8 @@ int run_chaos(const Cli& cli) {
   const std::size_t requests = cli.get_count("requests", 96);
   const std::uint64_t seed = cli.get_count("seed", 2026);
   const std::string oname = cli.get("ordering", "round-robin");
-  if (rows < cols || cols < 2 || requests < 24) {
-    std::cerr << "treesvd_serve --chaos: need rows >= cols >= 2 and requests >= 24\n";
+  if (rows < cols || cols < 2 || requests < 1) {
+    std::cerr << "treesvd_serve --chaos: need rows >= cols >= 2 and requests >= 1\n";
     return 2;
   }
   const OrderingPtr ordering = make_ordering(oname);
@@ -328,39 +244,25 @@ int run_chaos(const Cli& cli) {
   cfg.seed = seed;
   cfg.ordering = ordering.get();
 
-  // Each leg runs twice: the pass/fail audits run on the first, and the
+  // The leg runs twice: the pass/fail audits run on the first, and the
   // replay must reproduce the deterministic counter subset bit-for-bit.
-  std::vector<LegReport> legs;
-  bool replay_identical = true;
-  const auto run_replayed = [&](auto&& leg_fn) {
-    LegReport first = leg_fn(cfg);
-    LegReport second = leg_fn(cfg);
-    if (!(ChaosCounters::from(first.stats) == ChaosCounters::from(second.stats))) {
-      replay_identical = false;
-      first.fail("replay produced different counters: " + counters_json(first.stats) +
-                 " vs " + counters_json(second.stats));
-    }
-    if (!second.ok) first.ok = false;
-    legs.push_back(std::move(first));
-  };
-  run_replayed(run_mixed_leg);
-  run_replayed(run_overload_leg);
-
-  bool ok = replay_identical;
-  for (const LegReport& leg : legs) ok = ok && leg.ok;
+  LegReport leg = run_mixed_leg(cfg);
+  const LegReport replay = run_mixed_leg(cfg);
+  const bool replay_identical =
+      ChaosCounters::from(leg.stats) == ChaosCounters::from(replay.stats);
+  if (!replay_identical)
+    leg.fail("replay produced different counters: " + counters_json(leg.stats) + " vs " +
+             counters_json(replay.stats));
+  if (!replay.ok) leg.ok = false;
+  const bool ok = replay_identical && leg.ok;
 
   std::ostringstream os;
   os << "{\n  \"tool\": \"treesvd_serve\",\n  \"mode\": \"chaos\",\n  \"rows\": " << rows
      << ",\n  \"cols\": " << cols << ",\n  \"ordering\": \"" << oname
-     << "\",\n  \"requests\": " << requests << ",\n  \"seed\": " << seed << ",\n  \"legs\": [";
-  for (std::size_t i = 0; i < legs.size(); ++i) {
-    const LegReport& leg = legs[i];
-    os << (i != 0 ? "," : "") << "\n    {\"name\": \"" << leg.name
-       << "\", \"pass\": " << (leg.ok ? "true" : "false")
-       << ", \"errors\": " << leg.errors.size() << ", \"counters\": " << counters_json(leg.stats)
-       << "}";
-  }
-  os << "\n  ],\n  \"replay_identical\": " << (replay_identical ? "true" : "false")
+     << "\",\n  \"requests\": " << requests << ",\n  \"seed\": " << seed << ",\n  \"legs\": ["
+     << "\n    {\"name\": \"" << leg.name << "\", \"pass\": " << (leg.ok ? "true" : "false")
+     << ", \"errors\": " << leg.errors.size() << ", \"counters\": " << counters_json(leg.stats)
+     << "}\n  ],\n  \"replay_identical\": " << (replay_identical ? "true" : "false")
      << ",\n  \"pass\": " << (ok ? "true" : "false") << "\n}\n";
 
   const std::string path = cli.get("json", "");
@@ -368,8 +270,8 @@ int run_chaos(const Cli& cli) {
     std::cout << os.str();
   } else {
     if (!write_text_file(path, os.str())) return 2;
-    std::cout << (ok ? "chaos pass" : "chaos FAIL") << ": " << legs.size()
-              << " legs replayed -> " << path << "\n";
+    std::cout << (ok ? "chaos pass" : "chaos FAIL") << ": " << leg.name << " leg replayed -> "
+              << path << "\n";
   }
   return ok ? 0 : 1;
 }

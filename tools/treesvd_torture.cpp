@@ -84,10 +84,10 @@ int main(int argc, const char* const* argv) {
     return 0;
   }
 
-  const int n = static_cast<int>(cli.get_int("n", 8));
-  const int rows = static_cast<int>(cli.get_int("rows", n + 4));
+  const int n = cli.get_size("n", 8);
+  const int rows = cli.get_size("rows", n + 4);
   const double tol = cli.get_double("tol", 1e-10);
-  const int max_sweeps = static_cast<int>(cli.get_int("max-sweeps", 60));
+  const int max_sweeps = cli.get_size("max-sweeps", 60);
   if (n < 4 || n % 2 != 0 || rows < n) {
     std::cerr << "treesvd_torture: need even n >= 4 and rows >= n\n";
     return 2;
