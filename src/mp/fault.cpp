@@ -48,7 +48,7 @@ FaultAction FaultInjector::action(int src, int dst, std::uint64_t tag, std::uint
 
 bool FaultInjector::resend_survives(int src, int dst, std::uint64_t tag, std::uint64_t seq,
                                     int attempt) const {
-  if (!plan_.enabled || plan_.resend_drop_prob <= 0.0) return true;
+  if (plan_.resend_drop_prob <= 0.0) return true;
   const std::uint64_t h = identity_hash(plan_.seed, src, dst, tag, seq,
                                         kResendSalt + static_cast<std::uint64_t>(attempt));
   return unit_interval(h) >= plan_.resend_drop_prob;
@@ -71,13 +71,13 @@ void FaultInjector::corrupt_payload(std::vector<double>& payload, int src, int d
 }
 
 bool FaultInjector::should_kill(int rank, std::uint64_t op) {
-  if (!plan_.enabled || plan_.kill_rank != rank || plan_.kill_at_op != op) return false;
+  if (plan_.kill_rank != rank || plan_.kill_at_op != op) return false;
   bool expected = false;
   return kill_fired_.compare_exchange_strong(expected, true);
 }
 
 bool FaultInjector::should_stall(int rank, std::uint64_t op) const {
-  return plan_.enabled && plan_.stall_rank == rank && plan_.stall_at_op == op;
+  return plan_.stall_rank == rank && plan_.stall_at_op == op;
 }
 
 std::string to_json(const RecoveryStats& s) {
@@ -95,7 +95,7 @@ std::string to_json(const RecoveryStats& s) {
 }
 
 std::string unfired_kill(const FaultPlan& plan, const RecoveryStats& stats) {
-  if (!plan.enabled || plan.kill_rank < 0 || (stats.kills >= 1 && stats.rollbacks >= 1))
+  if (plan.kill_rank < 0 || (stats.kills >= 1 && stats.rollbacks >= 1))
     return {};
   return "planned kill of rank " + std::to_string(plan.kill_rank) + " at op " +
          std::to_string(plan.kill_at_op) + " did not fire and roll back (kills " +

@@ -10,14 +10,16 @@
 // transport-operation counter, which is equally deterministic because each
 // rank's program is.
 //
-// The companion ReliableConfig turns on the reliable transport inside
-// mp::World: per-(src, dst, tag) sequence numbers, payload checksums,
-// receive deadlines with bounded retry and deterministic exponential backoff
-// (virtual time in-process — it never waits on a wall clock), NACK/resend
-// from the sender's clean retransmit store, and duplicate suppression. Under
-// any plan that stays below the retry budget the delivered payloads are the
-// clean ones, so a program's numerical results are bit-identical to its
-// fault-free run (chaos_recovery_test asserts this for the SPMD Jacobi).
+// A plan with message faults also switches on the reliable transport inside
+// mp::World, on either backend: per-(src, dst, tag) sequence numbers,
+// payload checksums, receive deadlines with bounded retry (max_retries) and
+// deterministic exponential backoff (virtual time in-process — it never
+// waits on a wall clock), NACK/resend from the sender's clean retransmit
+// store, and duplicate suppression. Under any plan that stays below the
+// retry budget the delivered payloads are the clean ones, so a program's
+// numerical results are bit-identical to its fault-free run
+// (chaos_recovery_test asserts this for the SPMD Jacobi). A plan without
+// message faults leaves send/recv on the plain path.
 
 #include <atomic>
 #include <cstddef>
@@ -30,14 +32,14 @@
 
 namespace treesvd::mp {
 
-/// Seeded, fully deterministic fault schedule for a World.
+/// Seeded, fully deterministic fault schedule for a World. A default plan
+/// injects nothing.
 struct FaultPlan {
-  bool enabled = false;        ///< master switch; a default plan injects nothing
   std::uint64_t seed = 1;      ///< mixes into every per-message decision
 
-  // Message faults (require the reliable transport; first match wins, so the
-  // probabilities are a partition of [0, 1) and at most one fault hits a
-  // given frame).
+  // Message faults (any of them turns the reliable transport on; first match
+  // wins, so the probabilities are a partition of [0, 1) and at most one
+  // fault hits a given frame).
   double drop_prob = 0.0;       ///< frame silently lost
   double duplicate_prob = 0.0;  ///< frame delivered twice
   double corrupt_prob = 0.0;    ///< one payload element bit-flipped or NaN'd
@@ -46,8 +48,10 @@ struct FaultPlan {
                                 ///< suppressed by its sequence number)
   double resend_drop_prob = 0.0;  ///< loss applied to retransmissions too
                                   ///< (exercises the bounded retry loop)
+  int max_retries = 8;  ///< reliable-transport recovery attempts per message
+                        ///< before recv throws TransportError (>= 1)
 
-  // Rank faults (usable with or without the reliable transport).
+  // Rank faults (usable with or without message faults).
   int kill_rank = -1;             ///< rank to kill once (-1 = never)
   std::uint64_t kill_at_op = 0;   ///< fires at this 0-based transport op
                                   ///< (send/recv/barrier/allreduce) of the rank
@@ -55,16 +59,12 @@ struct FaultPlan {
   std::uint64_t stall_at_op = 0;  ///< op at which the stall occurs
   std::uint64_t stall_micros = 2000;  ///< bounded real-time stall length
 
+  /// True when the plan can touch a frame: the reliable transport runs
+  /// exactly then.
   bool has_message_faults() const noexcept {
-    return enabled && (drop_prob > 0.0 || duplicate_prob > 0.0 || corrupt_prob > 0.0 ||
-                       delay_prob > 0.0 || resend_drop_prob > 0.0);
+    return drop_prob > 0.0 || duplicate_prob > 0.0 || corrupt_prob > 0.0 || delay_prob > 0.0 ||
+           resend_drop_prob > 0.0;
   }
-};
-
-/// Opt-in reliable transport layered over Context::send/recv.
-struct ReliableConfig {
-  bool enabled = false;
-  int max_retries = 8;      ///< recovery attempts per message before giving up
 };
 
 /// Retry timing of the reliable transport: the first retry waits
@@ -87,7 +87,7 @@ struct RecoveryStats {
 
   // Transport side (what the reliable layer did about it).
   std::size_t corruptions_detected = 0;   ///< checksum/NaN frames rejected at recv
-  std::size_t duplicates_suppressed = 0;  ///< stale frames discarded (live + purge)
+  std::size_t duplicates_suppressed = 0;  ///< stale frames discarded (live + run end)
   std::size_t retries = 0;                ///< deadline expiries (recovery attempts)
   std::size_t resends = 0;                ///< successful retransmissions
   double virtual_backoff = 0.0;           ///< summed virtual backoff time
@@ -277,8 +277,8 @@ enum class FaultAction { kDeliver, kDrop, kDuplicate, kCorrupt, kDelay };
 
 /// Stateless-per-message decision engine. Decisions hash the message
 /// identity with the plan seed, so they are independent of thread timing;
-/// the only mutable state is the one-shot kill latch (survives
-/// World::reset_for_replay so a replay proceeds past the kill).
+/// the only mutable state is the one-shot kill latch (it persists across
+/// World::run calls, so a replay proceeds past the kill).
 class FaultInjector {
  public:
   explicit FaultInjector(const FaultPlan& plan) : plan_(plan) {}
@@ -303,8 +303,7 @@ class FaultInjector {
   /// socket launcher latches its own injector when a rank *process* reports
   /// the kill firing (the child consumed the latch in its forked copy, which
   /// the launcher never sees), so a respawned rank inherits a spent latch
-  /// and the replay proceeds past the kill — the exact contract
-  /// reset_for_replay documents for the in-process backend.
+  /// and the replay proceeds past the kill, as it does in-process.
   void latch_kill() noexcept { kill_fired_.store(true, std::memory_order_relaxed); }
 
   /// True whenever (rank, op) matches the stall schedule.

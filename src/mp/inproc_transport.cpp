@@ -73,13 +73,12 @@ void InprocTransport::deliver(int dst, int src, std::uint64_t tag, std::vector<d
   Mailbox& box = *mailboxes_[static_cast<std::size_t>(dst)];
   {
     std::lock_guard<std::mutex> lock(box.mu);
-    if (!reliable().enabled) {
+    if (!reliable()) {
       box.queues[{src, tag}].push_back(Packet{std::move(data)});
     } else {
       const Key key{src, tag};
       const std::uint64_t seq = box.send_seq[key]++;
-      const FaultAction act =
-          injector() != nullptr ? injector()->action(src, dst, tag, seq) : FaultAction::kDeliver;
+      const FaultAction act = injector()->action(src, dst, tag, seq);
       auto& queue = box.queues[key];
       switch (act) {
         case FaultAction::kDeliver:
@@ -122,12 +121,13 @@ void InprocTransport::deliver(int dst, int src, std::uint64_t tag, std::vector<d
 std::vector<double> InprocTransport::recover_locked(Mailbox& box, const Key& key,
                                                     std::uint64_t seq, int src, int dst,
                                                     std::uint64_t tag) {
+  const int max_retries = injector()->plan().max_retries;
   double wait = kRetryDeadline;
-  for (int attempt = 0; attempt < reliable().max_retries; ++attempt) {
+  for (int attempt = 0; attempt < max_retries; ++attempt) {
     counters().add_retry();
     counters().add_virtual_backoff(wait);
     wait *= kRetryBackoff;
-    if (injector() != nullptr && !injector()->resend_survives(src, dst, tag, seq, attempt)) {
+    if (!injector()->resend_survives(src, dst, tag, seq, attempt)) {
       counters().add_drop();
       continue;  // the retransmission was lost too; back off and NACK again
     }
@@ -141,7 +141,7 @@ std::vector<double> InprocTransport::recover_locked(Mailbox& box, const Key& key
     sit->second.erase(sit->second.begin(), sit->second.upper_bound(seq));
     return payload;
   }
-  throw transport_exhausted("inproc", src, dst, tag, seq, reliable().max_retries);
+  throw transport_exhausted("inproc", src, dst, tag, seq, max_retries);
 }
 
 std::vector<double> InprocTransport::take(int rank, int src, std::uint64_t tag) {
@@ -164,7 +164,7 @@ std::vector<double> InprocTransport::take(int rank, int src, std::uint64_t tag) 
            " dst=" + std::to_string(rank) + " tag=" + std::to_string(tag);
   };
 
-  if (!reliable().enabled) {
+  if (!reliable()) {
     box.cv.wait(lock, [&] {
       const auto it = box.queues.find(key);
       return (it != box.queues.end() && !it->second.empty()) || src_gone();
@@ -245,7 +245,7 @@ void InprocTransport::barrier_wait() {
 }
 
 void InprocTransport::abort_world() noexcept {
-  set_world_aborted(true);
+  set_world_aborted();
   // Wake every sleeper under its own lock so no wait misses the flag.
   for (auto& box : mailboxes_) {
     std::lock_guard<std::mutex> lock(box->mu);
@@ -255,38 +255,28 @@ void InprocTransport::abort_world() noexcept {
   sync_cv_.notify_all();
 }
 
-void InprocTransport::reset_for_replay() {
+std::size_t InprocTransport::discard_frames() {
+  std::size_t queued = 0;
   for (auto& box : mailboxes_) {
     std::lock_guard<std::mutex> lock(box->mu);
+    for (const auto& [key, queue] : box->queues) queued += queue.size();
     box->queues.clear();
     box->send_seq.clear();
     box->next_seq.clear();
     box->store.clear();
   }
-  {
-    std::lock_guard<std::mutex> lock(sync_mu_);
-    sync_waiting_ = 0;
-    sync_generation_ = 0;
-    reduce_accum_ = 0.0;
-    reduce_result_ = 0.0;
-  }
-  set_world_aborted(false);
-}
-
-void InprocTransport::purge_leftovers() {
-  for (auto& box : mailboxes_) {
-    std::lock_guard<std::mutex> lock(box->mu);
-    std::size_t leftover = 0;
-    for (const auto& [key, queue] : box->queues) leftover += queue.size();
-    if (leftover != 0) counters().add_duplicate_suppressed(leftover);
-    box->queues.clear();
-    box->send_seq.clear();
-    box->next_seq.clear();
-    box->store.clear();
-  }
+  return queued;
 }
 
 void InprocTransport::run(const std::function<void(Context&)>& program) {
+  // Start from an empty transport: an aborted run leaves frames, sequence
+  // state, retransmit copies and a half-finished collective behind.
+  discard_frames();
+  {
+    std::lock_guard<std::mutex> lock(sync_mu_);
+    sync_waiting_ = 0;
+    reduce_accum_ = 0.0;
+  }
   for (auto& box : mailboxes_) box->finished.store(false, std::memory_order_release);
   [[maybe_unused]] const std::uint64_t epoch = ++run_epoch_;
   TREESVD_HB_FORK(&world(), epoch);
@@ -331,6 +321,12 @@ void InprocTransport::run(const std::function<void(Context&)>& program) {
     std::rethrow_exception(e);
   }
   if (secondary) std::rethrow_exception(secondary);
+  // Completed under message faults: what is still queued is suppressed
+  // duplicates and delayed stragglers, accounted as such.
+  if (reliable()) {
+    const std::size_t leftover = discard_frames();
+    if (leftover != 0) counters().add_duplicate_suppressed(leftover);
+  }
 }
 
 }  // namespace treesvd::mp

@@ -29,8 +29,6 @@ class InprocTransport final : public TransportBackend {
   void barrier(Context& ctx) override;
   double allreduce_sum(Context& ctx, double value) override;
   [[noreturn]] void execute_kill(Context& ctx, std::uint64_t op) override;
-  void reset_for_replay() override;
-  void purge_leftovers() override;
 
  private:
   using Key = std::pair<int, std::uint64_t>;  ///< (src, tag)
@@ -58,6 +56,9 @@ class InprocTransport final : public TransportBackend {
   void barrier_wait();
   /// Wakes every blocked rank with WorldAbortedError (idempotent).
   void abort_world() noexcept;
+  /// Empties every mailbox (queued frames, sequence state, retransmit
+  /// store) between runs; returns how many frames were still queued.
+  std::size_t discard_frames();
 
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
 

@@ -108,11 +108,6 @@ const char* World::backend_name() const noexcept { return backend_->name(); }
 
 bool World::multiprocess() const noexcept { return backend_->multiprocess(); }
 
-void World::set_reliable(const ReliableConfig& config) {
-  TREESVD_REQUIRE(config.max_retries >= 1, "reliable transport needs a positive retry budget");
-  reliable_ = config;
-}
-
 void World::set_fault_plan(const FaultPlan& plan) {
   TREESVD_REQUIRE(plan.drop_prob >= 0.0 && plan.duplicate_prob >= 0.0 &&
                       plan.corrupt_prob >= 0.0 && plan.delay_prob >= 0.0 &&
@@ -123,14 +118,13 @@ void World::set_fault_plan(const FaultPlan& plan) {
       "message fault probabilities must sum to at most 1");
   TREESVD_REQUIRE(plan.kill_rank < size() && plan.stall_rank < size(),
                   "fault plan targets a rank outside this world");
-  TREESVD_REQUIRE(!plan.has_message_faults() || reliable_.enabled,
-                  "message faults require the reliable transport (set_reliable first)");
+  TREESVD_REQUIRE(plan.max_retries >= 1, "reliable transport needs a positive retry budget");
   injector_ = std::make_unique<FaultInjector>(plan);
 }
 
 void World::run(const std::function<void(Context&)>& program) {
   TREESVD_REQUIRE(!running_.load(), "World::run: a run is already in progress");
-  TREESVD_REQUIRE(!aborted(), "World::run: reset_for_replay() must rearm an aborted world");
+  aborted_.store(false, std::memory_order_release);
   running_.store(true);
   try {
     backend_->run(program);
@@ -139,31 +133,6 @@ void World::run(const std::function<void(Context&)>& program) {
     throw;
   }
   running_.store(false);
-  if (!aborted()) purgeable_ = true;
-}
-
-void World::reset_for_replay() {
-  TREESVD_REQUIRE(!running_.load(), "reset_for_replay: a run is in progress — join it first");
-  TREESVD_REQUIRE(aborted(),
-                  "reset_for_replay: the world never aborted (or was already reset) — "
-                  "resetting a healthy world would discard live transport state");
-  backend_->reset_for_replay();
-  aborted_.store(false, std::memory_order_release);
-}
-
-void World::purge_leftovers() {
-  TREESVD_REQUIRE(!running_.load(), "purge_leftovers: a run is in progress — join it first");
-  TREESVD_REQUIRE(reliable_.enabled,
-                  "purge_leftovers: only meaningful under the reliable transport "
-                  "(set_reliable first)");
-  TREESVD_REQUIRE(!aborted(),
-                  "purge_leftovers: the world is aborted — reset_for_replay owns that path "
-                  "(purging would destroy the frames a replay audit counts)");
-  TREESVD_REQUIRE(purgeable_,
-                  "purge_leftovers: no run completed since the last purge — "
-                  "there is nothing to account");
-  backend_->purge_leftovers();
-  purgeable_ = false;
 }
 
 bool World::has_published(std::uint64_t key) const {

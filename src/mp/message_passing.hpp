@@ -29,20 +29,20 @@
 //                            how multi-process engines return results and
 //                            keep checkpoints across respawns.
 //
-// Fault tolerance (opt-in, see mp/fault.hpp):
-//   * set_reliable(cfg) layers a reliable transport over send/recv: frames
-//     carry a per-(src, dst, tag) sequence number and a payload checksum;
-//     recv validates both, suppresses duplicates/stale frames, and when a
-//     frame is lost, delayed past the deadline, or corrupted it recovers the
-//     *clean* payload from the sender's retransmit store with bounded retry
-//     and deterministic exponential backoff (virtual time in-process; real
-//     NACK round-trips with wall-clock deadlines over sockets). Below the
-//     retry budget, delivered payloads are bit-identical to a fault-free
-//     run; beyond it recv throws TransportError naming (src, dst, tag, seq,
-//     attempts).
+// Fault tolerance (see mp/fault.hpp): the installed FaultPlan is the only
+// chaos setting.
 //   * set_fault_plan(plan) installs a seeded deterministic fault injector
-//     (drop/duplicate/corrupt/delay per message, kill/stall per rank); see
-//     FaultPlan. Message faults require the reliable transport.
+//     (drop/duplicate/corrupt/delay per message, kill/stall per rank).
+//   * A plan with message faults runs send/recv over the reliable transport:
+//     frames carry a per-(src, dst, tag) sequence number and a payload
+//     checksum; recv validates both, suppresses duplicates/stale frames, and
+//     when a frame is lost, delayed past the deadline, or corrupted it
+//     recovers the *clean* payload from the sender's retransmit store with
+//     bounded retry and deterministic exponential backoff (virtual time
+//     in-process; real NACK round-trips with wall-clock deadlines over
+//     sockets). Below the plan's max_retries, delivered payloads are
+//     bit-identical to a fault-free run; beyond it recv throws
+//     TransportError naming (src, dst, tag, seq, attempts).
 //   * When any rank's program throws, the world aborts — deterministically.
 //     A blocked recv gives up (WorldAbortedError, a secondary failure) only
 //     once its *source rank has finished*, never merely because the abort
@@ -53,8 +53,9 @@
 //     counts timing-dependent, but delivered payloads stay bit-identical).
 //     Collectives throw on abort outright (a dead rank can never complete
 //     them). run() joins *all* ranks, then rethrows the lowest-rank primary
-//     exception. reset_for_replay() rearms an aborted world so an engine can
-//     roll back to a checkpoint and replay (svd/spmd.cpp does).
+//     exception. The next run() on the same world starts from an empty
+//     transport, so an engine rolls back to a checkpoint and replays by
+//     calling run() again (svd/spmd.cpp does).
 
 #include <atomic>
 #include <cstddef>
@@ -71,7 +72,7 @@
 namespace treesvd::mp {
 
 /// A message: raw doubles (plus a 2-double [seq, checksum] header while a
-/// frame is in flight on the reliable transport).
+/// frame is in flight on the in-process reliable transport).
 struct Packet {
   std::vector<double> data;
 };
@@ -150,8 +151,8 @@ class World {
   int size() const noexcept { return ranks_; }
 
   /// Selects the transport (call before run(); kInproc is the default).
-  /// Reliable/fault/recovery configuration is shared, so a program moves
-  /// between backends without any other change.
+  /// The fault plan and the recovery counters are shared, so a program
+  /// moves between backends without any other change.
   void set_backend(Backend backend, const SocketConfig& config = {});
 
   Backend backend() const noexcept { return backend_kind_; }
@@ -165,18 +166,28 @@ class World {
   /// from the lowest failing rank is rethrown (documented tie-break: rank
   /// order, with secondary WorldAbortedError unwindings surfaced only when
   /// no primary program exception exists).
+  ///
+  /// Every run starts from an empty transport and a cleared abort flag: no
+  /// frame, sequence number, retransmit copy or half-finished collective of
+  /// an earlier run (aborted or not) reaches it. In process, a run that
+  /// completes under message faults counts the frames it leaves queued
+  /// (duplicates, delayed stragglers) in RecoveryStats::duplicates_suppressed;
+  /// rank processes count a duplicate when it arrives.
+  /// The one-shot kill latch, the cumulative counters and the published-blob
+  /// board persist across runs, so calling run() again after a
+  /// RankKilledError replays past the kill, keeps the full fault history and
+  /// can restore from published checkpoints.
   void run(const std::function<void(Context&)>& program);
 
   /// Total logical messages sent since construction (for tests/stats); under
   /// a fault plan this counts sends, whether or not the frame survived.
   std::size_t delivered() const noexcept { return delivered_.load(); }
 
-  /// Enables the reliable transport (call before run()).
-  void set_reliable(const ReliableConfig& config);
-
   /// Installs a deterministic fault schedule (call before run()). Message
-  /// faults (drop/duplicate/corrupt/delay/resend-drop) require the reliable
-  /// transport to be enabled first.
+  /// faults (drop/duplicate/corrupt/delay/resend-drop) turn the reliable
+  /// transport on. Throws std::invalid_argument for probabilities outside
+  /// [0, 1] or summing past 1, a target rank outside the world, or
+  /// max_retries < 1.
   void set_fault_plan(const FaultPlan& plan);
 
   /// Snapshot of every transport/recovery counter.
@@ -186,29 +197,9 @@ class World {
   /// here so one snapshot covers the whole recovery story.
   RecoveryCounters& recovery_counters() noexcept { return counters_; }
 
-  /// True once a rank failure has aborted the world (cleared by
-  /// reset_for_replay).
+  /// True once a rank failure has aborted the world (cleared by the next
+  /// run()).
   bool aborted() const noexcept { return aborted_.load(std::memory_order_acquire); }
-
-  /// Rearms an aborted world for a checkpoint replay: clears all mailboxes,
-  /// in-flight frames, sequence state and collective state. Cumulative
-  /// statistics, the one-shot kill latch, and the published-blob board
-  /// persist, so a replay proceeds past the kill, keeps the full fault
-  /// history, and can restore from published checkpoints. Misuse throws
-  /// std::invalid_argument: only call between run()s, and only on a world
-  /// that actually aborted (calling it twice, or on a healthy world, would
-  /// otherwise silently discard live state).
-  void reset_for_replay();
-
-  /// After a completed run under the reliable transport: discards leftover
-  /// frames (suppressed duplicates and delayed stragglers), accounting them
-  /// in RecoveryStats::duplicates_suppressed, and releases the retransmit
-  /// store. Misuse throws std::invalid_argument: only call between run()s,
-  /// only with the reliable transport enabled, only after a run completed
-  /// since the last purge, and never on an aborted world (reset_for_replay
-  /// owns that path — purging would destroy the frames a replay audit
-  /// counts).
-  void purge_leftovers();
 
   /// True when `key` has been publish()ed (by any rank, any run).
   bool has_published(std::uint64_t key) const;
@@ -231,14 +222,12 @@ class World {
   std::atomic<std::size_t> delivered_{0};
 
   // Fault tolerance (shared across backends).
-  ReliableConfig reliable_;
   std::unique_ptr<FaultInjector> injector_;
   RecoveryCounters counters_;
   std::atomic<bool> aborted_{false};
 
-  // Misuse guards (single caller thread, like run() itself).
+  // Misuse guard (single caller thread, like run() itself).
   std::atomic<bool> running_{false};
-  bool purgeable_ = false;
 
   // Durable result board.
   mutable std::mutex blob_mu_;

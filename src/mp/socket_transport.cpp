@@ -130,8 +130,7 @@ struct SocketTransport::RankRuntime {
   int rank = 0;
   int size = 0;
   SocketConfig cfg;
-  ReliableConfig rel;
-  bool reliable_on = false;
+  bool reliable_on = false;           ///< the plan has message faults
   FaultInjector* inj = nullptr;       ///< child's copy of the injector
   RecoveryCounters* counters = nullptr;
   int ctl = -1;
@@ -380,6 +379,9 @@ struct SocketTransport::RankRuntime {
         if (c.src < 0) --pending_unknown;
         c.src = src;
         in_fd[static_cast<std::size_t>(src)] = c.fd;
+        // pending_unknown feeds unreachable(): a recv blocked on a dead
+        // source may be waiting for exactly this connection to identify.
+        cv.notify_all();
         return true;
       }
       case WireKind::kData:
@@ -582,19 +584,6 @@ long SocketTransport::process_id(int rank) const noexcept {
   return pids_[static_cast<std::size_t>(rank)].load(std::memory_order_acquire);
 }
 
-void SocketTransport::reset_for_replay() {
-  // Children are gone (run() reaps every pid before returning) and the
-  // kernel reclaimed their streams; what can leak into a replay is the
-  // listener backlog — connections a dead rank initiated that no one ever
-  // accepted, still holding that run's frames.
-  drain_listener_backlog();
-}
-
-void SocketTransport::purge_leftovers() {
-  // Rank-process mailboxes, stashes and retransmit stores died with their
-  // processes at the end of run(); there is nothing left to count.
-}
-
 // ---------------------------------------------------------------------------
 // Rank-process entry points (called through Context in a forked child).
 
@@ -615,9 +604,8 @@ void SocketTransport::send(Context& ctx, int dst, std::uint64_t tag, std::vector
     rt.store[key][seq] = frame;  // backs NACK recovery until the receiver acks it
   }
   rt.sends.fetch_add(1, std::memory_order_relaxed);
-  const FaultAction act = (rt.reliable_on && rt.inj != nullptr)
-                              ? rt.inj->action(ctx.rank(), dst, tag, seq)
-                              : FaultAction::kDeliver;
+  const FaultAction act =
+      rt.reliable_on ? rt.inj->action(ctx.rank(), dst, tag, seq) : FaultAction::kDeliver;
   switch (act) {
     case FaultAction::kDeliver:
       rt.write_data(dst, tag, seq, *frame, nullptr);
@@ -709,8 +697,9 @@ std::vector<double> SocketTransport::recv(Context& ctx, int src, std::uint64_t t
       // connection, or is stalling in a delayed sender — NACK for a clean
       // retransmission, with the same bounded retry + exponential backoff
       // budget the in-process backend accounts in virtual time.
-      if (attempt >= rt.rel.max_retries)
-        throw transport_exhausted("socket", src, ctx.rank(), tag, expected, rt.rel.max_retries);
+      const int max_retries = rt.inj->plan().max_retries;
+      if (attempt >= max_retries)
+        throw transport_exhausted("socket", src, ctx.rank(), tag, expected, max_retries);
       rt.counters->add_retry();
       rt.counters->add_virtual_backoff(virtual_wait);
       virtual_wait *= kRetryBackoff;
@@ -794,8 +783,7 @@ void SocketTransport::run_child(int rank, int ctl_fd,
   rt.rank = rank;
   rt.size = world().size();
   rt.cfg = cfg_;
-  rt.rel = reliable();
-  rt.reliable_on = reliable().enabled;
+  rt.reliable_on = reliable();
   rt.inj = injector();
   rt.counters = &counters();
   rt.ctl = ctl_fd;
@@ -971,7 +959,7 @@ void SocketTransport::run(const std::function<void(Context&)>& program) {
   const auto trigger_abort = [&] {
     if (abort_sent) return;
     abort_sent = true;
-    set_world_aborted(true);
+    set_world_aborted();
     WireOut f;
     f.kind = WireKind::kAbort;
     broadcast(f, -1);

@@ -16,12 +16,13 @@
 //
 // Faults are physical here: a dropped frame closes the connection it rode,
 // a delay is a real sender stall, a corruption puts genuinely damaged bytes
-// on the wire, and a kill is SIGKILL mid-run. Receive deadlines run on the
-// wall clock (SocketConfig::recv_deadline_ms scaled by ReliableConfig), so
-// retry *counters* are timing-dependent — but recovered payloads come from
-// the sender's clean retransmit store, so delivered data, and therefore
-// σ/U/V and every result digest, stays bit-identical to the in-process run
-// (treesvd_chaos --backend=socket gates exactly that).
+// on the wire, and a kill is SIGKILL mid-run. Under message faults receive
+// deadlines run on the wall clock (SocketConfig::recv_deadline_ms, doubling
+// up to FaultPlan::max_retries times), so retry *counters* are
+// timing-dependent — but recovered payloads come from the sender's clean
+// retransmit store, so delivered data, and therefore σ/U/V and every result
+// digest, stays bit-identical to the in-process run (treesvd_chaos
+// --backend=socket gates exactly that).
 //
 // Process-death rules a thread backend never needed:
 //   * Rank memory dies with the rank: results and checkpoints must travel
@@ -66,8 +67,6 @@ class SocketTransport final : public TransportBackend {
   double allreduce_sum(Context& ctx, double value) override;
   [[noreturn]] void execute_kill(Context& ctx, std::uint64_t op) override;
   void publish(Context& ctx, std::uint64_t key, std::vector<double> blob) override;
-  void reset_for_replay() override;
-  void purge_leftovers() override;
   long process_id(int rank) const noexcept override;
 
  private:
@@ -77,7 +76,9 @@ class SocketTransport final : public TransportBackend {
                               const std::function<void(Context&)>& program);
   /// Accepts and closes stale pending connections left on the listeners by
   /// a previous (aborted) run, so a replay can never consume a dead run's
-  /// frames.
+  /// frames. Everything else a run holds (stashes, sequence state,
+  /// retransmit stores) dies with its rank processes, so this is all run()
+  /// needs to start from an empty transport.
   void drain_listener_backlog() noexcept;
 
   SocketConfig cfg_;

@@ -2,13 +2,13 @@
 // Transport backend interface under mp::World (DESIGN.md section 15).
 //
 // World is a facade: every Context operation (send/recv/barrier/allreduce/
-// publish) and every lifecycle operation (run/reset_for_replay/
-// purge_leftovers) is delegated to a TransportBackend. The backend owns the
-// *mechanics* of message motion — mailboxes and condition variables
-// in-process, sockets and processes for the socket backend — while the
-// *policy* stays in World and is shared: the reliable-transport
-// configuration, the fault injector, the recovery counters, the abort flag
-// and the durable blob board. That split is what makes the two backends
+// publish) and run() are delegated to a TransportBackend. The backend owns
+// the *mechanics* of message motion — mailboxes and condition variables
+// in-process, sockets and processes for the socket backend — and starts
+// every run from an empty transport, while the *policy* stays in World and
+// is shared: the fault injector (whose plan also decides whether the
+// reliable transport runs), the recovery counters, the abort flag and the
+// durable blob board. That split is what makes the two backends
 // interchangeable at the program level: the same SPMD program with the same
 // fault plan produces bit-identical payloads on either side.
 //
@@ -29,6 +29,8 @@ class TransportBackend {
   /// True when ranks are OS processes and rank memory dies with the rank.
   virtual bool multiprocess() const noexcept = 0;
 
+  /// Runs the program on every rank from an empty transport (World::run
+  /// has already cleared the abort flag).
   virtual void run(const std::function<void(Context&)>& program) = 0;
 
   virtual void send(Context& ctx, int dst, std::uint64_t tag, std::vector<double> data) = 0;
@@ -45,9 +47,6 @@ class TransportBackend {
   /// (correct whenever rank memory is the world's memory).
   virtual void publish(Context& ctx, std::uint64_t key, std::vector<double> blob);
 
-  virtual void reset_for_replay() = 0;
-  virtual void purge_leftovers() = 0;
-
   /// OS process id of a live rank (multiprocess backends only; 0 otherwise).
   virtual long process_id(int rank) const noexcept;
 
@@ -58,16 +57,19 @@ class TransportBackend {
   const World& world() const noexcept { return *world_; }
 
   // Shared-policy accessors (see header comment).
-  const ReliableConfig& reliable() const noexcept { return world_->reliable_; }
   FaultInjector* injector() noexcept { return world_->injector_.get(); }
+  /// The reliable transport runs exactly when the installed plan has
+  /// message faults; injector()->plan().max_retries is then its budget.
+  bool reliable() const noexcept {
+    const FaultInjector* inj = world_->injector_.get();
+    return inj != nullptr && inj->plan().has_message_faults();
+  }
   RecoveryCounters& counters() noexcept { return world_->counters_; }
   void count_sends(std::size_t n) noexcept {
     world_->delivered_.fetch_add(n, std::memory_order_relaxed);
   }
   bool world_aborted() const noexcept { return world_->aborted(); }
-  void set_world_aborted(bool value) noexcept {
-    world_->aborted_.store(value, std::memory_order_release);
-  }
+  void set_world_aborted() noexcept { world_->aborted_.store(true, std::memory_order_release); }
   void store_blob(std::uint64_t key, std::vector<double> blob) {
     std::lock_guard<std::mutex> lock(world_->blob_mu_);
     world_->blobs_[key] = std::move(blob);

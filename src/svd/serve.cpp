@@ -41,8 +41,7 @@ std::string injected_fault_message(std::uint64_t id) {
 }  // namespace
 
 ServeFaultPlan::RequestFault ServeFaultPlan::request_fault(std::uint64_t id) const noexcept {
-  if (!enabled || (poison_prob <= 0.0 && throw_prob <= 0.0 && expire_prob <= 0.0))
-    return RequestFault::kNone;
+  if (poison_prob <= 0.0 && throw_prob <= 0.0 && expire_prob <= 0.0) return RequestFault::kNone;
   // First match wins over a partition of [0, 1) — at most one fault per
   // request, bit-reproducible for a given (seed, id).
   const double u = unit_interval(mix64(mix64(seed ^ kRequestSalt) ^ id));
@@ -285,8 +284,7 @@ ServeStats SvdServer::stats() const {
 
 void SvdServer::maybe_stall(std::size_t idx) {
   const ServeFaultPlan& fp = options_.faults;
-  if (!fp.enabled || fp.stall_shard < 0 || static_cast<std::size_t>(fp.stall_shard) != idx)
-    return;
+  if (fp.stall_shard < 0 || static_cast<std::size_t>(fp.stall_shard) != idx) return;
   stalls_injected_.fetch_add(1, std::memory_order_relaxed);
   // The release condition is the server-wide submission count — an event in
   // the request trace, not a wall-clock instant — so a stalled run's counters
@@ -304,7 +302,7 @@ void SvdServer::maybe_stall(std::size_t idx) {
 
 void SvdServer::finish_solo(Shard& sh, const Request& r) {
   const ServeFaultPlan& fp = options_.faults;
-  if (fp.enabled && fp.should_throw(r.id)) {
+  if (fp.should_throw(r.id)) {
     complete_failed(sh, r, injected_fault_message(r.id));
     return;
   }
@@ -337,7 +335,7 @@ void SvdServer::solve_batch(Shard& sh) {
   const ServeFaultPlan& fp = options_.faults;
   bool clean = true;
   try {
-    if (fp.enabled && fp.throw_prob > 0.0) {
+    if (fp.throw_prob > 0.0) {
       for (const Request& r : sh.keep)
         if (fp.should_throw(r.id)) throw std::runtime_error(injected_fault_message(r.id));
     }

@@ -172,9 +172,9 @@ class LatencyHistogram {
 /// The request-fault bands partition [0, 1): at most one fault per request.
 /// kPoison and kExpire are *client-side* decisions (the chaos driver builds
 /// a NaN input / submits an unmeetable deadline — the server just reacts);
-/// kThrow and the shard stall are server-side injections.
+/// kThrow and the shard stall are server-side injections. A default plan
+/// injects nothing.
 struct ServeFaultPlan {
-  bool enabled = false;     ///< master switch; a default plan injects nothing
   std::uint64_t seed = 1;   ///< mixes into every per-request decision
 
   double poison_prob = 0.0;  ///< request input carries a NaN (driver-built)

@@ -155,8 +155,7 @@ SvdResult spmd_jacobi(const Matrix& a, const Ordering& ordering, const JacobiOpt
   if (chaos) {
     if (transport->backend == mp::Backend::kSocket)
       world.set_backend(mp::Backend::kSocket, transport->socket);
-    if (transport->reliable.enabled) world.set_reliable(transport->reliable);
-    if (transport->faults.enabled) world.set_fault_plan(transport->faults);
+    world.set_fault_plan(transport->faults);
   }
   mp::RecoveryCounters& rc = world.recovery_counters();
 
@@ -338,10 +337,11 @@ SvdResult spmd_jacobi(const Matrix& a, const Ordering& ordering, const JacobiOpt
   };
 
   // Recovery loop: a killed rank is respawned by rolling the whole world
-  // back to the newest checkpoint every rank committed and replaying — the
-  // engine is deterministic, so the replay is bit-identical to the run the
-  // kill interrupted. Transport-budget exhaustion and program errors are
-  // not recoverable and propagate.
+  // back to the newest checkpoint every rank committed and running it again
+  // (each run starts from an empty transport) — the engine is
+  // deterministic, so the replay is bit-identical to the run the kill
+  // interrupted. Transport-budget exhaustion and program errors are not
+  // recoverable and propagate.
   for (;;) {
     try {
       world.run(program);
@@ -365,10 +365,8 @@ SvdResult spmd_jacobi(const Matrix& a, const Ordering& ordering, const JacobiOpt
       if (rc.snapshot().rollbacks >= static_cast<std::size_t>(recovery.max_rollbacks)) throw;
       rc.add_rollback();
       restore_sweep = newest_common;
-      world.reset_for_replay();
     }
   }
-  if (chaos && transport->reliable.enabled) world.purge_leftovers();
 
   if (stats != nullptr) {
     stats->messages = world.delivered();

@@ -8,13 +8,14 @@
 // every slot against the next step's layout, so a run also proves the
 // ordering's schedule executable with exactly its moves as messages.
 //
-// Fault tolerance (opt-in via SpmdTransport): the reliable transport makes
-// the run bit-identical to the fault-free one under any drop / duplicate /
-// corrupt / delay schedule that stays below the retry budget; sweep-boundary
-// checkpoints let a killed rank be respawned with the world rolled back to
-// the last state every rank had committed, and the deterministic replay
-// again reproduces the fault-free result bit-for-bit. All recovery activity
-// is surfaced as SpmdStats::recovery.
+// Fault tolerance (opt-in via SpmdTransport): a fault plan with message
+// faults runs the world over the reliable transport, which makes the run
+// bit-identical to the fault-free one under any drop / duplicate / corrupt /
+// delay schedule that stays below the plan's retry budget; sweep-boundary
+// checkpoints let a killed rank be respawned — the engine picks the newest
+// sweep every rank committed and calls World::run again — and the
+// deterministic replay again reproduces the fault-free result bit-for-bit.
+// All recovery activity is surfaced as SpmdStats::recovery.
 
 #include "core/ordering.hpp"
 #include "linalg/matrix.hpp"
@@ -30,10 +31,9 @@ struct SpmdStats {
 };
 
 /// Chaos/robustness configuration for spmd_jacobi. Default-constructed it
-/// enables sweep checkpointing but injects nothing; install a FaultPlan (and
-/// the reliable transport for message faults) to run under chaos.
+/// enables sweep checkpointing but injects nothing; set a FaultPlan to run
+/// under chaos.
 struct SpmdTransport {
-  mp::ReliableConfig reliable;  ///< opt-in reliable send/recv layer
   mp::FaultPlan faults;         ///< deterministic fault schedule
   RecoveryOptions recovery;     ///< checkpoint cadence, rollback budget
   /// Transport backend: kInproc runs ranks as threads (default); kSocket
@@ -49,8 +49,9 @@ struct SpmdTransport {
 /// Runs the rank-per-leaf SPMD Jacobi program on n/2 concurrent ranks —
 /// threads by default, one OS process each under SpmdTransport::backend ==
 /// kSocket (after padding n to a width the ordering supports). Results are
-/// bit-identical to one_sided_jacobi with the same options — also under a
-/// surviving fault plan when `transport` enables the reliable layer.
+/// bit-identical to one_sided_jacobi with the same options — also under any
+/// fault plan in `transport` that stays below its retry and rollback
+/// budgets.
 SvdResult spmd_jacobi(const Matrix& a, const Ordering& ordering,
                       const JacobiOptions& options = {}, SpmdStats* stats = nullptr,
                       const SpmdTransport* transport = nullptr);

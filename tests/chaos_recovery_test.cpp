@@ -1,8 +1,9 @@
 // Chaos tolerance: deterministic fault injection against the SPMD Jacobi.
 // The central contract: under a seeded plan mixing drops, duplicates,
-// corruption and a rank kill, the reliable transport + sweep-checkpoint
-// recovery make the run *bit-identical* to the fault-free one, with exactly
-// reproducible RecoveryStats across repeated runs.
+// corruption and a rank kill, the reliable transport (on because the plan
+// has message faults) and sweep-checkpoint recovery make the run
+// *bit-identical* to the fault-free one, with exactly reproducible
+// RecoveryStats across repeated runs.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -36,8 +37,6 @@ void expect_bit_identical(const SvdResult& got, const SvdResult& want) {
 /// rank kill, all from one seed.
 SpmdTransport acceptance_transport() {
   SpmdTransport t;
-  t.reliable.enabled = true;
-  t.faults.enabled = true;
   t.faults.seed = 42;
   t.faults.drop_prob = 0.12;
   t.faults.duplicate_prob = 0.08;
@@ -84,12 +83,13 @@ TEST(SpmdChaos, SurvivingPlanIsBitIdenticalToFaultFree) {
 }
 
 TEST(SpmdChaos, ReliableTransportAloneIsTransparent) {
+  // The default transport: no fault plan, so send/recv stay on the plain
+  // path and only the sweep checkpoints run.
   Rng rng(902);
   const Matrix a = random_gaussian(14, 8, rng);
   const auto ord = make_ordering("fat-tree");
   const SvdResult baseline = spmd_jacobi(a, *ord);
-  SpmdTransport t;
-  t.reliable.enabled = true;
+  const SpmdTransport t;
   SpmdStats stats;
   const SvdResult r = spmd_jacobi(a, *ord, {}, &stats, &t);
   expect_bit_identical(r, baseline);
@@ -107,8 +107,6 @@ TEST(SpmdChaos, MessageFaultsAloneAreBitIdentical) {
   const auto ord = make_ordering("round-robin");
   const SvdResult baseline = spmd_jacobi(a, *ord);
   SpmdTransport t;
-  t.reliable.enabled = true;
-  t.faults.enabled = true;
   t.faults.seed = 7;
   t.faults.drop_prob = 0.15;
   t.faults.duplicate_prob = 0.1;
@@ -125,7 +123,6 @@ TEST(SpmdChaos, KillWithoutCheckpointingIsFatal) {
   Rng rng(904);
   const Matrix a = random_gaussian(12, 8, rng);
   SpmdTransport t;
-  t.faults.enabled = true;
   t.faults.kill_rank = 1;
   t.faults.kill_at_op = 5;
   t.recovery.checkpoint_sweeps = 0;  // recovery disabled
@@ -137,9 +134,7 @@ TEST(SpmdChaos, RetryBudgetExhaustionThrowsTransportError) {
   Rng rng(905);
   const Matrix a = random_gaussian(12, 8, rng);
   SpmdTransport t;
-  t.reliable.enabled = true;
-  t.reliable.max_retries = 2;
-  t.faults.enabled = true;
+  t.faults.max_retries = 2;
   t.faults.drop_prob = 1.0;         // every first transmission lost
   t.faults.resend_drop_prob = 1.0;  // every retransmission lost too
   EXPECT_THROW(spmd_jacobi(a, *make_ordering("new-ring"), {}, nullptr, &t), mp::TransportError);
@@ -151,7 +146,6 @@ TEST(SpmdChaos, StallIsHarmlessAndCounted) {
   const auto ord = make_ordering("new-ring");
   const SvdResult baseline = spmd_jacobi(a, *ord);
   SpmdTransport t;
-  t.faults.enabled = true;
   t.faults.stall_rank = 0;
   t.faults.stall_at_op = 4;
   t.faults.stall_micros = 500;

@@ -96,21 +96,10 @@ TEST(FailureInjection, MessagePassingChecks) {
 }
 
 TEST(FailureInjection, FaultPlanValidation) {
-  // Message faults without the reliable transport are rejected up front —
-  // nothing would recover the injected losses.
-  {
-    mp::World world(2);
-    mp::FaultPlan plan;
-    plan.enabled = true;
-    plan.drop_prob = 0.1;
-    EXPECT_THROW(world.set_fault_plan(plan), std::invalid_argument);
-  }
   // Probabilities must be sane individually and as a partition of [0, 1).
   {
     mp::World world(2);
-    world.set_reliable({.enabled = true});
     mp::FaultPlan plan;
-    plan.enabled = true;
     plan.drop_prob = -0.1;
     EXPECT_THROW(world.set_fault_plan(plan), std::invalid_argument);
     plan.drop_prob = 0.7;
@@ -121,17 +110,22 @@ TEST(FailureInjection, FaultPlanValidation) {
   {
     mp::World world(2);
     mp::FaultPlan plan;
-    plan.enabled = true;
     plan.kill_rank = 7;
     EXPECT_THROW(world.set_fault_plan(plan), std::invalid_argument);
     plan.kill_rank = -1;
     plan.stall_rank = 2;
     EXPECT_THROW(world.set_fault_plan(plan), std::invalid_argument);
   }
-  // Reliable-transport knobs are validated too.
+  // The reliable transport's retry budget must be positive; message faults
+  // need no other switch.
   {
     mp::World world(2);
-    EXPECT_THROW(world.set_reliable({.enabled = true, .max_retries = 0}), std::invalid_argument);
+    mp::FaultPlan plan;
+    plan.drop_prob = 0.1;
+    plan.max_retries = 0;
+    EXPECT_THROW(world.set_fault_plan(plan), std::invalid_argument);
+    plan.max_retries = 1;
+    EXPECT_NO_THROW(world.set_fault_plan(plan));
   }
 }
 

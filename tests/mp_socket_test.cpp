@@ -126,12 +126,8 @@ TEST(SocketBackend, TransportErrorCarriesContext) {
   mp::SocketConfig sc;
   sc.recv_deadline_ms = 5.0;  // keep the retry ladder fast
   world.set_backend(mp::Backend::kSocket, sc);
-  mp::ReliableConfig rc;
-  rc.enabled = true;
-  rc.max_retries = 3;
-  world.set_reliable(rc);
   mp::FaultPlan plan;
-  plan.enabled = true;
+  plan.max_retries = 3;
   plan.seed = 7;
   plan.drop_prob = 1.0;
   plan.resend_drop_prob = 1.0;
@@ -167,12 +163,8 @@ TEST(SocketBackend, LateRetransmissionRecoveredOnBothBackends) {
     mp::SocketConfig sc;
     sc.recv_deadline_ms = 5.0;
     world.set_backend(backend, sc);
-    mp::ReliableConfig rc;
-    rc.enabled = true;
-    rc.max_retries = 4;
-    world.set_reliable(rc);
     mp::FaultPlan plan;
-    plan.enabled = true;
+    plan.max_retries = 4;
     plan.seed = 7;
     plan.drop_prob = 1.0;
     world.set_fault_plan(plan);
@@ -242,9 +234,7 @@ TEST(SocketBackend, PhysicalFaultsStillBitIdentical) {
 
   SpmdTransport transport;
   transport.backend = mp::Backend::kSocket;
-  transport.reliable.enabled = true;
-  transport.reliable.max_retries = 12;
-  transport.faults.enabled = true;
+  transport.faults.max_retries = 12;
   transport.faults.seed = 2026;
   transport.faults.drop_prob = 0.10;
   transport.faults.duplicate_prob = 0.06;
@@ -273,8 +263,6 @@ TEST(SocketBackend, KillRespawnRollbackBitIdentical) {
 
   SpmdTransport transport;
   transport.backend = mp::Backend::kSocket;
-  transport.reliable.enabled = true;
-  transport.faults.enabled = true;
   transport.faults.kill_rank = 1;
   transport.faults.kill_at_op = 9;
   transport.recovery.checkpoint_sweeps = 1;
@@ -296,9 +284,6 @@ TEST(SocketBackend, ExternalSigkillSurfacesAsRankKilled) {
   // external flag and the terminating signal.
   mp::World world(3);
   world.set_backend(mp::Backend::kSocket);
-  mp::ReliableConfig rc;
-  rc.enabled = true;
-  world.set_reliable(rc);
 
   std::thread assassin([&world] {
     long pid = 0;
@@ -328,16 +313,12 @@ TEST(SocketBackend, ExternalSigkillSurfacesAsRankKilled) {
 
 TEST(SocketBackend, ResetForReplayRearmsAfterProcessDeath) {
   SKIP_UNDER_TSAN();
-  // The kill latch survives reset_for_replay, so the respawned processes
-  // replay straight past the planned kill — the engine-level rollback
-  // protocol in miniature, at the transport layer.
+  // The kill latch persists across runs, so calling run() again respawns
+  // processes that replay straight past the planned kill — the engine-level
+  // rollback protocol in miniature, at the transport layer.
   mp::World world(3);
   world.set_backend(mp::Backend::kSocket);
-  mp::ReliableConfig rc;
-  rc.enabled = true;
-  world.set_reliable(rc);
   mp::FaultPlan plan;
-  plan.enabled = true;
   plan.kill_rank = 2;
   plan.kill_at_op = 3;
   world.set_fault_plan(plan);
@@ -354,8 +335,8 @@ TEST(SocketBackend, ResetForReplayRearmsAfterProcessDeath) {
   };
   EXPECT_THROW(world.run(program), mp::RankKilledError);
   ASSERT_TRUE(world.aborted());
-  world.reset_for_replay();
   world.run(program);  // fresh processes, latched kill: must complete
+  EXPECT_FALSE(world.aborted());
   for (int r = 0; r < 3; ++r)
     EXPECT_EQ(world.published(500 + static_cast<std::uint64_t>(r))[0], static_cast<double>(r));
   EXPECT_EQ(world.recovery_stats().kills, 1u);

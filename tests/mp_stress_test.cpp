@@ -134,9 +134,8 @@ TEST(MpStressChaos, ReliableAllToAllUnderFaultsDeliversCleanPayloads) {
   mp::RecoveryStats first;
   for (int run = 0; run < 3; ++run) {
     mp::World world(ranks);
-    world.set_reliable({.enabled = true, .max_retries = 10});
     mp::FaultPlan plan;
-    plan.enabled = true;
+    plan.max_retries = 10;
     plan.seed = 99;
     plan.drop_prob = 0.12;
     plan.duplicate_prob = 0.08;
@@ -157,7 +156,6 @@ TEST(MpStressChaos, ReliableAllToAllUnderFaultsDeliversCleanPayloads) {
         }
       }
     });
-    world.purge_leftovers();
     const mp::RecoveryStats stats = world.recovery_stats();
     if (run == 0) {
       first = stats;
@@ -168,8 +166,9 @@ TEST(MpStressChaos, ReliableAllToAllUnderFaultsDeliversCleanPayloads) {
       EXPECT_GT(stats.delays_seen, 0u);
       EXPECT_GT(stats.retries, 0u);
       EXPECT_GT(stats.resends, 0u);
-      // Every injected duplicate is eventually suppressed (live or purged):
-      // this program receives every message, so nothing else is left over.
+      // Every injected duplicate is eventually suppressed, live or counted
+      // by run() among the frames left queued when the run completed: this
+      // program receives every message, so nothing else is left over.
       EXPECT_EQ(stats.duplicates_suppressed, stats.duplicates_injected);
     } else {
       EXPECT_TRUE(stats == first);
@@ -183,7 +182,6 @@ TEST(MpStressChaos, KillUnderLoadAbortsDeterministically) {
   const int ranks = 6;
   mp::World world(ranks);
   mp::FaultPlan plan;
-  plan.enabled = true;
   plan.kill_rank = 3;
   plan.kill_at_op = 40;
   world.set_fault_plan(plan);
@@ -206,7 +204,6 @@ TEST(MpStressChaos, StallDelaysButNeverChangesResults) {
   const int ranks = 4;
   mp::World world(ranks);
   mp::FaultPlan plan;
-  plan.enabled = true;
   plan.stall_rank = 1;
   plan.stall_at_op = 3;
   plan.stall_micros = 200;
@@ -320,7 +317,6 @@ TEST(MpStressFuzzed, FaultPlanUnaffectedByFuzzSalt) {
   const auto run_once = [&](bool fuzzed) {
     mp::World world(ranks);
     mp::FaultPlan plan;
-    plan.enabled = true;
     plan.kill_rank = 2;
     plan.kill_at_op = 17;
     world.set_fault_plan(plan);

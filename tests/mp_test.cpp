@@ -2,7 +2,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <functional>
 #include <tuple>
 
 #include "core/registry.hpp"
@@ -132,7 +131,6 @@ TEST(MessagePassing, SecondarySurfacesOnlyWithoutPrimary) {
 }
 
 TEST(MessagePassing, SelfTrafficAndRangeChecksThrow) {
-  // Fresh world per case: an aborted world stays aborted until replay-reset.
   EXPECT_THROW(
       mp::World(2).run([](mp::Context& ctx) {
         if (ctx.rank() == 0) ctx.send(0, 1, {1.0});  // send-to-self
@@ -150,94 +148,53 @@ TEST(MessagePassing, SelfTrafficAndRangeChecksThrow) {
       std::invalid_argument);
 }
 
-// What the thrown misuse message starts with — the guards promise a precise
-// diagnosis, not just "invalid argument".
-void expect_misuse(const std::function<void()>& call, const std::string& needle) {
-  try {
-    call();
-    FAIL() << "expected misuse guard for: " << needle;
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos) << e.what();
-  }
-}
-
-TEST(MessagePassing, ResetForReplayOnHealthyWorldThrows) {
-  // A world that never aborted has nothing to rearm; treating it as a
-  // replay target would silently mask a missing failure.
-  mp::World world(2);
-  expect_misuse([&] { world.reset_for_replay(); }, "the world never aborted");
-  world.run([](mp::Context&) {});
-  expect_misuse([&] { world.reset_for_replay(); }, "the world never aborted");
-}
-
-TEST(MessagePassing, ResetForReplayTwiceThrows) {
+TEST(MessagePassing, RunOnAbortedWorldStartsFromAnEmptyTransport) {
+  // Rank 0's frame is queued before rank 1 throws without receiving it. The
+  // next run on the same world, with no call in between, must see only its
+  // own frame: a run starts from an empty transport and a cleared abort flag.
   mp::World world(2);
   EXPECT_THROW(world.run([](mp::Context& ctx) {
-                 if (ctx.rank() == 0) throw std::runtime_error("boom");
+                 if (ctx.rank() == 0) ctx.send(1, 7, {1.0});
+                 ctx.barrier();
+                 if (ctx.rank() == 1) throw std::runtime_error("rank 1 fails");
                }),
                std::runtime_error);
   ASSERT_TRUE(world.aborted());
-  world.reset_for_replay();  // first reset rearms...
-  EXPECT_FALSE(world.aborted());
-  // ...and the second finds a healthy world: same guard as never-aborted.
-  expect_misuse([&] { world.reset_for_replay(); }, "the world never aborted");
-}
-
-TEST(MessagePassing, ResetForReplayMidRunThrows) {
-  // Calling maintenance entry points from inside a live program is the
-  // classic footgun; the guard names the fix (join the run first).
-  mp::World world(2);
-  world.run([&world](mp::Context& ctx) {
-    if (ctx.rank() == 0) {
-      expect_misuse([&] { world.reset_for_replay(); }, "a run is in progress");
-      expect_misuse([&] { world.purge_leftovers(); }, "a run is in progress");
-    }
+  std::vector<double> got;
+  world.run([&got](mp::Context& ctx) {
+    if (ctx.rank() == 0) ctx.send(1, 7, {2.0});
+    if (ctx.rank() == 1) got = ctx.recv(0, 7);
   });
+  EXPECT_FALSE(world.aborted());
+  EXPECT_EQ(got, std::vector<double>{2.0});
 }
 
-TEST(MessagePassing, RunOnAbortedWorldThrows) {
+TEST(MessagePassing, CompletedRunCountsFramesLeftQueued) {
+  // Every frame is delivered twice and rank 1 receives each once: two stale
+  // copies are suppressed by recv, and the last one is still queued when the
+  // run completes, so run() counts it. The second run starts from sequence
+  // number 0 again, with no copy of the first run's frames.
   mp::World world(2);
-  EXPECT_THROW(world.run([](mp::Context& ctx) {
-                 if (ctx.rank() == 0) throw std::runtime_error("boom");
-               }),
-               std::runtime_error);
-  ASSERT_TRUE(world.aborted());
-  expect_misuse([&] { world.run([](mp::Context&) {}); },
-                "reset_for_replay() must rearm an aborted world");
-}
-
-TEST(MessagePassing, PurgeLeftoversMisusePaths) {
-  // Without the reliable transport there are no leftovers to purge.
-  {
-    mp::World world(2);
-    world.run([](mp::Context&) {});
-    expect_misuse([&] { world.purge_leftovers(); }, "only meaningful under the reliable");
+  mp::FaultPlan plan;
+  plan.duplicate_prob = 1.0;
+  world.set_fault_plan(plan);
+  const auto program = [](mp::Context& ctx) {
+    for (int k = 0; k < 3; ++k) {
+      const std::vector<double> frame = {static_cast<double>(k)};
+      if (ctx.rank() == 0) {
+        ctx.send(1, 7, frame);
+      } else {
+        EXPECT_EQ(ctx.recv(0, 7), frame);
+      }
+    }
+  };
+  for (std::size_t run = 1; run <= 2; ++run) {
+    world.run(program);
+    const mp::RecoveryStats stats = world.recovery_stats();
+    EXPECT_EQ(stats.duplicates_injected, 3 * run);
+    EXPECT_EQ(stats.duplicates_suppressed, 3 * run);
+    EXPECT_EQ(stats.retries, 0u);
   }
-  mp::World world(2);
-  mp::ReliableConfig rc;
-  rc.enabled = true;
-  world.set_reliable(rc);
-  // Before any run completed there is nothing to purge either.
-  expect_misuse([&] { world.purge_leftovers(); }, "no run completed");
-  world.run([](mp::Context&) {});
-  world.purge_leftovers();  // legitimate: one completed run, one purge
-  // Purging twice without a new run in between is a sequencing bug.
-  expect_misuse([&] { world.purge_leftovers(); }, "no run completed");
-}
-
-TEST(MessagePassing, PurgeLeftoversOnAbortedWorldThrows) {
-  // An aborted world is reset_for_replay's territory; purging it would
-  // destroy the evidence (and the replay source) in one call.
-  mp::World world(2);
-  mp::ReliableConfig rc;
-  rc.enabled = true;
-  world.set_reliable(rc);
-  EXPECT_THROW(world.run([](mp::Context& ctx) {
-                 if (ctx.rank() == 0) throw std::runtime_error("boom");
-               }),
-               std::runtime_error);
-  ASSERT_TRUE(world.aborted());
-  expect_misuse([&] { world.purge_leftovers(); }, "the world is aborted");
 }
 
 using Param = std::tuple<std::string, int>;

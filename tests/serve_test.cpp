@@ -326,7 +326,6 @@ TEST(SvdServer, LeastLoadedRoutingStarvesStalledShard) {
   opt.shards = 2;
   opt.queue_capacity = 16;
   opt.batch.lane_width = 4;
-  opt.faults.enabled = true;
   opt.faults.stall_shard = 0;
   opt.faults.stall_until_submitted = kHealthy + 2;  // released by the final submit
   SvdServer server(*ord, opt);
@@ -378,7 +377,6 @@ TEST(SvdServer, DeadlineExpiresAtFormationWithoutBurningALane) {
   opt.shards = 1;
   opt.queue_capacity = 8;
   opt.batch.lane_width = 4;
-  opt.faults.enabled = true;
   opt.faults.stall_shard = 0;
   opt.faults.stall_until_submitted = 3;
   SvdServer server(*ord, opt);
@@ -422,7 +420,6 @@ TEST(SvdServer, TrySubmitOnFullQueueBouncesAndCounts) {
   opt.shards = 1;
   opt.queue_capacity = 2;  // exactly the two queued requests
   opt.batch.lane_width = 4;
-  opt.faults.enabled = true;
   opt.faults.stall_shard = 0;
   opt.faults.stall_until_submitted = 99;  // never reached by submissions
   SvdServer server(*ord, opt);
@@ -468,7 +465,6 @@ TEST(SvdServer, PoisonInputFailsAloneAndBatchmatesStayBitwise) {
   opt.shards = 1;
   opt.queue_capacity = 8;
   opt.batch.lane_width = 8;  // wide enough to take all six in one batch
-  opt.faults.enabled = true;
   opt.faults.stall_shard = 0;
   opt.faults.stall_until_submitted = 6;  // all six queued before the first pop
   SvdServer server(*ord, opt);
@@ -499,7 +495,6 @@ TEST(SvdServer, PoisonInputFailsAloneAndBatchmatesStayBitwise) {
 
 TEST(ServeFaultPlan, RequestFaultIsAPureSeededPartition) {
   ServeFaultPlan plan;
-  plan.enabled = true;
   plan.seed = 42;
   plan.poison_prob = 0.15;
   plan.throw_prob = 0.15;
@@ -534,15 +529,10 @@ TEST(ServeFaultPlan, RequestFaultIsAPureSeededPartition) {
     differs = other.request_fault(id) != plan.request_fault(id);
   EXPECT_TRUE(differs);
 
-  // Disabled (or probability-free) plans inject nothing.
-  ServeFaultPlan off = plan;
-  off.enabled = false;
-  ServeFaultPlan zero;
-  zero.enabled = true;
-  for (std::uint64_t id = 0; id < 256; ++id) {
-    EXPECT_EQ(off.request_fault(id), ServeFaultPlan::RequestFault::kNone);
+  // A probability-free plan injects nothing.
+  const ServeFaultPlan zero;
+  for (std::uint64_t id = 0; id < 256; ++id)
     EXPECT_EQ(zero.request_fault(id), ServeFaultPlan::RequestFault::kNone);
-  }
 }
 
 TEST(SvdServer, StopDrainsEveryAcceptedRequestToATerminalState) {
@@ -555,7 +545,6 @@ TEST(SvdServer, StopDrainsEveryAcceptedRequestToATerminalState) {
   opt.shards = 1;
   opt.queue_capacity = 4;
   opt.batch.lane_width = 4;
-  opt.faults.enabled = true;
   opt.faults.stall_shard = 0;
   opt.faults.stall_until_submitted = 99;  // never released by submissions;
                                           // stop() breaks the stall instead

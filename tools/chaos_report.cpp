@@ -5,14 +5,15 @@
 // matrix twice: once fault-free on the in-process backend (ranks as threads,
 // the reference), and once on the backend under test. "inproc" (default) is
 // the shared-memory mailboxes; "socket" runs every rank as its own OS process
-// over UNIX-domain sockets. Without --chaos the second run has no fault plan
-// and the reliable layer off, so over sockets it checks the
+// over UNIX-domain sockets. Without --chaos the second run has no fault
+// plan, so send/recv stay on the plain path and over sockets it checks the
 // transport-independence claim of DESIGN.md section 15. With --chaos it
 // replays a hostile deterministic FaultPlan per seed — drops, duplicates,
-// corruption, delays, one rank kill — with the reliable transport on; over
-// sockets the plan is physical: dropped frames are closed connections, delays
-// are real stalls, and the kill is a SIGKILL of a live process followed by
-// respawn and checkpoint rollback. Sweep checkpoints are on either way.
+// corruption, delays, one rank kill — whose message faults put the run on
+// the reliable transport; over sockets the plan is physical: dropped frames
+// are closed connections, delays are real stalls, and the kill is a SIGKILL
+// of a live process followed by respawn and checkpoint rollback. Sweep
+// checkpoints are on either way.
 //
 // The contract: sigma, U, V, every progress counter and both determinism
 // digests equal the reference's, and every planned rank kill fired and rolled
@@ -108,14 +109,16 @@ int main(int argc, const char* const* argv) {
   transport.recovery.checkpoint_sweeps = 1;
   transport.recovery.max_rollbacks = 8;
   if (chaos) {
-    transport.reliable.enabled = true;
-    transport.reliable.max_retries = static_cast<int>(cli.get_int("max-retries", 12));
-    transport.faults.enabled = true;
+    transport.faults.max_retries = cli.get_size("max-retries", 12);
     transport.faults.drop_prob = cli.get_double("drop", 0.12);
     transport.faults.duplicate_prob = cli.get_double("dup", 0.08);
     transport.faults.corrupt_prob = cli.get_double("corrupt", 0.06);
     transport.faults.delay_prob = cli.get_double("delay", 0.04);
-    transport.faults.kill_rank = static_cast<int>(cli.get_int("kill-rank", 2));
+    const long long kill_rank = cli.get_int("kill-rank", 2);
+    if (kill_rank < -1 || kill_rank > std::numeric_limits<int>::max())
+      throw CliError("--kill-rank must be -1 (no kill) or a rank in [0, INT_MAX], got " +
+                     std::to_string(kill_rank));
+    transport.faults.kill_rank = static_cast<int>(kill_rank);
     transport.faults.kill_at_op = cli.get_count("kill-at-op", 31);
   }
 
@@ -128,7 +131,6 @@ int main(int argc, const char* const* argv) {
     for (const auto& [name, ordering] : orderings)
       for (const int n : sizes) {
         mp::World world(padded_width(*ordering, n) / 2);
-        world.set_reliable(transport.reliable);
         world.set_fault_plan(transport.faults);
       }
 
@@ -185,7 +187,7 @@ int main(int argc, const char* const* argv) {
        << ", \"delay\": " << transport.faults.delay_prob
        << ", \"kill_rank\": " << transport.faults.kill_rank
        << ", \"kill_at_op\": " << transport.faults.kill_at_op
-       << ", \"max_retries\": " << transport.reliable.max_retries << "}";
+       << ", \"max_retries\": " << transport.faults.max_retries << "}";
   else
     os << "null";
   os << ",\n  \"pass\": " << (pass ? "true" : "false") << ",\n  \"cases\": [";

@@ -273,8 +273,7 @@ int main(int argc, const char* const* argv) {
   const int rows = cli.get_size("rows", n + 4);
   const int schedules = cli.get_size("schedules", 16);
   const std::uint64_t base_seed = cli.get_count("seed", 2026);
-  // Checked signed: a negative count cast to unsigned would pass as huge.
-  const long long thread_count = cli.get_int("threads", 4);
+  const int thread_count = cli.get_size("threads", 4);
   if (n < 4 || n % 2 != 0 || rows < n || schedules < 1 || thread_count < 2) {
     std::cerr << "treesvd_race: need even n >= 4, rows >= n, schedules >= 1, threads >= 2\n";
     return 2;

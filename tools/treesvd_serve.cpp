@@ -171,7 +171,6 @@ LegReport run_mixed_leg(const ChaosConfig& cfg) {
   opt.queue_capacity = 64;
   opt.batch.lane_width = 4;
   ServeFaultPlan& fp = opt.faults;
-  fp.enabled = true;
   fp.seed = cfg.seed;
   fp.poison_prob = 0.12;
   fp.throw_prob = 0.10;
