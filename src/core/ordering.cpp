@@ -52,13 +52,6 @@ std::vector<IndexPair> Sweep::pairs(int t) const {
   return out;
 }
 
-StepPairs Sweep::step_pairs(int t) const {
-  TREESVD_REQUIRE(t >= 0 && t < steps(), "pairs are defined for steps 0..steps()-1");
-  return StepPairs(layouts_[static_cast<std::size_t>(t)],
-                   active_.empty() ? std::span<const std::uint8_t>()
-                                   : std::span<const std::uint8_t>(active_[static_cast<std::size_t>(t)]));
-}
-
 std::vector<ColumnMove> Sweep::moves(int t) const {
   TREESVD_REQUIRE(t >= 0 && t < steps(), "moves are defined between consecutive steps");
   const auto from = layout(t);

@@ -42,41 +42,6 @@ struct ColumnMove {
   int to_slot = 0;
 };
 
-/// Non-allocating view of one step's pairs: spans into the Sweep's layout
-/// and activity storage (valid while the Sweep lives). The hot drivers walk
-/// leaves through this view instead of materialising a std::vector<IndexPair>
-/// per step.
-class StepPairs {
- public:
-  StepPairs(std::span<const int> layout, std::span<const std::uint8_t> active) noexcept
-      : layout_(layout), active_(active) {}
-
-  int leaves() const noexcept { return static_cast<int>(layout_.size()) / 2; }
-
-  /// False for a leaf idle in this step (odd-even's unpaired column).
-  bool active_at(int leaf) const noexcept {
-    return active_.empty() || active_[static_cast<std::size_t>(leaf)] != 0;
-  }
-
-  /// The pair co-located on `leaf`; meaningful when active_at(leaf).
-  IndexPair at(int leaf) const noexcept {
-    return {layout_[static_cast<std::size_t>(2 * leaf)],
-            layout_[static_cast<std::size_t>(2 * leaf + 1)]};
-  }
-
-  /// Number of active pairs (what pairs(t).size() would be).
-  std::size_t count() const noexcept {
-    if (active_.empty()) return static_cast<std::size_t>(leaves());
-    std::size_t c = 0;
-    for (std::uint8_t a : active_) c += a != 0 ? 1 : 0;
-    return c;
-  }
-
- private:
-  std::span<const int> layout_;
-  std::span<const std::uint8_t> active_;
-};
-
 /// One sweep of a parallel Jacobi ordering (see file comment).
 class Sweep {
  public:
@@ -94,10 +59,6 @@ class Sweep {
 
   /// The index pairs rotated at step t (inactive leaves omitted).
   std::vector<IndexPair> pairs(int t) const;
-
-  /// Non-allocating view of step t's pairs (see StepPairs); valid while this
-  /// Sweep is alive.
-  StepPairs step_pairs(int t) const;
 
   bool leaf_active(int t, int leaf) const;
 

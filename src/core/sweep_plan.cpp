@@ -54,8 +54,12 @@ class Planner {
   /// Appends the plan of leaves [lo, hi) over steps [t0, t1).
   void plan(int lo, int hi, int t0, int t1, std::vector<IndexPair>& out) const {
     if (hi - lo == 1) {
-      for (int t = t0; t < t1; ++t)
-        if (sweep_.leaf_active(t, lo)) out.push_back(sweep_.step_pairs(t).at(lo));
+      for (int t = t0; t < t1; ++t) {
+        if (!sweep_.leaf_active(t, lo)) continue;
+        const auto lay = sweep_.layout(t);
+        out.push_back({lay[static_cast<std::size_t>(2 * lo)],
+                       lay[static_cast<std::size_t>(2 * lo + 1)]});
+      }
       return;
     }
     if (hi <= lo) return;

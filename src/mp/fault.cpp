@@ -76,17 +76,13 @@ bool FaultInjector::should_kill(int rank, std::uint64_t op) {
   return kill_fired_.compare_exchange_strong(expected, true);
 }
 
-bool FaultInjector::should_stall(int rank, std::uint64_t op) const {
-  return plan_.stall_rank == rank && plan_.stall_at_op == op;
-}
-
 std::string to_json(const RecoveryStats& s) {
   std::ostringstream os;
   os << "{\"drops_seen\": " << s.drops_seen
      << ", \"duplicates_injected\": " << s.duplicates_injected
      << ", \"corruptions_injected\": " << s.corruptions_injected
      << ", \"delays_seen\": " << s.delays_seen << ", \"kills\": " << s.kills
-     << ", \"stalls\": " << s.stalls << ", \"corruptions_detected\": " << s.corruptions_detected
+     << ", \"corruptions_detected\": " << s.corruptions_detected
      << ", \"duplicates_suppressed\": " << s.duplicates_suppressed
      << ", \"retries\": " << s.retries << ", \"resends\": " << s.resends
      << ", \"virtual_backoff\": " << s.virtual_backoff

@@ -6,7 +6,7 @@
 // identity (src, dst, tag, sequence number, retry attempt) mixed with the
 // plan's seed. Two runs with the same plan therefore inject exactly the same
 // faults regardless of thread interleaving, and every RecoveryStats counter
-// is reproducible bit-for-bit. Rank kill/stall faults key off a rank's own
+// is reproducible bit-for-bit. The rank kill keys off a rank's own
 // transport-operation counter, which is equally deterministic because each
 // rank's program is.
 //
@@ -51,13 +51,10 @@ struct FaultPlan {
   int max_retries = 8;  ///< reliable-transport recovery attempts per message
                         ///< before recv throws TransportError (>= 1)
 
-  // Rank faults (usable with or without message faults).
+  // Rank fault (usable with or without message faults).
   int kill_rank = -1;             ///< rank to kill once (-1 = never)
   std::uint64_t kill_at_op = 0;   ///< fires at this 0-based transport op
                                   ///< (send/recv/barrier/allreduce) of the rank
-  int stall_rank = -1;            ///< rank to stall (-1 = never)
-  std::uint64_t stall_at_op = 0;  ///< op at which the stall occurs
-  std::uint64_t stall_micros = 2000;  ///< bounded real-time stall length
 
   /// True when the plan can touch a frame: the reliable transport runs
   /// exactly then.
@@ -83,7 +80,6 @@ struct RecoveryStats {
   std::size_t corruptions_injected = 0;  ///< frames delivered with a flipped payload
   std::size_t delays_seen = 0;           ///< frames held past the deadline
   std::size_t kills = 0;                 ///< rank kills fired
-  std::size_t stalls = 0;                ///< rank stalls fired
 
   // Transport side (what the reliable layer did about it).
   std::size_t corruptions_detected = 0;   ///< checksum/NaN frames rejected at recv
@@ -102,7 +98,6 @@ struct RecoveryStats {
     corruptions_injected += o.corruptions_injected;
     delays_seen += o.delays_seen;
     kills += o.kills;
-    stalls += o.stalls;
     corruptions_detected += o.corruptions_detected;
     duplicates_suppressed += o.duplicates_suppressed;
     retries += o.retries;
@@ -115,7 +110,7 @@ struct RecoveryStats {
   bool operator==(const RecoveryStats&) const = default;
 };
 
-/// All thirteen RecoveryStats counters as one JSON object, in declaration
+/// All twelve RecoveryStats counters as one JSON object, in declaration
 /// order: the form the chaos tool reports.
 std::string to_json(const RecoveryStats& s);
 
@@ -135,7 +130,6 @@ class RecoveryCounters {
   void add_corruption_injected() noexcept { bump(corrupts_injected_); }
   void add_delay() noexcept { bump(delays_); }
   void add_kill() noexcept { bump(kills_); }
-  void add_stall() noexcept { bump(stalls_); }
   void add_corruption_detected() noexcept { bump(corrupts_detected_); }
   void add_duplicate_suppressed(std::size_t k = 1) noexcept {
     TREESVD_HB_ATOMIC(this, 0, "RecoveryCounters");
@@ -164,7 +158,6 @@ class RecoveryCounters {
     corrupts_injected_.fetch_add(s.corruptions_injected, std::memory_order_relaxed);
     delays_.fetch_add(s.delays_seen, std::memory_order_relaxed);
     kills_.fetch_add(s.kills, std::memory_order_relaxed);
-    stalls_.fetch_add(s.stalls, std::memory_order_relaxed);
     corrupts_detected_.fetch_add(s.corruptions_detected, std::memory_order_relaxed);
     dups_suppressed_.fetch_add(s.duplicates_suppressed, std::memory_order_relaxed);
     retries_.fetch_add(s.retries, std::memory_order_relaxed);
@@ -182,7 +175,6 @@ class RecoveryCounters {
     s.corruptions_injected = corrupts_injected_.load(std::memory_order_relaxed);
     s.delays_seen = delays_.load(std::memory_order_relaxed);
     s.kills = kills_.load(std::memory_order_relaxed);
-    s.stalls = stalls_.load(std::memory_order_relaxed);
     s.corruptions_detected = corrupts_detected_.load(std::memory_order_relaxed);
     s.duplicates_suppressed = dups_suppressed_.load(std::memory_order_relaxed);
     s.retries = retries_.load(std::memory_order_relaxed);
@@ -202,7 +194,7 @@ class RecoveryCounters {
     c.fetch_add(1, std::memory_order_relaxed);
   }
   std::atomic<std::size_t> drops_{0}, dups_injected_{0}, corrupts_injected_{0}, delays_{0},
-      kills_{0}, stalls_{0}, corrupts_detected_{0}, dups_suppressed_{0}, retries_{0}, resends_{0},
+      kills_{0}, corrupts_detected_{0}, dups_suppressed_{0}, retries_{0}, resends_{0},
       checkpoints_{0}, rollbacks_{0};
   std::atomic<double> backoff_{0.0};
 };
@@ -305,9 +297,6 @@ class FaultInjector {
   /// the launcher never sees), so a respawned rank inherits a spent latch
   /// and the replay proceeds past the kill, as it does in-process.
   void latch_kill() noexcept { kill_fired_.store(true, std::memory_order_relaxed); }
-
-  /// True whenever (rank, op) matches the stall schedule.
-  bool should_stall(int rank, std::uint64_t op) const;
 
  private:
   FaultPlan plan_;

@@ -37,8 +37,6 @@ std::vector<double> InprocTransport::recv(Context& ctx, int src, std::uint64_t t
   return take(ctx.rank(), src, tag);
 }
 
-void InprocTransport::barrier(Context&) { barrier_wait(); }
-
 void InprocTransport::execute_kill(Context& ctx, std::uint64_t op) {
   counters().add_kill();
   throw RankKilledError(ctx.rank(), op);
@@ -223,25 +221,6 @@ std::vector<double> InprocTransport::take(int rank, int src, std::uint64_t tag) 
       return recover_locked(box, key, expected, src, rank, tag);
     if (src_gone()) throw WorldAbortedError(aborted_context());
   }
-}
-
-void InprocTransport::barrier_wait() {
-  std::unique_lock<std::mutex> lock(sync_mu_);
-  if (world_aborted()) throw WorldAbortedError("barrier entered on an aborted world");
-  const std::uint64_t generation = sync_generation_;
-  TREESVD_HB_BARRIER_ARRIVE(&world(), generation);
-  if (++sync_waiting_ == world().size()) {
-    sync_waiting_ = 0;
-    reduce_accum_ = 0.0;  // barriers and reduces share the counter
-    ++sync_generation_;
-    sync_cv_.notify_all();
-  } else {
-    sync_cv_.wait(lock, [&] { return world_aborted() || sync_generation_ != generation; });
-    if (sync_generation_ == generation)
-      throw WorldAbortedError("barrier generation " + std::to_string(generation) +
-                              " can never complete");
-  }
-  TREESVD_HB_BARRIER_DEPART(&world(), generation);
 }
 
 void InprocTransport::abort_world() noexcept {

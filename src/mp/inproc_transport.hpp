@@ -26,7 +26,6 @@ class InprocTransport final : public TransportBackend {
   void run(const std::function<void(Context&)>& program) override;
   void send(Context& ctx, int dst, std::uint64_t tag, std::vector<double> data) override;
   std::vector<double> recv(Context& ctx, int src, std::uint64_t tag) override;
-  void barrier(Context& ctx) override;
   double allreduce_sum(Context& ctx, double value) override;
   [[noreturn]] void execute_kill(Context& ctx, std::uint64_t op) override;
 
@@ -53,7 +52,6 @@ class InprocTransport final : public TransportBackend {
   /// bounded retry; caller holds box.mu. Throws TransportError past budget.
   std::vector<double> recover_locked(Mailbox& box, const Key& key, std::uint64_t seq, int src,
                                      int dst, std::uint64_t tag);
-  void barrier_wait();
   /// Wakes every blocked rank with WorldAbortedError (idempotent).
   void abort_world() noexcept;
   /// Empties every mailbox (queued frames, sequence state, retransmit
@@ -62,7 +60,7 @@ class InprocTransport final : public TransportBackend {
 
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
 
-  // Barrier + allreduce state.
+  // Allreduce state (a barrier is an allreduce of zeros).
   std::mutex sync_mu_;
   std::condition_variable sync_cv_;
   int sync_waiting_ = 0;

@@ -1,8 +1,5 @@
 #include "mp/message_passing.hpp"
 
-#include <chrono>
-#include <thread>
-
 #include "analysis/hooks.hpp"
 #include "mp/inproc_transport.hpp"
 #include "mp/socket_transport.hpp"
@@ -20,10 +17,6 @@ void Context::check_rank_faults() {
   FaultInjector* inj = world_->injector_.get();
   if (inj == nullptr) return;
   const std::uint64_t op = ops_++;
-  if (inj->should_stall(rank_, op)) {
-    world_->counters_.add_stall();
-    std::this_thread::sleep_for(std::chrono::microseconds(inj->plan().stall_micros));
-  }
   if (inj->should_kill(rank_, op)) world_->backend_->execute_kill(*this, op);
 }
 
@@ -65,7 +58,7 @@ void Context::barrier() {
   if (hooks_enabled_) {
     TREESVD_FUZZ_POINT(analysis::kFuzzMpSync, static_cast<std::uint64_t>(rank_), 0, hook_ops_++);
   }
-  world_->backend_->barrier(*this);
+  (void)world_->backend_->allreduce_sum(*this, 0.0);
 }
 
 double Context::allreduce_sum(double value) {
@@ -116,8 +109,7 @@ void World::set_fault_plan(const FaultPlan& plan) {
   TREESVD_REQUIRE(
       plan.drop_prob + plan.duplicate_prob + plan.corrupt_prob + plan.delay_prob <= 1.0,
       "message fault probabilities must sum to at most 1");
-  TREESVD_REQUIRE(plan.kill_rank < size() && plan.stall_rank < size(),
-                  "fault plan targets a rank outside this world");
+  TREESVD_REQUIRE(plan.kill_rank < size(), "fault plan targets a rank outside this world");
   TREESVD_REQUIRE(plan.max_retries >= 1, "reliable transport needs a positive retry budget");
   injector_ = std::make_unique<FaultInjector>(plan);
 }

@@ -20,7 +20,7 @@
 //   * recv(src, tag)       — blocks until a matching message arrives;
 //                            messages from one src with one tag arrive in
 //                            send order. src must be a valid, different rank.
-//   * barrier()            — all ranks.
+//   * barrier()            — all ranks (an allreduce of zeros).
 //   * allreduce_sum(x)     — returns the sum over all ranks.
 //   * publish(key, blob)   — durable result board: the blob survives rank
 //                            exit (and, on the socket backend, rank death)
@@ -32,7 +32,7 @@
 // Fault tolerance (see mp/fault.hpp): the installed FaultPlan is the only
 // chaos setting.
 //   * set_fault_plan(plan) installs a seeded deterministic fault injector
-//     (drop/duplicate/corrupt/delay per message, kill/stall per rank).
+//     (drop/duplicate/corrupt/delay per message, one rank kill).
 //   * A plan with message faults runs send/recv over the reliable transport:
 //     frames carry a per-(src, dst, tag) sequence number and a payload
 //     checksum; recv validates both, suppresses duplicates/stale frames, and
@@ -116,7 +116,8 @@ class Context {
   /// Requires 0 <= src < size() and src != rank().
   std::vector<double> recv(int src, std::uint64_t tag);
 
-  /// Synchronises all ranks.
+  /// Synchronises all ranks: an allreduce_sum of zeros, counted as one
+  /// transport op of its own by the fault plan.
   void barrier();
 
   /// Sum of `value` over all ranks (synchronising).
@@ -131,12 +132,12 @@ class Context {
   friend class World;
   friend class TransportBackend;
   Context(World* world, int rank);
-  /// Applies the fault plan's kill/stall schedule to this transport op.
+  /// Applies the fault plan's rank kill to this transport op.
   void check_rank_faults();
   World* world_;
   int rank_;
   bool hooks_enabled_;          ///< analysis hooks are in-process only
-  std::uint64_t ops_ = 0;       ///< transport ops performed (kill/stall keying)
+  std::uint64_t ops_ = 0;       ///< transport ops performed (kill keying)
   std::uint64_t hook_ops_ = 0;  ///< analysis-hook salt; never keys fault plans
 };
 

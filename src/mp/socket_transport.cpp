@@ -75,7 +75,7 @@ enum ErrKind : int {
   kErrLogic = 5,
 };
 
-constexpr std::size_t kStatsDoubles = 14;  ///< [sends, 13 RecoveryStats fields]
+constexpr std::size_t kStatsDoubles = 13;  ///< [sends, 12 RecoveryStats fields]
 
 std::vector<double> pack_stats(std::size_t sends, const RecoveryStats& now,
                                const RecoveryStats& base) {
@@ -86,14 +86,13 @@ std::vector<double> pack_stats(std::size_t sends, const RecoveryStats& now,
   p[3] = static_cast<double>(now.corruptions_injected - base.corruptions_injected);
   p[4] = static_cast<double>(now.delays_seen - base.delays_seen);
   p[5] = static_cast<double>(now.kills - base.kills);
-  p[6] = static_cast<double>(now.stalls - base.stalls);
-  p[7] = static_cast<double>(now.corruptions_detected - base.corruptions_detected);
-  p[8] = static_cast<double>(now.duplicates_suppressed - base.duplicates_suppressed);
-  p[9] = static_cast<double>(now.retries - base.retries);
-  p[10] = static_cast<double>(now.resends - base.resends);
-  p[11] = now.virtual_backoff - base.virtual_backoff;
-  p[12] = static_cast<double>(now.checkpoints - base.checkpoints);
-  p[13] = static_cast<double>(now.rollbacks - base.rollbacks);
+  p[6] = static_cast<double>(now.corruptions_detected - base.corruptions_detected);
+  p[7] = static_cast<double>(now.duplicates_suppressed - base.duplicates_suppressed);
+  p[8] = static_cast<double>(now.retries - base.retries);
+  p[9] = static_cast<double>(now.resends - base.resends);
+  p[10] = now.virtual_backoff - base.virtual_backoff;
+  p[11] = static_cast<double>(now.checkpoints - base.checkpoints);
+  p[12] = static_cast<double>(now.rollbacks - base.rollbacks);
   return p;
 }
 
@@ -107,14 +106,13 @@ RecoveryStats unpack_stats(const std::vector<double>& p, std::size_t* sends) {
   s.corruptions_injected = u(p[3]);
   s.delays_seen = u(p[4]);
   s.kills = u(p[5]);
-  s.stalls = u(p[6]);
-  s.corruptions_detected = u(p[7]);
-  s.duplicates_suppressed = u(p[8]);
-  s.retries = u(p[9]);
-  s.resends = u(p[10]);
-  s.virtual_backoff = p[11];
-  s.checkpoints = u(p[12]);
-  s.rollbacks = u(p[13]);
+  s.corruptions_detected = u(p[6]);
+  s.duplicates_suppressed = u(p[7]);
+  s.retries = u(p[8]);
+  s.resends = u(p[9]);
+  s.virtual_backoff = p[10];
+  s.checkpoints = u(p[11]);
+  s.rollbacks = u(p[12]);
   return s;
 }
 
@@ -154,23 +152,26 @@ struct SocketTransport::RankRuntime {
 
   std::uint64_t sync_gen = 0;         ///< program thread only
 
-  // The clean retransmit store that backs NACK recovery (store_mu). A frame
-  // leaves it once its receiver acknowledges consuming it (kAck): after that
-  // no NACK can name it. Until then a receiver may NACK it for the rest of
-  // the run, which is why a finished rank waits in the exit handshake before
-  // its process ends. Entries are shared: a delayed, duplicated or
-  // NACK-served write may still be sending a frame when its ack arrives.
-  // store_mu is never held across a write, so the IO thread's releases never
-  // wait behind a send blocked on a full peer socket.
-  using Stored = std::shared_ptr<const std::vector<double>>;
-  std::mutex store_mu;
-  std::map<Key, std::uint64_t> send_seq;
-  std::map<Key, std::map<std::uint64_t, Stored>> store;
+  std::map<Key, std::uint64_t> send_seq;  ///< program thread only
   std::atomic<std::size_t> sends{0};
 
+  // Under message faults, the clean retransmit store that backs NACK
+  // recovery (store_mu); without them no NACK can be sent, so nothing is
+  // stored. A frame leaves it once its receiver acknowledges consuming it
+  // (kAck): after that no NACK can name it. Until then a receiver may NACK
+  // it for the rest of the run, which is why a finished rank waits in the
+  // exit handshake before its process ends. Entries are shared: a delayed,
+  // duplicated or NACK-served write may still be sending a frame when its
+  // ack arrives. store_mu is never held across a write, so the IO thread's
+  // releases never wait behind a send blocked on a full peer socket.
+  using Stored = std::shared_ptr<const std::vector<double>>;
+  std::mutex store_mu;
+  std::map<Key, std::map<std::uint64_t, Stored>> store;
+
   // Writes (out_mu): lazy connections, and per peer the (tag, seq) bit pairs
-  // of consumed frames not yet acknowledged. They ride the next frame
-  // written to that peer, or go alone before a recv blocks.
+  // of consumed frames not yet acknowledged (under message faults only).
+  // They ride the next frame written to that peer, or go alone before a
+  // recv blocks.
   std::mutex out_mu;
   std::vector<int> out;
   std::vector<std::vector<double>> acks;
@@ -593,20 +594,23 @@ long SocketTransport::process_id(int rank) const noexcept {
 void SocketTransport::send(Context& ctx, int dst, std::uint64_t tag, std::vector<double> data) {
   TREESVD_MP_CHILD_ONLY();
   RankRuntime& rt = *runtime_;
+  const RankRuntime::Key key{dst, tag};
+  const std::uint64_t seq = rt.send_seq[key]++;
+  rt.sends.fetch_add(1, std::memory_order_relaxed);
+  if (!rt.reliable_on) {
+    // No fault can touch the frame and no NACK can name it: it goes out
+    // straight from the caller's vector, and no copy is kept.
+    rt.write_data(dst, tag, seq, data, nullptr);
+    return;
+  }
   // Every write below, and any NACK the IO thread serves, goes out straight
   // from this one vector.
   const auto frame = std::make_shared<const std::vector<double>>(std::move(data));
-  std::uint64_t seq = 0;
   {
     std::lock_guard<std::mutex> lock(rt.store_mu);
-    const RankRuntime::Key key{dst, tag};
-    seq = rt.send_seq[key]++;
     rt.store[key][seq] = frame;  // backs NACK recovery until the receiver acks it
   }
-  rt.sends.fetch_add(1, std::memory_order_relaxed);
-  const FaultAction act =
-      rt.reliable_on ? rt.inj->action(ctx.rank(), dst, tag, seq) : FaultAction::kDeliver;
-  switch (act) {
+  switch (rt.inj->action(ctx.rank(), dst, tag, seq)) {
     case FaultAction::kDeliver:
       rt.write_data(dst, tag, seq, *frame, nullptr);
       break;
@@ -665,11 +669,13 @@ std::vector<double> SocketTransport::recv(Context& ctx, int src, std::uint64_t t
     return true;
   };
   if (!take()) {
-    // About to block: acknowledge what this rank has consumed first, so no
-    // sender's store waits on this rank's next write to that sender.
-    lock.unlock();
-    rt.flush_acks();
-    lock.lock();
+    if (rt.reliable_on) {
+      // About to block: acknowledge what this rank has consumed first, so no
+      // sender's store waits on this rank's next write to that sender.
+      lock.unlock();
+      rt.flush_acks();
+      lock.lock();
+    }
     int attempt = 0;
     double wall_ms = rt.cfg.recv_deadline_ms;
     double virtual_wait = kRetryDeadline;
@@ -711,7 +717,7 @@ std::vector<double> SocketTransport::recv(Context& ctx, int src, std::uint64_t t
     }
   }
   lock.unlock();
-  rt.record_ack(src, tag, expected);
+  if (rt.reliable_on) rt.record_ack(src, tag, expected);
   return payload;
 }
 
@@ -741,8 +747,6 @@ double SocketTransport::allreduce_sum(Context& ctx, double value) {
   rt.release.erase(it);
   return result;
 }
-
-void SocketTransport::barrier(Context& ctx) { (void)allreduce_sum(ctx, 0.0); }
 
 void SocketTransport::publish(Context&, std::uint64_t key, std::vector<double> blob) {
   TREESVD_MP_CHILD_ONLY();
@@ -844,9 +848,9 @@ void SocketTransport::run_child(int rank, int ctl_fd,
       // a peer's late NACKs until every rank has returned (the launcher
       // releases this collective generation) or the world aborts. Called on
       // the backend, not through Context, so fault-op numbering is untouched.
-      rt.flush_acks();
+      if (rt.reliable_on) rt.flush_acks();
       try {
-        barrier(ctx);
+        (void)allreduce_sum(ctx, 0.0);
       } catch (const WorldAbortedError&) {
         // The program did return: the abort belongs to another rank.
       }

@@ -31,16 +31,19 @@
 //   * A planned kill ships its statistics home (kKilled) in the same write
 //     that precedes raise(SIGKILL); the launcher latches the injector's
 //     one-shot kill so the respawned world replays past it.
-//   * A sent frame stays in the sender's retransmit store until its receiver
-//     has handed it to the program and says so (kAck, batched per peer onto
-//     the next frame to that peer, or flushed before a recv blocks) — the
-//     in-process rule that consuming a frame trims the store. The store
-//     dies with its process, so a rank whose program returned does not exit
-//     at once: it enters an exit handshake (one more kSync generation) and
-//     keeps serving NACKs for frames never consumed until every rank has
-//     returned or the world aborts — the socket counterpart of the
-//     in-process store outliving a finished sender. It then wakes its IO
-//     thread through the self-pipe and leaves; no timer sits on that path.
+//   * Under message faults, a sent frame stays in the sender's retransmit
+//     store until its receiver has handed it to the program and says so
+//     (kAck, batched per peer onto the next frame to that peer, or flushed
+//     before a recv blocks) — the in-process rule that consuming a frame
+//     trims the store. Without message faults no NACK can be sent, so a
+//     plain send writes straight from the caller's vector, keeps no copy
+//     and is owed no ack. The store dies with its process, so a rank whose
+//     program returned does not exit at once: it enters an exit handshake
+//     (one more kSync generation) and keeps serving NACKs for frames never
+//     consumed until every rank has returned or the world aborts — the
+//     socket counterpart of the in-process store outliving a finished
+//     sender. It then wakes its IO thread through the self-pipe and leaves;
+//     no timer sits on that path.
 //   * Children leave with _exit(): a forked address space must not run the
 //     parent's destructors.
 
@@ -63,7 +66,6 @@ class SocketTransport final : public TransportBackend {
   void run(const std::function<void(Context&)>& program) override;
   void send(Context& ctx, int dst, std::uint64_t tag, std::vector<double> data) override;
   std::vector<double> recv(Context& ctx, int src, std::uint64_t tag) override;
-  void barrier(Context& ctx) override;
   double allreduce_sum(Context& ctx, double value) override;
   [[noreturn]] void execute_kill(Context& ctx, std::uint64_t op) override;
   void publish(Context& ctx, std::uint64_t key, std::vector<double> blob) override;

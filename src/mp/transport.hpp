@@ -1,16 +1,16 @@
 #pragma once
 // Transport backend interface under mp::World (DESIGN.md section 15).
 //
-// World is a facade: every Context operation (send/recv/barrier/allreduce/
-// publish) and run() are delegated to a TransportBackend. The backend owns
-// the *mechanics* of message motion — mailboxes and condition variables
-// in-process, sockets and processes for the socket backend — and starts
-// every run from an empty transport, while the *policy* stays in World and
-// is shared: the fault injector (whose plan also decides whether the
-// reliable transport runs), the recovery counters, the abort flag and the
-// durable blob board. That split is what makes the two backends
-// interchangeable at the program level: the same SPMD program with the same
-// fault plan produces bit-identical payloads on either side.
+// World is a facade: every Context operation (send/recv/allreduce/publish;
+// a barrier is an allreduce of zeros) and run() are delegated to a
+// TransportBackend. The backend owns the *mechanics* of message motion —
+// mailboxes and condition variables in-process, sockets and processes for
+// the socket backend — and starts every run from an empty transport, while
+// the *policy* stays in World and is shared: the fault injector (whose plan
+// also decides whether the reliable transport runs), the recovery counters,
+// the abort flag and the durable blob board. That split is what makes the
+// two backends interchangeable at the program level: the same SPMD program
+// with the same fault plan produces bit-identical payloads on either side.
 //
 // Backends access the shared policy through the protected accessors below
 // (TransportBackend is a friend of World), never through their own copies,
@@ -35,7 +35,6 @@ class TransportBackend {
 
   virtual void send(Context& ctx, int dst, std::uint64_t tag, std::vector<double> data) = 0;
   virtual std::vector<double> recv(Context& ctx, int src, std::uint64_t tag) = 0;
-  virtual void barrier(Context& ctx) = 0;
   virtual double allreduce_sum(Context& ctx, double value) = 0;
 
   /// Fires the fault plan's one-shot kill for (ctx.rank(), op): the

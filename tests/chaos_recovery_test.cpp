@@ -140,20 +140,5 @@ TEST(SpmdChaos, RetryBudgetExhaustionThrowsTransportError) {
   EXPECT_THROW(spmd_jacobi(a, *make_ordering("new-ring"), {}, nullptr, &t), mp::TransportError);
 }
 
-TEST(SpmdChaos, StallIsHarmlessAndCounted) {
-  Rng rng(911);
-  const Matrix a = random_gaussian(12, 8, rng);
-  const auto ord = make_ordering("new-ring");
-  const SvdResult baseline = spmd_jacobi(a, *ord);
-  SpmdTransport t;
-  t.faults.stall_rank = 0;
-  t.faults.stall_at_op = 4;
-  t.faults.stall_micros = 500;
-  SpmdStats stats;
-  const SvdResult r = spmd_jacobi(a, *ord, {}, &stats, &t);
-  expect_bit_identical(r, baseline);
-  EXPECT_EQ(stats.recovery.stalls, 1u);
-}
-
 }  // namespace
 }  // namespace treesvd

@@ -8,7 +8,8 @@
 // injected drops/duplicates/corruption/delays on real connections, a planned
 // SIGKILL with respawn + checkpoint rollback, and an *external* SIGKILL of a
 // live rank process surfacing as RankKilledError; and the retransmit store's
-// lifetime (a consumed frame leaves its sender's store).
+// lifetime (under message faults a consumed frame leaves its sender's store;
+// without them a send keeps no copy at all).
 #include <gtest/gtest.h>
 #include <sys/resource.h>
 
@@ -348,15 +349,16 @@ double peak_rss_kib() {
   return static_cast<double>(usage.ru_maxrss);
 }
 
-TEST(SocketBackend, ConsumedFramesLeaveTheRetransmitStore) {
+/// Rank 0 streams 512 spmd column messages (64 MiB in all) to rank 1, which
+/// answers each after its recv, over sockets under `plan` (none if null).
+/// Rank 0's peak RSS may grow by a few frames, not by the whole stream as it
+/// would if its process kept every frame.
+void expect_stream_rss_bounded(const mp::FaultPlan* plan) {
   SKIP_UNDER_TSAN();
   if (TREESVD_ASAN) GTEST_SKIP() << "ASan's quarantine keeps freed frames from being reused";
-  // Rank 0 streams 512 spmd column messages (64 MiB in all) to rank 1, which
-  // answers each after its recv. A frame leaves rank 0's retransmit store
-  // once rank 1 has consumed it, so rank 0's peak RSS grows by a few frames,
-  // not by the whole stream as it would if the store kept every frame.
   mp::World world(2);
   world.set_backend(mp::Backend::kSocket);
+  if (plan != nullptr) world.set_fault_plan(*plan);
   world.run([](mp::Context& ctx) {
     constexpr int kFrames = 512;
     if (ctx.rank() == 0) {
@@ -378,6 +380,22 @@ TEST(SocketBackend, ConsumedFramesLeaveTheRetransmitStore) {
   ASSERT_EQ(rss.size(), 2u);
   EXPECT_LT(rss[1] - rss[0], 16.0 * 1024)
       << "rank 0's peak RSS grew from " << rss[0] << " to " << rss[1] << " KiB";
+}
+
+TEST(SocketBackend, PlainSendsKeepNoRetransmitCopy) {
+  // Without message faults no NACK can name a frame, so a send writes
+  // straight from the caller's vector and keeps no copy.
+  expect_stream_rss_bounded(nullptr);
+}
+
+TEST(SocketBackend, ConsumedFramesLeaveTheRetransmitStore) {
+  // A resend-drop probability turns the reliable transport on, so every
+  // frame enters rank 0's retransmit store, yet it faults no first
+  // transmission. A frame leaves the store once rank 1 has consumed it and
+  // acknowledged it.
+  mp::FaultPlan plan;
+  plan.resend_drop_prob = 0.1;
+  expect_stream_rss_bounded(&plan);
 }
 
 }  // namespace

@@ -200,25 +200,6 @@ TEST(MpStressChaos, KillUnderLoadAbortsDeterministically) {
   EXPECT_EQ(world.recovery_stats().kills, 1u);
 }
 
-TEST(MpStressChaos, StallDelaysButNeverChangesResults) {
-  const int ranks = 4;
-  mp::World world(ranks);
-  mp::FaultPlan plan;
-  plan.stall_rank = 1;
-  plan.stall_at_op = 3;
-  plan.stall_micros = 200;
-  world.set_fault_plan(plan);
-  world.run([&](mp::Context& ctx) {
-    const int me = ctx.rank();
-    for (int round = 0; round < 10; ++round) {
-      ctx.send((me + 1) % ranks, static_cast<std::uint64_t>(round), {encode(me, round, 0)});
-      const auto msg = ctx.recv((me + ranks - 1) % ranks, static_cast<std::uint64_t>(round));
-      EXPECT_DOUBLE_EQ(msg[0], encode((me + ranks - 1) % ranks, round, 0));
-    }
-  });
-  EXPECT_EQ(world.recovery_stats().stalls, 1u);
-}
-
 TEST(MpStress, MixedCollectivesAndRandomizedTraffic) {
   // Deterministic per-rank RNG picks who messages whom each round; every rank
   // replays every peer's choices so receives match sends exactly without any
@@ -311,7 +292,7 @@ TEST(MpStressFuzzed, BarriersAndAllreduceSurvivePerturbedSchedules) {
 
 TEST(MpStressFuzzed, FaultPlanUnaffectedByFuzzSalt) {
   // The fuzzer's decision salt (hook_ops_) is deliberately separate from the
-  // op counter that keys kill/stall fault schedules: the same fault plan must
+  // op counter that keys the kill fault schedule: the same fault plan must
   // fire at the same op with and without a fuzzer installed.
   const int ranks = 4;
   const auto run_once = [&](bool fuzzed) {

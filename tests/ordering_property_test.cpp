@@ -1,11 +1,14 @@
 // Property tests that every ordering must satisfy: each sweep is a valid
 // parallel Jacobi sweep (all n(n-1)/2 pairs exactly once, disjoint pairs per
 // step), across several consecutive sweeps, for a range of problem sizes.
-// The subtree-ordered plans of every ordering (core/sweep_plan.hpp) are
-// checked against the sweeps they reorder.
+// The registry suite (SweepPlanProperty) checks every registered ordering at
+// every supported n in [4, 64] against the paper's invariants, and its
+// subtree-ordered plans (core/sweep_plan.hpp) against the sweeps they
+// reorder; a newly registered ordering is checked with no test change.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <map>
 #include <numeric>
 #include <set>
@@ -22,6 +25,37 @@ namespace treesvd {
 namespace {
 
 using Param = std::tuple<std::string, int>;
+
+std::vector<int> identity(int n) {
+  std::vector<int> ident(static_cast<std::size_t>(n));
+  std::iota(ident.begin(), ident.end(), 0);
+  return ident;
+}
+
+/// The layout after `sweeps` sweeps chained from the identity.
+std::vector<int> layout_after(const Ordering& ord, int n, int sweeps) {
+  std::vector<int> layout = identity(n);
+  for (int k = 0; k < sweeps; ++k) {
+    const Sweep s = ord.sweep_from(layout, k);
+    const auto fin = s.final_layout();
+    layout.assign(fin.begin(), fin.end());
+  }
+  return layout;
+}
+
+/// Applying each step's declared moves to its layout yields the next one.
+void expect_moves_reproduce_layouts(const Sweep& s) {
+  for (int t = 0; t < s.steps(); ++t) {
+    const auto from = s.layout(t);
+    const auto to = s.layout(t + 1);
+    std::vector<int> applied(from.begin(), from.end());
+    for (const ColumnMove& mv : s.moves(t)) {
+      EXPECT_EQ(from[static_cast<std::size_t>(mv.from_slot)], mv.index) << "step " << t;
+      applied[static_cast<std::size_t>(mv.to_slot)] = mv.index;
+    }
+    EXPECT_EQ(applied, std::vector<int>(to.begin(), to.end())) << "step " << t;
+  }
+}
 
 class OrderingProperty : public ::testing::TestWithParam<Param> {
  protected:
@@ -61,32 +95,12 @@ TEST_P(OrderingProperty, LayoutRestoredAfterTwoSweepsOrOne) {
   // Every ordering in the paper restores the original index order after at
   // most two sweeps (fat-tree after one; rings and odd-even after two;
   // Lee-Luk-Boley after a forward+backward pair).
-  std::vector<int> layout(static_cast<std::size_t>(n()));
-  std::iota(layout.begin(), layout.end(), 0);
-  const auto ord = ordering();
-  for (int k = 0; k < 2; ++k) {
-    const Sweep s = ord->sweep_from(layout, k);
-    const auto fin = s.final_layout();
-    layout.assign(fin.begin(), fin.end());
-  }
-  std::vector<int> ident(static_cast<std::size_t>(n()));
-  std::iota(ident.begin(), ident.end(), 0);
-  EXPECT_EQ(layout, ident);
+  EXPECT_EQ(layout_after(*ordering(), n(), 2), identity(n()));
 }
 
 TEST_P(OrderingProperty, MovesAreConsistentWithLayouts) {
   if (!supported()) GTEST_SKIP() << "n not supported";
-  const Sweep s = ordering()->sweep(n());
-  for (int t = 0; t < s.steps(); ++t) {
-    const auto from = s.layout(t);
-    const auto to = s.layout(t + 1);
-    std::vector<int> applied(from.begin(), from.end());
-    for (const ColumnMove& mv : s.moves(t)) {
-      EXPECT_EQ(from[static_cast<std::size_t>(mv.from_slot)], mv.index);
-      applied[static_cast<std::size_t>(mv.to_slot)] = mv.index;
-    }
-    EXPECT_EQ(applied, std::vector<int>(to.begin(), to.end()));
-  }
+  expect_moves_reproduce_layouts(ordering()->sweep(n()));
 }
 
 TEST_P(OrderingProperty, SweepFromTransportsThePositionProcedure) {
@@ -105,30 +119,6 @@ TEST_P(OrderingProperty, SweepFromTransportsThePositionProcedure) {
     for (int slot = 0; slot < n(); ++slot)
       EXPECT_EQ(lm[static_cast<std::size_t>(slot)],
                 shuffled[static_cast<std::size_t>(lc[static_cast<std::size_t>(slot)])]);
-  }
-}
-
-TEST_P(OrderingProperty, StepPairsViewMatchesPairs) {
-  if (!supported()) GTEST_SKIP() << "n not supported";
-  // The non-allocating StepPairs view must expose exactly the pairs that the
-  // allocating pairs() accessor returns, leaf by leaf.
-  const Sweep s = ordering()->sweep(n());
-  for (int t = 0; t < s.steps(); ++t) {
-    const StepPairs view = s.step_pairs(t);
-    EXPECT_EQ(view.leaves(), s.leaves());
-    const auto allocated = s.pairs(t);
-    std::vector<IndexPair> collected;
-    for (int leaf = 0; leaf < view.leaves(); ++leaf) {
-      EXPECT_EQ(view.active_at(leaf), s.leaf_active(t, leaf));
-      if (!view.active_at(leaf)) continue;
-      collected.push_back(view.at(leaf));
-    }
-    ASSERT_EQ(collected.size(), allocated.size());
-    for (std::size_t k = 0; k < collected.size(); ++k) {
-      EXPECT_EQ(collected[k].even, allocated[k].even);
-      EXPECT_EQ(collected[k].odd, allocated[k].odd);
-    }
-    EXPECT_EQ(view.count(), allocated.size());
   }
 }
 
@@ -203,6 +193,42 @@ TEST_P(SweepPlanProperty, PlanInvariants) {
     if (!ord->supports(n)) continue;
     ++covered;
     SCOPED_TRACE("n=" + std::to_string(n));
+
+    // The paper's invariants of the canonical sweep: every index pair met
+    // exactly once, in one sweep and across four chained ones; the declared
+    // step count; declared moves that reproduce each next layout; index
+    // order restored after at most two sweeps; and transfers that fit the
+    // tree and agree with the per-index accounting. No index can sit in two
+    // pairs of one step: Sweep's constructor rejects any layout that is not
+    // a permutation.
+    const Sweep sweep = ord->sweep(n);
+    const SweepValidation single = validate_sweep(sweep);
+    EXPECT_TRUE(single.valid) << single.error;
+    const SweepValidation chained = validate_sweep_sequence(*ord, n, 4);
+    EXPECT_TRUE(chained.valid) << chained.error;
+    EXPECT_EQ(sweep.steps(), ord->steps(n));
+    EXPECT_EQ(sweep.rotation_count(),
+              static_cast<std::size_t>(n) * static_cast<std::size_t>(n - 1) / 2);
+    expect_moves_reproduce_layouts(sweep);
+    EXPECT_EQ(layout_after(*ord, n, 2), identity(n)) << "index order not restored";
+    // One bucket per level of a tree of ceil(log2(leaves)) levels, plus the
+    // free intra-leaf moves.
+    const std::vector<std::size_t> hist = level_histogram(sweep);
+    ASSERT_EQ(hist.size(), std::bit_width(static_cast<unsigned>(sweep.leaves() - 1)) + 1u);
+    const std::vector<std::size_t> per_index = moves_per_index(sweep);
+    EXPECT_EQ(std::accumulate(hist.begin() + 1, hist.end(), std::size_t{0}),
+              std::accumulate(per_index.begin(), per_index.end(), std::size_t{0}));
+    // The ring theorems: one-way traffic (new-ring) and Definition 1's
+    // equivalence to round-robin (new-ring and modified-ring).
+    if (GetParam() == "new-ring") {
+      EXPECT_TRUE(unidirectional_ring_moves(sweep)) << "a column moved against the ring";
+    }
+    if (GetParam() == "new-ring" || GetParam() == "modified-ring") {
+      const Sweep rr = make_ordering("round-robin")->sweep(n);
+      EXPECT_TRUE(find_equivalence_relabelling(sweep, rr).has_value())
+          << "no relabelling maps this sweep onto round-robin";
+    }
+
     for (int k = 0; k < 4; ++k) {
       EXPECT_TRUE(same_sweep(ord->sweep(n, k), ord->sweep(n, k + procs)))
           << "sweep " << k << " differs from sweep " << k + procs;
@@ -250,8 +276,7 @@ TEST_P(SweepPlanProperty, PlanInvariants) {
     // Mapped through each sweep's opening layout, the plans reproduce the
     // chained sweeps the drivers used to build with sweep_from.
     const std::vector<SweepPlan> plans = plan_sweeps(*ord, n);
-    std::vector<int> layout(static_cast<std::size_t>(n));
-    std::iota(layout.begin(), layout.end(), 0);
+    std::vector<int> layout = identity(n);
     std::vector<int> next(layout.size());
     for (int k = 0; k < 4; ++k) {
       const Sweep s = ord->sweep_from(layout, k);

@@ -60,10 +60,7 @@ SvdResult step_major_reference(const Matrix& a, const Ordering& ordering,
     std::size_t sweep_rot = 0;
     std::size_t sweep_swap = 0;
     for (int t = 0; t < s.steps(); ++t) {
-      const StepPairs pairs = s.step_pairs(t);
-      for (int k = 0; k < pairs.leaves(); ++k) {
-        if (!pairs.active_at(k)) continue;
-        const IndexPair p = pairs.at(k);
+      for (const IndexPair& p : s.pairs(t)) {
         const int i = std::min(p.even, p.odd);
         const int j = std::max(p.even, p.odd);
         const detail::PairOutcome o = kernel.process(h, vp, i, j, &counters);
@@ -116,10 +113,7 @@ std::optional<SvdResult> step_major_block_reference(const Matrix& a, const Order
     std::size_t sweep_rot = 0;
     std::size_t sweep_swap = 0;
     for (int t = 0; t < s.steps(); ++t) {
-      const StepPairs pairs = s.step_pairs(t);
-      for (int k = 0; k < pairs.leaves(); ++k) {
-        if (!pairs.active_at(k)) continue;
-        const IndexPair p = pairs.at(k);
+      for (const IndexPair& p : s.pairs(t)) {
         std::vector<int> cols;
         for (const int blk : {std::min(p.even, p.odd), std::max(p.even, p.odd)})
           for (int i = 0; i < b; ++i) cols.push_back(blk * b + i);
