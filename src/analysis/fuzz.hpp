@@ -1,10 +1,9 @@
 #pragma once
 // Seeded PCT-style schedule fuzzer for the concurrency analysis layer.
 //
-// A FuzzPlan is a *schedule*, not a dice roll (the mp/fault idiom): every
-// perturbation decision is a pure splitmix64 hash of the decision's identity
-// mixed with the plan's seed, so two runs with the same seed perturb the
-// schedule identically. Two perturbations are applied:
+// A FuzzPlan is a *schedule*, not a dice roll: every perturbation decision
+// is a pure splitmix64 hash of the decision's identity mixed with the plan's
+// seed, so two runs with the same seed perturb the schedule identically. Two perturbations are applied:
 //
 //  * Chunk-order permutation — ThreadPool::parallel_for claims chunks through
 //    a seeded Fisher-Yates permutation instead of ascending order, so a
@@ -33,8 +32,8 @@ inline constexpr std::uint64_t kFuzzMpRecv = 3;     ///< before a transport recv
 inline constexpr std::uint64_t kFuzzMpSync = 4;     ///< before barrier/allreduce
 
 /// splitmix64 finalizer — the repo's one deterministic hash: schedule
-/// fuzzing, message faults (mp/fault.cpp), serve chaos (svd/serve.cpp) and
-/// Rng seeding (util/rng.cpp) all draw from it. mix64(0) is the first
+/// fuzzing, serve chaos (svd/serve.cpp) and Rng seeding (util/rng.cpp) all
+/// draw from it. mix64(0) is the first
 /// output of SplitMix64 seeded with 0.
 constexpr std::uint64_t mix64(std::uint64_t x) noexcept {
   x += 0x9e3779b97f4a7c15ULL;

@@ -8,8 +8,6 @@
 #include <bit>
 #include <cerrno>
 
-#include "util/require.hpp"
-
 #ifndef MSG_NOSIGNAL
 #define MSG_NOSIGNAL 0
 #endif
@@ -18,8 +16,8 @@ namespace treesvd::mp {
 namespace {
 
 constexpr std::uint8_t kMagic[4] = {'T', 'S', 'V', 'F'};
-/// WireReader's staging buffer: whole small frames (acks, NACKs, control)
-/// and the first bytes of a large one arrive in one recv.
+/// WireReader's staging buffer: whole small frames (HELLO, control) and the
+/// first bytes of a large one arrive in one recv.
 constexpr std::size_t kStageBytes = 4096;
 constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
 constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
@@ -44,7 +42,7 @@ std::uint64_t load_word(const double* p) noexcept {
 }
 
 /// FNV-1a over a raw byte range: the 40-byte header checksum. The payload
-/// checksum is frame_checksum, so both transports share one payload format.
+/// checksum is frame_checksum.
 std::uint64_t fnv1a_bytes(const std::uint8_t* p, std::size_t len) noexcept {
   std::uint64_t h = kFnvOffset;
   for (std::size_t i = 0; i < len; ++i) {
@@ -82,25 +80,11 @@ void encode_header(WireKind kind, std::uint64_t tag, std::uint64_t seq, std::uin
   put_u64(h + 48, payload_sum);
 }
 
-/// Encodes a whole frame whose checksums cover `frame.payload` while the
-/// payload bytes come from `wire` (the same vector unless corrupting).
-void encode_frame(const WireFrame& frame, const std::vector<double>& wire,
-                  std::vector<std::uint8_t>& out) {
-  std::uint8_t header[kWireHeaderBytes];
-  encode_header(frame.kind, frame.tag, frame.seq, frame.aux, frame.payload.size(),
-                frame_checksum(frame.tag, frame.seq, frame.payload.data(), frame.payload.size()),
-                header);
-  out.insert(out.end(), header, header + kWireHeaderBytes);
-  const std::size_t base = out.size();
-  out.resize(base + wire.size() * sizeof(double));
-  if (!wire.empty()) std::memcpy(out.data() + base, wire.data(), wire.size() * sizeof(double));
-}
-
 /// The header rules every parser applies to the 56 bytes at `h`: magic,
 /// version, kind, then the header checksum vouches for the length field
 /// *before* it is trusted — a corrupted count can never make the receiver
 /// wait for (or allocate) a bogus gigantic frame, or walk off the end of a
-/// buffer — and last the receiver's payload bound. False is a desync; true
+/// buffer — and last the receiver's payload bound. False is kBadFrame; true
 /// fills the frame's kind, tag, seq and aux, its payload count and checksum.
 bool check_header(const std::uint8_t* h, std::size_t max_payload_doubles, WireFrame* out,
                   std::size_t* count, std::uint64_t* payload_sum) noexcept {
@@ -184,42 +168,15 @@ std::uint64_t frame_checksum(std::uint64_t tag, std::uint64_t seq, const double*
   return h;
 }
 
-std::vector<double> make_frame(std::uint64_t tag, std::uint64_t seq,
-                               const std::vector<double>& payload) {
-  std::vector<double> frame;
-  frame.reserve(kFrameHeader + payload.size());
-  frame.push_back(static_cast<double>(seq));
-  frame.push_back(bits_to_double(frame_checksum(tag, seq, payload.data(), payload.size())));
-  frame.insert(frame.end(), payload.begin(), payload.end());
-  return frame;
-}
-
-bool frame_valid(std::uint64_t tag, const std::vector<double>& frame, std::uint64_t* seq_out) {
-  if (frame.size() < kFrameHeader) return false;
-  const double seq_d = frame[0];
-  // A corrupted seq field may be NaN or out of integer range; reject before
-  // the cast (which would be UB).
-  if (!(seq_d >= 0.0) || seq_d > 9.0e15) return false;
-  const auto seq = static_cast<std::uint64_t>(seq_d);
-  if (static_cast<double>(seq) != seq_d) return false;
-  const std::uint64_t sum =
-      frame_checksum(tag, seq, frame.data() + kFrameHeader, frame.size() - kFrameHeader);
-  if (sum != double_to_bits(frame[1])) return false;
-  *seq_out = seq;
-  return true;
-}
-
 void encode_wire_frame(const WireFrame& frame, std::vector<std::uint8_t>& out) {
-  encode_frame(frame, frame.payload, out);
-}
-
-void encode_corrupted_wire_frame(const WireFrame& frame, const std::vector<double>& corrupted,
-                                 std::vector<std::uint8_t>& out) {
-  TREESVD_REQUIRE(corrupted.size() == frame.payload.size(),
-                  "corrupted wire frame must keep the clean payload's length");
-  // Checksums cover the *clean* payload; the wire carries the corrupted
-  // bytes, so the receiver's payload-checksum check must fire.
-  encode_frame(frame, corrupted, out);
+  const std::vector<double>& p = frame.payload;
+  std::uint8_t header[kWireHeaderBytes];
+  encode_header(frame.kind, frame.tag, frame.seq, frame.aux, p.size(),
+                frame_checksum(frame.tag, frame.seq, p.data(), p.size()), header);
+  out.insert(out.end(), header, header + kWireHeaderBytes);
+  const std::size_t base = out.size();
+  out.resize(base + p.size() * sizeof(double));
+  if (!p.empty()) std::memcpy(out.data() + base, p.data(), p.size() * sizeof(double));
 }
 
 WireDecode decode_wire_frame(const std::uint8_t* bytes, std::size_t len,
@@ -236,9 +193,9 @@ WireDecode decode_wire_frame(const std::uint8_t* bytes, std::size_t len,
   out->payload.resize(count);
   if (count != 0)
     std::memcpy(out->payload.data(), bytes + kWireHeaderBytes, count * sizeof(double));
-  *consumed = total;
   if (frame_checksum(out->tag, out->seq, out->payload.data(), out->payload.size()) != payload_sum)
-    return WireDecode::kBadPayload;
+    return WireDecode::kBadFrame;
+  *consumed = total;
   return WireDecode::kOk;
 }
 
@@ -252,9 +209,8 @@ bool write_wire_frames(int fd, std::span<const WireOut> frames) noexcept {
       const WireOut& f = frames[i];
       encode_header(f.kind, f.tag, f.seq, f.aux, f.payload.size(),
                     frame_checksum(f.tag, f.seq, f.payload.data(), f.payload.size()), headers[i]);
-      const double* wire = f.on_wire != nullptr ? f.on_wire : f.payload.data();
       iov[2 * i] = {headers[i], kWireHeaderBytes};
-      iov[2 * i + 1] = {const_cast<double*>(wire), f.payload.size() * sizeof(double)};
+      iov[2 * i + 1] = {const_cast<double*>(f.payload.data()), f.payload.size() * sizeof(double)};
     }
     if (!send_all(fd, iov, 2 * n)) return false;
     frames = frames.subspan(n);
@@ -294,11 +250,12 @@ WireDecode WireReader::next(int fd, WireFrame* out) {
       begin_ += staged;
       filled_ += staged;
       if (filled_ == total) {
+        if (frame_checksum(cur_.tag, cur_.seq, cur_.payload.data(), cur_.payload.size()) !=
+            payload_sum_)
+          return WireDecode::kBadFrame;  // in_payload_ stays set: the verdict sticks
         in_payload_ = false;
-        const bool intact = frame_checksum(cur_.tag, cur_.seq, cur_.payload.data(),
-                                           cur_.payload.size()) == payload_sum_;
         *out = std::move(cur_);
-        return intact ? WireDecode::kOk : WireDecode::kBadPayload;
+        return WireDecode::kOk;
       }
       // The staging buffer is spent: the rest of the payload goes straight
       // into its vector, and whatever follows it into the staging buffer.

@@ -1,36 +1,25 @@
 #pragma once
-// Shared frame format for the reliable transports (DESIGN.md section 15).
+// Wire frames of the socket backend (DESIGN.md section 15).
 //
-// Both transport backends protect payloads the same way: a frame carries a
-// per-(src, dst, tag) sequence number and a checksum seeded with the tag and
-// the sequence number. The checksum runs four 64-bit word lanes (xxHash64's
-// round and primes) whose every step is a bijection of its lane, so a change
-// confined to one payload word, or to tag or seq alone, is always detected
-// at the receiver and recovered through the NACK/resend path.
-//
-// Two encodings share that format:
-//
-//  * The in-process "double frame" (make_frame / frame_valid): a 2-double
-//    [seq, checksum] header prepended to the payload, carried through the
-//    shared-memory mailboxes. This is the original reliable-transport frame.
-//  * The byte-stream "wire frame": the socket backend's length-prefixed
-//    encoding (wire version 3: the word-lane payload checksum and the kAck
-//    kind). The header carries its own FNV-1a (so a corrupted length can
-//    never make the receiver read out of bounds or desynchronise silently),
-//    and the payload checksum is the *same* frame_checksum the in-process
-//    frames use. Frames reach a socket through write_wire_frames (header
-//    and payload gathered by one sendmsg, no staging copy) and leave it
-//    through WireReader (payloads read straight into the vector handed on);
-//    encode_wire_frame / decode_wire_frame are the byte-buffer reference
-//    the reader is tested against. Every parser distinguishes the same
-//    failure classes so the receiver can pick the right recovery:
-//      - kNeedMore:   the buffer holds a frame prefix; read more bytes.
-//      - kBadPayload: header intact, payload corrupted — skip exactly this
-//                     frame and recover the payload via NACK/resend.
-//      - kBadFrame:   the stream is desynchronised (bad magic, bad header
-//                     checksum, oversized length, unknown kind) — the only
-//                     safe recovery is to kill the connection and let the
-//                     retry path re-deliver.
+// A frame is a 56-byte header and a payload of doubles. The header carries
+// the frame's kind, tag, per-(src, dst, tag) sequence number and an aux
+// word, the payload's length and checksum, and its own FNV-1a, so a damaged
+// length can never make the receiver read out of bounds, allocate a bogus
+// gigantic payload or desynchronise silently. The payload checksum runs four
+// 64-bit word lanes (xxHash64's round and primes) seeded with the tag and
+// the sequence number; every step is a bijection of its lane, so a change
+// confined to one payload word, or to tag or seq alone, is always detected.
+// Those bytes come from another process, so the receiver checks all of them:
+// a frame that fails any check is a broken stream, which the receiver
+// closes. Frames reach a socket through write_wire_frames (header and
+// payload gathered by one sendmsg, no staging copy) and leave it through
+// WireReader (payloads read straight into the vector handed on);
+// encode_wire_frame / decode_wire_frame are the byte-buffer reference the
+// reader is tested against. Every parser has the same verdicts:
+//   - kNeedMore: the buffer holds a frame prefix; read more bytes.
+//   - kBadFrame: bad magic, version or kind, a bad header checksum, a length
+//                past the receiver's bound, or a payload that fails its
+//                checksum — close the stream.
 
 #include <cstddef>
 #include <cstdint>
@@ -40,9 +29,6 @@
 #include <vector>
 
 namespace treesvd::mp {
-
-/// Doubles of header prepended to an in-process reliable frame.
-inline constexpr std::size_t kFrameHeader = 2;  ///< [seq, checksum]
 
 /// Payload checksum over four 64-bit word lanes, with tag and seq as lane
 /// initialisers and a final avalanche. Any change confined to one payload
@@ -63,41 +49,31 @@ inline std::uint64_t double_to_bits(double d) noexcept {
   return bits;
 }
 
-/// Frames a clean payload for the in-process reliable transport.
-std::vector<double> make_frame(std::uint64_t tag, std::uint64_t seq,
-                               const std::vector<double>& payload);
-
-/// Validates an in-process frame; on success reports its sequence number.
-bool frame_valid(std::uint64_t tag, const std::vector<double>& frame, std::uint64_t* seq_out);
-
-// ---------------------------------------------------------------------------
-// Byte-stream wire frames (socket backend).
-
-/// What a wire frame is for. Data/NACK frames travel between rank processes;
-/// the rest ride the per-rank control channel to/from the launcher process.
+/// What a wire frame is for. Data and HELLO frames travel between rank
+/// processes; the rest ride the per-rank control channel to/from the
+/// launcher process.
 enum class WireKind : std::uint8_t {
   kData = 1,       ///< payload frame (tag, seq, payload doubles)
-  kNack = 2,       ///< receiver asks the sender to retransmit (tag, seq=expected, aux=attempt)
-  kHello = 3,      ///< first frame on a new connection (aux = sender rank)
-  kHeartbeat = 4,  ///< child -> launcher liveness beacon
-  kSync = 5,       ///< child -> launcher collective arrival (seq=generation, payload=[value])
-  kSyncRelease = 6,  ///< launcher -> child collective release (seq=generation, payload=[sum])
-  kPublish = 7,    ///< child -> launcher durable blob (aux = key, payload = blob)
-  kFinished = 8,   ///< launcher -> child: rank `aux` has exited (normally or not)
-  kAbort = 9,      ///< launcher -> child: the world is aborting
-  kKilled = 10,    ///< child -> launcher: planned kill firing (aux = op, payload = stats)
-  kError = 11,     ///< child -> launcher: program exception (aux = kind, payload = message)
-  kExit = 12,      ///< child -> launcher: normal completion (payload = stats)
-  kAck = 13,       ///< receiver -> sender: consumed frames (payload = tag, seq bit pairs)
+  kHello = 2,      ///< first frame on a new connection (aux = sender rank)
+  kHeartbeat = 3,  ///< child -> launcher liveness beacon
+  kSync = 4,       ///< child -> launcher collective arrival (seq=generation, payload=[value])
+  kSyncRelease = 5,  ///< launcher -> child collective release (seq=generation, payload=[sum])
+  kPublish = 6,    ///< child -> launcher durable blob (aux = key, payload = blob)
+  kFinished = 7,   ///< launcher -> child: rank `aux` has exited (normally or not)
+  kAbort = 8,      ///< launcher -> child: the world is aborting
+  kKilled = 9,     ///< child -> launcher: planned kill firing (aux = op, payload = stats)
+  kError = 10,     ///< child -> launcher: program exception (aux = kind, payload = message)
+  kExit = 11,      ///< child -> launcher: normal completion (payload = stats)
 };
-inline constexpr std::uint8_t kWireKindMax = 13;
+inline constexpr std::uint8_t kWireKindMax = 11;
 
 /// Fixed wire header: magic(4) version(1) kind(1) pad(2) tag(8) seq(8)
 /// aux(8) payload_count(8) header_fnv(8) payload_checksum(8).
 inline constexpr std::size_t kWireHeaderBytes = 56;
-/// Version 3 adds kAck to version 2's word-lane payload checksum (version 1
-/// used byte-wise FNV-1a); a frame of any other version is kBadFrame.
-inline constexpr std::uint8_t kWireVersion = 3;
+/// Version 4 drops version 3's NACK and ack kinds and numbers the rest
+/// 1-11; version 2 added the word-lane payload checksum (version 1 used
+/// byte-wise FNV-1a). A frame of any other version is kBadFrame.
+inline constexpr std::uint8_t kWireVersion = 4;
 
 /// One decoded (or to-be-encoded) socket frame.
 struct WireFrame {
@@ -109,26 +85,18 @@ struct WireFrame {
 };
 
 enum class WireDecode {
-  kOk,          ///< a full valid frame was decoded
-  kNeedMore,    ///< the buffer ends mid-frame; append bytes and retry
-  kBadPayload,  ///< header valid, payload checksum mismatch: skip this frame
-  kBadFrame,    ///< stream desync: close the connection
-  kClosed,      ///< WireReader only: the stream ended (EOF or a read error)
+  kOk,        ///< a full valid frame was decoded
+  kNeedMore,  ///< the buffer ends mid-frame; append bytes and retry
+  kBadFrame,  ///< a check failed: the stream is broken, close it
+  kClosed,    ///< WireReader only: the stream ended (EOF or a read error)
 };
 
 /// Appends the encoded frame to `out`.
 void encode_wire_frame(const WireFrame& frame, std::vector<std::uint8_t>& out);
 
-/// Encodes a data frame whose *checksums* cover `clean` while the bytes on
-/// the wire carry `corrupted` — the socket backend's physical corruption
-/// injection (the receiver must detect the mismatch and NACK).
-void encode_corrupted_wire_frame(const WireFrame& frame, const std::vector<double>& corrupted,
-                                 std::vector<std::uint8_t>& out);
-
 /// Decodes the frame at the front of [bytes, bytes+len). Never reads past
 /// `len`. On kOk fills `out` and sets `consumed` to the frame size; on
-/// kBadPayload sets `consumed` to the (trustworthy) frame size so the caller
-/// can skip it; on kNeedMore/kBadFrame leaves `consumed` zero.
+/// kNeedMore/kBadFrame leaves `consumed` zero.
 WireDecode decode_wire_frame(const std::uint8_t* bytes, std::size_t len,
                              std::size_t max_payload_doubles, WireFrame* out,
                              std::size_t* consumed);
@@ -140,10 +108,7 @@ struct WireOut {
   std::uint64_t tag = 0;
   std::uint64_t seq = 0;
   std::uint64_t aux = 0;
-  std::span<const double> payload;  ///< what the payload checksum covers
-  /// Bytes written in the payload's place when set (a damaged copy of the
-  /// same length: corruption injection, as encode_corrupted_wire_frame).
-  const double* on_wire = nullptr;
+  std::span<const double> payload;
 };
 
 /// Writes `frames` to the stream socket `fd`: each 56-byte header followed
@@ -151,7 +116,7 @@ struct WireOut {
 /// (one call unless the kernel takes the bytes in parts). EINTR is retried,
 /// a full nonblocking socket is waited on, SIGPIPE is suppressed. False on
 /// any error: a peer may die at any moment, so callers treat failure as a
-/// lost frame and lean on the NACK/abort machinery, never on write success.
+/// dead peer and lean on the abort machinery, never on write success.
 bool write_wire_frames(int fd, std::span<const WireOut> frames) noexcept;
 
 /// Incremental reader of one byte stream of wire frames. One recv fills a
@@ -165,9 +130,9 @@ class WireReader {
   explicit WireReader(std::size_t max_payload_doubles);
 
   /// Reads the next frame off the nonblocking stream `fd`. kOk fills `out`;
-  /// kBadPayload fills its kind/tag/seq/aux and skips the frame; kNeedMore
-  /// means nothing more is readable now; kBadFrame (desync) and kClosed
-  /// (EOF, also mid-frame, or a read error) end the stream.
+  /// kNeedMore means nothing more is readable now; kBadFrame (a failed
+  /// check) and kClosed (EOF, also mid-frame, or a read error) end the
+  /// stream.
   WireDecode next(int fd, WireFrame* out);
 
  private:

@@ -1,13 +1,12 @@
 #pragma once
-// In-process transport backend: the original mp::World mechanics, verbatim.
+// In-process transport backend: the original mp::World mechanics.
 //
-// Ranks are std::threads; a send moves the frame into the destination rank's
-// mailbox under its mutex, a recv blocks on the mailbox's condition
-// variable. Faults are simulated inside the receiver's critical section and
-// deadlines run on virtual time (RecoveryStats::virtual_backoff), so a run
-// under any surviving fault plan is bit-identical *including* every recovery
-// counter. This backend is the default and the reference the socket backend
-// is gated against.
+// Ranks are std::threads; a send moves the payload into the destination
+// rank's mailbox under its mutex, a recv blocks on the mailbox's condition
+// variable. The planned rank kill throws RankKilledError inside the rank's
+// transport op, so a run under any fault plan is bit-identical *including*
+// every recovery counter. This backend is the default and the reference the
+// socket backend is gated against.
 
 #include <condition_variable>
 #include <deque>
@@ -39,24 +38,15 @@ class InprocTransport final : public TransportBackend {
     /// blocked on this rank as a *source* use it to decide, deterministically,
     /// that the expected message can never arrive.
     std::atomic<bool> finished{false};
-    std::map<Key, std::deque<Packet>> queues;
-    // Reliable-transport state (guarded by mu).
-    std::map<Key, std::uint64_t> send_seq;  ///< sender side: next seq to assign
-    std::map<Key, std::uint64_t> next_seq;  ///< receiver side: next expected seq
-    std::map<Key, std::map<std::uint64_t, std::vector<double>>> store;  ///< clean copies
+    std::map<Key, std::deque<std::vector<double>>> queues;
   };
 
   void deliver(int dst, int src, std::uint64_t tag, std::vector<double> data);
   std::vector<double> take(int rank, int src, std::uint64_t tag);
-  /// Recovers the clean payload for `seq` from the retransmit store with
-  /// bounded retry; caller holds box.mu. Throws TransportError past budget.
-  std::vector<double> recover_locked(Mailbox& box, const Key& key, std::uint64_t seq, int src,
-                                     int dst, std::uint64_t tag);
   /// Wakes every blocked rank with WorldAbortedError (idempotent).
   void abort_world() noexcept;
-  /// Empties every mailbox (queued frames, sequence state, retransmit
-  /// store) between runs; returns how many frames were still queued.
-  std::size_t discard_frames();
+  /// Empties every mailbox between runs.
+  void discard_frames();
 
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
 

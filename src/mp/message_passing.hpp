@@ -6,13 +6,10 @@
 // two transport backends (DESIGN.md section 15):
 //
 //   * Backend::kInproc (default) — an SPMD world of P ranks (std::threads)
-//     with per-rank mailboxes in shared memory. Faults are simulated and
-//     deadlines run on virtual time.
+//     with per-rank mailboxes in shared memory.
 //   * Backend::kSocket — every rank is its own OS process, exchanging the
-//     same frames over UNIX-domain stream sockets; the launcher process
-//     coordinates collectives, heartbeats and respawn. Faults are physical
-//     (a dropped frame is a killed connection, a delay is a real stall, a
-//     kill is SIGKILL) and receive deadlines run on the wall clock.
+//     same payloads over UNIX-domain stream sockets; the launcher process
+//     coordinates collectives, heartbeats and respawn.
 //
 // Semantics (identical across backends):
 //   * send(dst, tag, data) — asynchronous (buffered), never blocks.
@@ -29,33 +26,23 @@
 //                            how multi-process engines return results and
 //                            keep checkpoints across respawns.
 //
-// Fault tolerance (see mp/fault.hpp): the installed FaultPlan is the only
-// chaos setting.
-//   * set_fault_plan(plan) installs a seeded deterministic fault injector
-//     (drop/duplicate/corrupt/delay per message, one rank kill).
-//   * A plan with message faults runs send/recv over the reliable transport:
-//     frames carry a per-(src, dst, tag) sequence number and a payload
-//     checksum; recv validates both, suppresses duplicates/stale frames, and
-//     when a frame is lost, delayed past the deadline, or corrupted it
-//     recovers the *clean* payload from the sender's retransmit store with
-//     bounded retry and deterministic exponential backoff (virtual time
-//     in-process; real NACK round-trips with wall-clock deadlines over
-//     sockets). Below the plan's max_retries, delivered payloads are
-//     bit-identical to a fault-free run; beyond it recv throws
-//     TransportError naming (src, dst, tag, seq, attempts).
+// Both transports deliver every message, so the fault model is a rank kill
+// (see mp/fault.hpp):
+//   * set_fault_plan(plan) installs a deterministic one-shot rank kill at a
+//     chosen transport op. On the socket backend a rank process can also die
+//     from outside the plan (an external signal, a heartbeat timeout); both
+//     surface as RankKilledError.
 //   * When any rank's program throws, the world aborts — deterministically.
 //     A blocked recv gives up (WorldAbortedError, a secondary failure) only
 //     once its *source rank has finished*, never merely because the abort
 //     flag is up: a message that is still coming from a live peer is always
 //     waited for, so every surviving rank runs exactly its maximal
-//     deterministic prefix and the fault/recovery counters are reproducible
-//     bit-for-bit (in-process; over sockets the wall clock makes retry
-//     counts timing-dependent, but delivered payloads stay bit-identical).
-//     Collectives throw on abort outright (a dead rank can never complete
-//     them). run() joins *all* ranks, then rethrows the lowest-rank primary
-//     exception. The next run() on the same world starts from an empty
-//     transport, so an engine rolls back to a checkpoint and replays by
-//     calling run() again (svd/spmd.cpp does).
+//     deterministic prefix and the recovery counters are reproducible
+//     bit-for-bit. Collectives throw on abort outright (a dead rank can
+//     never complete them). run() joins *all* ranks, then rethrows the
+//     lowest-rank primary exception. The next run() on the same world starts
+//     from an empty transport, so an engine rolls back to a checkpoint and
+//     replays by calling run() again (svd/spmd.cpp does).
 
 #include <atomic>
 #include <cstddef>
@@ -71,28 +58,19 @@
 
 namespace treesvd::mp {
 
-/// A message: raw doubles (plus a 2-double [seq, checksum] header while a
-/// frame is in flight on the in-process reliable transport).
-struct Packet {
-  std::vector<double> data;
-};
-
 /// Which transport carries the world's messages.
 enum class Backend {
   kInproc,  ///< ranks are threads; mailboxes in shared memory (default)
   kSocket,  ///< ranks are processes; UNIX-domain stream sockets
 };
 
-/// Knobs for the socket backend. Durations are wall-clock milliseconds —
-/// unlike the in-process backend there is no virtual time to hide behind.
+/// Knobs for the socket backend. Durations are wall-clock milliseconds.
 struct SocketConfig {
-  /// Receive deadline before the first NACK; each further retry waits
-  /// kRetryBackoff times longer (mp/fault.hpp).
-  double recv_deadline_ms = 25.0;
-  /// Child -> launcher liveness beacon cadence.
+  /// Child -> launcher liveness beacon cadence; below INT_MAX.
   double heartbeat_interval_ms = 25.0;
   /// Silence after which the launcher declares a rank hung and SIGKILLs it
-  /// (feeding the same abort/respawn path as a planned kill).
+  /// (feeding the same abort/respawn path as a planned kill); longer than
+  /// the beacon cadence, so a healthy rank is never between beacons for it.
   double heartbeat_timeout_ms = 10000.0;
   /// Directory for the per-rank listener sockets (empty: a fresh mkdtemp
   /// under $TMPDIR, removed with the World).
@@ -153,7 +131,10 @@ class World {
 
   /// Selects the transport (call before run(); kInproc is the default).
   /// The fault plan and the recovery counters are shared, so a program
-  /// moves between backends without any other change.
+  /// moves between backends without any other change. Throws
+  /// std::invalid_argument for socket timings that are not positive, a
+  /// heartbeat_interval_ms of INT_MAX or more, or a heartbeat_timeout_ms
+  /// no longer than the interval.
   void set_backend(Backend backend, const SocketConfig& config = {});
 
   Backend backend() const noexcept { return backend_kind_; }
@@ -169,26 +150,19 @@ class World {
   /// no primary program exception exists).
   ///
   /// Every run starts from an empty transport and a cleared abort flag: no
-  /// frame, sequence number, retransmit copy or half-finished collective of
-  /// an earlier run (aborted or not) reaches it. In process, a run that
-  /// completes under message faults counts the frames it leaves queued
-  /// (duplicates, delayed stragglers) in RecoveryStats::duplicates_suppressed;
-  /// rank processes count a duplicate when it arrives.
-  /// The one-shot kill latch, the cumulative counters and the published-blob
+  /// message or half-finished collective of an earlier run (aborted or not)
+  /// reaches it. The one-shot kill latch, the cumulative counters and the published-blob
   /// board persist across runs, so calling run() again after a
   /// RankKilledError replays past the kill, keeps the full fault history and
   /// can restore from published checkpoints.
   void run(const std::function<void(Context&)>& program);
 
-  /// Total logical messages sent since construction (for tests/stats); under
-  /// a fault plan this counts sends, whether or not the frame survived.
+  /// Total messages sent since construction (for tests/stats), replays
+  /// included.
   std::size_t delivered() const noexcept { return delivered_.load(); }
 
-  /// Installs a deterministic fault schedule (call before run()). Message
-  /// faults (drop/duplicate/corrupt/delay/resend-drop) turn the reliable
-  /// transport on. Throws std::invalid_argument for probabilities outside
-  /// [0, 1] or summing past 1, a target rank outside the world, or
-  /// max_retries < 1.
+  /// Installs a deterministic fault schedule (call before run()). Throws
+  /// std::invalid_argument for a kill rank outside the world.
   void set_fault_plan(const FaultPlan& plan);
 
   /// Snapshot of every transport/recovery counter.

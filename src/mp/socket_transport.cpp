@@ -55,45 +55,24 @@ int connect_unix(const std::string& path) noexcept {
 /// rejected by checksum before this, so this bounds only legal senders.
 constexpr std::size_t kMaxPayloadDoubles = std::size_t{1} << 20;
 
-/// Most (tag, seq) pairs one kAck frame carries before it is written on its
-/// own; ~4 KiB, far inside a receiver's payload bound.
-constexpr std::size_t kAckBatchPairs = 256;
-
-/// Physical length of an injected delay fault. It exceeds the default
-/// receive deadline, so the delay exercises the recovery path like the
-/// in-process backend's "delayed frames are lost" rule.
-constexpr double kDelayStallMs = 120.0;
-
 /// Exit-frame kinds (WireFrame::aux of kError): which exception type a rank
 /// process unwound with, so the launcher rethrows the same type.
 enum ErrKind : int {
   kErrOther = 0,
   kErrRankKilled = 1,
   kErrWorldAborted = 2,
-  kErrTransport = 3,
-  kErrInvalidArgument = 4,
-  kErrLogic = 5,
+  kErrInvalidArgument = 3,
+  kErrLogic = 4,
 };
 
-constexpr std::size_t kStatsDoubles = 13;  ///< [sends, 12 RecoveryStats fields]
+/// [sends, kills, checkpoints, rollbacks]: the live RecoveryStats counters.
+constexpr std::size_t kStatsDoubles = 4;
 
 std::vector<double> pack_stats(std::size_t sends, const RecoveryStats& now,
                                const RecoveryStats& base) {
-  std::vector<double> p(kStatsDoubles);
-  p[0] = static_cast<double>(sends);
-  p[1] = static_cast<double>(now.drops_seen - base.drops_seen);
-  p[2] = static_cast<double>(now.duplicates_injected - base.duplicates_injected);
-  p[3] = static_cast<double>(now.corruptions_injected - base.corruptions_injected);
-  p[4] = static_cast<double>(now.delays_seen - base.delays_seen);
-  p[5] = static_cast<double>(now.kills - base.kills);
-  p[6] = static_cast<double>(now.corruptions_detected - base.corruptions_detected);
-  p[7] = static_cast<double>(now.duplicates_suppressed - base.duplicates_suppressed);
-  p[8] = static_cast<double>(now.retries - base.retries);
-  p[9] = static_cast<double>(now.resends - base.resends);
-  p[10] = now.virtual_backoff - base.virtual_backoff;
-  p[11] = static_cast<double>(now.checkpoints - base.checkpoints);
-  p[12] = static_cast<double>(now.rollbacks - base.rollbacks);
-  return p;
+  return {static_cast<double>(sends), static_cast<double>(now.kills - base.kills),
+          static_cast<double>(now.checkpoints - base.checkpoints),
+          static_cast<double>(now.rollbacks - base.rollbacks)};
 }
 
 RecoveryStats unpack_stats(const std::vector<double>& p, std::size_t* sends) {
@@ -101,18 +80,9 @@ RecoveryStats unpack_stats(const std::vector<double>& p, std::size_t* sends) {
   if (p.size() != kStatsDoubles) return s;  // malformed: ignore, counters stay monotone
   const auto u = [](double d) { return static_cast<std::size_t>(d); };
   *sends = u(p[0]);
-  s.drops_seen = u(p[1]);
-  s.duplicates_injected = u(p[2]);
-  s.corruptions_injected = u(p[3]);
-  s.delays_seen = u(p[4]);
-  s.kills = u(p[5]);
-  s.corruptions_detected = u(p[6]);
-  s.duplicates_suppressed = u(p[7]);
-  s.retries = u(p[8]);
-  s.resends = u(p[9]);
-  s.virtual_backoff = p[10];
-  s.checkpoints = u(p[11]);
-  s.rollbacks = u(p[12]);
+  s.kills = u(p[1]);
+  s.checkpoints = u(p[2]);
+  s.rollbacks = u(p[3]);
   return s;
 }
 
@@ -128,8 +98,6 @@ struct SocketTransport::RankRuntime {
   int rank = 0;
   int size = 0;
   SocketConfig cfg;
-  bool reliable_on = false;           ///< the plan has message faults
-  FaultInjector* inj = nullptr;       ///< child's copy of the injector
   RecoveryCounters* counters = nullptr;
   int ctl = -1;
   int listen_fd = -1;
@@ -138,7 +106,7 @@ struct SocketTransport::RankRuntime {
   std::mutex ctl_mu;                  ///< control frames: program + IO thread
 
   // Receive-side state (mu/cv): stashes filled by the IO thread, drained by
-  // the program thread under wall-clock deadlines.
+  // the program thread.
   std::mutex mu;
   std::condition_variable cv;
   bool stop = false;
@@ -150,31 +118,12 @@ struct SocketTransport::RankRuntime {
   std::map<Key, std::uint64_t> next_seq;
   std::map<std::uint64_t, double> release;  ///< collective results by generation
 
-  std::uint64_t sync_gen = 0;         ///< program thread only
-
-  std::map<Key, std::uint64_t> send_seq;  ///< program thread only
-  std::atomic<std::size_t> sends{0};
-
-  // Under message faults, the clean retransmit store that backs NACK
-  // recovery (store_mu); without them no NACK can be sent, so nothing is
-  // stored. A frame leaves it once its receiver acknowledges consuming it
-  // (kAck): after that no NACK can name it. Until then a receiver may NACK
-  // it for the rest of the run, which is why a finished rank waits in the
-  // exit handshake before its process ends. Entries are shared: a delayed,
-  // duplicated or NACK-served write may still be sending a frame when its
-  // ack arrives. store_mu is never held across a write, so the IO thread's
-  // releases never wait behind a send blocked on a full peer socket.
-  using Stored = std::shared_ptr<const std::vector<double>>;
-  std::mutex store_mu;
-  std::map<Key, std::map<std::uint64_t, Stored>> store;
-
-  // Writes (out_mu): lazy connections, and per peer the (tag, seq) bit pairs
-  // of consumed frames not yet acknowledged (under message faults only).
-  // They ride the next frame written to that peer, or go alone before a
-  // recv blocks.
-  std::mutex out_mu;
+  // Program thread only: the sync generation, the sequence numbers and
+  // lazily opened connections of the data streams, the send count.
+  std::uint64_t sync_gen = 0;
+  std::map<Key, std::uint64_t> send_seq;
   std::vector<int> out;
-  std::vector<std::vector<double>> acks;
+  std::size_t sends = 0;
 
   RecoveryStats baseline;             ///< counters at fork (ship deltas only)
   std::thread io;
@@ -201,127 +150,32 @@ struct SocketTransport::RankRuntime {
     (void)!write_wire_frames(ctl, {&f, 1});
   }
 
-  /// Writes dst's pending acks, then `frame` unless null, in one sendmsg,
-  /// connecting (and re-connecting once: a killed connection is a
-  /// *recoverable* physical fault) on demand. Caller holds out_mu.
-  void write_locked(int dst, const WireOut* frame) noexcept {
-    const auto d = static_cast<std::size_t>(dst);
-    WireOut batch[2];
-    std::size_t count = 0;
-    if (!acks[d].empty()) {
-      batch[count].kind = WireKind::kAck;
-      batch[count++].payload = acks[d];
-    }
-    if (frame != nullptr) batch[count++] = *frame;
-    for (int attempt = 0; attempt < 2; ++attempt) {
-      if (out[d] < 0) {
-        const int fd = connect_unix(bk->paths_[d]);
-        if (fd < 0) return;  // peer gone: recovery/abort machinery takes over
-        WireOut hello;
-        hello.kind = WireKind::kHello;
-        hello.aux = static_cast<std::uint64_t>(rank);
-        if (!write_wire_frames(fd, {&hello, 1})) {
-          ::close(fd);
-          return;
-        }
-        out[d] = fd;
-      }
-      if (write_wire_frames(out[d], {batch, count})) {
-        acks[d].clear();
+  /// Writes `frame` to dst, connecting (and saying HELLO) on first use. A
+  /// failed write means the peer died: the connection is dropped and the
+  /// abort machinery takes over.
+  void write_to(int dst, const WireOut& frame) noexcept {
+    int& fd = out[static_cast<std::size_t>(dst)];
+    if (fd < 0) {
+      fd = connect_unix(bk->paths_[static_cast<std::size_t>(dst)]);
+      if (fd < 0) return;
+      WireOut hello;
+      hello.kind = WireKind::kHello;
+      hello.aux = static_cast<std::uint64_t>(rank);
+      if (!write_wire_frames(fd, {&hello, 1})) {
+        ::close(fd);
+        fd = -1;
         return;
       }
-      ::close(out[d]);
-      out[d] = -1;
     }
-  }
-
-  void write_to(int dst, const WireOut& frame) noexcept {
-    std::lock_guard<std::mutex> lock(out_mu);
-    write_locked(dst, &frame);
-  }
-
-  void write_data(int dst, std::uint64_t tag, std::uint64_t seq,
-                  const std::vector<double>& clean, const std::vector<double>* corrupted) {
-    WireOut f;
-    f.tag = tag;
-    f.seq = seq;
-    f.payload = clean;
-    if (corrupted != nullptr) f.on_wire = corrupted->data();
-    write_to(dst, f);
-  }
-
-  void send_nack(int src, std::uint64_t tag, std::uint64_t seq, int attempt) {
-    WireOut f;
-    f.kind = WireKind::kNack;
-    f.tag = tag;
-    f.seq = seq;
-    f.aux = static_cast<std::uint64_t>(attempt);
-    write_to(src, f);
-  }
-
-  /// Owes `src` an acknowledgement for a frame handed to the program.
-  void record_ack(int src, std::uint64_t tag, std::uint64_t seq) {
-    std::lock_guard<std::mutex> lock(out_mu);
-    std::vector<double>& pending = acks[static_cast<std::size_t>(src)];
-    pending.push_back(bits_to_double(tag));
-    pending.push_back(bits_to_double(seq));
-    if (pending.size() >= 2 * kAckBatchPairs) write_locked(src, nullptr);
-  }
-
-  void flush_acks() {
-    std::lock_guard<std::mutex> lock(out_mu);
-    for (int peer = 0; peer < size; ++peer) {
-      if (!acks[static_cast<std::size_t>(peer)].empty()) write_locked(peer, nullptr);
+    if (!write_wire_frames(fd, {&frame, 1})) {
+      ::close(fd);
+      fd = -1;
     }
-  }
-
-  /// A kAck from `dst`: drop what it consumed from the store. A receiver
-  /// consumes each (dst, tag) stream in order, so everything up to the
-  /// acknowledged seq goes.
-  void release_acked(int dst, const std::vector<double>& pairs) {
-    std::vector<Stored> released;  // freed after the lock is dropped
-    std::lock_guard<std::mutex> lock(store_mu);
-    for (std::size_t i = 0; i + 1 < pairs.size(); i += 2) {
-      const auto sit = store.find({dst, double_to_bits(pairs[i])});
-      if (sit == store.end()) continue;
-      auto& frames = sit->second;
-      const auto last = frames.upper_bound(double_to_bits(pairs[i + 1]));
-      for (auto it = frames.begin(); it != last; ++it) released.push_back(std::move(it->second));
-      frames.erase(frames.begin(), last);
-      if (frames.empty()) store.erase(sit);
-    }
-  }
-
-  /// Serves a peer's retransmission request from the clean store. A NACK for
-  /// a frame this rank has not sent yet is ignored — the receiver's deadline
-  /// simply fired before our send; the normal transmission will arrive.
-  void serve_nack(int dst, std::uint64_t tag, std::uint64_t seq, int attempt) {
-    Stored clean;
-    {
-      std::lock_guard<std::mutex> lock(store_mu);
-      const auto sit = store.find({dst, tag});
-      if (sit == store.end()) return;
-      const auto pit = sit->second.find(seq);
-      if (pit == sit->second.end()) return;
-      clean = pit->second;
-    }
-    if (inj != nullptr && !inj->resend_survives(rank, dst, tag, seq, attempt)) {
-      counters->add_drop();  // the retransmission was lost too
-      return;
-    }
-    counters->add_resend();
-    write_data(dst, tag, seq, *clean, nullptr);
   }
 
   void handle_data(int src, WireFrame&& f) {
     std::lock_guard<std::mutex> lock(mu);
-    const Key key{src, f.tag};
-    const auto nit = next_seq.find(key);
-    if (nit != next_seq.end() && f.seq < nit->second) {
-      counters->add_duplicate_suppressed();  // stale resend survivor
-    } else if (!stash[key].emplace(f.seq, std::move(f.payload)).second) {
-      counters->add_duplicate_suppressed();  // duplicate arrival
-    }
+    stash[{src, f.tag}].emplace(f.seq, std::move(f.payload));
     cv.notify_all();
   }
 
@@ -364,14 +218,7 @@ struct SocketTransport::RankRuntime {
 
   /// Acts on one frame from a peer connection. False when the peer broke
   /// the protocol and the connection must be closed.
-  bool on_peer_frame(Conn& c, WireDecode d, WireFrame&& f) {
-    if (d == WireDecode::kBadPayload) {
-      // Header intact, payload damaged: the reader skipped exactly this
-      // frame; ask for it again — physical corruption recovery.
-      counters->add_corruption_detected();
-      if (c.src >= 0 && f.kind == WireKind::kData) send_nack(c.src, f.tag, f.seq, 0);
-      return true;
-    }
+  bool on_peer_frame(Conn& c, WireFrame&& f) {
     switch (f.kind) {
       case WireKind::kHello: {
         const int src = static_cast<int>(f.aux);
@@ -389,26 +236,19 @@ struct SocketTransport::RankRuntime {
         if (c.src < 0) return false;  // data before HELLO: not one of ours
         handle_data(c.src, std::move(f));
         return true;
-      case WireKind::kNack:
-        if (c.src >= 0) serve_nack(c.src, f.tag, f.seq, static_cast<int>(f.aux));
-        return true;
-      case WireKind::kAck:
-        if (c.src >= 0) release_acked(c.src, f.payload);
-        return true;
       default:
         return false;  // control-only kind on a data stream
     }
   }
 
-  /// Reads every frame ready on `c`. EOF, a read error or a desync closes
-  /// it: the retry path re-delivers anything a torn stream lost.
+  /// Reads every frame ready on `c`. EOF, a read error or a frame that
+  /// fails a check closes it.
   void read_conn(Conn& c) {
     for (;;) {
       WireFrame f;
       const WireDecode d = c.reader.next(c.fd, &f);
       if (d == WireDecode::kNeedMore) return;
-      const bool framed = d == WireDecode::kOk || d == WireDecode::kBadPayload;
-      if (!framed || !on_peer_frame(c, d, std::move(f))) {
+      if (d != WireDecode::kOk || !on_peer_frame(c, std::move(f))) {
         close_conn(c);
         return;
       }
@@ -416,8 +256,7 @@ struct SocketTransport::RankRuntime {
   }
 
   /// Reads every launcher frame ready on the control stream; false once the
-  /// stream is lost (EOF, a read error, or damage launcher frames never
-  /// carry).
+  /// stream is lost (EOF, a read error, or a frame that fails a check).
   bool read_ctl(WireReader& reader) {
     for (;;) {
       WireFrame f;
@@ -514,7 +353,7 @@ struct SocketTransport::RankRuntime {
   }
 
   std::vector<double> stats_payload() {
-    return pack_stats(sends.load(), counters->snapshot(), baseline);
+    return pack_stats(sends, counters->snapshot(), baseline);
   }
 };
 
@@ -591,64 +430,16 @@ long SocketTransport::process_id(int rank) const noexcept {
 #define TREESVD_MP_CHILD_ONLY() \
   TREESVD_ASSERT(runtime_ != nullptr && "socket transport op outside a rank process")
 
-void SocketTransport::send(Context& ctx, int dst, std::uint64_t tag, std::vector<double> data) {
+void SocketTransport::send(Context&, int dst, std::uint64_t tag, std::vector<double> data) {
   TREESVD_MP_CHILD_ONLY();
   RankRuntime& rt = *runtime_;
-  const RankRuntime::Key key{dst, tag};
-  const std::uint64_t seq = rt.send_seq[key]++;
-  rt.sends.fetch_add(1, std::memory_order_relaxed);
-  if (!rt.reliable_on) {
-    // No fault can touch the frame and no NACK can name it: it goes out
-    // straight from the caller's vector, and no copy is kept.
-    rt.write_data(dst, tag, seq, data, nullptr);
-    return;
-  }
-  // Every write below, and any NACK the IO thread serves, goes out straight
-  // from this one vector.
-  const auto frame = std::make_shared<const std::vector<double>>(std::move(data));
-  {
-    std::lock_guard<std::mutex> lock(rt.store_mu);
-    rt.store[key][seq] = frame;  // backs NACK recovery until the receiver acks it
-  }
-  switch (rt.inj->action(ctx.rank(), dst, tag, seq)) {
-    case FaultAction::kDeliver:
-      rt.write_data(dst, tag, seq, *frame, nullptr);
-      break;
-    case FaultAction::kDrop: {
-      // Physical drop: the frame never leaves, and the connection it would
-      // have ridden is killed — the receiver sees a torn stream, its
-      // deadline fires, and the NACK path re-delivers over a reconnect.
-      rt.counters->add_drop();
-      std::lock_guard<std::mutex> lock(rt.out_mu);
-      int& fd = rt.out[static_cast<std::size_t>(dst)];
-      if (fd >= 0) {
-        ::close(fd);
-        fd = -1;
-      }
-      break;
-    }
-    case FaultAction::kDuplicate:
-      rt.counters->add_duplicate_injected();
-      rt.write_data(dst, tag, seq, *frame, nullptr);
-      rt.write_data(dst, tag, seq, *frame, nullptr);
-      break;
-    case FaultAction::kCorrupt: {
-      rt.counters->add_corruption_injected();
-      std::vector<double> damaged = *frame;
-      rt.inj->corrupt_payload(damaged, ctx.rank(), dst, tag, seq);
-      rt.write_data(dst, tag, seq, *frame, &damaged);
-      break;
-    }
-    case FaultAction::kDelay:
-      // Physical delay: a real sender stall longer than the receive
-      // deadline, so the receiver recovers via NACK and the late original
-      // is suppressed by its sequence number on arrival.
-      rt.counters->add_delay();
-      std::this_thread::sleep_for(
-          std::chrono::duration<double, std::milli>(kDelayStallMs));
-      rt.write_data(dst, tag, seq, *frame, nullptr);
-      break;
-  }
+  // The frame goes out straight from the caller's vector; no copy is kept.
+  WireOut f;
+  f.tag = tag;
+  f.seq = rt.send_seq[{dst, tag}]++;
+  f.payload = data;
+  ++rt.sends;
+  rt.write_to(dst, f);
 }
 
 std::vector<double> SocketTransport::recv(Context& ctx, int src, std::uint64_t tag) {
@@ -657,67 +448,20 @@ std::vector<double> SocketTransport::recv(Context& ctx, int src, std::uint64_t t
   const RankRuntime::Key key{src, tag};
   std::unique_lock<std::mutex> lock(rt.mu);
   const std::uint64_t expected = rt.next_seq[key];
-  std::vector<double> payload;
-  const auto take = [&] {
+  const auto stashed = [&] {
     const auto sit = rt.stash.find(key);
-    if (sit == rt.stash.end()) return false;
-    const auto pit = sit->second.find(expected);
-    if (pit == sit->second.end()) return false;
-    payload = std::move(pit->second);
-    sit->second.erase(pit);
-    rt.next_seq[key] = expected + 1;
-    return true;
+    return sit != rt.stash.end() && sit->second.count(expected) != 0;
   };
-  if (!take()) {
-    if (rt.reliable_on) {
-      // About to block: acknowledge what this rank has consumed first, so no
-      // sender's store waits on this rank's next write to that sender.
-      lock.unlock();
-      rt.flush_acks();
-      lock.lock();
-    }
-    int attempt = 0;
-    double wall_ms = rt.cfg.recv_deadline_ms;
-    double virtual_wait = kRetryDeadline;
-    for (;;) {
-      const auto ready = [&] {
-        const auto sit = rt.stash.find(key);
-        if (sit != rt.stash.end() && sit->second.count(expected) != 0) return true;
-        return rt.aborted && rt.unreachable(src);
-      };
-      bool have = false;
-      if (rt.reliable_on) {
-        have = rt.cv.wait_for(lock, std::chrono::duration<double, std::milli>(wall_ms), ready);
-      } else {
-        rt.cv.wait(lock, ready);
-        have = true;
-      }
-      if (take()) break;
-      if (have) {  // woke on the abort/unreachable arm
-        throw WorldAbortedError("recv blocked on dead rank process: src=" + std::to_string(src) +
-                                " dst=" + std::to_string(ctx.rank()) +
-                                " tag=" + std::to_string(tag) +
-                                " seq=" + std::to_string(expected));
-      }
-      // Wall-clock deadline expired: the frame was lost, torn with its
-      // connection, or is stalling in a delayed sender — NACK for a clean
-      // retransmission, with the same bounded retry + exponential backoff
-      // budget the in-process backend accounts in virtual time.
-      const int max_retries = rt.inj->plan().max_retries;
-      if (attempt >= max_retries)
-        throw transport_exhausted("socket", src, ctx.rank(), tag, expected, max_retries);
-      rt.counters->add_retry();
-      rt.counters->add_virtual_backoff(virtual_wait);
-      virtual_wait *= kRetryBackoff;
-      wall_ms *= kRetryBackoff;
-      ++attempt;
-      lock.unlock();
-      rt.send_nack(src, tag, expected, attempt - 1);
-      lock.lock();
-    }
-  }
-  lock.unlock();
-  if (rt.reliable_on) rt.record_ack(src, tag, expected);
+  rt.cv.wait(lock, [&] { return stashed() || (rt.aborted && rt.unreachable(src)); });
+  if (!stashed())
+    throw WorldAbortedError("recv blocked on dead rank process: src=" + std::to_string(src) +
+                            " dst=" + std::to_string(ctx.rank()) + " tag=" + std::to_string(tag) +
+                            " seq=" + std::to_string(expected));
+  auto& frames = rt.stash.find(key)->second;
+  const auto pit = frames.find(expected);
+  std::vector<double> payload = std::move(pit->second);
+  frames.erase(pit);
+  rt.next_seq[key] = expected + 1;
   return payload;
 }
 
@@ -787,8 +531,6 @@ void SocketTransport::run_child(int rank, int ctl_fd,
   rt.rank = rank;
   rt.size = world().size();
   rt.cfg = cfg_;
-  rt.reliable_on = reliable();
-  rt.inj = injector();
   rt.counters = &counters();
   rt.ctl = ctl_fd;
   set_nonblocking(rt.ctl);  // the IO thread reads it with until-EAGAIN loops
@@ -796,7 +538,6 @@ void SocketTransport::run_child(int rank, int ctl_fd,
   rt.finished.assign(static_cast<std::size_t>(rt.size), 0);
   rt.in_fd.assign(static_cast<std::size_t>(rt.size), -1);
   rt.out.assign(static_cast<std::size_t>(rt.size), -1);
-  rt.acks.resize(static_cast<std::size_t>(rt.size));
   rt.baseline = rt.counters->snapshot();
   int wake[2] = {-1, -1};
   if (::pipe(wake) == 0) {
@@ -817,10 +558,6 @@ void SocketTransport::run_child(int rank, int ctl_fd,
     } catch (const WorldAbortedError& e) {
       code = 2;
       err_kind = kErrWorldAborted;
-      err_msg = e.what();
-    } catch (const TransportError& e) {
-      code = 3;
-      err_kind = kErrTransport;
       err_msg = e.what();
     } catch (const RankKilledError& e) {
       code = 4;
@@ -844,11 +581,13 @@ void SocketTransport::run_child(int rank, int ctl_fd,
       err_msg = "non-standard exception";
     }
     if (code == 0) {
-      // Exit handshake: keep the IO thread and the retransmit store serving
-      // a peer's late NACKs until every rank has returned (the launcher
-      // releases this collective generation) or the world aborts. Called on
-      // the backend, not through Context, so fault-op numbering is untouched.
-      if (rt.reliable_on) rt.flush_acks();
+      // Exit handshake: keep the IO thread reading this rank's connections
+      // until every rank has returned (the launcher releases this collective
+      // generation) or the world aborts. A peer may still be sending this
+      // rank a message it never receives; a payload larger than the socket
+      // buffer would block that send forever on a process that has left.
+      // Called on the backend, not through Context, so fault-op numbering is
+      // untouched.
       try {
         (void)allreduce_sum(ctx, 0.0);
       } catch (const WorldAbortedError&) {
@@ -1141,8 +880,6 @@ void SocketTransport::run(const std::function<void(Context&)>& program) {
     if (m.external) throw RankKilledError(RankKilledError::External{}, r, m.ext_sig, m.ext_detail);
     if (m.has_error && m.err_kind != kErrWorldAborted) {
       switch (m.err_kind) {
-        case kErrTransport:
-          throw TransportError(m.err_msg);
         case kErrInvalidArgument:
           throw std::invalid_argument(m.err_msg);
         case kErrLogic:

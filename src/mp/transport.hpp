@@ -6,11 +6,11 @@
 // TransportBackend. The backend owns the *mechanics* of message motion —
 // mailboxes and condition variables in-process, sockets and processes for
 // the socket backend — and starts every run from an empty transport, while
-// the *policy* stays in World and is shared: the fault injector (whose plan
-// also decides whether the reliable transport runs), the recovery counters,
-// the abort flag and the durable blob board. That split is what makes the
-// two backends interchangeable at the program level: the same SPMD program
-// with the same fault plan produces bit-identical payloads on either side.
+// the *policy* stays in World and is shared: the fault injector (the plan's
+// one-shot rank kill), the recovery counters, the abort flag and the durable
+// blob board. That split is what makes the two backends interchangeable at
+// the program level: the same SPMD program with the same fault plan produces
+// bit-identical payloads on either side.
 //
 // Backends access the shared policy through the protected accessors below
 // (TransportBackend is a friend of World), never through their own copies,
@@ -57,12 +57,6 @@ class TransportBackend {
 
   // Shared-policy accessors (see header comment).
   FaultInjector* injector() noexcept { return world_->injector_.get(); }
-  /// The reliable transport runs exactly when the installed plan has
-  /// message faults; injector()->plan().max_retries is then its budget.
-  bool reliable() const noexcept {
-    const FaultInjector* inj = world_->injector_.get();
-    return inj != nullptr && inj->plan().has_message_faults();
-  }
   RecoveryCounters& counters() noexcept { return world_->counters_; }
   void count_sends(std::size_t n) noexcept {
     world_->delivered_.fetch_add(n, std::memory_order_relaxed);

@@ -29,16 +29,4 @@ void require_finite_columns(const Matrix& a, const std::string& engine) {
   }
 }
 
-void require_finite_payload(std::span<const double> column, int column_label,
-                            const std::string& engine) {
-  for (std::size_t i = 0; i < column.size(); ++i) {
-    if (!std::isfinite(column[i])) {
-      throw std::invalid_argument(engine + ": column " + std::to_string(column_label) +
-                                  " carries a non-finite value (" +
-                                  (std::isnan(column[i]) ? "NaN" : "Inf") + " at row " +
-                                  std::to_string(i) + ")");
-    }
-  }
-}
-
 }  // namespace treesvd

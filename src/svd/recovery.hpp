@@ -1,38 +1,19 @@
 #pragma once
-// Engine-side fault tolerance: the SPMD Jacobi's (svd/spmd.hpp)
-// sweep-boundary checkpointing with rollback/replay and non-finite payload
-// guard, plus the observational stall classifier and input guard every
-// engine uses.
+// Engine-side guards: the observational stall classifier and the input
+// guard every engine uses. (The SPMD Jacobi's sweep-boundary checkpoints
+// and rollback live in svd/spmd.cpp.)
 //
-// Determinism rules (the contracts chaos_recovery_test pins down):
-//  * Checkpoints snapshot column ownership, column payloads and progress
-//    counters at sweep boundaries. A rollback restores the latest checkpoint
-//    *every* participant has committed and replays from there; because the
-//    engines are deterministic, the replay is bit-identical to the run the
-//    fault interrupted.
-//  * Stagnation is reported, never repaired: the always-on StallDetector
-//    classifies a run whose sweep activity (rotations + swaps, the quantity
-//    whose zero defines convergence) stopped decreasing as kStalled.
-//  * Payload guard: non-finite column data arriving by message is
-//    unrepairable and throws naming the offending column.
+// Stagnation is reported, never repaired: the always-on StallDetector
+// classifies a run whose sweep activity (rotations + swaps, the quantity
+// whose zero defines convergence) stopped decreasing as kStalled.
 
 #include <cstddef>
-#include <span>
 #include <string>
 #include <vector>
 
 #include "linalg/matrix.hpp"
 
 namespace treesvd {
-
-/// Knobs for the checkpoint/rollback machinery.
-struct RecoveryOptions {
-  /// Snapshot cadence in sweeps (1 = every sweep boundary; 0 disables
-  /// checkpointing, so a rank kill is fatal).
-  int checkpoint_sweeps = 1;
-  /// Rollback budget: replays attempted before the failure is rethrown.
-  int max_rollbacks = 8;
-};
 
 /// Trailing window of the stall classifier every engine uses: a
 /// non-converged run whose activity failed to decrease for this many final
@@ -96,10 +77,5 @@ int first_nonfinite_column(const Matrix& a) noexcept;
 /// front, so poisoned inputs fail precisely instead of iterating to
 /// max_sweeps on IEEE-propagated garbage.
 void require_finite_columns(const Matrix& a, const std::string& engine);
-
-/// Payload guard for a column in flight (see determinism rules above):
-/// throws std::invalid_argument naming `column` if any entry is non-finite.
-void require_finite_payload(std::span<const double> column, int column_label,
-                            const std::string& engine);
 
 }  // namespace treesvd

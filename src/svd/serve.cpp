@@ -21,8 +21,8 @@ std::uint64_t now_ns() noexcept {
           .count());
 }
 
-// Serve-chaos decisions hash (seed, id) with the mp/fault mixer, so they need
-// no generator state.
+// Serve-chaos decisions hash (seed, id) with the splitmix64 mixer, so they
+// need no generator state.
 using analysis::mix64;
 using analysis::unit_interval;
 

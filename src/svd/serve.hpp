@@ -29,8 +29,8 @@
 // Every accepted request reaches exactly one terminal state — a solved
 // payload, kFailed, or kDeadlineExpired — including across stop(), which
 // drains whatever is still queued. The seeded ServeFaultPlan (splitmix64
-// over request id, the mp/fault idiom) makes all of the above testable
-// bit-reproducibly; treesvd_serve --chaos is the gate.
+// over request id) makes all of the above testable bit-reproducibly;
+// treesvd_serve --chaos is the gate.
 //
 // Telemetry: per-shard log2-bucket latency histograms (submit -> completion,
 // steady clock) and batch counters, snapshotted under each shard's stats
@@ -163,11 +163,11 @@ class LatencyHistogram {
   std::uint64_t max_ns_ = 0;
 };
 
-/// Seeded, fully deterministic fault schedule for a serving run — the
-/// mp::FaultPlan idiom lifted to requests: every per-request decision is a
-/// pure function of the request id mixed with the plan seed (splitmix64), so
-/// two runs of the same trace inject exactly the same faults regardless of
-/// thread interleaving and every counter replays bit-for-bit.
+/// Seeded, fully deterministic fault schedule for a serving run: every
+/// per-request decision is a pure function of the request id mixed with the
+/// plan seed (splitmix64), so two runs of the same trace inject exactly the
+/// same faults regardless of thread interleaving and every counter replays
+/// bit-for-bit.
 ///
 /// The request-fault bands partition [0, 1): at most one fault per request.
 /// kPoison and kExpire are *client-side* decisions (the chaos driver builds

@@ -14,6 +14,10 @@
 namespace treesvd {
 namespace {
 
+/// Rollbacks a run under a SpmdTransport may take before a rank kill is
+/// rethrown to the caller.
+constexpr int kMaxRollbacks = 8;
+
 /// Unique message tag per (sweep, step, destination slot): ranks never need
 /// a step barrier — matching tags order the dataflow.
 std::uint64_t make_tag(int sweep, int step, int to_slot) {
@@ -137,9 +141,8 @@ SvdResult spmd_jacobi(const Matrix& a, const Ordering& ordering, const JacobiOpt
   const std::size_t rows = a.rows();
   const int ranks = n / 2;
 
-  const RecoveryOptions recovery =
-      transport != nullptr ? transport->recovery : RecoveryOptions{};
-  const bool chaos = transport != nullptr;
+  // A transport turns on the sweep checkpoints a rollback restores from.
+  const bool checkpointing = transport != nullptr;
   // Level 0 of the engine hierarchy, bound once and shared by every rank
   // (thread-safe across disjoint pairs).
   const detail::PairKernel kernel(options);
@@ -149,10 +152,9 @@ SvdResult spmd_jacobi(const Matrix& a, const Ordering& ordering, const JacobiOpt
   Matrix a_eq = a;
   detail::SweepGuards guards;
   guards.eq = equilibrate(a_eq, options.equilibrate);
-  const bool checkpointing = chaos && recovery.checkpoint_sweeps > 0;
 
   mp::World world(ranks);
-  if (chaos) {
+  if (transport != nullptr) {
     if (transport->backend == mp::Backend::kSocket)
       world.set_backend(mp::Backend::kSocket, transport->socket);
     world.set_fault_plan(transport->faults);
@@ -228,13 +230,12 @@ SvdResult spmd_jacobi(const Matrix& a, const Ordering& ordering, const JacobiOpt
       // Sweep-boundary checkpoint, before any of this sweep's work. A rank
       // that already holds this boundary (rolled back past it) skips the
       // push — the deterministic replay would recreate the same bytes.
-      if (checkpointing && sweep % recovery.checkpoint_sweeps == 0 && ring_newest < sweep) {
+      if (checkpointing && ring_newest < sweep) {
         st.kernels = counters.snapshot();
-        // The two board slots per rank form the ring: the boundary index
+        // The two board slots per rank form the ring: the sweep index
         // alternates between them, overwriting the snapshot that is two
         // boundaries old.
-        const int slot_idx = (sweep / recovery.checkpoint_sweeps) % 2;
-        ctx.publish(checkpoint_key(me, slot_idx), pack_state(st));
+        ctx.publish(checkpoint_key(me, sweep % 2), pack_state(st));
         ring_newest = sweep;
         if (me == 0) rc.add_checkpoint();
       }
@@ -311,9 +312,6 @@ SvdResult spmd_jacobi(const Matrix& a, const Ordering& ordering, const JacobiOpt
             if (options.compute_v)
               next[k].v.assign(payload.begin() + 1 + static_cast<std::ptrdiff_t>(rows),
                                payload.end());
-            // Payload guard: non-finite column data is unrepairable and
-            // fails fast naming the column.
-            if (chaos) require_finite_payload(next[k].h, next[k].label, "spmd_jacobi");
           }
         }
         slot[0] = std::move(next[0]);
@@ -340,8 +338,7 @@ SvdResult spmd_jacobi(const Matrix& a, const Ordering& ordering, const JacobiOpt
   // back to the newest checkpoint every rank committed and running it again
   // (each run starts from an empty transport) — the engine is
   // deterministic, so the replay is bit-identical to the run the kill
-  // interrupted. Transport-budget exhaustion and program errors are not
-  // recoverable and propagate.
+  // interrupted. Program errors are not recoverable and propagate.
   for (;;) {
     try {
       world.run(program);
@@ -362,7 +359,7 @@ SvdResult spmd_jacobi(const Matrix& a, const Ordering& ordering, const JacobiOpt
         TREESVD_ASSERT(newest >= 0);
         newest_common = newest_common < 0 ? newest : std::min(newest_common, newest);
       }
-      if (rc.snapshot().rollbacks >= static_cast<std::size_t>(recovery.max_rollbacks)) throw;
+      if (rc.snapshot().rollbacks >= static_cast<std::size_t>(kMaxRollbacks)) throw;
       rc.add_rollback();
       restore_sweep = newest_common;
     }

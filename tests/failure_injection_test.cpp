@@ -5,6 +5,7 @@
 
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "treesvd.hpp"
 
@@ -96,34 +97,50 @@ TEST(FailureInjection, MessagePassingChecks) {
 }
 
 TEST(FailureInjection, FaultPlanValidation) {
-  // Probabilities must be sane individually and as a partition of [0, 1).
-  {
-    mp::World world(2);
-    mp::FaultPlan plan;
-    plan.drop_prob = -0.1;
-    EXPECT_THROW(world.set_fault_plan(plan), std::invalid_argument);
-    plan.drop_prob = 0.7;
-    plan.duplicate_prob = 0.5;  // sums past 1
-    EXPECT_THROW(world.set_fault_plan(plan), std::invalid_argument);
-  }
   // The rank-kill target must exist in this world.
-  {
-    mp::World world(2);
-    mp::FaultPlan plan;
-    plan.kill_rank = 7;
-    EXPECT_THROW(world.set_fault_plan(plan), std::invalid_argument);
+  mp::World world(2);
+  mp::FaultPlan plan;
+  plan.kill_rank = 7;
+  EXPECT_THROW(world.set_fault_plan(plan), std::invalid_argument);
+  plan.kill_rank = 1;
+  EXPECT_NO_THROW(world.set_fault_plan(plan));
+}
+
+/// The message of the std::invalid_argument `set_backend(kSocket, config)`
+/// throws, or "" when it accepts the config.
+std::string socket_config_error(const mp::SocketConfig& config) {
+  mp::World world(2);
+  try {
+    world.set_backend(mp::Backend::kSocket, config);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
   }
-  // The reliable transport's retry budget must be positive; message faults
-  // need no other switch.
-  {
-    mp::World world(2);
-    mp::FaultPlan plan;
-    plan.drop_prob = 0.1;
-    plan.max_retries = 0;
-    EXPECT_THROW(world.set_fault_plan(plan), std::invalid_argument);
-    plan.max_retries = 1;
-    EXPECT_NO_THROW(world.set_fault_plan(plan));
+  return "";
+}
+
+TEST(FailureInjection, SocketTimingsThatKillHealthyRanksAreRejected) {
+  // A heartbeat timeout no longer than the beacon interval would have the
+  // launcher SIGKILL ranks that are merely between beacons.
+  mp::SocketConfig sc;
+  sc.heartbeat_interval_ms = 2000.0;
+  for (const double timeout : {100.0, 2000.0}) {
+    sc.heartbeat_timeout_ms = timeout;
+    const std::string what = socket_config_error(sc);
+    EXPECT_NE(what.find("heartbeat_timeout_ms"), std::string::npos) << timeout << ": " << what;
+    EXPECT_NE(what.find("heartbeat_interval_ms"), std::string::npos) << timeout << ": " << what;
   }
+  // The IO thread polls for the interval plus 1 ms as an int: an interval
+  // of INT_MAX ms or more would overflow it.
+  sc.heartbeat_timeout_ms = std::numeric_limits<double>::infinity();
+  for (const double interval : {static_cast<double>(std::numeric_limits<int>::max()), 1e300}) {
+    sc.heartbeat_interval_ms = interval;
+    const std::string what = socket_config_error(sc);
+    EXPECT_NE(what.find("heartbeat_interval_ms"), std::string::npos) << interval << ": " << what;
+  }
+  sc.heartbeat_interval_ms = 2000.0;
+  sc.heartbeat_timeout_ms = 2001.0;
+  EXPECT_EQ(socket_config_error(sc), "");
+  EXPECT_EQ(socket_config_error(mp::SocketConfig{}), "");
 }
 
 TEST(FailureInjection, RecoveryGuardChecks) {
@@ -131,8 +148,6 @@ TEST(FailureInjection, RecoveryGuardChecks) {
   Matrix a = random_gaussian(8, 4, rng);
   a(2, 1) = std::numeric_limits<double>::quiet_NaN();
   EXPECT_THROW(require_finite_columns(a, "engine"), std::invalid_argument);
-  const std::vector<double> poisoned = {1.0, std::numeric_limits<double>::infinity()};
-  EXPECT_THROW(require_finite_payload(poisoned, 3, "engine"), std::invalid_argument);
 }
 
 TEST(FailureInjection, GeneratorChecks) {

@@ -169,34 +169,6 @@ TEST(MessagePassing, RunOnAbortedWorldStartsFromAnEmptyTransport) {
   EXPECT_EQ(got, std::vector<double>{2.0});
 }
 
-TEST(MessagePassing, CompletedRunCountsFramesLeftQueued) {
-  // Every frame is delivered twice and rank 1 receives each once: two stale
-  // copies are suppressed by recv, and the last one is still queued when the
-  // run completes, so run() counts it. The second run starts from sequence
-  // number 0 again, with no copy of the first run's frames.
-  mp::World world(2);
-  mp::FaultPlan plan;
-  plan.duplicate_prob = 1.0;
-  world.set_fault_plan(plan);
-  const auto program = [](mp::Context& ctx) {
-    for (int k = 0; k < 3; ++k) {
-      const std::vector<double> frame = {static_cast<double>(k)};
-      if (ctx.rank() == 0) {
-        ctx.send(1, 7, frame);
-      } else {
-        EXPECT_EQ(ctx.recv(0, 7), frame);
-      }
-    }
-  };
-  for (std::size_t run = 1; run <= 2; ++run) {
-    world.run(program);
-    const mp::RecoveryStats stats = world.recovery_stats();
-    EXPECT_EQ(stats.duplicates_injected, 3 * run);
-    EXPECT_EQ(stats.duplicates_suppressed, 3 * run);
-    EXPECT_EQ(stats.retries, 0u);
-  }
-}
-
 using Param = std::tuple<std::string, int>;
 
 class SpmdAcrossOrderings : public ::testing::TestWithParam<Param> {};

@@ -1,10 +1,12 @@
-// Property tests that every ordering must satisfy: each sweep is a valid
-// parallel Jacobi sweep (all n(n-1)/2 pairs exactly once, disjoint pairs per
-// step), across several consecutive sweeps, for a range of problem sizes.
-// The registry suite (SweepPlanProperty) checks every registered ordering at
-// every supported n in [4, 64] against the paper's invariants, and its
+// Property tests that every ordering must satisfy. The registry suite
+// (SweepPlanProperty) checks every registered ordering against the paper's
+// invariants — each sweep a valid parallel Jacobi sweep (all n(n-1)/2 pairs
+// exactly once, disjoint pairs per step), alone and across four consecutive
+// sweeps — at every supported n in [4, 64] and at n = 128 and 256, and its
 // subtree-ordered plans (core/sweep_plan.hpp) against the sweeps they
-// reorder; a newly registered ordering is checked with no test change.
+// reorder at n <= 64; a newly registered ordering is checked with no test
+// change. OrderingProperty checks the position procedure and the size
+// contract at fixed sizes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -64,45 +66,6 @@ class OrderingProperty : public ::testing::TestWithParam<Param> {
   bool supported() const { return ordering()->supports(n()); }
 };
 
-TEST_P(OrderingProperty, SingleSweepIsValid) {
-  if (!supported()) GTEST_SKIP() << "n not supported";
-  const Sweep s = ordering()->sweep(n());
-  const SweepValidation v = validate_sweep(s);
-  EXPECT_TRUE(v.valid) << v.error;
-}
-
-TEST_P(OrderingProperty, FourConsecutiveSweepsAreValid) {
-  if (!supported()) GTEST_SKIP() << "n not supported";
-  const SweepValidation v = validate_sweep_sequence(*ordering(), n(), 4);
-  EXPECT_TRUE(v.valid) << v.error;
-}
-
-TEST_P(OrderingProperty, StepCountMatchesContract) {
-  if (!supported()) GTEST_SKIP() << "n not supported";
-  const Sweep s = ordering()->sweep(n());
-  EXPECT_EQ(s.steps(), ordering()->steps(n()));
-}
-
-TEST_P(OrderingProperty, RotationCountIsAllPairs) {
-  if (!supported()) GTEST_SKIP() << "n not supported";
-  const Sweep s = ordering()->sweep(n());
-  EXPECT_EQ(s.rotation_count(),
-            static_cast<std::size_t>(n()) * static_cast<std::size_t>(n() - 1) / 2);
-}
-
-TEST_P(OrderingProperty, LayoutRestoredAfterTwoSweepsOrOne) {
-  if (!supported()) GTEST_SKIP() << "n not supported";
-  // Every ordering in the paper restores the original index order after at
-  // most two sweeps (fat-tree after one; rings and odd-even after two;
-  // Lee-Luk-Boley after a forward+backward pair).
-  EXPECT_EQ(layout_after(*ordering(), n(), 2), identity(n()));
-}
-
-TEST_P(OrderingProperty, MovesAreConsistentWithLayouts) {
-  if (!supported()) GTEST_SKIP() << "n not supported";
-  expect_moves_reproduce_layouts(ordering()->sweep(n()));
-}
-
 TEST_P(OrderingProperty, SweepFromTransportsThePositionProcedure) {
   if (!supported()) GTEST_SKIP() << "n not supported";
   // Starting from a shuffled layout must pair the occupants of the same
@@ -130,9 +93,7 @@ TEST_P(OrderingProperty, UnsupportedSizesThrow) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllOrderings, OrderingProperty,
-    ::testing::Combine(::testing::Values("round-robin", "odd-even", "fat-tree", "llb-fat-tree",
-                                         "new-ring", "modified-ring", "hybrid-g2", "hybrid-g4",
-                                         "hybrid-g8", "block-ring-g2", "block-ring-g4"),
+    ::testing::Combine(::testing::ValuesIn(ordering_names({2, 4, 8})),
                        ::testing::Values(4, 6, 8, 12, 16, 32, 64, 128, 256)),
     [](const ::testing::TestParamInfo<Param>& param_info) {
       std::string name = std::get<0>(param_info.param) + "_n" + std::to_string(std::get<1>(param_info.param));
@@ -188,8 +149,11 @@ TEST_P(SweepPlanProperty, PlanInvariants) {
   const OrderingPtr ord = make_ordering(GetParam());
   const int procs = ord->procedures();
   EXPECT_EQ(procs, GetParam() == "llb-fat-tree" ? 2 : 1);
+  std::vector<int> sizes(61);
+  std::iota(sizes.begin(), sizes.end(), 4);  // every n in [4, 64]
+  sizes.insert(sizes.end(), {128, 256});
   int covered = 0;
-  for (int n = 4; n <= 64; ++n) {
+  for (const int n : sizes) {
     if (!ord->supports(n)) continue;
     ++covered;
     SCOPED_TRACE("n=" + std::to_string(n));
@@ -237,6 +201,8 @@ TEST_P(SweepPlanProperty, PlanInvariants) {
       EXPECT_FALSE(same_sweep(ord->sweep(n, 0), ord->sweep(n, 1)));
     }
 
+    // The sweep plans, checked at n <= 64.
+    if (n > 64) continue;
     for (int d = 0; d <= 3; ++d) {
       SCOPED_TRACE("depth=" + std::to_string(d));
       const std::vector<SweepPlan> plans = plan_sweeps(*ord, n, d);
