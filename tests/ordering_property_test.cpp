@@ -4,9 +4,10 @@
 // exactly once, disjoint pairs per step), alone and across four consecutive
 // sweeps — at every supported n in [4, 64] and at n = 128 and 256, and its
 // subtree-ordered plans (core/sweep_plan.hpp) against the sweeps they
-// reorder at n <= 64; a newly registered ordering is checked with no test
-// change. OrderingProperty checks the position procedure and the size
-// contract at fixed sizes.
+// reorder at n <= 64. OrderingProperty checks each invariant, the position
+// procedure and the size contract as its own case per ordering and size.
+// Both read ordering_names, so a newly registered ordering is checked with
+// no test change.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -65,6 +66,45 @@ class OrderingProperty : public ::testing::TestWithParam<Param> {
   int n() const { return std::get<1>(GetParam()); }
   bool supported() const { return ordering()->supports(n()); }
 };
+
+TEST_P(OrderingProperty, SingleSweepIsValid) {
+  if (!supported()) GTEST_SKIP() << "n not supported";
+  const Sweep s = ordering()->sweep(n());
+  const SweepValidation v = validate_sweep(s);
+  EXPECT_TRUE(v.valid) << v.error;
+}
+
+TEST_P(OrderingProperty, FourConsecutiveSweepsAreValid) {
+  if (!supported()) GTEST_SKIP() << "n not supported";
+  const SweepValidation v = validate_sweep_sequence(*ordering(), n(), 4);
+  EXPECT_TRUE(v.valid) << v.error;
+}
+
+TEST_P(OrderingProperty, StepCountMatchesContract) {
+  if (!supported()) GTEST_SKIP() << "n not supported";
+  const Sweep s = ordering()->sweep(n());
+  EXPECT_EQ(s.steps(), ordering()->steps(n()));
+}
+
+TEST_P(OrderingProperty, RotationCountIsAllPairs) {
+  if (!supported()) GTEST_SKIP() << "n not supported";
+  const Sweep s = ordering()->sweep(n());
+  EXPECT_EQ(s.rotation_count(),
+            static_cast<std::size_t>(n()) * static_cast<std::size_t>(n() - 1) / 2);
+}
+
+TEST_P(OrderingProperty, LayoutRestoredAfterTwoSweepsOrOne) {
+  if (!supported()) GTEST_SKIP() << "n not supported";
+  // Every ordering in the paper restores the original index order after at
+  // most two sweeps (fat-tree after one; rings and odd-even after two;
+  // Lee-Luk-Boley after a forward+backward pair).
+  EXPECT_EQ(layout_after(*ordering(), n(), 2), identity(n()));
+}
+
+TEST_P(OrderingProperty, MovesAreConsistentWithLayouts) {
+  if (!supported()) GTEST_SKIP() << "n not supported";
+  expect_moves_reproduce_layouts(ordering()->sweep(n()));
+}
 
 TEST_P(OrderingProperty, SweepFromTransportsThePositionProcedure) {
   if (!supported()) GTEST_SKIP() << "n not supported";
